@@ -68,7 +68,7 @@ def cmd_detect(args) -> int:
     state = statefile.load_state(args.path)
     if not isinstance(state, BipartiteState):
         raise ValidationError("detect requires a bipartite state file (dims [d_A, d_B])")
-    cert = pairing.detect_canonical_pairing(state, zero_tol=args.tol or 1e-10)
+    cert = pairing.detect_canonical_pairing(state, zero_tol=args.tol)
     if cert is None:
         print("not canonical pairing")
         return EXIT_NOT_PAIRING
@@ -76,7 +76,7 @@ def cmd_detect(args) -> int:
            "transpositions": [list(map(list, t)) for t in cert.transpositions],
            "fixed_points": [list(p) for p in cert.fixed_points]}
     if args.decompose:
-        dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol or 1e-10)
+        dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol)
         pm = pairing.pairing_measures(dec)
         out["p0"] = dec.p0
         out["blocks"] = [
@@ -179,7 +179,7 @@ def cmd_witness(args) -> int:
     state = statefile.load_state(args.path)
     if not isinstance(state, BipartiteState):
         raise ValidationError("witness requires a bipartite state file")
-    cert = pairing.detect_canonical_pairing(state, zero_tol=args.tol or 1e-10)
+    cert = pairing.detect_canonical_pairing(state, zero_tol=args.tol)
     if cert is None:
         print("not canonical pairing")
         return EXIT_NOT_PAIRING
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="certify canonical pairing structure")
     d.add_argument("path")
-    d.add_argument("--tol", type=float, default=None)
+    d.add_argument("--tol", type=float, default=1e-10)
     d.add_argument("--decompose", action="store_true")
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_detect)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", help="two-qubit distillation witness blocks")
     w.add_argument("path")
     w.add_argument("--index", type=int, default=None)
-    w.add_argument("--tol", type=float, default=None)
+    w.add_argument("--tol", type=float, default=1e-10)
     w.set_defaults(func=cmd_witness)
     return p
 

@@ -136,7 +136,6 @@ class AppendixAChain:
     rho3: DensityMatrix
     rho4: DensityMatrix
     weights: np.ndarray  # |rho_jk| for j < k
-    m_operator: np.ndarray
     v_diag: np.ndarray
     report: dict
 
@@ -246,7 +245,6 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
         rho3=rho3,
         rho4=rho4,
         weights=weights,
-        m_operator=m_psi,
         v_diag=v_diag,
         report=report,
     )

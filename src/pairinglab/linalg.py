@@ -8,7 +8,7 @@ index convention for a bipartite system is fixed globally: basis ket
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +47,14 @@ class DensityMatrix:
 
     Validation happens on construction; ``validation_tol`` bounds the
     allowed Hermiticity defect, the most negative eigenvalue, and the
-    trace deviation from 1.
+    trace deviation from 1.  The spectrum validation computes is kept,
+    so ``eigenvalues`` and ``von_neumann_entropy`` never decompose again.
     """
 
     mat: np.ndarray
     validation_tol: float = DEFAULT_TOL
+    # (matrix the spectrum belongs to, read-only ascending spectrum)
+    _spectrum: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
@@ -69,19 +72,34 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1) > tol:
             raise ValidationError(f"trace is {tr:.6g}, expected 1 within {tol:.3e}")
-        lam_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        if lam_min < -tol:
+        lam = _hermitian_spectrum(m)
+        if lam[0] < -tol:
             raise ValidationError(
-                f"smallest eigenvalue {lam_min:.3e} below -{tol:.3e}"
+                f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
             )
+        object.__setattr__(self, "_spectrum", (m, lam))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    def _ascending(self) -> np.ndarray:
+        source, lam = self._spectrum
+        if source is not self.mat:  # ``mat`` was swapped after validation
+            lam = _hermitian_spectrum(self.mat)
+            object.__setattr__(self, "_spectrum", (self.mat, lam))
+        return lam
+
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in descending order."""
-        return np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)[::-1]
+        """Real spectrum in descending order (a copy of the cached one)."""
+        return self._ascending()[::-1].copy()
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Read-only ascending spectrum of the Hermitian part of ``m``."""
+    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    lam.flags.writeable = False
+    return lam
 
 
 @dataclass(frozen=True)
@@ -191,7 +209,12 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def _entropy_of_spectrum(lams: np.ndarray, tol: float) -> float:
+def entropy_of_spectrum(lams: np.ndarray, tol: float) -> float:
+    """-sum l log2 l over a real spectrum or probability vector.
+
+    Entries below the relative zero cutoff are dropped; raises
+    NegativeEigenvalue when one lies below ``-tol``.
+    """
     scale = max(1.0, float(np.max(np.abs(lams)))) if lams.size else 1.0
     cut = ZERO_EIGENVALUE_RTOL * scale
     bad = lams[lams < -tol]
@@ -204,7 +227,7 @@ def _entropy_of_spectrum(lams: np.ndarray, tol: float) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum_i lambda_i log2 lambda_i over the positive spectrum."""
-    return _entropy_of_spectrum(rho.eigenvalues(), rho.validation_tol)
+    return entropy_of_spectrum(rho._ascending()[::-1], rho.validation_tol)
 
 
 def binary_entropy(x: float) -> float:

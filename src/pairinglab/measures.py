@@ -43,8 +43,31 @@ def c_log(rho: DensityMatrix) -> float:
 
 
 def c_rel_entropy(rho: DensityMatrix) -> float:
-    """Relative entropy of coherence: S(diag(rho)) - S(rho)."""
-    return linalg.von_neumann_entropy(linalg.dephase(rho)) - linalg.von_neumann_entropy(rho)
+    """Relative entropy of coherence: S(diag(rho)) - S(rho).
+
+    S(diag(rho)) is the entropy of the diagonal entries; S(rho) comes from
+    the spectrum validation already computed.
+    """
+    s_diag = linalg.entropy_of_spectrum(np.diag(rho.mat).real, rho.validation_tol)
+    return s_diag - linalg.von_neumann_entropy(rho)
+
+
+def _pt_spectrum(bs: BipartiteState) -> np.ndarray:
+    """Ascending spectrum of the (Hermitian) partial transpose rho^T_A."""
+    pt = linalg.partial_transpose(bs)
+    return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+
+
+def _negativity_of(pt_spectrum: np.ndarray) -> tuple[float, float]:
+    # rho^T_A is Hermitian, so its trace norm is the sum of |eigenvalues|
+    n = float(np.sum(np.abs(pt_spectrum))) - 1.0
+    return n, float(np.log2(1.0 + max(n, 0.0)))
+
+
+def _n0_of(pt_spectrum: np.ndarray, zero_tol: float | None) -> int:
+    if zero_tol is None:
+        zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(pt_spectrum))))
+    return int(np.count_nonzero(pt_spectrum < -zero_tol))
 
 
 def negativity(bs: BipartiteState) -> tuple[float, float]:
@@ -52,8 +75,7 @@ def negativity(bs: BipartiteState) -> tuple[float, float]:
 
     N = ||rho^T_A||_1 - 1 and N_L = log2(1 + N).
     """
-    n = linalg.trace_norm(linalg.partial_transpose(bs)) - 1.0
-    return n, float(np.log2(1.0 + max(n, 0.0)))
+    return _negativity_of(_pt_spectrum(bs))
 
 
 def schmidt_negativity(lambdas) -> float:
@@ -77,11 +99,7 @@ def schmidt_spectrum(psi, d_a: int, d_b: int) -> np.ndarray:
 
 def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
     """Number of eigenvalues of rho^T_A strictly below -zero_tol."""
-    pt = linalg.partial_transpose(bs)
-    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
-    if zero_tol is None:
-        zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
-    return int(np.count_nonzero(w < -zero_tol))
+    return _n0_of(_pt_spectrum(bs), zero_tol)
 
 
 def c_l0_count(rho: DensityMatrix, zero_tol: float | None = None) -> int:
@@ -108,18 +126,20 @@ class MeasureReport:
 
 def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None = None) -> MeasureReport:
     """All closed-form measures of a state; bipartite inputs additionally
-    get negativity-side quantities."""
+    get negativity-side quantities.
+
+    The only decomposition is one eigvalsh of rho^T_A, shared by N and N0.
+    """
     rho = state.rho if isinstance(state, BipartiteState) else state
     rep = MeasureReport()
     rep.add("C_l1", c_l1(rho), "sum of off-diagonal moduli")
     rep.add("C_L", c_log(rho), "log2(1 + C_l1)")
     rep.add("C_r", c_rel_entropy(rho), "S(diag(rho)) - S(rho)")
     if isinstance(state, BipartiteState):
-        n, n_log = negativity(state)
+        w = _pt_spectrum(state)
+        n, n_log = _negativity_of(w)
         rep.add("N", n, "trace norm of partial transpose minus 1")
         rep.add("N_L", n_log, "log2(1 + N)")
-        rep.add("N0", n0_count(state, zero_tol), "negative eigenvalue count of rho^T_A")
-        rep.add("C_l0", c_l0_count(rho, zero_tol), "nonzero off-diagonal count")
-    else:
-        rep.add("C_l0", c_l0_count(rho, zero_tol), "nonzero off-diagonal count")
+        rep.add("N0", _n0_of(w, zero_tol), "negative eigenvalue count of rho^T_A")
+    rep.add("C_l0", c_l0_count(rho, zero_tol), "nonzero off-diagonal count")
     return rep

@@ -57,22 +57,25 @@ def detect_canonical_pairing(
     the partial transpose is monomial and the induced permutation is a
     product of disjoint transpositions ((j,k), (j',k')) with j != j',
     k != k', and positive diagonal weight at (j,k') and (j',k).
+
+    Saturation N = C_l1 is proved from the entries alone: with rho^T_A =
+    M + R, M the kept monomial part and R the dropped remainder,
+    ||M||_1 = ||M||_l1 and ||R||_1 <= ||R||_l1 give
+    |N - C_l1| <= |sum_i |rho_ii| - 1| + 2 ||R||_l1.  Only when that bound
+    exceeds the tolerance is N computed, by an SVD.
     """
     pt = linalg.partial_transpose(bs)
     d = pt.shape[0]
-    top = float(np.max(np.abs(pt)))
-    thresh = zero_tol * top
-    present = np.abs(pt) > thresh
+    mod = np.abs(pt)
+    top = float(np.max(mod))
+    present = mod > zero_tol * top
 
     if np.any(present.sum(axis=0) > 1) or np.any(present.sum(axis=1) > 1):
         return None
 
-    # read the permutation row by row; empty rows carry zero weight
-    partner = {}
-    for r in range(d):
-        cols = np.flatnonzero(present[r])
-        if cols.size:
-            partner[r] = int(cols[0])
+    # the permutation, one entry per nonempty row; empty rows carry zero weight
+    rows, cols = np.nonzero(present)
+    partner = dict(zip(rows.tolist(), cols.tolist()))
 
     for r, c in partner.items():
         if partner.get(c) != r:
@@ -99,8 +102,12 @@ def detect_canonical_pairing(
     )
 
     # soundness: certified states must actually saturate N = C_l1
-    n, _ = measures.negativity(bs)
-    if abs(n - measures.c_l1(bs.rho)) > 10 * zero_tol * d * max(1.0, top):
+    slack = 10 * zero_tol * d * max(1.0, top)
+    trace_defect = abs(float(np.sum(np.diag(mod))) - 1.0)
+    if trace_defect + 2.0 * float(np.sum(mod, where=~present)) <= slack:
+        return cert
+    n = linalg.trace_norm(pt) - 1.0
+    if abs(n - measures.c_l1(bs.rho)) > slack:
         return None
     return cert
 
@@ -131,6 +138,18 @@ def ppt_cost_condition(
     return n_log
 
 
+def _renormalized(sub: np.ndarray, tol: float) -> tuple[float, DensityMatrix]:
+    """Weight p = tr(sub) of a principal block of a state validated at
+    ``tol``, and the block renormalized to unit trace.
+
+    A principal block keeps the source's Hermiticity defect and (by
+    interlacing) its smallest eigenvalue, so dividing by p scales both by
+    1/p: the block is validated at the source tolerance over p.
+    """
+    p = float(sub.trace().real)
+    return p, DensityMatrix(sub / p, max(tol, linalg.DEFAULT_TOL) / p)
+
+
 @dataclass(frozen=True)
 class MCBlock:
     """One 2x2 maximally correlated block of a qubit-qudit decomposition.
@@ -151,25 +170,31 @@ class MCBlock:
 @dataclass(frozen=True)
 class QubitQuditDecomposition:
     """Block data of a canonical qubit-qudit pairing state: one diagonal
-    part plus disjoint 2x2 maximally correlated blocks."""
+    part plus disjoint 2x2 maximally correlated blocks.
+
+    ``validation_tol`` is that of the state the blocks came from."""
 
     d_B: int
     p0: float
     diag_probs: np.ndarray  # length 2*d_B, sums to p0, zero on block support
     blocks: tuple[MCBlock, ...]
+    validation_tol: float = linalg.DEFAULT_TOL
 
     @property
     def d_A(self) -> int:
         return 2
 
-    def reassemble(self, validation_tol: float = 1e-9) -> BipartiteState:
-        d = 2 * self.d_B
+    def _matrix(self) -> np.ndarray:
         m = np.diag(self.diag_probs.astype(complex))
         for blk in self.blocks:
             k0, k1 = blk.b_columns
             idx = [k0, self.d_B + k1]
             m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
-        return BipartiteState(DensityMatrix(m, validation_tol), 2, self.d_B)
+        return m
+
+    def reassemble(self) -> BipartiteState:
+        """The dense state, validated at ``validation_tol``."""
+        return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
 
 
 def qubit_qudit_decompose(
@@ -187,6 +212,7 @@ def qubit_qudit_decompose(
         raise NotCanonicalPairing("state is not a canonical pairing state")
 
     m = bs.mat
+    tol = bs.rho.validation_tol
     blocks = []
     used = set()
     for (j, k), (jp, kp) in cert.transpositions:
@@ -195,15 +221,8 @@ def qubit_qudit_decompose(
         # the rho-support of this transposition is the fixed-point pair
         # (0, kp) and (1, k)
         i0, i1 = bs.index_of(0, kp), bs.index_of(1, k)
-        sub = m[np.ix_([i0, i1], [i0, i1])]
-        p = float(sub.trace().real)
-        blocks.append(
-            MCBlock(
-                weight=p,
-                coeffs=DensityMatrix(sub / p, max(bs.rho.validation_tol, 1e-9)),
-                b_columns=(kp, k),
-            )
-        )
+        p, coeffs = _renormalized(m[np.ix_([i0, i1], [i0, i1])], tol)
+        blocks.append(MCBlock(weight=p, coeffs=coeffs, b_columns=(kp, k)))
         used.update((i0, i1))
 
     diag = np.diag(m).real.copy()
@@ -216,8 +235,9 @@ def qubit_qudit_decompose(
         p0=p0,
         diag_probs=diag,
         blocks=tuple(sorted(blocks, key=lambda b: b.b_columns)),
+        validation_tol=tol,
     )
-    gap = float(np.max(np.abs(dec.reassemble().mat - m)))
+    gap = float(np.max(np.abs(dec._matrix() - m)))
     if gap > 1e-9 * max(1.0, float(np.max(np.abs(m)))):
         raise NotCanonicalPairing(f"reassembly gap {gap:.3e}; state is not block-structured")
     return dec
@@ -239,10 +259,21 @@ def pairing_measures(dec: QubitQuditDecomposition) -> PairingMeasures:
 
     E_D = C_D = S(diag(rho)) - S(rho);
     E_C = C_C = sum_j p_j H((1 + sqrt(1 - N_j^2)) / 2);
-    E_PPT = N_L of the reassembled state.
+    E_PPT = N_L = log2(1 + sum_j p_j N_j).
+
+    Everything is read from the block data: rho is the diagonal part plus
+    the weighted blocks on disjoint supports, so its spectrum is the
+    diagonal part's entries plus the blocks' eigenvalues (one batched
+    eigvalsh of 2x2 matrices), and its partial transpose is monomial.
     """
-    bs = dec.reassemble()
-    e_d = measures.c_rel_entropy(bs.rho)
+    weighted = np.array([blk.weight * blk.coeffs.mat for blk in dec.blocks]).reshape(-1, 2, 2)
+    spectrum = np.linalg.eigvalsh((weighted + weighted.conj().transpose(0, 2, 1)) / 2)
+    diagonal = np.diagonal(weighted, axis1=1, axis2=2).real
+    s_diag = linalg.entropy_of_spectrum(np.concatenate([dec.diag_probs, diagonal.ravel()]),
+                                        dec.validation_tol)
+    s_rho = linalg.entropy_of_spectrum(np.concatenate([dec.diag_probs, spectrum.ravel()]),
+                                       dec.validation_tol)
+    e_d = s_diag - s_rho
     e_c = sum(
         blk.weight
         * linalg.binary_entropy(
@@ -250,7 +281,7 @@ def pairing_measures(dec: QubitQuditDecomposition) -> PairingMeasures:
         )
         for blk in dec.blocks
     )
-    _, e_ppt = measures.negativity(bs)
+    e_ppt = float(np.log2(1.0 + sum(blk.weight * blk.block_negativity for blk in dec.blocks)))
     return PairingMeasures(E_D=e_d, C_D=e_d, E_C=float(e_c), C_C=float(e_c), E_PPT=e_ppt)
 
 
@@ -278,10 +309,8 @@ def distill_witness(
 
     a_levels, b_levels = sorted((j, jp)), sorted((k, kp))
     idx = [bs.index_of(a, b) for a in a_levels for b in b_levels]
-    sub = block[np.ix_(idx, idx)]
-    p = float(sub.trace().real)
-    two_qubit = BipartiteState(DensityMatrix(sub / p, 1e-9), 2, 2)
-    n, _ = measures.negativity(two_qubit)
+    _, sub = _renormalized(block[np.ix_(idx, idx)], bs.rho.validation_tol)
+    n, _ = measures.negativity(BipartiteState(sub, 2, 2))
     return proj, block, n
 
 
@@ -310,9 +339,8 @@ def distillable_lower_bound(
     for pair in a_pairs:
         idx = [bs.index_of(a, b) for a in sorted(pair) for b in range(bs.d_B)]
         sub = m[np.ix_(idx, idx)]
-        p = float(sub.trace().real)
-        if p <= zero_tol:
+        if float(sub.trace().real) <= zero_tol:
             continue
-        rho_j = DensityMatrix(sub / p, 1e-9)
+        p, rho_j = _renormalized(sub, bs.rho.validation_tol)
         total += p * measures.c_rel_entropy(rho_j)
     return total

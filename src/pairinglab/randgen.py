@@ -151,9 +151,9 @@ def random_canonical_pairing(
     for w, (r, s) in zip(weights, edges):
         theta = 0.3 + g.random() * (np.pi / 2 - 0.6)
         phase = np.exp(2j * np.pi * g.random())
-        v = np.zeros(dim, dtype=complex)
-        v[r], v[s] = np.cos(theta), phase * np.sin(theta)
-        m += (1.0 - diag_weight) * w * np.outer(v, v.conj())
+        # the component cos|r> + e^{i phi} sin|s> touches four entries only
+        v = np.array([np.cos(theta), phase * np.sin(theta)])
+        m[np.ix_([r, s], [r, s])] += (1.0 - diag_weight) * w * np.outer(v, v.conj())
 
     if diag_weight > 0.0:
         # diagonal mass may sit on fixed points and on columns no component

@@ -47,3 +47,17 @@ def diagonal_state():
 @pytest.fixture
 def rng():
     return RngState(12345)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Shapes of the arrays passed to numpy's eigvalsh, eigh and svd
+    while the test runs."""
+    shapes = []
+    for name in ("eigvalsh", "eigh", "svd"):
+        def counted(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes

@@ -1,0 +1,144 @@
+"""Decomposition budget of the certify path, and soundness of the
+remainder bound that lets detection certify N = C_l1 without an SVD."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pairinglab as pl
+
+
+def svd_detect(bs, zero_tol):
+    """Reference detector: the structural checks of
+    ``detect_canonical_pairing``, then N = C_l1 checked with an SVD.
+
+    Returns (transpositions, fixed points) or None."""
+    pt = pl.partial_transpose(bs)
+    d = pt.shape[0]
+    top = float(np.max(np.abs(pt)))
+    present = np.abs(pt) > zero_tol * top
+    if np.any(present.sum(axis=0) > 1) or np.any(present.sum(axis=1) > 1):
+        return None
+    partner = {r: int(np.flatnonzero(present[r])[0]) for r in range(d) if present[r].any()}
+    if any(partner.get(c) != r for r, c in partner.items()):
+        return None
+    fixed = {r for r, c in partner.items() if r == c}
+    transpositions = []
+    for r, c in sorted({(min(r, c), max(r, c)) for r, c in partner.items() if r != c}):
+        (j, k), (jp, kp) = bs.label_of(r), bs.label_of(c)
+        if j == jp or k == kp or bs.index_of(j, kp) not in fixed or bs.index_of(jp, k) not in fixed:
+            return None
+        transpositions.append(((j, k), (jp, kp)))
+    n = float(np.linalg.svd(pt, compute_uv=False).sum()) - 1.0
+    if abs(n - pl.c_l1(bs.rho)) > 10 * zero_tol * d * max(1.0, top):
+        return None
+    return tuple(transpositions), tuple(sorted(bs.label_of(r) for r in fixed))
+
+
+def with_noise(bs, size, positions, g):
+    """``bs`` plus Hermitian noise of modulus ``size`` (one value per
+    position, or one per upper off-diagonal entry when ``positions`` is
+    None) on off-diagonal entries, validated loosely enough to accept it."""
+    d = bs.dim
+    rows, cols = np.triu_indices(d, 1)
+    if positions is not None:
+        pick = g.choice(rows.size, size=positions, replace=False)
+        rows, cols = rows[pick], cols[pick]
+    noise = np.zeros((d, d), dtype=complex)
+    noise[rows, cols] = size * np.exp(2j * np.pi * g.random(rows.size))
+    m = bs.mat + noise + noise.conj().T
+    return pl.BipartiteState(pl.DensityMatrix(m, 1e-3), bs.d_A, bs.d_B)
+
+
+def noisy_bell(d, size, g):
+    """A Bell pair on |00>, |11> of a d x d system with noise of modulus
+    ``size`` (an array, one per upper off-diagonal entry) on every
+    coherence."""
+    m = np.zeros((d * d, d * d), dtype=complex)
+    m[np.ix_([0, d + 1], [0, d + 1])] = 0.5
+    return with_noise(pl.BipartiteState(pl.DensityMatrix(m), d, d), size, None, g)
+
+
+class TestDecompositionBudget:
+    def test_measure_report_makes_one_eigvalsh(self, decompositions, rng):
+        states = [pl.random_bipartite_state(3, 4, rng),
+                  pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3),
+                  pl.cnot_embed(pl.ginibre_density(3, 3, rng))]
+        for bs in states:
+            decompositions.clear()
+            pl.measure_report(bs)
+            assert decompositions == [(bs.dim, bs.dim)]
+
+    def test_detect_on_exact_pairing_states_makes_none(self, decompositions, rng, mc_state):
+        states = [mc_state,
+                  pl.named_counterexample("appendix-f").state,
+                  pl.random_canonical_pairing(2, 16, 6, rng, diag_weight=0.3),
+                  pl.random_canonical_pairing(3, 5, 4, rng),
+                  pl.cnot_embed(pl.ginibre_density(5, 5, rng))]
+        for bs in states:
+            decompositions.clear()
+            assert pl.detect_canonical_pairing(bs) is not None
+            assert decompositions == []
+
+    def test_decompose_and_closed_forms_stay_within_2x2_blocks(self, decompositions, rng):
+        bs = pl.random_canonical_pairing(2, 32, 12, rng, diag_weight=0.3)
+        decompositions.clear()
+        pl.pairing_measures(pl.qubit_qudit_decompose(bs))
+        assert decompositions
+        assert all(shape[-2:] == (2, 2) for shape in decompositions)
+
+
+class TestRemainderBound:
+    def test_bound_decides_small_noise_without_svd(self, decompositions):
+        g = np.random.Generator(np.random.Philox(1))
+        bs = noisy_bell(4, 0.25e-8 * g.random(120), g)
+        decompositions.clear()
+        assert pl.detect_canonical_pairing(bs, 1e-8) is not None
+        assert decompositions == []
+
+    def test_svd_accepts_when_the_bound_cannot_decide(self, decompositions):
+        # 2||R||_l1 is 1.6x the slack, the true gap C_l1 - N 0.7x
+        g = np.random.Generator(np.random.Philox(1))
+        bs = noisy_bell(6, 0.45e-8 * g.random(630), g)
+        decompositions.clear()
+        assert pl.detect_canonical_pairing(bs, 1e-8) is not None
+        assert decompositions == [(36, 36)]
+
+    def test_svd_rejects_a_true_gap_above_the_slack(self, decompositions):
+        # every dropped entry just below the threshold: C_l1 - N is 1.5x the slack
+        g = np.random.Generator(np.random.Philox(1))
+        bs = noisy_bell(6, np.full(630, 0.495e-8), g)
+        decompositions.clear()
+        assert pl.detect_canonical_pairing(bs, 1e-8) is None
+        assert svd_detect(bs, 1e-8) is None
+        assert decompositions == [(36, 36), (36, 36)]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        system=st.sampled_from([(2, 2, 1), (2, 4, 2), (3, 3, 3), (2, 8, 4), (3, 5, 4), (4, 4, 6)]),
+        zero_tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+        factor=st.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1, 2.0]),
+        positions=st.sampled_from([1, 3, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_holds_and_decisions_match_the_svd_rule(
+        self, seed, system, zero_tol, factor, positions
+    ):
+        d_a, d_b, max_pairs = system
+        rng = pl.RngState(seed)
+        g = rng.generator
+        bs = pl.random_canonical_pairing(d_a, d_b, int(g.integers(0, max_pairs + 1)), rng)
+        bs = with_noise(bs, factor * zero_tol * float(np.max(np.abs(bs.mat))), positions, g)
+
+        cert = pl.detect_canonical_pairing(bs, zero_tol)
+        want = svd_detect(bs, zero_tol)
+        assert (cert is None) == (want is None)
+        if cert is not None:
+            assert (cert.transpositions, cert.fixed_points) == want
+
+        pt = pl.partial_transpose(bs)
+        kept = np.abs(pt) > zero_tol * float(np.max(np.abs(pt)))
+        if kept.sum(axis=0).max() <= 1 and kept.sum(axis=1).max() <= 1:
+            r_l1 = float(np.abs(pt[~kept]).sum())
+            n = float(np.linalg.svd(pt, compute_uv=False).sum()) - 1.0
+            assert -1e-12 <= pl.c_l1(bs.rho) - n <= 2 * r_l1 + 1e-12

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +108,45 @@ class TestDetectCommand:
         path = tmp_path / "plus.json"
         statefile.save_state(path, plus_rho)
         assert cli.main(["detect", str(path)]) == 3
+
+
+def _write_state(path, m, dims):
+    doc = {"dims": list(dims),
+           "matrix": [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestTolerances:
+    def test_tol_zero_keeps_a_tiny_off_monomial_entry(self, tmp_path, capsys):
+        # Bell pair on |00>, |11> of a 2 x 3 system, diagonal weight on |02>,
+        # and a 1e-12 coherence between |00> and |02>
+        m = np.zeros((6, 6))
+        m[np.ix_([0, 4], [0, 4])] = 0.4
+        m[2, 2] = 0.2
+        m[0, 2] = m[2, 0] = 1e-12
+        path = _write_state(tmp_path / "tiny.json", m, (2, 3))
+        assert cli.main(["detect", str(path)]) == 0
+        assert cli.main(["detect", "--tol", "0", str(path)]) == 4
+        assert cli.main(["witness", "--tol", "0", str(path)]) == 4
+
+    def test_tol_zero_accepts_an_exact_pairing_state(self, capsys):
+        bell = Path(__file__).resolve().parent.parent / "fixtures" / "bell.json"
+        assert cli.main(["detect", "--tol", "0", str(bell)]) == 0
+        assert "pairing number: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_derived_blocks_keep_the_file_tolerance(self, tmp_path, weight, capsys):
+        # a Bell block of the given weight whose coherence exceeds its
+        # diagonal by 8e-9: the state's smallest eigenvalue, -8e-9, is within
+        # the file tolerance 1e-8; the renormalized block's is -8e-9 / weight
+        m = np.zeros((6, 6))
+        m[np.ix_([0, 4], [0, 4])] = weight / 2
+        m[0, 4] = m[4, 0] = weight / 2 + 8e-9
+        m[2, 2] = 1.0 - weight
+        path = _write_state(tmp_path / "bell_plus.json", m, (2, 3))
+        for argv in (["measure"], ["detect"], ["detect", "--decompose"], ["witness"]):
+            assert cli.main([*argv, str(path)]) == 0, argv
 
 
 class TestConstructCommand:

@@ -30,6 +30,26 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             pl.DensityMatrix(np.array([[np.nan, 0], [0, 1.0]]))
 
+    def test_cached_spectrum_matches_fresh_eigvalsh(self):
+        rho = random_density(21, 7)
+        fresh = np.linalg.eigvalsh((rho.mat + rho.mat.conj().T) / 2)
+        assert np.array_equal(rho.eigenvalues(), fresh[::-1])
+
+    def test_spectrum_is_not_recomputed(self, decompositions):
+        rho = random_density(22, 6)
+        assert decompositions == [(6, 6)]  # validation
+        rho.eigenvalues()
+        pl.von_neumann_entropy(rho)
+        pl.c_rel_entropy(rho)
+        assert decompositions == [(6, 6)]
+
+    def test_writes_to_eigenvalues_do_not_reach_the_cache(self):
+        rho = random_density(23, 5)
+        spectrum, entropy = rho.eigenvalues(), pl.von_neumann_entropy(rho)
+        rho.eigenvalues()[:] = 0.2
+        assert np.array_equal(rho.eigenvalues(), spectrum)
+        assert pl.von_neumann_entropy(rho) == entropy
+
 
 class TestHermitianEig:
     def test_identity(self):
