@@ -100,11 +100,41 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _option(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ParseError(f"--{name} is required for kind={args.kind}")
+    return value
+
+
+def _mc_coeffs(text: str) -> np.ndarray:
+    try:
+        return np.asarray(json.loads(text), dtype=complex)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--coeffs: invalid JSON at column {exc.colno}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"--coeffs: expected a matrix of numbers ({exc})") from exc
+
+
+def _qubit_qudit_spec(path: str) -> tuple:
+    """(p0, diag, blocks) of a JSON block file
+    {"p0": p0, "diag": [...], "blocks": [{"p", "coeffs", "columns"}, ...]}."""
+    doc = statefile._read_json(path)
+    try:
+        blocks = [(b["p"], np.asarray(b["coeffs"], dtype=complex), tuple(b["columns"]))
+                  for b in doc.get("blocks", [])]
+        return doc.get("p0", 0.0), doc["diag"], blocks
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed block spec ({exc})") from exc
+
+
 def _construct_state(args):
     kind = args.kind
     if kind == "mc":
         spec = constructions.MCSpec(
-            coeffs=np.asarray(json.loads(args.coeffs), dtype=complex),
+            coeffs=_mc_coeffs(_option(args, "coeffs")),
             a_labels=tuple(args.a_labels),
             b_labels=tuple(args.b_labels),
         )
@@ -112,21 +142,18 @@ def _construct_state(args):
         n, _ = measures.negativity(bs)
         return bs, {"N": n, "C_l1": measures.c_l1(bs.rho)}
     if kind == "qubit-qudit":
-        doc = json.loads(open(args.spec).read())
-        blocks = [(b["p"], np.asarray(b["coeffs"], dtype=complex), tuple(b["columns"]))
-                  for b in doc.get("blocks", [])]
-        bs = constructions.make_qubit_qudit_pairing(doc.get("p0", 0.0), doc["diag"], blocks)
+        bs = constructions.make_qubit_qudit_pairing(*_qubit_qudit_spec(_option(args, "spec")))
         cert = pairing.detect_canonical_pairing(bs)
         return bs, {"pairing_number": cert.pairing_number if cert else None}
     if kind == "cnot-embed":
-        rho = statefile.load_state(args.input)
+        rho = statefile.load_state(_option(args, "input"))
         if isinstance(rho, BipartiteState):
             rho = rho.rho
         bs = constructions.cnot_embed(rho)
         n, _ = measures.negativity(bs)
         return bs, {"N": n, "C_l1_input": measures.c_l1(rho)}
     if kind == "appendix-a":
-        rho = statefile.load_state(args.input)
+        rho = statefile.load_state(_option(args, "input"))
         if isinstance(rho, BipartiteState):
             rho = rho.rho
         chain = constructions.appendix_a_chain(rho, args.L, dim_cap=args.dim_cap)

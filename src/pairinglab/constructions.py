@@ -190,7 +190,7 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     for powers in itertools.product(range(K), repeat=d):
         u = omega ** np.asarray(powers)
         conj_blocks.append((u[:, None] * m * u.conj()[None, :]) / K**d)
-    rho2 = DensityMatrix(block_diag(*conj_blocks), 1e-9)
+    rho2 = DensityMatrix.from_blocks(conj_blocks, 1e-9)
 
     psi = omega ** np.arange(K) / np.sqrt(K)
     phi = np.ones(K) / np.sqrt(K)
@@ -198,21 +198,32 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     phi_proj = np.outer(phi, phi.conj())
     ones2 = np.ones((2, 2), dtype=complex)
 
-    def m_op(rank1: np.ndarray) -> np.ndarray:
-        m1 = np.kron(np.eye(2 * K ** (d - 2)), rank1)
-        parts = [m1]
-        if mult2 > 0:
-            parts.append(np.kron(np.eye(mult2), phi_proj))
-        parts.append(np.kron(np.eye(K), ones2) / K)
-        core = block_diag(*parts)
-        blocks = [abs(m[j, k]) * core for j in range(d) for k in range(j + 1, d)]
-        return block_diag(*blocks) / K ** (d - 1)
+    def unit(b: np.ndarray) -> np.ndarray:
+        # a diagonal block of kron(eye(n), b) as a complex core holds it:
+        # a complex b times 1 + 0j (which can flip the sign of a zero), a
+        # real b cast to complex, so later products and quotients take the
+        # complex loops and the blocks match the dense M bit for bit
+        return np.kron(np.eye(1), b).astype(complex)
 
-    m_psi = m_op(psi_proj)
-    m_phi = m_op(phi_proj)
-    tr_m = float(m_psi.trace().real)
-    rho3 = DensityMatrix(block_diag(m_psi, np.array([[1.0 - tr_m]])), 1e-9)
-    rho4 = DensityMatrix(block_diag(m_phi, np.array([[1.0 - m_phi.trace().real]])), 1e-9)
+    def m_blocks(rank1: np.ndarray) -> list[np.ndarray]:
+        """Diagonal blocks of M: for each pair j < k, |rho_jk| / K^(d-1)
+        times 2K^(d-2) copies of ``rank1``, mult2 of phi_proj and K of
+        ones2 / K."""
+        core = [(unit(rank1), 2 * K ** (d - 2)), (unit(phi_proj), mult2),
+                (unit(ones2) / K, K)]
+        blocks = []
+        for j in range(d):
+            for k in range(j + 1, d):
+                for b, copies in core:
+                    blocks += [abs(m[j, k]) * b / K ** (d - 1)] * copies
+        return blocks
+
+    # the 1 - tr(M) corner, with tr(M) summed as the dense trace sums it
+    psi_blocks, phi_blocks = m_blocks(psi_proj), m_blocks(phi_proj)
+    tr_m = float(block_diag(*psi_blocks).trace().real)
+    rho3 = DensityMatrix.from_blocks([*psi_blocks, np.array([[1.0 - tr_m]])], 1e-9)
+    tr_phi = block_diag(*phi_blocks).trace().real
+    rho4 = DensityMatrix.from_blocks([*phi_blocks, np.array([[1.0 - tr_phi]])], 1e-9)
 
     weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])
     v_diag = omega ** (-np.arange(K))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     DimensionMismatch,
@@ -61,23 +62,51 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "mat", m)
+        self._validate([m])
+
+    @classmethod
+    def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
+        """The direct sum of square ``blocks``, validated block by block.
+
+        The checks and messages are those of the dense constructor, but
+        the spectrum is the merged block spectra: one batched eigvalsh per
+        block shape instead of one of the whole matrix.
+        """
+        blocks = [as_complex_matrix(b) for b in blocks]
+        if not blocks or any(b.shape[0] != b.shape[1] for b in blocks):
+            raise ValidationError("expected a nonempty list of square blocks")
+        self = object.__new__(cls)  # not __init__: it would decompose the whole matrix
+        object.__setattr__(self, "mat", block_diag(*blocks))
+        object.__setattr__(self, "validation_tol", validation_tol)
+        shapes = sorted({b.shape for b in blocks})
+        self._validate([np.stack([b for b in blocks if b.shape == s]) for s in shapes])
+        return self
+
+    def _validate(self, stacks: list) -> None:
+        """Check ``mat``, the direct sum of the matrices in ``stacks``
+        (each a matrix or a stack of equal-shape matrices), and keep its
+        ascending spectrum."""
         tol = self.validation_tol
         if tol < 0:
             raise ValidationError("validation_tol must be nonnegative")
-        herm_defect = np.max(np.abs(m - m.conj().T))
+        herm_defect = max(np.max(np.abs(s - _dagger(s))) for s in stacks)
         if herm_defect > tol:
             raise ValidationError(
                 f"not Hermitian: max |M - M^dag| = {herm_defect:.3e} > {tol:.3e}"
             )
-        tr = m.trace()
+        tr = self.mat.trace()
         if abs(tr - 1) > tol:
             raise ValidationError(f"trace is {tr:.6g}, expected 1 within {tol:.3e}")
-        lam = _hermitian_spectrum(m)
+        if len(stacks) == 1 and stacks[0].ndim == 2:
+            lam = _hermitian_spectrum(stacks[0])
+        else:
+            lam = np.sort(np.concatenate([_hermitian_spectrum(s).ravel() for s in stacks]))
+            lam.flags.writeable = False
         if lam[0] < -tol:
             raise ValidationError(
                 f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
             )
-        object.__setattr__(self, "_spectrum", (m, lam))
+        object.__setattr__(self, "_spectrum", (self.mat, lam))
 
     @property
     def dim(self) -> int:
@@ -95,9 +124,15 @@ class DensityMatrix:
         return self._ascending()[::-1].copy()
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Read-only ascending spectrum of the Hermitian part of ``m``."""
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    """Read-only ascending spectrum of the Hermitian part of ``m`` (of each
+    matrix, for a stack)."""
+    lam = np.linalg.eigvalsh((m + _dagger(m)) / 2)
     lam.flags.writeable = False
     return lam
 

@@ -134,7 +134,8 @@ def ppt_cost_condition(
         raise ConditionViolated("|rho^T_A| is not diagonal; state does not match certificate")
     if float(np.min(np.diag(abs_pt).real)) < -1e-9:
         raise ConditionViolated("|rho^T_A|^T_A has a negative diagonal entry")
-    _, n_log = measures.negativity(bs)
+    # N_L from the same spectrum (ascending, as measures.negativity sums it)
+    _, n_log = measures._negativity_of(dec.eigenvalues[::-1])
     return n_log
 
 
@@ -305,7 +306,9 @@ def distill_witness(
     pb = np.zeros((bs.d_B, bs.d_B), dtype=complex)
     pb[k, k] = pb[kp, kp] = 1.0
     proj = linalg.tensor_product(pa, pb)
-    block = proj @ bs.mat @ proj
+    # P is a diagonal 0/1 projector, so P rho P is rho masked entrywise
+    mask = np.diag(proj).real
+    block = bs.mat * np.outer(mask, mask)
 
     a_levels, b_levels = sorted((j, jp)), sorted((k, kp))
     idx = [bs.index_of(a, b) for a in a_levels for b in b_levels]

@@ -2,6 +2,7 @@
 remainder bound that lets detection certify N = C_l1 without an SVD."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,15 @@ class TestDecompositionBudget:
         pl.pairing_measures(pl.qubit_qudit_decompose(bs))
         assert decompositions
         assert all(shape[-2:] == (2, 2) for shape in decompositions)
+
+
+    def test_ppt_cost_condition_makes_one_decomposition(self, decompositions, rng):
+        bs = pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3)
+        cert = pl.detect_canonical_pairing(bs)
+        decompositions.clear()
+        n_log = pl.ppt_cost_condition(bs, cert)
+        assert decompositions == [(16, 16)]
+        assert n_log == pytest.approx(pl.negativity(bs)[1], abs=1e-12)
 
 
 class TestRemainderBound:

@@ -219,6 +219,35 @@ class TestConstructCommand:
                          "--out", str(tmp_path / "x.json")]) == 5
 
 
+class TestConstructInputErrors:
+    """A bad --spec or --coeffs is a parse error (exit 2), not a crash."""
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        assert cli.main(["construct", "qubit-qudit", "--spec", str(tmp_path / "nope.json"),
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_spec_without_diag(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"p0": 1.0, "blocks": []}))
+        assert cli.main(["construct", "qubit-qudit", "--spec", str(spec),
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert "missing key 'diag'" in capsys.readouterr().err
+
+    def test_coeffs_not_json(self, tmp_path, capsys):
+        assert cli.main(["construct", "mc", "--coeffs", "[[0.5,0.5],[0.5",
+                         "--a-labels", "0", "1", "--b-labels", "0", "1",
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert "--coeffs: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("kind, option", [("mc", "--coeffs"), ("qubit-qudit", "--spec"),
+                                              ("cnot-embed", "--input")])
+    def test_missing_option(self, tmp_path, capsys, kind, option):
+        assert cli.main(["construct", kind, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{option} is required" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_single_suite_ok(self, capsys):
         code = cli.main(["verify", "--suite", "negativity-bound",

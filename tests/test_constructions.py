@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import pairinglab as pl
 from pairinglab.errors import (
@@ -143,6 +146,67 @@ class TestAppendixAChain:
         assert chain.report["trace_M"] == pytest.approx(0, abs=1e-12)
         assert chain.report["offdiag_count_rho2"] == 0
         assert chain.report["offdiag_multiset_match"]
+
+
+def dense_chain_reference(rho, L):
+    """rho2, rho3, rho4 of the dilation chain assembled as dense matrices
+    with Kronecker products and validated densely."""
+    m, d = rho.mat, rho.dim
+    K = ((2 * d + L - 1) // L) * L
+    omega = np.exp(2j * np.pi / K)
+    conj = []
+    for powers in itertools.product(range(K), repeat=d):
+        u = omega ** np.asarray(powers)
+        conj.append((u[:, None] * m * u.conj()[None, :]) / K**d)
+    rho2 = pl.DensityMatrix(block_diag(*conj), 1e-9)
+    psi = omega ** np.arange(K) / np.sqrt(K)
+    phi = np.ones(K) / np.sqrt(K)
+    phi_proj = np.outer(phi, phi.conj())
+    mult2 = 2 * (K ** (d - 2) - 1) // (K - 1)
+
+    def m_op(rank1):
+        parts = [np.kron(np.eye(2 * K ** (d - 2)), rank1)]
+        if mult2 > 0:
+            parts.append(np.kron(np.eye(mult2), phi_proj))
+        parts.append(np.kron(np.eye(K), np.ones((2, 2), dtype=complex)) / K)
+        core = block_diag(*parts)
+        return block_diag(*[abs(m[j, k]) * core for j in range(d)
+                            for k in range(j + 1, d)]) / K ** (d - 1)
+
+    out = []
+    for rank1 in (np.outer(psi, psi.conj()), phi_proj):
+        mm = m_op(rank1)
+        out.append(pl.DensityMatrix(block_diag(mm, np.array([[1.0 - mm.trace().real]])), 1e-9))
+    return rho2, *out
+
+
+def chain_input(L, vec, t):
+    v = np.asarray(vec, dtype=complex)
+    return pl.DensityMatrix(t * np.outer(v, v.conj()) / np.vdot(v, v).real
+                            + (1 - t) * np.eye(v.size) / v.size)
+
+
+class TestAppendixAChainBlockwise:
+    @pytest.mark.parametrize("L, vec, t", [
+        (1, [0.5, 0.6, 0.62], 0.6), (2, [0.5, -0.6, 0.62], 0.7), (1, [0.3, 0.4], 0.5),
+        (4, [1, 1j, -1], 0.8), (1, [1, 0, 1], 0.4), (3, [1, np.exp(2j * np.pi / 3)], 0.9),
+    ])
+    def test_matches_the_dense_validated_chain(self, L, vec, t):
+        rho = chain_input(L, vec, t)
+        chain = pl.appendix_a_chain(rho, L)
+        for got, want in zip((chain.rho2, chain.rho3, chain.rho4), dense_chain_reference(rho, L)):
+            assert got.mat.tobytes() == want.mat.tobytes()  # signed zeros included
+            assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-16)
+        assert chain.report["trace_M"] == float(chain.rho3.mat[:-1, :-1].trace().real)
+
+    def test_decomposes_only_blocks(self, decompositions):
+        rho = chain_input(1, [0.5, 0.6, 0.62], 0.6)
+        decompositions.clear()
+        pl.appendix_a_chain(rho, 1)
+        # rho2: 216 blocks of 3x3; rho3 and rho4: 6x6, 2x2 and 1x1 blocks
+        assert sorted(decompositions) == [(1, 1, 1), (1, 1, 1), (18, 2, 2), (18, 2, 2),
+                                          (42, 6, 6), (42, 6, 6), (216, 3, 3)]
+        assert sum(np.prod(s) * s[-1] for s in decompositions) <= 1e5
 
 
 class TestCounterexamples:

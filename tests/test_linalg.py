@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,55 @@ class TestDensityMatrix:
         rho.eigenvalues()[:] = 0.2
         assert np.array_equal(rho.eigenvalues(), spectrum)
         assert pl.von_neumann_entropy(rho) == entropy
+
+
+
+def direct_sum_outcome(build, blocks, tol=1e-9):
+    try:
+        rho = build(blocks, tol)
+    except ValidationError as exc:
+        return str(exc)
+    return rho.mat.tobytes()
+
+
+class TestFromBlocks:
+    BLOCKS = [np.array([[0.2, 0.1j], [-0.1j, 0.2]]), np.array([[0.3]]),
+              np.array([[0.1, 0.05], [0.05, 0.2]])]
+
+    @staticmethod
+    def dense(blocks, tol):
+        return pl.DensityMatrix(block_diag(*blocks), tol)
+
+    def test_matrix_and_spectrum_match_dense_validation(self, decompositions):
+        rho = pl.DensityMatrix.from_blocks(self.BLOCKS, 1e-9)
+        # one batched eigvalsh per block shape
+        assert sorted(decompositions) == [(1, 1, 1), (2, 2, 2)]
+        ref = self.dense(self.BLOCKS, 1e-9)
+        assert rho.mat.tobytes() == ref.mat.tobytes()
+        assert rho.validation_tol == ref.validation_tol
+        assert np.allclose(rho.eigenvalues(), ref.eigenvalues(), rtol=0, atol=1e-15)
+        decompositions.clear()
+        pl.von_neumann_entropy(rho)
+        assert decompositions == []
+
+    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
+    def test_rejects_with_the_dense_message(self, case):
+        blocks = [b.copy() for b in self.BLOCKS]
+        if case == "non-psd":
+            blocks[1] = np.array([[0.5, 0], [0, -0.2]])  # same trace as before
+        elif case == "off-trace":
+            blocks[1] = np.array([[0.31]])
+        else:
+            blocks[2][0, 1] += 1e-6
+        got = direct_sum_outcome(pl.DensityMatrix.from_blocks, blocks)
+        assert isinstance(got, str)
+        assert got == direct_sum_outcome(self.dense, blocks)
+
+    def test_rejects_non_square_blocks(self):
+        with pytest.raises(ValidationError):
+            pl.DensityMatrix.from_blocks([np.ones((1, 2))])
+        with pytest.raises(ValidationError):
+            pl.DensityMatrix.from_blocks([])
 
 
 class TestHermitianEig:

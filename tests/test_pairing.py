@@ -166,6 +166,13 @@ class TestDistillWitness:
         assert block.trace().real == pytest.approx(0.8)
         assert n == pytest.approx(1.0)
 
+    def test_block_is_the_projected_state(self, rng):
+        bs = pl.random_canonical_pairing(3, 4, 3, rng, diag_weight=0.2)
+        cert = pl.detect_canonical_pairing(bs)
+        for i in range(cert.pairing_number):
+            proj, block, _ = pl.distill_witness(bs, cert, i)
+            assert np.array_equal(block, proj @ bs.mat @ proj)
+
     def test_diagonal_raises(self, diagonal_state):
         cert = pl.detect_canonical_pairing(diagonal_state)
         with pytest.raises(NoTransposition):
