@@ -9,7 +9,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import linalg, measures
 from .errors import (
@@ -218,11 +217,15 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
                     blocks += [abs(m[j, k]) * b / K ** (d - 1)] * copies
         return blocks
 
+    def dense_trace(blocks: list[np.ndarray]) -> complex:
+        # the diagonal of the direct sum, summed in one pass as its trace is
+        return np.concatenate([b.diagonal() for b in blocks]).sum()
+
     # the 1 - tr(M) corner, with tr(M) summed as the dense trace sums it
     psi_blocks, phi_blocks = m_blocks(psi_proj), m_blocks(phi_proj)
-    tr_m = float(block_diag(*psi_blocks).trace().real)
+    tr_m = float(dense_trace(psi_blocks).real)
     rho3 = DensityMatrix.from_blocks([*psi_blocks, np.array([[1.0 - tr_m]])], 1e-9)
-    tr_phi = block_diag(*phi_blocks).trace().real
+    tr_phi = dense_trace(phi_blocks).real
     rho4 = DensityMatrix.from_blocks([*phi_blocks, np.array([[1.0 - tr_phi]])], 1e-9)
 
     weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])

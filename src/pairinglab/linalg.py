@@ -62,7 +62,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "mat", m)
-        self._validate([m])
+        self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
 
     @classmethod
     def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -79,17 +79,23 @@ class DensityMatrix:
         object.__setattr__(self, "mat", block_diag(*blocks))
         object.__setattr__(self, "validation_tol", validation_tol)
         shapes = sorted({b.shape for b in blocks})
-        self._validate([np.stack([b for b in blocks if b.shape == s]) for s in shapes])
+        stacks = [np.stack([b for b in blocks if b.shape == s]) for s in shapes]
+
+        def spectrum():
+            lam = np.sort(np.concatenate([_hermitian_spectrum(s).ravel() for s in stacks]))
+            lam.flags.writeable = False
+            return lam
+
+        self._validate(max(np.max(np.abs(s - _dagger(s))) for s in stacks), spectrum)
         return self
 
-    def _validate(self, stacks: list) -> None:
-        """Check ``mat``, the direct sum of the matrices in ``stacks``
-        (each a matrix or a stack of equal-shape matrices), and keep its
-        ascending spectrum."""
+    def _validate(self, herm_defect: float, spectrum) -> None:
+        """Check ``mat``, given its Hermiticity defect max |M - M^dag| and
+        ``spectrum()``, its read-only ascending spectrum (taken only once
+        the cheaper checks pass), and keep that spectrum."""
         tol = self.validation_tol
         if tol < 0:
             raise ValidationError("validation_tol must be nonnegative")
-        herm_defect = max(np.max(np.abs(s - _dagger(s))) for s in stacks)
         if herm_defect > tol:
             raise ValidationError(
                 f"not Hermitian: max |M - M^dag| = {herm_defect:.3e} > {tol:.3e}"
@@ -97,11 +103,7 @@ class DensityMatrix:
         tr = self.mat.trace()
         if abs(tr - 1) > tol:
             raise ValidationError(f"trace is {tr:.6g}, expected 1 within {tol:.3e}")
-        if len(stacks) == 1 and stacks[0].ndim == 2:
-            lam = _hermitian_spectrum(stacks[0])
-        else:
-            lam = np.sort(np.concatenate([_hermitian_spectrum(s).ravel() for s in stacks]))
-            lam.flags.writeable = False
+        lam = spectrum()
         if lam[0] < -tol:
             raise ValidationError(
                 f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"

@@ -123,7 +123,8 @@ _SEPARATORS = (",\n    ", "\n   ],\n   [\n    ", "\n   ]\n  ],\n  [\n   [\n    "
 
 
 def _matrix_text(m: np.ndarray) -> str:
-    """``m`` as json.dumps(..., indent=1) writes its [re, im] nest.
+    """``m`` as json.dumps(..., indent=1) writes its [re, im] nest; ``m`` is
+    a state's matrix, so complex128 and finite (``as_complex_matrix``).
 
     Each distinct float (by bit pattern, so -0.0 stays apart from 0.0) is
     formatted once with ``float.__repr__``, as json does, and joined to
@@ -152,8 +153,6 @@ def _state_text(state, label: str | None) -> str:
     """The bytes of json.dumps(state_document(state, label), indent=1),
     with the matrix formatted by ``_matrix_text``."""
     dims, m = _dims_and_matrix(state)
-    if m.dtype != np.complex128 or not np.isfinite(m).all():
-        return json.dumps(state_document(state, label), indent=1)
     doc = {"dims": dims, "matrix": 0}
     if label is not None:
         doc["label"] = label
