@@ -76,7 +76,7 @@ def cmd_detect(args) -> int:
            "transpositions": [list(map(list, t)) for t in cert.transpositions],
            "fixed_points": [list(p) for p in cert.fixed_points]}
     if args.decompose:
-        dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol)
+        dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol, cert=cert)
         pm = pairing.pairing_measures(dec)
         out["p0"] = dec.p0
         out["blocks"] = [
@@ -182,6 +182,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _default_seed(args)
+    if args.trials < 0:
+        raise ParseError(f"--trials must be nonnegative, got {args.trials}")
+    if min(args.dims) < 1:
+        raise ParseError(f"--dims must be positive, got {' '.join(map(str, args.dims))}")
     try:
         reports = verify.run_suite(args.suite, args.trials, seed, tuple(args.dims))
     except KeyError:
@@ -193,8 +197,11 @@ def cmd_verify(args) -> int:
     else:
         for rep in reports:
             status = "ok" if rep.ok else f"{len(rep.violations)} violations"
+            # the quantity that came closest to failing
+            closest = max(rep.margins.items(), key=lambda kv: kv[1], default=None)
+            margin = f" closest margin={closest[1]:.3e} ({closest[0]})" if closest else ""
             print(f"{rep.suite}: trials={rep.trials} seed={rep.seed} "
-                  f"dims={rep.dims} worst_gap={rep.worst_gap:.3e} "
+                  f"dims={rep.dims} worst_gap={rep.worst_gap:.3e}{margin} "
                   f"elapsed={rep.elapsed_ms:.1f}ms -> {status}")
             for v in rep.violations[:20]:
                 print(f"  trial {v.trial}: {v.quantity} lhs={_fmt(v.lhs)} "

@@ -29,6 +29,20 @@ DEFAULT_TOL = 1e-9
 ZERO_EIGENVALUE_RTOL = 1e-10
 
 
+def as_complex_stack(x) -> np.ndarray:
+    """Coerce input to a finite complex matrix or stack of matrices
+    (shape ``(..., n, m)``).
+
+    Raises ValueError on fewer than two axes or non-finite entries.
+    """
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    return m
+
+
 def as_complex_matrix(x) -> np.ndarray:
     """Coerce input to a finite 2-d complex array.
 
@@ -37,9 +51,13 @@ def as_complex_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
+    return as_complex_stack(m)
+
+
+def _scalar(a):
+    """A 0-d result as a Python scalar; results over a stack stay an array."""
+    a = np.asarray(a)
+    return a.item() if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,39 @@ class DensityMatrix:
 
         self._validate(max(np.max(np.abs(s - _dagger(s))) for s in stacks), spectrum)
         return self
+
+    @classmethod
+    def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
+        """Validate each matrix of a ``(T, d, d)`` stack, ``mats[t]`` at
+        ``validation_tols[t]`` (one tolerance or one per matrix).
+
+        The checks are the dense constructor's, taken for the whole stack
+        at once with one batched eigvalsh; a matrix that fails them is
+        passed to the constructor, so the error and its message are the
+        ones ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The
+        states hold views of ``mats`` and keep their spectra.
+        """
+        mats = as_complex_stack(mats)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValidationError(f"expected a stack of square matrices, got {mats.shape}")
+        if not len(mats):
+            return []
+        tols = np.zeros(len(mats)) + validation_tols
+        defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
+        traces = mats.trace(axis1=1, axis2=2)
+        spectra = _hermitian_spectrum(mats)
+        # defects >= 0, so a negative tolerance is caught here as well
+        bad = np.maximum(np.maximum(defects, np.abs(traces - 1)), -spectra[:, 0]) > tols
+        for t in np.flatnonzero(bad):
+            cls(mats[t], float(tols[t]))  # raises what the dense constructor raises
+        states = []
+        for m, tol, lam in zip(mats, tols.tolist(), spectra):
+            self = object.__new__(cls)  # validated above, as a stack
+            object.__setattr__(self, "mat", m)
+            object.__setattr__(self, "validation_tol", tol)
+            object.__setattr__(self, "_spectrum", (m, lam))
+            states.append(self)
+        return states
 
     def _validate(self, herm_defect: float, spectrum) -> None:
         """Check ``mat``, given its Hermiticity defect max |M - M^dag| and
@@ -208,36 +259,42 @@ def hermitian_eig(m, hermiticity_tol: float = 1e-9) -> SpectralDecomposition:
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values of a matrix, nonnegative and descending."""
-    x = as_complex_matrix(x)
+    """Singular values of a matrix (of each matrix of a stack),
+    nonnegative and descending."""
+    x = as_complex_stack(x)
     try:
         return np.linalg.svd(x, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
 
 
-def trace_norm(x) -> float:
-    """Schatten 1-norm: the sum of singular values."""
-    return float(np.sum(singular_values(x)))
+def trace_norm(x):
+    """Schatten 1-norm: the sum of singular values (an array of them for
+    a stack)."""
+    return _scalar(np.sum(singular_values(x), axis=-1))
 
 
-def entrywise_l1_norm(x) -> float:
-    """Sum of entry moduli."""
-    return float(np.sum(np.abs(as_complex_matrix(x))))
+def entrywise_l1_norm(x):
+    """Sum of entry moduli (an array of them for a stack)."""
+    return _scalar(np.sum(np.abs(as_complex_stack(x)), axis=(-2, -1)))
 
 
-def partial_transpose(state: BipartiteState) -> np.ndarray:
-    """Partial transpose over subsystem A.
+def partial_transpose(state, dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Partial transpose over subsystem A of a BipartiteState, or of a
+    matrix or ``(..., d, d)`` stack of them on ``dims`` = (d_A, d_B).
 
     ``<jk| out |j'k'> = <j'k| in |jk'>``; Hermiticity and trace are
     preserved exactly.
     """
-    d_a, d_b = state.d_A, state.d_B
-    m = state.mat
+    if isinstance(state, BipartiteState):
+        m, (d_a, d_b) = state.mat, (state.d_A, state.d_B)
+    else:
+        m, (d_a, d_b) = state, dims
+    lead = m.shape[:-2]
     return (
-        m.reshape(d_a, d_b, d_a, d_b)
-        .transpose(2, 1, 0, 3)
-        .reshape(d_a * d_b, d_a * d_b)
+        m.reshape(*lead, d_a, d_b, d_a, d_b)
+        .swapaxes(-4, -2)
+        .reshape(*lead, d_a * d_b, d_a * d_b)
     )
 
 

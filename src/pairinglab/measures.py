@@ -16,17 +16,25 @@ from .errors import ValidationError
 from .linalg import BipartiteState, DensityMatrix
 
 
-def default_zero_tol(m: np.ndarray) -> float:
-    """Entry-size cutoff: 1e-10 times max(1, largest entry modulus)."""
-    top = float(np.max(np.abs(m))) if m.size else 0.0
-    return 1e-10 * max(1.0, top)
+def default_zero_tol(m: np.ndarray):
+    """Entry-size cutoff: 1e-10 times max(1, largest entry modulus) (one
+    per matrix of a ``(..., d, d)`` stack)."""
+    top = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    return linalg._scalar(1e-10 * np.maximum(1.0, top))
+
+
+def _c_l1_of(m: np.ndarray):
+    """Sum of off-diagonal entry moduli of a matrix (of each matrix of a
+    ``(..., d, d)`` stack)."""
+    off = np.abs(m)
+    diag = np.arange(m.shape[-1])
+    off[..., diag, diag] = 0.0
+    return off.sum(axis=(-2, -1))
 
 
 def c_l1(rho: DensityMatrix) -> float:
     """l1-norm of coherence: sum of off-diagonal entry moduli."""
-    off = np.abs(rho.mat.copy())
-    np.fill_diagonal(off, 0.0)
-    val = float(off.sum())
+    val = float(_c_l1_of(rho.mat))
     bound = rho.dim - 1 + 1e-9
     if val > bound:
         warnings.warn(
@@ -52,22 +60,29 @@ def c_rel_entropy(rho: DensityMatrix) -> float:
     return s_diag - linalg.von_neumann_entropy(rho)
 
 
-def _pt_spectrum(bs: BipartiteState) -> np.ndarray:
-    """Ascending spectrum of the (Hermitian) partial transpose rho^T_A."""
-    pt = linalg.partial_transpose(bs)
-    return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Ascending spectrum of the (Hermitian) partial transpose rho^T_A of
+    a BipartiteState, or of each matrix of a ``(T, d, d)`` stack on
+    ``dims`` = (d_A, d_B)."""
+    pt = linalg.partial_transpose(state, dims)
+    return np.linalg.eigvalsh((pt + linalg._dagger(pt)) / 2)
 
 
-def _negativity_of(pt_spectrum: np.ndarray) -> tuple[float, float]:
+def _negativity_of(pt_spectrum: np.ndarray):
+    """N and N_L from the spectrum of rho^T_A (from each row of a stack of
+    spectra)."""
     # rho^T_A is Hermitian, so its trace norm is the sum of |eigenvalues|
-    n = float(np.sum(np.abs(pt_spectrum))) - 1.0
-    return n, float(np.log2(1.0 + max(n, 0.0)))
+    n = np.sum(np.abs(pt_spectrum), axis=-1) - 1.0
+    return n, np.log2(1.0 + np.maximum(n, 0.0))
 
 
-def _n0_of(pt_spectrum: np.ndarray, zero_tol: float | None) -> int:
+def _n0_of(pt_spectrum: np.ndarray, zero_tol: float | None):
+    """Count of eigenvalues below -zero_tol (per row of a stack); the
+    default cutoff is relative to each spectrum's largest modulus."""
     if zero_tol is None:
-        zero_tol = 1e-10 * max(1.0, float(np.max(np.abs(pt_spectrum))))
-    return int(np.count_nonzero(pt_spectrum < -zero_tol))
+        top = np.max(np.abs(pt_spectrum), axis=-1, keepdims=True)
+        zero_tol = 1e-10 * np.maximum(1.0, top)
+    return np.count_nonzero(pt_spectrum < -zero_tol, axis=-1)
 
 
 def negativity(bs: BipartiteState) -> tuple[float, float]:
@@ -75,7 +90,8 @@ def negativity(bs: BipartiteState) -> tuple[float, float]:
 
     N = ||rho^T_A||_1 - 1 and N_L = log2(1 + N).
     """
-    return _negativity_of(_pt_spectrum(bs))
+    n, n_log = _negativity_of(_pt_spectrum(bs))
+    return float(n), float(n_log)
 
 
 def schmidt_negativity(lambdas) -> float:
@@ -99,17 +115,24 @@ def schmidt_spectrum(psi, d_a: int, d_b: int) -> np.ndarray:
 
 def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
     """Number of eigenvalues of rho^T_A strictly below -zero_tol."""
-    return _n0_of(_pt_spectrum(bs), zero_tol)
+    return int(_n0_of(_pt_spectrum(bs), zero_tol))
+
+
+def _c_l0_of(m: np.ndarray, zero_tol: float | None):
+    """Count of off-diagonal entries with modulus above zero_tol, of a
+    matrix (of each matrix of a stack); the default cutoff is
+    ``default_zero_tol`` of each matrix."""
+    if zero_tol is None:
+        zero_tol = np.asarray(default_zero_tol(m))[..., None, None]
+    mask = np.abs(m) > zero_tol
+    diag = np.arange(m.shape[-1])
+    mask[..., diag, diag] = False
+    return np.count_nonzero(mask, axis=(-2, -1))
 
 
 def c_l0_count(rho: DensityMatrix, zero_tol: float | None = None) -> int:
     """Number of off-diagonal entries with modulus above zero_tol."""
-    m = rho.mat
-    if zero_tol is None:
-        zero_tol = default_zero_tol(m)
-    mask = np.abs(m) > zero_tol
-    np.fill_diagonal(mask, False)
-    return int(np.count_nonzero(mask))
+    return int(_c_l0_of(rho.mat, zero_tol))
 
 
 @dataclass
@@ -140,6 +163,6 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
         n, n_log = _negativity_of(w)
         rep.add("N", n, "trace norm of partial transpose minus 1")
         rep.add("N_L", n_log, "log2(1 + N)")
-        rep.add("N0", _n0_of(w, zero_tol), "negative eigenvalue count of rho^T_A")
+        rep.add("N0", int(_n0_of(w, zero_tol)), "negative eigenvalue count of rho^T_A")
     rep.add("C_l0", c_l0_count(rho, zero_tol), "nonzero off-diagonal count")
     return rep

@@ -136,19 +136,23 @@ def ppt_cost_condition(
         raise ConditionViolated("|rho^T_A|^T_A has a negative diagonal entry")
     # N_L from the same spectrum (ascending, as measures.negativity sums it)
     _, n_log = measures._negativity_of(dec.eigenvalues[::-1])
-    return n_log
+    return float(n_log)
 
 
-def _renormalized(sub: np.ndarray, tol: float) -> tuple[float, DensityMatrix]:
+def _renormalized(sub: np.ndarray, tol: float):
     """Weight p = tr(sub) of a principal block of a state validated at
-    ``tol``, and the block renormalized to unit trace.
+    ``tol``, and the block renormalized to unit trace; for a ``(T, n, n)``
+    stack of blocks, the array of weights and the list of blocks.
 
     A principal block keeps the source's Hermiticity defect and (by
     interlacing) its smallest eigenvalue, so dividing by p scales both by
-    1/p: the block is validated at the source tolerance over p.
+    1/p: each block is validated at the source tolerance over its p.
     """
-    p = float(sub.trace().real)
-    return p, DensityMatrix(sub / p, max(tol, linalg.DEFAULT_TOL) / p)
+    p = np.trace(sub, axis1=-2, axis2=-1).real
+    block_tol = max(tol, linalg.DEFAULT_TOL) / p
+    if sub.ndim == 2:
+        return float(p), DensityMatrix(sub / p, float(block_tol))
+    return p, DensityMatrix.from_stack(sub / p[:, None, None], block_tol)
 
 
 @dataclass(frozen=True)
@@ -187,10 +191,12 @@ class QubitQuditDecomposition:
 
     def _matrix(self) -> np.ndarray:
         m = np.diag(self.diag_probs.astype(complex))
-        for blk in self.blocks:
-            k0, k1 = blk.b_columns
-            idx = [k0, self.d_B + k1]
-            m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
+        if self.blocks:
+            idx = np.array([(k0, self.d_B + k1) for k0, k1 in
+                            (blk.b_columns for blk in self.blocks)], dtype=np.intp)
+            weighted = np.array([blk.weight * blk.coeffs.mat for blk in self.blocks])
+            # add.at accumulates, block after block, even where supports overlap
+            np.add.at(m, (idx[:, :, None], idx[:, None, :]), weighted)
         return m
 
     def reassemble(self) -> BipartiteState:
@@ -199,35 +205,41 @@ class QubitQuditDecomposition:
 
 
 def qubit_qudit_decompose(
-    bs: BipartiteState, zero_tol: float = 1e-10
+    bs: BipartiteState, zero_tol: float = 1e-10, cert: PairingCertificate | None = None
 ) -> QubitQuditDecomposition:
     """Split a canonical 2 x d_B pairing state into its diagonal part and
     2x2 maximally correlated blocks on disjoint B-column pairs.
 
-    Raises NotQubit if d_A != 2 and NotCanonicalPairing if detection fails.
+    ``cert`` is the state's certificate when the caller already has it;
+    otherwise the state is detected here.  The blocks are validated as one
+    stack.  Raises NotQubit if d_A != 2 and NotCanonicalPairing if
+    detection fails or the blocks do not reassemble the state.
     """
     if bs.d_A != 2:
         raise NotQubit(f"d_A = {bs.d_A}; decomposition requires a qubit on A")
-    cert = detect_canonical_pairing(bs, zero_tol)
+    if cert is None:
+        cert = detect_canonical_pairing(bs, zero_tol)
     if cert is None:
         raise NotCanonicalPairing("state is not a canonical pairing state")
 
     m = bs.mat
     tol = bs.rho.validation_tol
-    blocks = []
-    used = set()
+    columns, support = [], []
     for (j, k), (jp, kp) in cert.transpositions:
         if j != 0:  # orient so the first label sits on A-level 0
             (j, k), (jp, kp) = (jp, kp), (j, k)
         # the rho-support of this transposition is the fixed-point pair
         # (0, kp) and (1, k)
-        i0, i1 = bs.index_of(0, kp), bs.index_of(1, k)
-        p, coeffs = _renormalized(m[np.ix_([i0, i1], [i0, i1])], tol)
-        blocks.append(MCBlock(weight=p, coeffs=coeffs, b_columns=(kp, k)))
-        used.update((i0, i1))
+        columns.append((kp, k))
+        support.append((bs.index_of(0, kp), bs.index_of(1, k)))
+    idx = np.array(support, dtype=np.intp).reshape(-1, 2)
+    weights, coeffs = _renormalized(m[idx[:, :, None], idx[:, None, :]], tol)
+    blocks = [MCBlock(weight=p, coeffs=c, b_columns=cols)
+              for p, c, cols in zip(weights.tolist(), coeffs, columns)]
+    used = idx.ravel()
 
     diag = np.diag(m).real.copy()
-    diag[list(used)] = 0.0
+    diag[used] = 0.0
     diag[np.abs(diag) < zero_tol] = 0.0
     p0 = float(diag.sum())
 
@@ -310,11 +322,18 @@ def distill_witness(
     mask = np.diag(proj).real
     block = bs.mat * np.outer(mask, mask)
 
-    a_levels, b_levels = sorted((j, jp)), sorted((k, kp))
-    idx = [bs.index_of(a, b) for a in a_levels for b in b_levels]
+    idx = _witness_support(bs, cert.transpositions[which])
     _, sub = _renormalized(block[np.ix_(idx, idx)], bs.rho.validation_tol)
     n, _ = measures.negativity(BipartiteState(sub, 2, 2))
     return proj, block, n
+
+
+def _witness_support(bs: BipartiteState, transposition: tuple[Label, Label]) -> list[int]:
+    """Flat indices of the two-qubit subspace of one transposition
+    ((j,k), (j',k')): A-levels {j, j'} times B-levels {k, k'}, in the
+    product order of a 2 x 2 state."""
+    (j, k), (jp, kp) = transposition
+    return [bs.index_of(a, b) for a in sorted((j, jp)) for b in sorted((k, kp))]
 
 
 def distillable_lower_bound(

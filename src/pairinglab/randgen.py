@@ -15,6 +15,9 @@ from .linalg import BipartiteState, DensityMatrix
 
 ALGORITHM = "philox4x64"
 
+#: validation tolerance of every generated state
+GENERATED_TOL = 1e-9
+
 
 class RngState:
     """Seeded counter-based RNG wrapper.
@@ -46,25 +49,38 @@ def haar_random_pure(d: int, rng: RngState) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def ginibre_density(d: int, rank: int, rng: RngState) -> DensityMatrix:
-    """Random density matrix G G^dag / tr(G G^dag) with G of size d x rank."""
+# Each generator is a private draw step, which makes every RNG call and
+# returns the unvalidated matrix, plus validation.  Callers that validate
+# many draws as one stack (the verify suites) call the draw step alone.
+
+def _ginibre_matrix(d: int, rank: int, rng: RngState) -> np.ndarray:
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank must lie in 1..{d}, got {rank}")
     g = rng.generator
     gmat = g.standard_normal((d, rank)) + 1j * g.standard_normal((d, rank))
     m = gmat @ gmat.conj().T
     m /= m.trace().real
-    return DensityMatrix(m, 1e-9)
+    return m
+
+
+def ginibre_density(d: int, rank: int, rng: RngState) -> DensityMatrix:
+    """Random density matrix G G^dag / tr(G G^dag) with G of size d x rank."""
+    return DensityMatrix(_ginibre_matrix(d, rank, rng), GENERATED_TOL)
+
+
+def _bipartite_matrix(d_a: int, d_b: int, rng: RngState, rank: int | None = None) -> np.ndarray:
+    d = d_a * d_b
+    if rank is None:
+        rank = int(rng.generator.integers(1, d + 1))
+    return _ginibre_matrix(d, rank, rng)
 
 
 def random_bipartite_state(
     d_a: int, d_b: int, rng: RngState, rank: int | None = None
 ) -> BipartiteState:
     """Random bipartite density matrix (Ginibre, random rank by default)."""
-    d = d_a * d_b
-    if rank is None:
-        rank = int(rng.generator.integers(1, d + 1))
-    return BipartiteState(ginibre_density(d, rank, rng), d_a, d_b)
+    return BipartiteState(
+        DensityMatrix(_bipartite_matrix(d_a, d_b, rng, rank), GENERATED_TOL), d_a, d_b)
 
 
 def random_monomial_unitary(d: int, rng: RngState) -> np.ndarray:
@@ -114,6 +130,13 @@ def random_canonical_pairing(
     fixed points and unused columns.  Every output is certified by the
     detector with pairing number ``n_pairs``.
     """
+    m = _canonical_pairing_matrix(d_a, d_b, n_pairs, rng, diag_weight)
+    return BipartiteState(DensityMatrix(m, GENERATED_TOL), d_a, d_b)
+
+
+def _canonical_pairing_matrix(
+    d_a: int, d_b: int, n_pairs: int, rng: RngState, diag_weight: float | None = None
+) -> np.ndarray:
     if n_pairs < 0:
         raise Infeasible("n_pairs must be nonnegative")
     g = rng.generator
@@ -121,7 +144,7 @@ def random_canonical_pairing(
 
     if n_pairs == 0:
         diag = g.dirichlet(np.ones(dim))
-        return BipartiteState(DensityMatrix(np.diag(diag.astype(complex)), 1e-9), d_a, d_b)
+        return np.diag(diag.astype(complex))
 
     plan = _component_plan(d_a, d_b, n_pairs)
 
@@ -147,13 +170,18 @@ def random_canonical_pairing(
     if not 0.0 <= diag_weight < 1.0:
         raise Infeasible("diag_weight must lie in [0, 1)")
 
+    # each edge draws its angle, then its phase: two uniforms, edge by edge
+    u = g.random(2 * n_edges).reshape(n_edges, 2)
+    theta = 0.3 + u[:, 0] * (np.pi / 2 - 0.6)
+    phase = np.exp(2j * np.pi * u[:, 1])
+    # the component cos|r> + e^{i phi} sin|s> touches four entries only
+    v = np.stack([np.cos(theta), phase * np.sin(theta)], axis=1)
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    components = ((1.0 - diag_weight) * weights)[:, None, None] * outer
+    idx = np.array(edges, dtype=np.intp)
     m = np.zeros((dim, dim), dtype=complex)
-    for w, (r, s) in zip(weights, edges):
-        theta = 0.3 + g.random() * (np.pi / 2 - 0.6)
-        phase = np.exp(2j * np.pi * g.random())
-        # the component cos|r> + e^{i phi} sin|s> touches four entries only
-        v = np.array([np.cos(theta), phase * np.sin(theta)])
-        m[np.ix_([r, s], [r, s])] += (1.0 - diag_weight) * w * np.outer(v, v.conj())
+    # components sharing a level add up on its diagonal entry in edge order
+    np.add.at(m, (idx[:, :, None], idx[:, None, :]), components)
 
     if diag_weight > 0.0:
         # diagonal mass may sit on fixed points and on columns no component
@@ -163,7 +191,5 @@ def random_canonical_pairing(
             a * d_b + b for a in range(d_a) for b in free_cols
         ]
         probs = g.dirichlet(np.ones(len(targets)))
-        for t, p in zip(targets, probs):
-            m[t, t] += diag_weight * p
-
-    return BipartiteState(DensityMatrix(m, 1e-9), d_a, d_b)
+        m[targets, targets] += diag_weight * probs
+    return m

@@ -7,6 +7,7 @@ Schema: {"dims": [d_A, d_B] or [d], "matrix": [[[re, im], ...], ...],
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -23,7 +24,13 @@ def _entry(value, row: int, col: int) -> complex:
     re, im = value
     if not all(isinstance(x, (int, float)) for x in (re, im)):
         raise ParseError(f"{loc}: entries must be numbers", loc)
-    return complex(re, im)
+    try:
+        z = complex(re, im)
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ParseError(f"{loc}: entries must be finite numbers", loc)
 
 
 def _parse_entries(rows: list, d: int) -> np.ndarray:
@@ -39,8 +46,8 @@ def _parse_entries(rows: list, d: int) -> np.ndarray:
 
 def _parse_matrix(rows: list, d: int) -> np.ndarray:
     """The d x d matrix of ``rows``, converted in one numpy call when every
-    entry is a [re, im] pair of JSON numbers; anything else goes through
-    ``_parse_entries``, which locates the first malformed entry.
+    entry is a [re, im] pair of finite JSON numbers; anything else goes
+    through ``_parse_entries``, which locates the first malformed entry.
 
     int64 -> float64 rounds as ``float(int)`` does, so both paths give
     bit-identical matrices.
@@ -49,7 +56,7 @@ def _parse_matrix(rows: list, d: int) -> np.ndarray:
         arr = np.array(rows)
     except (ValueError, OverflowError):  # ragged rows or out-of-range numbers
         return _parse_entries(rows, d)
-    if arr.shape != (d, d, 2) or arr.dtype.kind not in "fi":
+    if arr.shape != (d, d, 2) or arr.dtype.kind not in "fi" or not np.isfinite(arr).all():
         return _parse_entries(rows, d)
     return np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
 

@@ -2,6 +2,14 @@
 
 Each suite fuzzes one structural invariant over seeded random states
 and records every violation as (trial, quantity, lhs, rhs, gap).
+
+A suite runs in two phases.  First it draws every trial's random inputs
+in a plain loop, making the RNG calls in the order the public generators
+make them, so a seed gives the same states as generating them one at a
+time.  Then it does the numerical work on ``(T, d, d)`` stacks: one
+batched validation, partial transpose and eigvalsh per quantity, and
+checks each quantity for all trials at once.  Only detection, which is
+under test, and the closed forms built on its certificate run per state.
 """
 
 from __future__ import annotations
@@ -11,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, measures, pairing, randgen
-from .linalg import DensityMatrix
+from . import measures, pairing, randgen
+from .errors import Infeasible
+from .linalg import BipartiteState, DensityMatrix
 from .majorization import majorizes, trace_vs_l1, uvw_triple
 from .randgen import RngState
 
@@ -28,6 +37,11 @@ class Violation:
 
 @dataclass
 class VerifyReport:
+    """One suite run.  ``worst_gap`` is the largest lhs - rhs over every
+    check (0.0 when none is positive); ``margins`` holds, per quantity, the
+    signed worst margin max(lhs - rhs - tol), which turns positive exactly
+    when the quantity has a violation."""
+
     suite: str
     trials: int
     seed: int
@@ -35,18 +49,28 @@ class VerifyReport:
     algorithm: str = randgen.ALGORITHM
     violations: list[Violation] = field(default_factory=list)
     worst_gap: float = 0.0
+    margins: dict[str, float] = field(default_factory=dict)
     elapsed_ms: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def check(self, trial: int, quantity: str, lhs: float, rhs: float, tol: float = 0.0):
-        """Record a violation when lhs > rhs + tol."""
+    def check(self, trials, quantity: str, lhs, rhs, tol: float = 0.0) -> None:
+        """Check lhs <= rhs + tol for one trial, or for each trial of an
+        array of trials with matching arrays ``lhs`` and ``rhs``; record a
+        violation for each that fails."""
+        trials, lhs, rhs = np.broadcast_arrays(np.atleast_1d(trials), lhs, rhs)
+        if not trials.size:
+            return
         gap = lhs - rhs
-        self.worst_gap = max(self.worst_gap, gap)
-        if gap > tol:
-            self.violations.append(Violation(trial, quantity, lhs, rhs, gap))
+        # fmax skips NaN, as max(worst, gap) does one gap at a time
+        self.worst_gap = max(self.worst_gap, float(np.fmax.reduce(gap)))
+        margin = float(np.fmax.reduce(gap - tol))
+        self.margins[quantity] = max(self.margins.get(quantity, margin), margin)
+        for i in np.flatnonzero(gap > tol):
+            self.violations.append(Violation(int(trials[i]), quantity, lhs[i].item(),
+                                             rhs[i].item(), gap[i].item()))
 
     def to_dict(self) -> dict:
         return {
@@ -57,6 +81,7 @@ class VerifyReport:
             "algorithm": self.algorithm,
             "violations": [vars(v) for v in self.violations],
             "worst_gap": self.worst_gap,
+            "margins": self.margins,
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -73,93 +98,153 @@ def _feasible_pairs(d_a: int, d_b: int) -> int:
 
 
 def _random_pairing(rep: VerifyReport, rng: RngState, entangled: bool = False):
+    """The unvalidated matrix of a random pairing state and its pairing number."""
     d_a, d_b = rep.dims
     cap = _feasible_pairs(d_a, d_b)
     low = 1 if entangled else 0
     n_pairs = int(rng.generator.integers(low, max(cap, low) + 1))
-    return randgen.random_canonical_pairing(d_a, d_b, n_pairs, rng), n_pairs
+    return randgen._canonical_pairing_matrix(d_a, d_b, n_pairs, rng), n_pairs
+
+
+def _validated(mats: np.ndarray, d_a: int, d_b: int) -> list[BipartiteState]:
+    """Generated matrices, validated as one stack at the generators' tolerance."""
+    return [BipartiteState(rho, d_a, d_b)
+            for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)]
+
+
+def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
+    """Validated ``random_bipartite_state`` matrices, one per trial."""
+    d_a, d_b = rep.dims
+    mats = np.array([randgen._bipartite_matrix(d_a, d_b, rng) for _ in range(rep.trials)])
+    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
+    return mats
+
+
+def _certified(rep: VerifyReport, states: list[BipartiteState]):
+    """Detect each state; record the states detection refuses.  Returns
+    the certified trials and their certificates."""
+    certs = [pairing.detect_canonical_pairing(bs) for bs in states]
+    refused = [t for t, cert in enumerate(certs) if cert is None]
+    rep.check(refused, "detector certifies generated state", 1.0, 0.0)
+    ok = np.array([t for t, cert in enumerate(certs) if cert is not None], dtype=np.intp)
+    return ok, [certs[t] for t in ok]
 
 
 def suite_negativity_bound(rep: VerifyReport, rng: RngState) -> None:
-    for t in range(rep.trials):
-        bs = randgen.random_bipartite_state(*rep.dims, rng)
-        n, _ = measures.negativity(bs)
-        rep.check(t, "N <= C_l1", n, measures.c_l1(bs.rho), 1e-9)
+    mats = _bipartite_stack(rep, rng)
+    n, _ = measures._negativity_of(measures._pt_spectrum(mats, rep.dims))
+    rep.check(np.arange(rep.trials), "N <= C_l1", n, measures._c_l1_of(mats), 1e-9)
 
 
 def suite_l0_bound(rep: VerifyReport, rng: RngState) -> None:
-    for t in range(rep.trials):
-        bs = randgen.random_bipartite_state(*rep.dims, rng)
-        rep.check(t, "2*N0 <= C_l0", 2 * measures.n0_count(bs),
-                  measures.c_l0_count(bs.rho))
+    mats = _bipartite_stack(rep, rng)
+    n0 = measures._n0_of(measures._pt_spectrum(mats, rep.dims), None)
+    rep.check(np.arange(rep.trials), "2*N0 <= C_l0", 2 * n0, measures._c_l0_of(mats, None))
 
 
 def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
+    g = rng.generator
+    rhos = np.empty((rep.trials, d_a, d_a), dtype=complex)
+    sigs = np.empty((rep.trials, d_b, d_b), dtype=complex)
     for t in range(rep.trials):
-        rho = randgen.ginibre_density(d_a, int(rng.generator.integers(1, d_a + 1)), rng)
-        sig = randgen.ginibre_density(d_b, int(rng.generator.integers(1, d_b + 1)), rng)
-        prod = DensityMatrix(linalg.tensor_product(rho.mat, sig.mat), 1e-8)
-        gap = abs(measures.c_log(prod) - measures.c_log(rho) - measures.c_log(sig))
-        rep.check(t, "C_L additivity", gap, 0.0, 1e-9)
+        rhos[t] = randgen._ginibre_matrix(d_a, int(g.integers(1, d_a + 1)), rng)
+        sigs[t] = randgen._ginibre_matrix(d_b, int(g.integers(1, d_b + 1)), rng)
+    # rho (x) sigma per trial: entry (i k, j l) = rho_ij sigma_kl
+    prods = (rhos[:, :, None, :, None] * sigs[:, None, :, None, :]).reshape(
+        rep.trials, d_a * d_b, d_a * d_b)
+    DensityMatrix.from_stack(rhos, randgen.GENERATED_TOL)
+    DensityMatrix.from_stack(sigs, randgen.GENERATED_TOL)
+    DensityMatrix.from_stack(prods, 1e-8)
+
+    def c_log(mats):
+        return np.log2(1.0 + measures._c_l1_of(mats))
+
+    gap = np.abs(c_log(prods) - c_log(rhos) - c_log(sigs))
+    rep.check(np.arange(rep.trials), "C_L additivity", gap, 0.0, 1e-9)
 
 
 def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
-    for t in range(rep.trials):
-        bs, n_pairs = _random_pairing(rep, rng)
-        cert = pairing.detect_canonical_pairing(bs)
-        if cert is None:
-            rep.check(t, "detector certifies generated state", 1.0, 0.0)
-            continue
-        rep.check(t, "pairing number matches generator",
-                  abs(cert.pairing_number - n_pairs), 0.0)
-        n, _ = measures.negativity(bs)
-        rep.check(t, "|N - C_l1| on pairing state",
-                  abs(n - measures.c_l1(bs.rho)), 0.0, 1e-8)
-        if d_a == 2:
-            dec = pairing.qubit_qudit_decompose(bs)
-            gap = float(np.max(np.abs(dec.reassemble().mat - bs.mat)))
-            rep.check(t, "decompose/reassemble round trip", gap, 0.0, 1e-9)
+    draws = [_random_pairing(rep, rng) for _ in range(rep.trials)]
+    mats = np.array([m for m, _ in draws])
+    states = _validated(mats, d_a, d_b)
+    ok, certs = _certified(rep, states)
+    n_pairs = np.array([n for _, n in draws])[ok]
+    rep.check(ok, "pairing number matches generator",
+              np.abs([c.pairing_number for c in certs] - n_pairs), 0.0)
+    n, _ = measures._negativity_of(measures._pt_spectrum(mats[ok], rep.dims))
+    rep.check(ok, "|N - C_l1| on pairing state",
+              np.abs(n - measures._c_l1_of(mats[ok])), 0.0, 1e-8)
+    if d_a == 2:
+        gaps = [float(np.max(np.abs(
+                    pairing.qubit_qudit_decompose(states[t], cert=c).reassemble().mat
+                    - mats[t])))
+                for t, c in zip(ok, certs)]
+        rep.check(ok, "decompose/reassemble round trip", gaps, 0.0, 1e-9)
 
 
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
-    for t in range(rep.trials):
-        bs, _ = _random_pairing(rep, rng, entangled=True)
-        cert = pairing.detect_canonical_pairing(bs)
-        if cert is None:
-            rep.check(t, "detector certifies generated state", 1.0, 0.0)
-            continue
-        for i in range(cert.pairing_number):
-            _, _, block_n = pairing.distill_witness(bs, cert, i)
-            rep.check(t, f"witness block {i} negativity > 1e-6", 1e-6, block_n)
+    d_a, d_b = rep.dims
+    mats = np.array([_random_pairing(rep, rng, entangled=True)[0] for _ in range(rep.trials)])
+    states = _validated(mats, d_a, d_b)
+    ok, certs = _certified(rep, states)
+    # every certified trial's two-qubit blocks, as distill_witness takes them
+    trial, which, support = [], [], []
+    for t, cert in zip(ok, certs):
+        for i, transposition in enumerate(cert.transpositions):
+            trial.append(t)
+            which.append(i)
+            support.append(pairing._witness_support(states[t], transposition))
+    trial, which = np.array(trial, dtype=np.intp), np.array(which, dtype=np.intp)
+    idx = np.array(support, dtype=np.intp).reshape(-1, 4)
+    blocks = mats[trial[:, None, None], idx[:, :, None], idx[:, None, :]]
+    _, renormalized = pairing._renormalized(blocks, randgen.GENERATED_TOL)
+    subs = np.array([s.mat for s in renormalized]).reshape(-1, 4, 4)
+    block_n, _ = measures._negativity_of(measures._pt_spectrum(subs, (2, 2)))
+    for i in range(int(which.max(initial=-1)) + 1):
+        sel = which == i
+        rep.check(trial[sel], f"witness block {i} negativity > 1e-6", 1e-6, block_n[sel])
+
+
+# every X of the majorization suite fits in the top-left corner of an 8x8
+# zero matrix, which leaves u, v, w and the singular values unchanged
+# apart from added zeros
+MAJORIZATION_SIZE = 8
 
 
 def suite_majorization(rep: VerifyReport, rng: RngState) -> None:
     g = rng.generator
+    x = np.zeros((rep.trials, MAJORIZATION_SIZE, MAJORIZATION_SIZE), dtype=complex)
     for t in range(rep.trials):
-        n, m = int(g.integers(1, 9)), int(g.integers(1, 9))
-        x = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
-        triple = uvw_triple(x)
-        rep.check(t, "u < v", 0.0 if majorizes(triple.v, triple.u) else 1.0, 0.0)
-        rep.check(t, "v < w", 0.0 if majorizes(triple.w, triple.v) else 1.0, 0.0)
-        cmp = trace_vs_l1(x)
-        rep.check(t, "trace norm <= l1 norm", cmp.trace_norm, cmp.l1_norm, 1e-9)
+        n, m = int(g.integers(1, MAJORIZATION_SIZE + 1)), int(g.integers(1, MAJORIZATION_SIZE + 1))
+        x[t, :n, :m] = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+    trials = np.arange(rep.trials)
+    triple = uvw_triple(x)
+    rep.check(trials, "u < v", np.where(majorizes(triple.v, triple.u), 0.0, 1.0), 0.0)
+    rep.check(trials, "v < w", np.where(majorizes(triple.w, triple.v), 0.0, 1.0), 0.0)
+    cmp = trace_vs_l1(x)
+    rep.check(trials, "trace norm <= l1 norm", cmp.trace_norm, cmp.l1_norm, 1e-9)
 
 
 def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     d_b = rep.dims[1]
-    for t in range(rep.trials):
-        bs = randgen.random_canonical_pairing(2, d_b, int(rng.generator.integers(1, d_b // 2 + 1)), rng, diag_weight=0.0)
-        cert = pairing.detect_canonical_pairing(bs)
-        if cert is None:
-            rep.check(t, "detector certifies generated state", 1.0, 0.0)
-            continue
-        bound = pairing.distillable_lower_bound(bs, cert, [(0, 1)])
-        _, n_log = measures.negativity(bs)
-        rep.check(t, "lower bound <= N_L", bound, n_log, 1e-9)
-        e_d = pairing.pairing_measures(pairing.qubit_qudit_decompose(bs)).E_D
-        rep.check(t, "p0=0 bound equals E_D", abs(bound - e_d), 0.0, 1e-8)
+    if d_b < 2:
+        raise Infeasible(f"cannot host a transposition on a 2 x {d_b} system")
+    g = rng.generator
+    mats = np.array([
+        randgen._canonical_pairing_matrix(2, d_b, int(g.integers(1, d_b // 2 + 1)), rng,
+                                          diag_weight=0.0)
+        for _ in range(rep.trials)])
+    states = _validated(mats, 2, d_b)
+    ok, certs = _certified(rep, states)
+    bounds = np.array([pairing.distillable_lower_bound(states[t], c, [(0, 1)])
+                       for t, c in zip(ok, certs)])
+    _, n_log = measures._negativity_of(measures._pt_spectrum(mats[ok], (2, d_b)))
+    rep.check(ok, "lower bound <= N_L", bounds, n_log, 1e-9)
+    e_d = np.array([pairing.pairing_measures(pairing.qubit_qudit_decompose(states[t], cert=c)).E_D
+                    for t, c in zip(ok, certs)])
+    rep.check(ok, "p0=0 bound equals E_D", np.abs(bounds - e_d), 0.0, 1e-8)
 
 
 SUITES = {
@@ -182,8 +267,11 @@ def run_suite(suite: str, trials: int, seed: int, dims: tuple[int, int] = (3, 3)
             raise KeyError(name)
         rep = VerifyReport(suite=name, trials=trials, seed=seed, dims=tuple(dims))
         start = time.perf_counter()
-        SUITES[name](rep, RngState(seed))
+        if trials > 0:  # no trials, no draws: a suite's stacks are never empty
+            SUITES[name](rep, RngState(seed))
         rep.elapsed_ms = (time.perf_counter() - start) * 1e3
+        # each suite checks one quantity for all trials at a time; a stable
+        # sort restores the per-trial order of the checks
         rep.violations.sort(key=lambda v: v.trial)
         reports.append(rep)
     return reports

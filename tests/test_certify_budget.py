@@ -89,6 +89,29 @@ class TestDecompositionBudget:
         assert all(shape[-2:] == (2, 2) for shape in decompositions)
 
 
+    def test_decompose_detects_once_and_validates_its_blocks_as_one_stack(
+        self, decompositions, rng, monkeypatch
+    ):
+        bs = pl.random_canonical_pairing(2, 12, 5, rng, diag_weight=0.3)
+        cert = pl.detect_canonical_pairing(bs)
+        detections = []
+        real = pl.pairing.detect_canonical_pairing
+        monkeypatch.setattr(pl.pairing, "detect_canonical_pairing",
+                            lambda *a, **k: detections.append(1) or real(*a, **k))
+        decompositions.clear()
+        with_cert = pl.qubit_qudit_decompose(bs, cert=cert)
+        assert (len(detections), decompositions) == (0, [(5, 2, 2)])
+        detected = pl.qubit_qudit_decompose(bs)
+        assert len(detections) == 1
+        assert [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in detected.blocks] == \
+            [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in with_cert.blocks]
+
+    def test_decompose_with_a_wrong_certificate_fails_the_reassembly(self, rng):
+        bs = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3)
+        other = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.3)
+        with pytest.raises(pl.errors.NotCanonicalPairing, match="reassembly gap"):
+            pl.qubit_qudit_decompose(bs, cert=pl.detect_canonical_pairing(other))
+
     def test_ppt_cost_condition_makes_one_decomposition(self, decompositions, rng):
         bs = pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3)
         cert = pl.detect_canonical_pairing(bs)

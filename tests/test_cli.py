@@ -148,6 +148,19 @@ class TestTolerances:
         for argv in (["measure"], ["detect"], ["detect", "--decompose"], ["witness"]):
             assert cli.main([*argv, str(path)]) == 0, argv
 
+    def test_each_mc_block_keeps_its_own_tolerance(self, tmp_path, capsys):
+        # Bell blocks of weight 0.25 on |00>, |11> and 0.75 on |02>, |13>;
+        # only the light block's coherence exceeds its diagonal, by 8e-9, so
+        # it passes at 1e-8 / 0.25 but would fail at the heavy block's 1e-8 / 0.75
+        m = np.zeros((8, 8))
+        m[np.ix_([0, 5], [0, 5])] = 0.125
+        m[0, 5] = m[5, 0] = 0.125 + 8e-9
+        m[np.ix_([2, 7], [2, 7])] = 0.375
+        path = _write_state(tmp_path / "two_blocks.json", m, (2, 4))
+        assert cli.main(["detect", "--decompose", "--json", str(path)]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [b["weight"] for b in blocks] == pytest.approx([0.25, 0.75])
+
 
 class TestConstructCommand:
     def test_mc(self, tmp_path, capsys):
@@ -271,6 +284,30 @@ class TestVerifyCommand:
         monkeypatch.setenv("PAIRINGLAB_SEED", "42")
         cli.main(["verify", "--suite", "negativity-bound", "--trials", "5"])
         assert "seed=42" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "-3"], "--trials must be nonnegative"),
+        (["--dims", "0", "3"], "--dims must be positive"),
+        (["--dims", "3", "-1"], "--dims must be positive"),
+    ])
+    def test_bad_sizes_are_parse_errors(self, capsys, argv, message):
+        assert cli.main(["verify", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_lowerbound_without_room_for_a_transposition_is_infeasible(self, capsys):
+        assert cli.main(["verify", "--suite", "lowerbound", "--dims", "3", "1"]) == 5
+        assert "cannot host a transposition on a 2 x 1 system" in capsys.readouterr().err
+
+    def test_zero_trials_give_empty_ok_reports(self, capsys):
+        assert cli.main(["verify", "--trials", "0", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["suite"] for r in reports] == list(cli.verify.SUITES)
+        assert all(r["violations"] == [] and r["margins"] == {} and r["worst_gap"] == 0.0
+                   for r in reports)
+
+    def test_text_output_names_the_closest_margin(self, capsys):
+        assert cli.main(["verify", "--suite", "negativity-bound", "--trials", "10"]) == 0
+        assert " closest margin=-" in capsys.readouterr().out
 
     def test_seed_reproducible_reports(self, capsys):
         args = ["verify", "--suite", "pairing-roundtrip", "--trials", "15",

@@ -101,6 +101,67 @@ class TestFromBlocks:
             pl.DensityMatrix.from_blocks([])
 
 
+def dense_outcome(mats, tols):
+    """Each matrix through the dense constructor, in order: the first
+    error message, or the validated states."""
+    try:
+        return [pl.DensityMatrix(m, t) for m, t in zip(mats, tols)]
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestFromStack:
+    @staticmethod
+    def stack(seed=3, n=6, d=4):
+        return np.array([random_density(seed + i, d).mat for i in range(n)])
+
+    def test_states_match_dense_validation(self, decompositions):
+        mats = self.stack()
+        tols = np.linspace(1e-9, 1e-6, len(mats))
+        decompositions.clear()
+        states = pl.DensityMatrix.from_stack(mats, tols)
+        assert decompositions == [mats.shape]
+        for got, want in zip(states, dense_outcome(mats, tols)):
+            assert got.mat.tobytes() == want.mat.tobytes()
+            assert got.validation_tol == want.validation_tol
+            assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
+        decompositions.clear()
+        pl.von_neumann_entropy(states[2])
+        assert decompositions == []
+
+    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian", "negative tol"])
+    def test_first_failure_raises_the_dense_message(self, case):
+        mats, tols = self.stack(), np.full(6, 1e-9)
+        for t in (2, 4):  # two bad matrices: the first one is reported
+            if case == "non-psd":
+                mats[t] = np.diag([0.7, 0.5, 0.0, -0.2 * t / 2])
+            elif case == "off-trace":
+                mats[t, 0, 0] += 1e-6 * t
+            elif case == "non-hermitian":
+                mats[t, 0, 1] += 1e-6 * t
+            else:
+                tols[t] = -1.0
+        with pytest.raises(ValidationError) as err:
+            pl.DensityMatrix.from_stack(mats, tols)
+        assert str(err.value) == dense_outcome(mats, tols)
+
+    def test_each_matrix_at_its_own_tolerance(self):
+        mats = self.stack(n=2)
+        mats[1, 0, 1] += 1e-7  # a Hermiticity defect of 1e-7
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            pl.DensityMatrix.from_stack(mats, [1e-6, 1e-8])
+        assert len(pl.DensityMatrix.from_stack(mats, [1e-8, 1e-6])) == 2
+
+    def test_empty_and_malformed_stacks(self):
+        assert pl.DensityMatrix.from_stack(np.zeros((0, 3, 3))) == []
+        with pytest.raises(ValidationError):
+            pl.DensityMatrix.from_stack(np.zeros((2, 2, 3)))
+        with pytest.raises(ValidationError):
+            pl.DensityMatrix.from_stack(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            pl.DensityMatrix.from_stack(np.full((1, 2, 2), np.nan))
+
+
 class TestHermitianEig:
     def test_identity(self):
         dec = pl.hermitian_eig(np.eye(2))

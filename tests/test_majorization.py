@@ -101,3 +101,24 @@ class TestTraceVsL1:
         r = pl.trace_vs_l1(u)
         assert r.is_monomial
         assert abs(r.gap) <= 1e-9
+
+
+class TestStacks:
+    def test_stack_answers_match_per_matrix_answers(self):
+        g = np.random.Generator(np.random.Philox(11))
+        xs = g.standard_normal((12, 3, 5)) + 1j * g.standard_normal((12, 3, 5))
+        xs[4] = np.diag([2.0, -1j, 0.5]) @ np.eye(3, 5)  # a monomial one
+        triple = pl.uvw_triple(xs)
+        cmp = pl.trace_vs_l1(xs)
+        for x, u, v, w, tn, l1, mono in zip(xs, triple.u, triple.v, triple.w, *cmp[:3]):
+            one = pl.uvw_triple(x)
+            assert (u.tobytes(), v.tobytes(), w.tobytes()) == \
+                (one.u.tobytes(), one.v.tobytes(), one.w.tobytes())
+            assert (tn, l1, mono) == pytest.approx(tuple(pl.trace_vs_l1(x)[:3]), rel=1e-15)
+        assert cmp.is_monomial.tolist() == [i == 4 for i in range(12)]
+        assert pl.majorizes(triple.w, triple.v).tolist() == [True] * 12
+        # a stack of pairs that fail on partial sums, on totals, and hold
+        ys = np.array([[0.5, 0.5], [1.0, 0.2], [0.7, 0.3]])
+        xs2 = np.array([[0.9, 0.1], [1.0, 0.0], [0.6, 0.4]])
+        assert pl.majorizes(ys, xs2).tolist() == [pl.majorizes(y, x) for y, x in zip(ys, xs2)]
+        assert pl.majorizes(ys, xs2).tolist() == [False, False, True]

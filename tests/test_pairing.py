@@ -116,6 +116,15 @@ class TestQubitQuditDecompose:
         assert dec.p0 == pytest.approx(1.0)
         assert dec.blocks == ()
 
+    def test_matrix_is_the_block_by_block_sum(self, rng):
+        for d_b, pairs in [(2, 1), (6, 3), (40, 17)]:
+            dec = pl.qubit_qudit_decompose(pl.random_canonical_pairing(2, d_b, pairs, rng))
+            m = np.diag(dec.diag_probs.astype(complex))
+            for blk in dec.blocks:
+                idx = [blk.b_columns[0], d_b + blk.b_columns[1]]
+                m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
+            assert dec._matrix().tobytes() == m.tobytes()
+
     def test_appendix_f_refused(self):
         ex = pl.named_counterexample("appendix-f")
         with pytest.raises(NotQubit):

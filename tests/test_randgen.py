@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
+from pairinglab import verify
 from pairinglab.errors import Infeasible, InvalidRank
 
 
@@ -139,3 +140,48 @@ class TestRandomCanonicalPairing:
         bs = pl.random_canonical_pairing(3, 3, 3, pl.RngState(11))
         cert = pl.detect_canonical_pairing(bs)
         assert cert.pairing_number == 3
+
+
+def per_edge_pairing_matrix(d_a, d_b, n_pairs, rng, diag_weight=None):
+    """The pairing-state matrix built one edge and one diagonal entry at a
+    time, each component drawing its angle and phase in turn."""
+    g = rng.generator
+    dim = d_a * d_b
+    if n_pairs == 0:
+        return np.diag(g.dirichlet(np.ones(dim)).astype(complex))
+    b_pool = list(g.permutation(d_b))
+    edges, support = [], []
+    for m, n_edges in pl.randgen._component_plan(d_a, d_b, n_pairs):
+        a_levels = g.choice(d_a, size=m, replace=False)
+        levels = [int(a) * d_b + int(b_pool.pop()) for a in a_levels]
+        support.extend(levels)
+        all_pairs = [(r, s) for i, r in enumerate(levels) for s in levels[i + 1:]]
+        edges.extend(all_pairs[i] for i in g.choice(len(all_pairs), size=n_edges, replace=False))
+    weights = 0.4 / len(edges) + 0.6 * g.dirichlet(np.ones(len(edges)))
+    if diag_weight is None:
+        diag_weight = float(g.random() * 0.4) if g.random() < 0.5 else 0.0
+    m = np.zeros((dim, dim), dtype=complex)
+    for w, (r, s) in zip(weights, edges):
+        theta = 0.3 + g.random() * (np.pi / 2 - 0.6)
+        phase = np.exp(2j * np.pi * g.random())
+        v = np.array([np.cos(theta), phase * np.sin(theta)])
+        m[np.ix_([r, s], [r, s])] += (1.0 - diag_weight) * w * np.outer(v, v.conj())
+    if diag_weight > 0.0:
+        targets = list(support) + [a * d_b + b for a in range(d_a) for b in b_pool]
+        for t, p in zip(targets, g.dirichlet(np.ones(len(targets)))):
+            m[t, t] += diag_weight * p
+    return m
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 7), (3, 3), (3, 8), (5, 4)])
+@pytest.mark.parametrize("diag_weight", [None, 0.0, 0.3])
+def test_pairing_matrix_bit_identical_to_the_per_edge_build(d_a, d_b, diag_weight):
+    cap = verify._feasible_pairs(d_a, d_b)
+    for seed in range(15):
+        fast, slow = pl.RngState(seed), pl.RngState(seed)
+        n_pairs = seed % (cap + 1)
+        got = pl.randgen._canonical_pairing_matrix(d_a, d_b, n_pairs, fast, diag_weight)
+        want = per_edge_pairing_matrix(d_a, d_b, n_pairs, slow, diag_weight)
+        assert got.tobytes() == want.tobytes()
+        # and the stream is left where the per-edge build leaves it
+        assert fast.generator.random() == slow.generator.random()

@@ -90,7 +90,8 @@ class TestFastReader:
 
 def per_entry_reference(doc):
     """``parse_state`` as it was before the vectorized reader: every entry
-    is checked and converted on its own."""
+    is checked and converted on its own.  A non-finite number, or an
+    integer beyond float range, is a parse error at its entry."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     dims = doc.get("dims")
@@ -114,6 +115,8 @@ def per_entry_reference(doc):
             re, im = val
             if not all(isinstance(x, (int, float)) for x in (re, im)):
                 raise ParseError(f"{loc}: entries must be numbers", loc)
+            if not all(abs(x) <= sys.float_info.max for x in (re, im)):
+                raise ParseError(f"{loc}: entries must be finite numbers", loc)
             m[i, j] = complex(re, im)
     rho = pl.DensityMatrix(m, 1e-8)
     return pl.BipartiteState(rho, dims[0], dims[1]) if len(dims) == 2 else rho
@@ -169,7 +172,9 @@ class TestMalformedDocuments:
         for name, message in [("ragged row", "matrix[1]: expected 2 entries"),
                               ("string number", "matrix[0][0]: entries must be numbers"),
                               ("none entry", "matrix[0][0]: expected a [re, im] pair"),
-                              ("one three-element entry", "matrix[0][1]: expected a [re, im] pair")]:
+                              ("one three-element entry", "matrix[0][1]: expected a [re, im] pair"),
+                              ("int beyond float", "matrix[0][0]: entries must be finite numbers"),
+                              ("non-finite", "matrix[0][0]: entries must be finite numbers")]:
             with pytest.raises(ParseError) as err:
                 statefile.parse_state({"dims": [2], "matrix": MALFORMED[name]})
             assert str(err.value) == message

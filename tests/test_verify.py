@@ -1,0 +1,283 @@
+"""The batched verify suites against per-trial reference loops.
+
+The reference suites below generate, validate and measure one trial at a
+time through the public functions, in the form the suites had before
+they were batched.  The batched suites draw from the same RNG stream, so
+every seed must give the same violations and the same worst gap.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from pairinglab import cli, measures, pairing, randgen, verify
+from pairinglab.linalg import DensityMatrix, tensor_product
+from pairinglab.majorization import majorizes, trace_vs_l1, uvw_triple
+from pairinglab.randgen import RngState
+
+
+class ReferenceReport:
+    """Per-trial check bookkeeping: the worst gap and every violation."""
+
+    def __init__(self, trials, dims):
+        self.trials, self.dims = trials, dims
+        self.violations = []
+        self.worst_gap = 0.0
+
+    def check(self, trial, quantity, lhs, rhs, tol=0.0):
+        gap = lhs - rhs
+        self.worst_gap = max(self.worst_gap, gap)
+        if gap > tol:
+            self.violations.append((trial, quantity, lhs, rhs, gap))
+
+
+def _random_pairing(rep, rng, entangled=False):
+    d_a, d_b = rep.dims
+    cap = verify._feasible_pairs(d_a, d_b)
+    low = 1 if entangled else 0
+    n_pairs = int(rng.generator.integers(low, max(cap, low) + 1))
+    return randgen.random_canonical_pairing(d_a, d_b, n_pairs, rng), n_pairs
+
+
+def ref_negativity_bound(rep, rng):
+    for t in range(rep.trials):
+        bs = randgen.random_bipartite_state(*rep.dims, rng)
+        n, _ = measures.negativity(bs)
+        rep.check(t, "N <= C_l1", n, measures.c_l1(bs.rho), 1e-9)
+
+
+def ref_l0_bound(rep, rng):
+    for t in range(rep.trials):
+        bs = randgen.random_bipartite_state(*rep.dims, rng)
+        rep.check(t, "2*N0 <= C_l0", 2 * measures.n0_count(bs), measures.c_l0_count(bs.rho))
+
+
+def ref_additivity(rep, rng):
+    d_a, d_b = rep.dims
+    for t in range(rep.trials):
+        rho = randgen.ginibre_density(d_a, int(rng.generator.integers(1, d_a + 1)), rng)
+        sig = randgen.ginibre_density(d_b, int(rng.generator.integers(1, d_b + 1)), rng)
+        prod = DensityMatrix(tensor_product(rho.mat, sig.mat), 1e-8)
+        gap = abs(measures.c_log(prod) - measures.c_log(rho) - measures.c_log(sig))
+        rep.check(t, "C_L additivity", gap, 0.0, 1e-9)
+
+
+def ref_pairing_roundtrip(rep, rng):
+    d_a, d_b = rep.dims
+    for t in range(rep.trials):
+        bs, n_pairs = _random_pairing(rep, rng)
+        cert = pairing.detect_canonical_pairing(bs)
+        if cert is None:
+            rep.check(t, "detector certifies generated state", 1.0, 0.0)
+            continue
+        rep.check(t, "pairing number matches generator",
+                  abs(cert.pairing_number - n_pairs), 0.0)
+        n, _ = measures.negativity(bs)
+        rep.check(t, "|N - C_l1| on pairing state",
+                  abs(n - measures.c_l1(bs.rho)), 0.0, 1e-8)
+        if d_a == 2:
+            dec = pairing.qubit_qudit_decompose(bs)
+            gap = float(np.max(np.abs(dec.reassemble().mat - bs.mat)))
+            rep.check(t, "decompose/reassemble round trip", gap, 0.0, 1e-9)
+
+
+def ref_witness(rep, rng):
+    for t in range(rep.trials):
+        bs, _ = _random_pairing(rep, rng, entangled=True)
+        cert = pairing.detect_canonical_pairing(bs)
+        if cert is None:
+            rep.check(t, "detector certifies generated state", 1.0, 0.0)
+            continue
+        for i in range(cert.pairing_number):
+            _, _, block_n = pairing.distill_witness(bs, cert, i)
+            rep.check(t, f"witness block {i} negativity > 1e-6", 1e-6, block_n)
+
+
+def ref_majorization(rep, rng):
+    g = rng.generator
+    for t in range(rep.trials):
+        n, m = int(g.integers(1, 9)), int(g.integers(1, 9))
+        x = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+        triple = uvw_triple(x)
+        rep.check(t, "u < v", 0.0 if majorizes(triple.v, triple.u) else 1.0, 0.0)
+        rep.check(t, "v < w", 0.0 if majorizes(triple.w, triple.v) else 1.0, 0.0)
+        cmp = trace_vs_l1(x)
+        rep.check(t, "trace norm <= l1 norm", cmp.trace_norm, cmp.l1_norm, 1e-9)
+
+
+def ref_lowerbound(rep, rng):
+    d_b = rep.dims[1]
+    for t in range(rep.trials):
+        bs = randgen.random_canonical_pairing(
+            2, d_b, int(rng.generator.integers(1, d_b // 2 + 1)), rng, diag_weight=0.0)
+        cert = pairing.detect_canonical_pairing(bs)
+        if cert is None:
+            rep.check(t, "detector certifies generated state", 1.0, 0.0)
+            continue
+        bound = pairing.distillable_lower_bound(bs, cert, [(0, 1)])
+        _, n_log = measures.negativity(bs)
+        rep.check(t, "lower bound <= N_L", bound, n_log, 1e-9)
+        e_d = pairing.pairing_measures(pairing.qubit_qudit_decompose(bs)).E_D
+        rep.check(t, "p0=0 bound equals E_D", abs(bound - e_d), 0.0, 1e-8)
+
+
+REFERENCE = {
+    "negativity-bound": ref_negativity_bound,
+    "l0-bound": ref_l0_bound,
+    "additivity": ref_additivity,
+    "pairing-roundtrip": ref_pairing_roundtrip,
+    "witness": ref_witness,
+    "majorization": ref_majorization,
+    "lowerbound": ref_lowerbound,
+}
+
+
+def reference_run(suite, trials, seed, dims):
+    rep = ReferenceReport(trials, dims)
+    REFERENCE[suite](rep, RngState(seed))
+    rep.violations.sort(key=lambda v: v[0])
+    return rep
+
+
+def assert_same_report(batched, ref):
+    assert batched.worst_gap == pytest.approx(ref.worst_gap, rel=0, abs=1e-12)
+    got = [(v.trial, v.quantity, v.lhs, v.rhs, v.gap) for v in batched.violations]
+    assert [v[:2] for v in got] == [v[:2] for v in ref.violations]
+    for g, r in zip(got, ref.violations):
+        assert g[2:] == pytest.approx(r[2:], rel=0, abs=1e-12)
+
+
+def test_reference_covers_every_suite():
+    assert list(REFERENCE) == list(verify.SUITES)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6), (2, 4), (4, 3)])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_batched_suite_matches_per_trial_reference(suite, dims):
+    for seed in range(10):
+        (rep,) = verify.run_suite(suite, 50, seed, dims)
+        assert rep.algorithm == "philox4x64"
+        assert_same_report(rep, reference_run(suite, 50, seed, dims))
+
+
+def reference_draws(suite, trials, seed, dims):
+    """The matrices the public generators give, trial by trial, for the
+    states a suite validates first (for additivity: rho, then sigma)."""
+    rng = RngState(seed)
+    g = rng.generator
+    d_a, d_b = dims
+    rep = ReferenceReport(trials, dims)
+    if suite in ("negativity-bound", "l0-bound"):
+        return [[randgen.random_bipartite_state(d_a, d_b, rng).mat for _ in range(trials)]]
+    if suite == "additivity":
+        pairs = [(randgen.ginibre_density(d_a, int(g.integers(1, d_a + 1)), rng).mat,
+                  randgen.ginibre_density(d_b, int(g.integers(1, d_b + 1)), rng).mat)
+                 for _ in range(trials)]
+        return [[rho for rho, _ in pairs], [sig for _, sig in pairs]]
+    if suite in ("pairing-roundtrip", "witness"):
+        entangled = suite == "witness"
+        return [[_random_pairing(rep, rng, entangled)[0].mat for _ in range(trials)]]
+    return [[randgen.random_canonical_pairing(2, d_b, int(g.integers(1, d_b // 2 + 1)), rng,
+                                              diag_weight=0.0).mat for _ in range(trials)]]
+
+
+@pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "majorization"])
+def test_suites_validate_the_states_the_generators_give(suite, monkeypatch):
+    validated = []
+    real = DensityMatrix.from_stack.__func__
+
+    def recording(cls, mats, validation_tols=1e-9):
+        validated.append(np.array(mats))
+        return real(cls, mats, validation_tols)
+
+    monkeypatch.setattr(DensityMatrix, "from_stack", classmethod(recording))
+    for dims in [(3, 3), (2, 5)]:
+        validated.clear()
+        verify.run_suite(suite, 12, 8, dims)
+        want = reference_draws(suite, 12, 8, dims)
+        assert [m.tobytes() for m in validated[:len(want)]] == \
+            [np.array(w).tobytes() for w in want]
+
+
+def _patch_spectra(monkeypatch, targets, change):
+    """Pass the spectrum of rho^T_A of each matrix in ``targets`` through
+    ``change``, wherever it is computed, batched or not."""
+    real = measures._pt_spectrum
+
+    def patched(state, dims=None):
+        w = real(state, dims)
+        mats = state if isinstance(state, np.ndarray) else state.mat
+        for target in targets:
+            if target.shape == mats.shape[-2:]:
+                hit = np.all(mats == target, axis=(-2, -1))
+                w[hit] = change(w[hit])
+        return w
+
+    monkeypatch.setattr(measures, "_pt_spectrum", patched)
+
+
+def test_injected_defect_is_reported_at_its_trial(monkeypatch):
+    rng = RngState(4)
+    states = [randgen.random_bipartite_state(3, 3, rng) for _ in range(20)]
+    # N grows by 10 with the top (last, ascending) eigenvalue
+    _patch_spectra(monkeypatch, [states[7].mat],
+                   lambda w: w + 10.0 * (np.arange(w.shape[-1]) == w.shape[-1] - 1))
+    (rep,) = verify.run_suite("negativity-bound", 20, 4, (3, 3))
+    ref = reference_run("negativity-bound", 20, 4, (3, 3))
+    assert [v[:2] for v in ref.violations] == [(7, "N <= C_l1")]
+    assert_same_report(rep, ref)
+    assert rep.margins["N <= C_l1"] == pytest.approx(rep.violations[0].gap - 1e-9)
+
+
+def test_violations_are_listed_in_trial_order(monkeypatch):
+    # break witness block 1 of an early trial and block 0 of a later one:
+    # the suite checks block 0 of every trial before block 1 of any
+    rng = RngState(6)
+    rep = ReferenceReport(30, (3, 3))
+    states = [_random_pairing(rep, rng, entangled=True)[0] for _ in range(30)]
+    certs = [pairing.detect_canonical_pairing(bs) for bs in states]
+    early = next(t for t, c in enumerate(certs) if c.pairing_number >= 2)
+    late = len(states) - 1
+
+    def block(t, i):
+        idx = pairing._witness_support(states[t], certs[t].transpositions[i])
+        sub = states[t].mat[np.ix_(idx, idx)]
+        return sub / sub.trace().real
+
+    # a flat spectrum of trace 1 has N = 0
+    _patch_spectra(monkeypatch, [block(early, 1), block(late, 0)], lambda w: np.full_like(w, 0.25))
+    (got,) = verify.run_suite("witness", 30, 6, (3, 3))
+    ref = reference_run("witness", 30, 6, (3, 3))
+    assert [v[:2] for v in ref.violations] == [
+        (early, "witness block 1 negativity > 1e-6"), (late, "witness block 0 negativity > 1e-6")]
+    assert_same_report(got, ref)
+
+
+@pytest.mark.parametrize("suite", ["negativity-bound", "l0-bound", "additivity",
+                                   "witness", "majorization"])
+def test_decompositions_do_not_grow_with_trials(suite, decompositions):
+    verify.run_suite(suite, 50, 1, (3, 3))
+    calls_at_50 = len(decompositions)
+    decompositions.clear()
+    verify.run_suite(suite, 200, 1, (3, 3))
+    assert len(decompositions) == calls_at_50 <= 3
+
+
+class TestReport:
+    def test_margins_are_signed_worst_per_quantity(self):
+        rep = verify.VerifyReport("x", 3, 0, (2, 2))
+        rep.check(np.arange(3), "a <= b", np.array([0.1, 0.5, 0.2]), np.array([1.0, 1.0, 1.0]),
+                  0.25)
+        rep.check(1, "c <= d", 2.0, 1.0)
+        assert rep.margins == {"a <= b": pytest.approx(-0.75), "c <= d": 1.0}
+        assert rep.worst_gap == 1.0
+        assert [(v.trial, v.quantity) for v in rep.violations] == [(1, "c <= d")]
+        assert rep.to_dict()["margins"] == rep.margins
+
+    def test_json_margins(self, capsys):
+        assert cli.main(["verify", "--suite", "negativity-bound", "--trials", "20",
+                         "--seed", "5", "--json"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)
+        assert set(doc["margins"]) == {"N <= C_l1"}
+        assert doc["margins"]["N <= C_l1"] < 0
