@@ -54,9 +54,8 @@ def make_mc_state(spec: MCSpec, d_a: int, d_b: int) -> BipartiteState:
     if max(spec.a_labels) >= d_a or max(spec.b_labels) >= d_b:
         raise LabelCollision("labels exceed the subsystem dimensions")
     idx = [j * d_b + k for j, k in zip(spec.a_labels, spec.b_labels)]
-    m = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    m[np.ix_(idx, idx)] = spec.coeffs
-    return BipartiteState(DensityMatrix(m, 1e-9), d_a, d_b)
+    return BipartiteState(DensityMatrix.from_blocks([spec.coeffs], 1e-9, [idx], d_a * d_b),
+                          d_a, d_b)
 
 
 def make_qubit_qudit_pairing(
@@ -97,15 +96,18 @@ def make_qubit_qudit_pairing(
     m = np.zeros((2 * d_b, 2 * d_b), dtype=complex)
     if p0 > 0:
         m += p0 * np.diag(diag.astype(complex))
-    for p, coeffs, (k0, k1) in blocks:
+    supports = [[int(k0), d_b + int(k1)] for _, _, (k0, k1) in blocks]
+    for (p, coeffs, _), idx in zip(blocks, supports):
         c = linalg.as_complex_matrix(coeffs)
         try:
             DensityMatrix(c, 1e-9)
         except ValidationError as exc:
             raise InvalidCoeffs(str(exc)) from exc
-        idx = [int(k0), d_b + int(k1)]
         m[np.ix_(idx, idx)] += p * c
-    return BipartiteState(DensityMatrix(m, 1e-9), 2, d_b)
+    # m is the direct sum of its 2x2 blocks and its other diagonal entries
+    supports += [[i] for i in np.setdiff1d(np.arange(2 * d_b), supports).tolist()]
+    rho = DensityMatrix.from_blocks([m[np.ix_(s, s)] for s in supports], 1e-9, supports)
+    return BipartiteState(rho, 2, d_b)
 
 
 def cnot_embed(rho: DensityMatrix) -> BipartiteState:
@@ -117,9 +119,8 @@ def cnot_embed(rho: DensityMatrix) -> BipartiteState:
     """
     d = rho.dim
     idx = [j * d + j for j in range(d)]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    m[np.ix_(idx, idx)] = rho.mat
-    return BipartiteState(DensityMatrix(m, rho.validation_tol), d, d)
+    return BipartiteState(DensityMatrix.from_blocks([rho.mat], rho.validation_tol, [idx], d * d),
+                          d, d)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DimensionMismatch,
@@ -83,24 +82,45 @@ class DensityMatrix:
         self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
 
     @classmethod
-    def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
+    def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL, supports=None,
+                    dim: int | None = None) -> DensityMatrix:
         """The direct sum of square ``blocks``, validated block by block.
 
-        The checks and messages are those of the dense constructor, but
-        the spectrum is the merged block spectra: one batched eigvalsh per
-        block shape instead of one of the whole matrix.
+        Block i sits on the rows and columns ``supports[i]`` of a
+        ``dim``-dimensional matrix; by default the blocks follow one
+        another along the diagonal and ``dim`` is the sum of their sizes.
+        Rows that no block covers are zero.  The checks and messages are
+        those of the dense constructor, but the spectrum is the merged
+        block spectra and a zero for each uncovered row: one batched
+        eigvalsh per block shape instead of one of the whole matrix.
         """
         blocks = [as_complex_matrix(b) for b in blocks]
         if not blocks or any(b.shape[0] != b.shape[1] for b in blocks):
             raise ValidationError("expected a nonempty list of square blocks")
+        sizes = [len(b) for b in blocks]
+        if supports is None:
+            supports = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        supports = [np.asarray(s, dtype=np.intp).ravel() for s in supports]
+        dim = sum(sizes) if dim is None else dim
+        flat = np.concatenate(supports)
+        if [s.size for s in supports] != sizes or np.unique(flat).size != flat.size \
+                or flat.min() < 0 or flat.max() >= dim:
+            raise ValidationError("block supports must be disjoint index lists inside "
+                                  "the matrix, one of each block's size")
+        mat = np.zeros((dim, dim), dtype=complex)
+        stacks = []
+        for size in sorted(set(sizes)):
+            stack = np.stack([b for b in blocks if len(b) == size])
+            idx = np.array([s for s in supports if s.size == size])
+            mat[idx[:, :, None], idx[:, None, :]] = stack
+            stacks.append(stack)
         self = object.__new__(cls)  # not __init__: it would decompose the whole matrix
-        object.__setattr__(self, "mat", block_diag(*blocks))
+        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "validation_tol", validation_tol)
-        shapes = sorted({b.shape for b in blocks})
-        stacks = [np.stack([b for b in blocks if b.shape == s]) for s in shapes]
 
         def spectrum():
-            lam = np.sort(np.concatenate([_hermitian_spectrum(s).ravel() for s in stacks]))
+            lam = np.sort(np.concatenate([np.zeros(dim - flat.size)]
+                                         + [_hermitian_spectrum(s).ravel() for s in stacks]))
             lam.flags.writeable = False
             return lam
 
@@ -131,14 +151,19 @@ class DensityMatrix:
         bad = np.maximum(np.maximum(defects, np.abs(traces - 1)), -spectra[:, 0]) > tols
         for t in np.flatnonzero(bad):
             cls(mats[t], float(tols[t]))  # raises what the dense constructor raises
-        states = []
-        for m, tol, lam in zip(mats, tols.tolist(), spectra):
-            self = object.__new__(cls)  # validated above, as a stack
-            object.__setattr__(self, "mat", m)
-            object.__setattr__(self, "validation_tol", tol)
-            object.__setattr__(self, "_spectrum", (m, lam))
-            states.append(self)
-        return states
+        # validated above, as a stack
+        return [cls._validated(m, tol, lam) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
+
+    @classmethod
+    def _validated(cls, mat: np.ndarray, validation_tol: float, spectrum: np.ndarray):
+        """A state whose checks the caller has already made, holding
+        ``mat`` and its ascending ``spectrum`` (which becomes read-only)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "validation_tol", validation_tol)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "_spectrum", (mat, spectrum))
+        return self
 
     def _validate(self, herm_defect: float, spectrum) -> None:
         """Check ``mat``, given its Hermiticity defect max |M - M^dag| and
@@ -296,6 +321,65 @@ def partial_transpose(state, dims: tuple[int, int] | None = None) -> np.ndarray:
         .swapaxes(-4, -2)
         .reshape(*lead, d_a * d_b, d_a * d_b)
     )
+
+
+def monomial_spectrum(m, dims: tuple[int, int] | None = None) -> np.ndarray | None:
+    """Exact ascending spectrum of the Hermitian part of ``m``, or of its
+    partial transpose on ``dims`` = (d_A, d_B), when that Hermitian part
+    has at most one nonzero entry in each row; None otherwise.  For a
+    ``(T, n, n)`` stack: the ``(T, n)`` spectra, or None unless every
+    matrix qualifies.
+
+    The matrix judged is the one eigvalsh would be given, ``(X + X^dag) / 2``
+    entry for entry, and an entry is zero only when it is exactly zero.
+    A Hermitian matrix with that pattern is, up to a permutation of the
+    basis, a direct sum of its real diagonal entries, 2x2 blocks
+    [[0, x], [x*, 0]] with eigenvalues +-|x|, and zero rows.  The pattern
+    is read from the nonzero entries of ``m``, whose indices the partial
+    transpose only permutes; a matrix with more nonzero entries than rows
+    goes no further than counting them, and no index array is made for it.
+    """
+    m = np.asarray(m)
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    present = stack != 0  # one pass over the entries: counted, then scanned
+    if np.count_nonzero(present) > stack.shape[0] * n:
+        return None
+    out = np.zeros(stack.shape[:2])
+    t, r, c = np.nonzero(present)
+    if not t.size:
+        return out.reshape(m.shape[:-1])
+    vals = stack[t, r, c]
+    if dims is not None:  # the index map of partial_transpose
+        d_b = dims[1]
+        r, c = (c // d_b) * d_b + r % d_b, (r // d_b) * d_b + c % d_b
+    # entries of X by flat key (t, row, col), sorted; H = (X + X^dag) / 2
+    # is nonzero only on the keys of X and of X^T
+    key = (t * n + r) * n + c
+    order = np.argsort(key)
+    key, vals = key[order], vals[order]
+    cand = np.union1d(key, (t * n + c) * n + r)
+    t, r, c = cand // (n * n), cand // n % n, cand % n
+
+    def entry(q):
+        i = np.minimum(np.searchsorted(key, q), key.size - 1)
+        return np.where(key[i] == q, vals[i], 0)
+
+    h = (entry(cand) + entry((t * n + c) * n + r).conj()) / 2
+    keep = h != 0
+    t, r, c, h = t[keep], r[keep], c[keep], h[keep]
+    row = t * n + r
+    if np.any(row[1:] == row[:-1]):
+        return None
+    fixed, upper = r == c, r < c
+    lam = np.concatenate([h[fixed].real, np.abs(h[upper]), -np.abs(h[upper])])
+    owner = np.concatenate([t[fixed], t[upper], t[upper]])
+    order = np.argsort(owner, kind="stable")
+    owner, lam = owner[order], lam[order]
+    # each matrix's eigenvalues fill its first slots; the rest are the zeros
+    out[owner, np.arange(owner.size) - np.searchsorted(owner, owner)] = lam
+    out.sort(axis=-1)
+    return out.reshape(m.shape[:-1])
 
 
 def tensor_product(a, b) -> np.ndarray:

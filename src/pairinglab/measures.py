@@ -63,9 +63,18 @@ def c_rel_entropy(rho: DensityMatrix) -> float:
 def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
     """Ascending spectrum of the (Hermitian) partial transpose rho^T_A of
     a BipartiteState, or of each matrix of a ``(T, d, d)`` stack on
-    ``dims`` = (d_A, d_B)."""
-    pt = linalg.partial_transpose(state, dims)
-    return np.linalg.eigvalsh((pt + linalg._dagger(pt)) / 2)
+    ``dims`` = (d_A, d_B).
+
+    A monomial rho^T_A (a canonical pairing state's) gives its spectrum
+    exactly, without a decomposition; anything else takes one eigvalsh.
+    """
+    if isinstance(state, BipartiteState):
+        state, dims = state.mat, (state.d_A, state.d_B)
+    lam = linalg.monomial_spectrum(state, dims)
+    if lam is None:
+        pt = linalg.partial_transpose(state, dims)
+        lam = np.linalg.eigvalsh((pt + linalg._dagger(pt)) / 2)
+    return lam
 
 
 def _negativity_of(pt_spectrum: np.ndarray):
@@ -151,7 +160,8 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
     """All closed-form measures of a state; bipartite inputs additionally
     get negativity-side quantities.
 
-    The only decomposition is one eigvalsh of rho^T_A, shared by N and N0.
+    N and N0 share one spectrum of rho^T_A: read off exactly when rho^T_A
+    is monomial, otherwise from its one eigvalsh, the only decomposition.
     """
     rho = state.rho if isinstance(state, BipartiteState) else state
     rep = MeasureReport()

@@ -139,7 +139,7 @@ def ppt_cost_condition(
     return float(n_log)
 
 
-def _renormalized(sub: np.ndarray, tol: float):
+def _renormalized(sub: np.ndarray, tol: float, spectrum: np.ndarray | None = None):
     """Weight p = tr(sub) of a principal block of a state validated at
     ``tol``, and the block renormalized to unit trace; for a ``(T, n, n)``
     stack of blocks, the array of weights and the list of blocks.
@@ -147,9 +147,14 @@ def _renormalized(sub: np.ndarray, tol: float):
     A principal block keeps the source's Hermiticity defect and (by
     interlacing) its smallest eigenvalue, so dividing by p scales both by
     1/p: each block is validated at the source tolerance over its p.
+    ``spectrum``, given when the block is the whole source state, is that
+    state's validated spectrum: the block's checks then hold already, and
+    its spectrum is that over p.
     """
     p = np.trace(sub, axis1=-2, axis2=-1).real
     block_tol = max(tol, linalg.DEFAULT_TOL) / p
+    if spectrum is not None:
+        return float(p), DensityMatrix._validated(sub / p, float(block_tol), spectrum / p)
     if sub.ndim == 2:
         return float(p), DensityMatrix(sub / p, float(block_tol))
     return p, DensityMatrix.from_stack(sub / p[:, None, None], block_tol)
@@ -276,11 +281,11 @@ def pairing_measures(dec: QubitQuditDecomposition) -> PairingMeasures:
 
     Everything is read from the block data: rho is the diagonal part plus
     the weighted blocks on disjoint supports, so its spectrum is the
-    diagonal part's entries plus the blocks' eigenvalues (one batched
-    eigvalsh of 2x2 matrices), and its partial transpose is monomial.
+    diagonal part's entries plus each block's validated spectrum times its
+    weight, and its partial transpose is monomial.
     """
     weighted = np.array([blk.weight * blk.coeffs.mat for blk in dec.blocks]).reshape(-1, 2, 2)
-    spectrum = np.linalg.eigvalsh((weighted + weighted.conj().transpose(0, 2, 1)) / 2)
+    spectrum = np.array([blk.weight * blk.coeffs.eigenvalues() for blk in dec.blocks])
     diagonal = np.diagonal(weighted, axis1=1, axis2=2).real
     s_diag = linalg.entropy_of_spectrum(np.concatenate([dec.diag_probs, diagonal.ravel()]),
                                         dec.validation_tol)
@@ -363,6 +368,8 @@ def distillable_lower_bound(
         sub = m[np.ix_(idx, idx)]
         if float(sub.trace().real) <= zero_tol:
             continue
-        p, rho_j = _renormalized(sub, bs.rho.validation_tol)
+        # a pair of all d_A = 2 levels projects onto rho itself
+        whole = bs.rho._ascending() if len(idx) == bs.dim else None
+        p, rho_j = _renormalized(sub, bs.rho.validation_tol, whole)
         total += p * measures.c_rel_entropy(rho_j)
     return total

@@ -68,7 +68,8 @@ class VerifyReport:
         self.worst_gap = max(self.worst_gap, float(np.fmax.reduce(gap)))
         margin = float(np.fmax.reduce(gap - tol))
         self.margins[quantity] = max(self.margins.get(quantity, margin), margin)
-        for i in np.flatnonzero(gap > tol):
+        # a NaN gap fails the check: it is not <= tol
+        for i in np.flatnonzero(~(gap <= tol)):
             self.violations.append(Violation(int(trials[i]), quantity, lhs[i].item(),
                                              rhs[i].item(), gap[i].item()))
 

@@ -62,13 +62,26 @@ def noisy_bell(d, size, g):
 
 class TestDecompositionBudget:
     def test_measure_report_makes_one_eigvalsh(self, decompositions, rng):
-        states = [pl.random_bipartite_state(3, 4, rng),
-                  pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3),
-                  pl.cnot_embed(pl.ginibre_density(3, 3, rng))]
-        for bs in states:
+        # a monomial rho^T_A gives its spectrum without a decomposition
+        ginibre = pl.random_bipartite_state(3, 4, rng)
+        states = [(ginibre, [(12, 12)]),
+                  (pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3), []),
+                  (pl.cnot_embed(pl.ginibre_density(3, 3, rng)), [])]
+        for bs, want in states:
             decompositions.clear()
             pl.measure_report(bs)
-            assert decompositions == [(bs.dim, bs.dim)]
+            assert decompositions == want
+
+    def test_cnot_embed_certify_path_decomposes_only_the_input_block(self, decompositions):
+        rho = pl.ginibre_density(32, 32, pl.RngState(9))
+        decompositions.clear()
+        bs = pl.cnot_embed(rho)
+        rep = pl.measure_report(bs)
+        cert = pl.detect_canonical_pairing(bs)
+        n, _ = pl.negativity(bs)
+        assert bs.dim == 1024 and cert.pairing_number == 32 * 31 // 2
+        assert rep.entries["N"] == n == pytest.approx(pl.c_l1(rho), abs=1e-12)
+        assert decompositions and all(np.prod(s[-2:]) <= 32 * 32 for s in decompositions)
 
     def test_detect_on_exact_pairing_states_makes_none(self, decompositions, rng, mc_state):
         states = [mc_state,
@@ -85,8 +98,8 @@ class TestDecompositionBudget:
         bs = pl.random_canonical_pairing(2, 32, 12, rng, diag_weight=0.3)
         decompositions.clear()
         pl.pairing_measures(pl.qubit_qudit_decompose(bs))
-        assert decompositions
-        assert all(shape[-2:] == (2, 2) for shape in decompositions)
+        # the blocks' validation; the closed forms reuse its spectra
+        assert decompositions == [(12, 2, 2)]
 
 
     def test_decompose_detects_once_and_validates_its_blocks_as_one_stack(
@@ -105,6 +118,24 @@ class TestDecompositionBudget:
         assert len(detections) == 1
         assert [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in detected.blocks] == \
             [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in with_cert.blocks]
+
+    def test_lower_bound_on_a_qubit_qudit_state_makes_none(self, decompositions, rng):
+        bs = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.0)
+        cert = pl.detect_canonical_pairing(bs)
+        decompositions.clear()
+        bound = pl.distillable_lower_bound(bs, cert, [(0, 1)])
+        assert decompositions == []
+        assert bound == pytest.approx(pl.pairing_measures(pl.qubit_qudit_decompose(bs)).E_D,
+                                      abs=1e-12)
+
+    def test_constructors_decompose_only_their_blocks(self, decompositions):
+        c = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+        decompositions.clear()
+        diag = np.zeros(12)
+        diag[[4, 11]] = 0.5  # |0 4> and |1 5>
+        pl.make_qubit_qudit_pairing(0.5, diag, [(0.25, c, (0, 1)), (0.25, c, (2, 3))])
+        pl.make_mc_state(pl.MCSpec(c, (0, 2), (1, 0)), 3, 3)
+        assert decompositions and all(np.prod(s[-2:]) <= 4 for s in decompositions)
 
     def test_decompose_with_a_wrong_certificate_fails_the_reassembly(self, rng):
         bs = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3)

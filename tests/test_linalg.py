@@ -100,6 +100,47 @@ class TestFromBlocks:
         with pytest.raises(ValidationError):
             pl.DensityMatrix.from_blocks([])
 
+    # on a 7-dim matrix whose rows 2 and 5 no block covers
+    SUPPORTS = [[4, 1], [6], [0, 3]]
+
+    @staticmethod
+    def scattered(blocks, tol):
+        return pl.DensityMatrix.from_blocks(blocks, tol, TestFromBlocks.SUPPORTS, 7)
+
+    @staticmethod
+    def scattered_dense(blocks, tol):
+        m = np.zeros((7, 7), dtype=complex)
+        for b, s in zip(blocks, TestFromBlocks.SUPPORTS):
+            m[np.ix_(s, s)] = b
+        return pl.DensityMatrix(m, tol)
+
+    def test_blocks_on_index_lists_match_dense_validation(self, decompositions):
+        rho = self.scattered(self.BLOCKS, 1e-9)
+        assert sorted(decompositions) == [(1, 1, 1), (2, 2, 2)]
+        ref = self.scattered_dense(self.BLOCKS, 1e-9)
+        assert rho.mat.tobytes() == ref.mat.tobytes()
+        assert np.allclose(rho.eigenvalues(), ref.eigenvalues(), rtol=0, atol=1e-15)
+        assert np.count_nonzero(rho.eigenvalues() == 0) >= 2  # the uncovered rows
+
+    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
+    def test_index_lists_reject_with_the_dense_message(self, case):
+        blocks = [b.copy() for b in self.BLOCKS]
+        if case == "non-psd":
+            blocks[0] = np.array([[0.5, 0], [0, -0.1]])  # same trace as before
+        elif case == "off-trace":
+            blocks[1] = np.array([[0.31]])
+        else:
+            blocks[2][0, 1] += 1e-6
+        got = direct_sum_outcome(self.scattered, blocks)
+        assert isinstance(got, str)
+        assert got == direct_sum_outcome(self.scattered_dense, blocks)
+
+    @pytest.mark.parametrize("supports", [[[4, 1], [6], [1, 3]], [[4, 1], [7], [0, 3]],
+                                          [[4, 1], [6], [0]], [[4, 1], [-1], [0, 3]]])
+    def test_rejects_overlapping_or_misfitting_supports(self, supports):
+        with pytest.raises(ValidationError, match="block supports"):
+            pl.DensityMatrix.from_blocks(self.BLOCKS, 1e-9, supports, 7)
+
 
 def dense_outcome(mats, tols):
     """Each matrix through the dense constructor, in order: the first
@@ -260,6 +301,80 @@ class TestPartialTranspose:
         assert np.max(np.abs(twice - bs.mat)) <= 1e-12
         assert abs(pt.trace() - bs.mat.trace()) <= 1e-12
         assert np.max(np.abs(pt - pt.conj().T)) <= 1e-12
+
+
+def hermitian_monomial(g, n, scale, one_sided):
+    """A random Hermitian matrix with at most one nonzero per row: 2x2
+    blocks on random index pairs with complex phases, fixed rows with
+    positive, negative or (signed) zero diagonal entries, and empty rows.
+    With ``one_sided``, some pairs keep only one of their two entries, at
+    twice the size, so that only the Hermitian part is monomial."""
+    perm = g.permutation(n)
+    n_pairs = int(g.integers(0, n // 2 + 1))
+    x = np.zeros((n, n), dtype=complex)
+    for a, b in perm[:2 * n_pairs].reshape(-1, 2):
+        v = scale * g.uniform(0.1, 1.0) * np.exp(2j * np.pi * g.random())
+        if one_sided and g.random() < 0.5:
+            x[a, b] = 2 * v
+        else:
+            x[a, b], x[b, a] = v, np.conj(v)
+    for a in perm[2 * n_pairs:]:
+        kind = g.integers(0, 5)  # positive, negative, 0.0, -0.0, empty
+        if kind < 4:
+            x[a, a] = (scale * g.uniform(0.1, 1.0), -scale * g.uniform(0.1, 1.0),
+                       0.0, -0.0)[kind]
+    return x
+
+
+def hermitian_part(x):
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+class TestMonomialSpectrum:
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 1), (1, 5), (2, 2), (2, 5),
+                                                                 (3, 3), (3, 4)]),
+           count=st.sampled_from([None, 1, 4]), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]),
+           one_sided=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eigvalsh(self, seed, dims, count, scale, one_sided):
+        g = np.random.Generator(np.random.Philox(seed))
+        n = dims[0] * dims[1]
+        x = np.array([hermitian_monomial(g, n, scale, one_sided) for _ in range(count or 1)])
+        x = x if count else x[0]
+        want = np.linalg.eigvalsh(hermitian_part(x))
+        got = pl.linalg.monomial_spectrum(x)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.array_equal(pl.measures._n0_of(got, None), pl.measures._n0_of(want, None))
+        # the same matrix as the partial transpose of another: the transpose
+        # on A is an involution, so rho = x^T_A has rho^T_A = x
+        rho = pl.partial_transpose(x, dims)
+        assert np.array_equal(pl.linalg.monomial_spectrum(rho, dims), got)
+
+    def test_one_extra_entry_takes_the_dense_path(self, decompositions):
+        g = np.random.Generator(np.random.Philox(4))
+        for x in [hermitian_monomial(g, 12, 1.0, False) for _ in range(20)]:
+            row = np.flatnonzero(np.any(x != 0, axis=1))[0]
+            extra = x.copy()
+            extra[row, np.flatnonzero(x[row] == 0)[0]] = 1e-300  # beside the row's entry
+            assert pl.linalg.monomial_spectrum(x) is not None
+            assert pl.linalg.monomial_spectrum(extra) is None
+            assert pl.linalg.monomial_spectrum(np.array([x, extra, x])) is None
+            decompositions.clear()
+            pl.measures._pt_spectrum(extra, (1, 12))  # A is trivial: rho^T_A = rho
+            assert decompositions == [(12, 12)]
+
+    def test_a_dense_matrix_is_only_counted(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(np, "nonzero", lambda *a: scans.append(a))
+        assert pl.linalg.monomial_spectrum(random_density(5, 12).mat) is None
+        assert scans == []
+
+    def test_cancelling_entries_and_empty_matrices(self):
+        # X = [[0, 1], [-1, 0]] is anti-Hermitian: its Hermitian part is 0
+        x = np.array([[0, 1], [-1, 0]], dtype=complex)
+        assert np.array_equal(pl.linalg.monomial_spectrum(x), [0.0, 0.0])
+        assert np.array_equal(pl.linalg.monomial_spectrum(np.zeros((3, 4, 4))), np.zeros((3, 4)))
 
 
 class TestTensorProduct:

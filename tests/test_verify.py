@@ -230,6 +230,16 @@ def test_injected_defect_is_reported_at_its_trial(monkeypatch):
     assert rep.margins["N <= C_l1"] == pytest.approx(rep.violations[0].gap - 1e-9)
 
 
+def test_a_nan_measure_is_reported_at_its_trial(monkeypatch):
+    rng = RngState(4)
+    states = [randgen.random_bipartite_state(3, 3, rng) for _ in range(20)]
+    _patch_spectra(monkeypatch, [states[5].mat], lambda w: np.full_like(w, np.nan))
+    (rep,) = verify.run_suite("negativity-bound", 20, 4, (3, 3))
+    assert not rep.ok
+    assert [(v.trial, v.quantity) for v in rep.violations] == [(5, "N <= C_l1")]
+    assert np.isnan(rep.violations[0].gap)
+
+
 def test_violations_are_listed_in_trial_order(monkeypatch):
     # break witness block 1 of an early trial and block 0 of a later one:
     # the suite checks block 0 of every trial before block 1 of any
