@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,7 +47,14 @@ def _default_seed(args) -> int:
     return int(env) if env else 0
 
 
+def _check_tol(tol: float | None) -> None:
+    """A --tol must be a nonnegative finite number (or absent)."""
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ParseError(f"--tol must be a nonnegative finite number, got {tol}")
+
+
 def cmd_measure(args) -> int:
+    _check_tol(args.tol)
     state = statefile.load_state(args.path)
     rep = measures.measure_report(state, zero_tol=args.tol)
     if args.json:
@@ -65,6 +73,7 @@ def _print_cert(cert: pairing.PairingCertificate) -> None:
 
 
 def cmd_detect(args) -> int:
+    _check_tol(args.tol)
     state = statefile.load_state(args.path)
     if not isinstance(state, BipartiteState):
         raise ValidationError("detect requires a bipartite state file (dims [d_A, d_B])")
@@ -210,6 +219,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _check_tol(args.tol)
     state = statefile.load_state(args.path)
     if not isinstance(state, BipartiteState):
         raise ValidationError("witness requires a bipartite state file")
@@ -217,15 +227,26 @@ def cmd_witness(args) -> int:
     if cert is None:
         print("not canonical pairing")
         return EXIT_NOT_PAIRING
-    if cert.pairing_number == 0:
+    n = cert.pairing_number
+    if n == 0:
         print("state is separable (no transpositions); nothing to distill")
         return EXIT_NOT_PAIRING
-    indices = [args.index] if args.index is not None else range(cert.pairing_number)
-    for i in indices:
-        _, _, block_n = pairing.distill_witness(state, cert, i)
+    if args.index is not None and not 0 <= args.index < n:
+        raise Infeasible(f"--index {args.index} out of range: the state has {n} "
+                         f"transpositions, indices 0 to {n - 1}")
+    indices = [args.index] if args.index is not None else range(n)
+    # each transposition's two-qubit block, as distill_witness cuts it out,
+    # validated as one stack; N of every block from one stacked spectrum
+    support = [pairing._witness_support(state, cert.transpositions[i]) for i in indices]
+    idx = np.array(support, dtype=np.intp)
+    _, blocks = pairing._renormalized(state.mat[idx[:, :, None], idx[:, None, :]],
+                                      state.rho.validation_tol)
+    block_n, _ = measures._negativity_of(
+        measures._pt_spectrum(np.array([b.mat for b in blocks]), (2, 2)))
+    for i, value in zip(indices, block_n.tolist()):
         (j, k), (jp, kp) = cert.transpositions[i]
         print(f"transposition {i}: ({j},{k})<->({jp},{kp})  "
-              f"block negativity = {_fmt(block_n)}")
+              f"block negativity = {_fmt(value)}")
     return EXIT_OK
 
 

@@ -67,6 +67,8 @@ class DensityMatrix:
     allowed Hermiticity defect, the most negative eigenvalue, and the
     trace deviation from 1.  The spectrum validation computes is kept,
     so ``eigenvalues`` and ``von_neumann_entropy`` never decompose again.
+    It is taken block by block when the matrix is a direct sum up to a
+    permutation of the basis (``_component_spectrum``).
     """
 
     mat: np.ndarray
@@ -79,7 +81,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "mat", m)
-        self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
+        self._validate(np.max(np.abs(m - m.conj().T)), lambda: _component_spectrum(m))
 
     @classmethod
     def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL, supports=None,
@@ -211,6 +213,55 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Read-only ascending spectrum of the Hermitian part of ``m`` (of each
     matrix, for a stack)."""
     lam = np.linalg.eigvalsh((m + _dagger(m)) / 2)
+    lam.flags.writeable = False
+    return lam
+
+
+# Below this many rows one eigvalsh of the whole matrix costs less than
+# finding the components.  Measured on canonical pairing states (best of
+# 400, one thread): the component search takes 3.3-3.7x one eigvalsh at
+# 6-12 rows, 2.3x at 16, 1.2x at 25, 0.5x at 36 and 0.4x at 48-64; without
+# this cut the verify-sweep benchmark lost 3% of its throughput.
+_MIN_COMPONENT_ROWS = 32
+
+
+def _component_spectrum(m: np.ndarray) -> np.ndarray:
+    """Read-only ascending spectrum of the Hermitian part of the square
+    matrix ``m``, taken over the connected components of its nonzero
+    pattern (i ~ j when m[i, j] or m[j, i] is not exactly zero): the
+    Hermitian part is the direct sum of its principal blocks on them, so
+    one batched eigvalsh per component size gives the spectrum.  A small
+    matrix, a pattern with a full row, or a connected one takes one
+    eigvalsh of the whole matrix.
+    """
+    if len(m) < _MIN_COMPONENT_ROWS:
+        return _hermitian_spectrum(m)
+    linked = m != 0
+    linked |= linked.T
+    if linked.all(axis=1).any():
+        return _hermitian_spectrum(m)
+    rows, cols = np.nonzero(linked)
+    # min-label propagation with pointer jumping: each label stays a row
+    # of its component and only falls, until every edge joins equal labels
+    label = np.arange(len(m))
+    while True:
+        np.minimum.at(label, rows, label[cols])
+        label = label[label]
+        if np.array_equal(label[rows], label[cols]):
+            break
+    size = np.bincount(label)[label]  # of each row's component
+    if size[0] == len(m):  # one component
+        return _hermitian_spectrum(m)
+    order = np.lexsort((label, size))  # by component size, then component
+    rows_of_size = np.bincount(size)
+    parts, start = [], 0
+    for s in np.flatnonzero(rows_of_size).tolist():
+        idx = order[start:start + rows_of_size[s]].reshape(-1, s)
+        start += idx.size
+        blocks = m[idx[:, :, None], idx[:, None, :]]
+        # a component of one row is its real diagonal entry, as eigvalsh gives it
+        parts.append((blocks.real if s == 1 else _hermitian_spectrum(blocks)).ravel())
+    lam = np.sort(np.concatenate(parts))
     lam.flags.writeable = False
     return lam
 

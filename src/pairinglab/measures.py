@@ -16,33 +16,36 @@ from .errors import ValidationError
 from .linalg import BipartiteState, DensityMatrix
 
 
-def default_zero_tol(m: np.ndarray):
-    """Entry-size cutoff: 1e-10 times max(1, largest entry modulus) (one
-    per matrix of a ``(..., d, d)`` stack)."""
-    top = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+def _default_zero_tol(mod: np.ndarray):
+    """Entry-size cutoff from the entry moduli ``mod``: 1e-10 times
+    max(1, largest modulus) (one per matrix of a ``(..., d, d)`` stack)."""
+    top = np.max(mod, axis=(-2, -1), initial=0.0)
     return linalg._scalar(1e-10 * np.maximum(1.0, top))
 
 
-def _c_l1_of(m: np.ndarray):
-    """Sum of off-diagonal entry moduli of a matrix (of each matrix of a
-    ``(..., d, d)`` stack)."""
-    off = np.abs(m)
-    diag = np.arange(m.shape[-1])
-    off[..., diag, diag] = 0.0
-    return off.sum(axis=(-2, -1))
+def _c_l1_of(mod: np.ndarray):
+    """Sum of the off-diagonal entries of the entry moduli ``mod`` of a
+    matrix (of each matrix of a ``(..., d, d)`` stack); zeroes the
+    diagonal of ``mod``."""
+    diag = np.arange(mod.shape[-1])
+    mod[..., diag, diag] = 0.0
+    return mod.sum(axis=(-2, -1))
+
+
+def _c_l1_checked(val: float, dim: int) -> float:
+    """``val``, warning when it exceeds the d - 1 bound of C_l1."""
+    if val > dim - 1 + 1e-9:
+        warnings.warn(
+            f"C_l1 = {val:.6g} exceeds the d-1 bound {dim - 1}; "
+            "validation_tol may be too loose",
+            stacklevel=3,
+        )
+    return val
 
 
 def c_l1(rho: DensityMatrix) -> float:
     """l1-norm of coherence: sum of off-diagonal entry moduli."""
-    val = float(_c_l1_of(rho.mat))
-    bound = rho.dim - 1 + 1e-9
-    if val > bound:
-        warnings.warn(
-            f"C_l1 = {val:.6g} exceeds the d-1 bound {rho.dim - 1}; "
-            "validation_tol may be too loose",
-            stacklevel=2,
-        )
-    return val
+    return _c_l1_checked(float(_c_l1_of(np.abs(rho.mat))), rho.dim)
 
 
 def c_log(rho: DensityMatrix) -> float:
@@ -127,21 +130,21 @@ def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
     return int(_n0_of(_pt_spectrum(bs), zero_tol))
 
 
-def _c_l0_of(m: np.ndarray, zero_tol: float | None):
-    """Count of off-diagonal entries with modulus above zero_tol, of a
-    matrix (of each matrix of a stack); the default cutoff is
-    ``default_zero_tol`` of each matrix."""
+def _c_l0_of(mod: np.ndarray, zero_tol: float | None):
+    """Count of off-diagonal entries above zero_tol, given the entry
+    moduli ``mod`` of a matrix (of each matrix of a stack); the default
+    cutoff is ``_default_zero_tol`` of each matrix."""
     if zero_tol is None:
-        zero_tol = np.asarray(default_zero_tol(m))[..., None, None]
-    mask = np.abs(m) > zero_tol
-    diag = np.arange(m.shape[-1])
+        zero_tol = np.asarray(_default_zero_tol(mod))[..., None, None]
+    mask = mod > zero_tol
+    diag = np.arange(mod.shape[-1])
     mask[..., diag, diag] = False
     return np.count_nonzero(mask, axis=(-2, -1))
 
 
 def c_l0_count(rho: DensityMatrix, zero_tol: float | None = None) -> int:
     """Number of off-diagonal entries with modulus above zero_tol."""
-    return int(_c_l0_of(rho.mat, zero_tol))
+    return int(_c_l0_of(np.abs(rho.mat), zero_tol))
 
 
 @dataclass
@@ -164,9 +167,13 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
     is monomial, otherwise from its one eigvalsh, the only decomposition.
     """
     rho = state.rho if isinstance(state, BipartiteState) else state
+    # one modulus array: C_l0 reads it before C_l1 zeroes its diagonal
+    mod = np.abs(rho.mat)
+    c_l0 = int(_c_l0_of(mod, zero_tol))
+    c_l1_value = _c_l1_checked(float(_c_l1_of(mod)), rho.dim)
     rep = MeasureReport()
-    rep.add("C_l1", c_l1(rho), "sum of off-diagonal moduli")
-    rep.add("C_L", c_log(rho), "log2(1 + C_l1)")
+    rep.add("C_l1", c_l1_value, "sum of off-diagonal moduli")
+    rep.add("C_L", float(np.log2(1.0 + c_l1_value)), "log2(1 + C_l1)")
     rep.add("C_r", c_rel_entropy(rho), "S(diag(rho)) - S(rho)")
     if isinstance(state, BipartiteState):
         w = _pt_spectrum(state)
@@ -174,5 +181,5 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
         rep.add("N", n, "trace norm of partial transpose minus 1")
         rep.add("N_L", n_log, "log2(1 + N)")
         rep.add("N0", int(_n0_of(w, zero_tol)), "negative eigenvalue count of rho^T_A")
-    rep.add("C_l0", c_l0_count(rho, zero_tol), "nonzero off-diagonal count")
+    rep.add("C_l0", c_l0, "nonzero off-diagonal count")
     return rep

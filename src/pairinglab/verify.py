@@ -134,13 +134,14 @@ def _certified(rep: VerifyReport, states: list[BipartiteState]):
 def suite_negativity_bound(rep: VerifyReport, rng: RngState) -> None:
     mats = _bipartite_stack(rep, rng)
     n, _ = measures._negativity_of(measures._pt_spectrum(mats, rep.dims))
-    rep.check(np.arange(rep.trials), "N <= C_l1", n, measures._c_l1_of(mats), 1e-9)
+    rep.check(np.arange(rep.trials), "N <= C_l1", n, measures._c_l1_of(np.abs(mats)), 1e-9)
 
 
 def suite_l0_bound(rep: VerifyReport, rng: RngState) -> None:
     mats = _bipartite_stack(rep, rng)
     n0 = measures._n0_of(measures._pt_spectrum(mats, rep.dims), None)
-    rep.check(np.arange(rep.trials), "2*N0 <= C_l0", 2 * n0, measures._c_l0_of(mats, None))
+    rep.check(np.arange(rep.trials), "2*N0 <= C_l0", 2 * n0,
+              measures._c_l0_of(np.abs(mats), None))
 
 
 def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
@@ -159,7 +160,7 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     DensityMatrix.from_stack(prods, 1e-8)
 
     def c_log(mats):
-        return np.log2(1.0 + measures._c_l1_of(mats))
+        return np.log2(1.0 + measures._c_l1_of(np.abs(mats)))
 
     gap = np.abs(c_log(prods) - c_log(rhos) - c_log(sigs))
     rep.check(np.arange(rep.trials), "C_L additivity", gap, 0.0, 1e-9)
@@ -176,7 +177,7 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
               np.abs([c.pairing_number for c in certs] - n_pairs), 0.0)
     n, _ = measures._negativity_of(measures._pt_spectrum(mats[ok], rep.dims))
     rep.check(ok, "|N - C_l1| on pairing state",
-              np.abs(n - measures._c_l1_of(mats[ok])), 0.0, 1e-8)
+              np.abs(n - measures._c_l1_of(np.abs(mats[ok]))), 0.0, 1e-8)
     if d_a == 2:
         gaps = [float(np.max(np.abs(
                     pairing.qubit_qudit_decompose(states[t], cert=c).reassemble().mat

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
+from pairinglab import statefile
 
 
 def svd_detect(bs, zero_tol):
@@ -150,6 +151,31 @@ class TestDecompositionBudget:
         n_log = pl.ppt_cost_condition(bs, cert)
         assert decompositions == [(16, 16)]
         assert n_log == pytest.approx(pl.negativity(bs)[1], abs=1e-12)
+
+
+def dilation_input():
+    """A 3x3 state with positive coherences (their phases are L = 1 roots)."""
+    psi = np.array([0.4, 0.7, 0.9]) / np.linalg.norm([0.4, 0.7, 0.9])
+    return pl.DensityMatrix(0.7 * np.outer(psi, psi) + 0.3 * np.eye(3) / 3)
+
+
+class TestLoadBudget:
+    """Reading a direct-sum state file decomposes no more than its largest
+    component."""
+
+    @pytest.mark.parametrize("make, largest", [
+        (lambda rng: pl.appendix_a_chain(dilation_input(), 1).rho3, 6),
+        (lambda rng: pl.cnot_embed(pl.ginibre_density(12, 12, rng)), 12),
+        (lambda rng: pl.random_canonical_pairing(2, 24, 8, rng, diag_weight=0.3), 2),
+    ])
+    def test_load_state_decomposes_only_components(self, tmp_path, decompositions, rng,
+                                                   make, largest):
+        path = tmp_path / "state.json"
+        statefile.save_state(path, make(rng))
+        decompositions.clear()
+        state = statefile.load_state(path)
+        assert decompositions and max(shape[-1] for shape in decompositions) == largest
+        assert state.dim > largest
 
 
 class TestRemainderBound:

@@ -332,3 +332,56 @@ class TestWitnessCommand:
         path = tmp_path / "diag.json"
         statefile.save_state(path, diagonal_state)
         assert cli.main(["witness", str(path)]) == 4
+
+    def test_prints_distill_witness_per_transposition(self, tmp_path, rng, capsys):
+        bs = pl.cnot_embed(pl.ginibre_density(5, 5, rng))
+        path = tmp_path / "cnot.json"
+        statefile.save_state(path, bs)
+        cert = pl.detect_canonical_pairing(bs)
+        want = []
+        for i, ((j, k), (jp, kp)) in enumerate(cert.transpositions):
+            _, _, block_n = pl.distill_witness(bs, cert, i)
+            want.append(f"transposition {i}: ({j},{k})<->({jp},{kp})  "
+                        f"block negativity = {cli._fmt(block_n)}")
+        assert cli.main(["witness", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert cli.main(["witness", str(path), "--index", "7"]) == 0
+        assert capsys.readouterr().out.splitlines() == want[7:8]
+
+    @pytest.mark.parametrize("index", ["1", "5", "-1"])
+    def test_index_out_of_range_is_infeasible(self, mc_file, capsys, index):
+        assert cli.main(["witness", str(mc_file), "--index", index]) == 5
+        assert "out of range: the state has 1 transpositions, indices 0 to 0" \
+            in capsys.readouterr().err
+
+
+class TestBadTolerance:
+    @pytest.mark.parametrize("command", ["measure", "detect", "witness"])
+    @pytest.mark.parametrize("tol", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                     ["--tol=-inf"]])
+    def test_is_a_parse_error(self, mc_file, capsys, command, tol):
+        assert cli.main([command, str(mc_file), *tol]) == 2
+        captured = capsys.readouterr()
+        assert "--tol must be a nonnegative finite number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["measure", "detect", "witness"])
+    def test_zero_is_allowed(self, mc_file, capsys, command):
+        assert cli.main([command, str(mc_file), "--tol", "0"]) == 0
+
+
+class TestUnreadableFiles:
+    """Bytes that are not UTF-8 are a parse error (exit 2), not a crash."""
+
+    def test_state_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dims": [1], "matrix": [[[1.0, 0.0]]], "label": "\xff"}')
+        assert cli.main(["measure", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_spec_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"p0": 1.0, "diag": [0.5, 0.5], "note": "\xfe"}')
+        assert cli.main(["construct", "qubit-qudit", "--spec", str(spec),
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err

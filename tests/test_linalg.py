@@ -203,6 +203,119 @@ class TestFromStack:
             pl.DensityMatrix.from_stack(np.full((1, 2, 2), np.nan))
 
 
+def dense_validation(m, tol, monkeypatch):
+    """The outcome of ``DensityMatrix(m, tol)`` with the spectrum taken by
+    one eigvalsh of the whole matrix: the error message, or the state."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pl.linalg, "_component_spectrum", pl.linalg._hermitian_spectrum)
+        try:
+            return pl.DensityMatrix(m, tol)
+        except ValidationError as exc:
+            return str(exc)
+
+
+# the fewest rows the constructor splits into components
+ROWS = pl.linalg._MIN_COMPONENT_ROWS
+
+
+def scattered_state(lowest=None, extra=None, rows=ROWS):
+    """A direct sum up to a permutation: a 2x2 block on rows (5, 2) whose
+    smallest eigenvalue is ``lowest`` (0.02 by default), a 3x3 block on
+    rows (0, 3, 6), the diagonal entries of rows 1 and 4, and zero rows
+    up to ``rows``; ``extra`` is added entrywise."""
+    s = 0.02 if lowest is None else lowest
+    m = np.zeros((rows, rows), dtype=complex)
+    m[np.ix_([5, 2], [5, 2])] = [[0.1, 0.1 - s], [0.1 - s, 0.1]]  # eigenvalues s, 0.2 - s
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))
+    m[np.ix_([0, 3, 6], [0, 3, 6])] = (q * [0.1, 0.2, 0.3]) @ q.T
+    m[1, 1], m[4, 4] = 0.15, 0.05
+    return m if extra is None else m + extra
+
+
+class TestComponentValidation:
+    """The dense constructor takes the spectrum block by block over the
+    components of the nonzero pattern, with the dense verdicts."""
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("case", ["psd", "just above -tol", "just below -tol",
+                                      "non-hermitian in a block", "one-sided entry",
+                                      "joined blocks", "off-trace"])
+    def test_same_verdict_and_spectrum_as_dense(self, case, decompositions, monkeypatch):
+        extra = np.zeros((ROWS, ROWS), dtype=complex)
+        lowest = None
+        if case == "just above -tol":
+            lowest = -self.TOL * (1 - 1e-3)
+        elif case == "just below -tol":
+            lowest = -self.TOL * (1 + 1e-3)
+        elif case == "non-hermitian in a block":
+            extra[0, 6] = 1e-6
+        elif case == "one-sided entry":
+            extra[1, 4] = 1e-12  # a Hermiticity defect below the tolerance
+        elif case == "joined blocks":
+            extra[1, 4] = extra[4, 1] = 0.01
+        elif case == "off-trace":
+            extra[4, 4] = 1e-6
+        m = scattered_state(lowest, extra)
+        want = dense_validation(m, self.TOL, monkeypatch)
+        decompositions.clear()
+        try:
+            got = pl.DensityMatrix(m, self.TOL)
+        except ValidationError as exc:
+            got = str(exc)
+        rejected = case in ("just below -tol", "non-hermitian in a block", "off-trace")
+        assert isinstance(want, str) == rejected
+        if rejected:
+            assert got == want
+            return
+        assert got.mat.tobytes() == want.mat.tobytes()
+        assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-15)
+        assert max(shape[-1] for shape in decompositions) == 3  # no dense eigvalsh
+
+    def test_a_one_sided_entry_joins_its_rows(self, decompositions, monkeypatch):
+        # m[1, 4] alone puts 2.5e-4 on both sides of the Hermitian part
+        m = scattered_state()
+        m[1, 4] = 5e-4
+        want = dense_validation(m, 1e-3, monkeypatch)
+        decompositions.clear()
+        got = pl.DensityMatrix(m, 1e-3)
+        assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-15)
+        assert sorted(decompositions) == [(1, 3, 3), (2, 2, 2)]
+
+    def test_a_chain_component(self, decompositions, monkeypatch):
+        m = np.zeros((ROWS, ROWS), dtype=complex)
+        m[[1, 2, 4, 7], [1, 2, 4, 7]] = 0.05
+        chain = [6, 0, 3, 5]  # 6 - 0 - 3 - 5, with no entry between its ends
+        m[chain, chain] = 0.2
+        for a, b, x in zip(chain, chain[1:], [0.05, 0.05j, 0.05]):
+            m[a, b], m[b, a] = x, np.conj(x)
+        want = dense_validation(m, 1e-9, monkeypatch)
+        decompositions.clear()
+        got = pl.DensityMatrix(m, 1e-9)
+        assert decompositions == [(1, 4, 4)]
+        assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-15)
+
+    def test_one_batched_eigvalsh_per_component_size(self, decompositions):
+        pl.DensityMatrix(scattered_state())  # rows 1 and 4 are their own components
+        assert sorted(decompositions) == [(1, 2, 2), (1, 3, 3)]
+
+    def test_small_connected_or_full_patterns_take_one_eigvalsh(self, decompositions):
+        pl.DensityMatrix(scattered_state(rows=ROWS - 1))
+        step = np.diag(np.full(ROWS - 1, 0.01), 1)
+        pl.DensityMatrix(np.eye(ROWS) / ROWS + step + step.T)  # connected, no full row
+        full = np.eye(ROWS) / ROWS
+        full[0, 1:] = full[1:, 0] = 0.004  # row 0 full, the others not
+        pl.DensityMatrix(full)
+        assert decompositions == [(ROWS - 1, ROWS - 1), (ROWS, ROWS), (ROWS, ROWS)]
+
+    def test_diagonal_and_zero_rows(self, decompositions):
+        m = np.zeros((ROWS, ROWS), dtype=complex)
+        m[:5, :5] = np.diag([0.5, 0.0, 0.25, -0.0, 0.25 - 1e-300j])
+        rho = pl.DensityMatrix(m)
+        assert decompositions == []  # a row of its own is its diagonal entry
+        assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(m)[::-1])
+
+
 class TestHermitianEig:
     def test_identity(self):
         dec = pl.hermitian_eig(np.eye(2))

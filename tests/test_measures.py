@@ -95,6 +95,20 @@ def test_measure_report_consistency(mc_state):
     assert all(v >= -1e-9 for v in rep.entries.values())
 
 
+@pytest.mark.parametrize("zero_tol", [None, 0.0, 1e-3])
+def test_measure_report_shares_one_modulus_array(zero_tol, rng):
+    # a diagonal entry above 1 sets the default C_l0 cutoff (1e-10 x 3)
+    # above the 2e-10 coherence, so the cutoff must see the diagonal
+    m = np.diag([3.0, -2.0, 0.5, -0.5]).astype(complex)
+    m[0, 1] = m[1, 0] = 2e-10
+    m[2, 3], m[3, 2] = 0.25j, -0.25j
+    states = [pl.DensityMatrix(m, np.inf), pl.random_bipartite_state(2, 3, rng).rho]
+    for rho in states:
+        rep = pl.measure_report(rho, zero_tol=zero_tol)
+        want = (pl.c_l1(rho), pl.c_log(rho), pl.c_l0_count(rho, zero_tol))
+        assert (rep.entries["C_l1"], rep.entries["C_L"], rep.entries["C_l0"]) == want
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_negativity_upper_bounded_by_c_l1(seed):

@@ -1,6 +1,8 @@
 """The state-file format is locked: the vectorized writer gives the bytes
 of ``json.dumps(..., indent=1)``, the vectorized reader the matrix and the
-errors of the per-entry reader, and the fixtures regenerate byte for byte."""
+errors of the per-entry reader, the scan of canonical files the matrix of
+json.loads (and any other file the json path's outcome), and the fixtures
+regenerate byte for byte."""
 
 import json
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
-from pairinglab import statefile
+from pairinglab import cli, statefile
 from pairinglab.errors import ParseError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -197,3 +199,188 @@ class TestFixtures:
         state = statefile.load_state(REPO / "fixtures" / name)
         statefile.save_state(tmp_path / name, state, json.loads(text).get("label"))
         assert (tmp_path / name).read_text() == text
+
+
+@st.composite
+def sparse_states(draw):
+    """An unvalidated state with at most 64 nonzero entries, drawn from the
+    edge values, on up to 12 x 12."""
+    dims = draw(st.sampled_from([[1], [5], [12], [2, 2], [3, 4], [4, 3], [2, 6]]))
+    d = math.prod(dims)
+    numbers = np.zeros(2 * d * d)
+    count = draw(st.integers(0, min(2 * d * d, 64)))
+    where = draw(st.lists(st.integers(0, 2 * d * d - 1), min_size=count, max_size=count,
+                          unique=True))
+    numbers[where] = draw(st.lists(floats, min_size=count, max_size=count))
+    rho = pl.DensityMatrix(numbers.view(complex).reshape(d, d), math.inf)
+    return pl.BipartiteState(rho, *dims) if len(dims) == 2 else rho
+
+
+CANONICAL_LABELS = labels | st.sampled_from(['{"matrix": [[[1.0, 0.0]]]}', "a]\n[b", '"', ""])
+
+
+def json_path_matrix(data: bytes):
+    """(matrix, dims) as json.loads and ``_parse_matrix`` read them."""
+    doc = json.loads(data)
+    return statefile._parse_matrix(doc["matrix"], math.prod(doc["dims"])), doc["dims"]
+
+
+class TestCanonicalReader:
+    """A file that ``save_state`` wrote is read without json.loads, to the
+    bit; anything else takes the json path."""
+
+    @given(state=states() | sparse_states(), label=CANONICAL_LABELS)
+    @settings(max_examples=150, deadline=None)
+    def test_reads_what_json_reads(self, state, label):
+        data = (statefile._state_text(state, label) + "\n").encode()
+        got = statefile._canonical_matrix(data)
+        assert got is not None  # at most 64 nonzero entries: always scanned
+        want = json_path_matrix(data)
+        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3),
+        lambda rng: pl.cnot_embed(pl.ginibre_density(4, 4, rng)),
+        lambda rng: pl.appendix_a_chain(pl.DensityMatrix(np.ones((2, 2)) / 2), 1).rho3,
+        lambda rng: pl.ginibre_density(6, 6, rng),
+    ])
+    def test_load_state_gives_the_json_paths_state(self, tmp_path, rng, make):
+        state = make(rng)
+        path = tmp_path / "s.json"
+        statefile.save_state(path, state, label='"matrix": [] ]\n')
+        got = statefile.load_state(path)
+        want = statefile.parse_state(json.loads(path.read_text()))
+        assert type(got) is type(want) and got.dim == want.dim
+        assert getattr(got, "d_B", None) == getattr(want, "d_B", None)
+        assert got.mat.tobytes() == want.mat.tobytes()
+
+    def test_a_dense_file_takes_the_json_path(self, rng):
+        # no zero entries: the count of zero entries decides, nothing is scanned
+        state = pl.ginibre_density(16, 16, rng)
+        assert statefile._canonical_matrix((statefile._state_text(state, None) + "\n").encode()) \
+            is None
+
+    def test_zero_matrix_text_is_the_writers(self):
+        for d in (1, 2, 5):
+            text = statefile._matrix_text(np.zeros((d, d), dtype=complex)).encode()
+            assert statefile._scan_matrix(text, d).tobytes() == bytes(16 * d * d)
+            assert statefile._scan_matrix(text, d + 1) is None
+
+
+def mutations(text: str) -> dict:
+    """One change each to the canonical file ``text``."""
+    key = text.index('"matrix": ')
+    zero = text.index("    0.0", key) + 4  # a zero number
+    nonzero = text.index("    0.5", key) + 4  # a nonzero one
+    tail = text.rindex("\n}")
+    out = {
+        "space in the head": text[:5] + " " + text[5:],
+        "space in the matrix": text[:zero] + " " + text[zero:],
+        "space in the tail": text[:tail] + " " + text[tail:],
+        "missing newline": text.replace("\n", "", 1),
+        "trailing bytes": text + "x",
+        "trailing space": text + " ",
+        "truncated": text[:len(text) // 2],
+        "truncated matrix end": text[:tail - 2] + text[tail:],
+        "second matrix key": text[:tail] + ',\n "matrix": 0' + text[tail:],
+        "second matrix nest": text[:tail] + ',\n "matrix": [[[1.0, 0.0]]]' + text[tail:],
+        "label null": text[:tail] + ',\n "label": null' + text[tail:],
+        "extra key": text[:tail] + ',\n "note": 1' + text[tail:],
+        "dims of two": text.replace('"dims": [\n  2,\n  2\n ]', '"dims": [\n  4\n ]'),
+        "dims wrong": text.replace('"dims": [\n  2,\n  2\n ]', '"dims": [\n  2,\n  3\n ]'),
+        "dims float": text.replace('"dims": [\n  2,', '"dims": [\n  2.0,'),
+        "crlf": text.replace("\n", "\r\n"),
+    }
+    for name, token in [("1", "1"), ("-0", "-0"), ("1.0e5", "1.0e5"), ("NaN", "NaN"),
+                        ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+                        ("1e400", "1e400"), ("int beyond float", "1" + "0" * 400),
+                        ("-inf", "-inf"), ("0.50", "0.50"), ("00.5", "00.5"), ("1_0", "1_0"),
+                        ("+0.5", "+0.5"), ("string", '"0.5"'), ("0", "0"), ("-0.0", "-0.0"),
+                        ("0.0 written 0.00", "0.00")]:
+        at = zero if name in ("-0", "0", "-0.0", "0.0 written 0.00") else nonzero
+        size = len("0.0") if at == zero else len("0.5")
+        out[f"token {name}"] = text[:at] + token + text[at + size:]
+    return out
+
+
+def old_load(path):
+    """``load_state`` as it was: json.loads of the text, then parse_state."""
+    return statefile.parse_state(statefile._read_json(path))
+
+
+MUTATED_SOURCE = pl.make_mc_state(pl.MCSpec(np.array([[0.5, 0.3], [0.3, 0.5]]), (0, 1), (0, 1)),
+                                  2, 2)
+MUTATED = mutations(statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n")
+
+
+class TestMutatedCanonicalFiles:
+    @pytest.mark.parametrize("name", sorted(MUTATED))
+    def test_same_outcome_as_the_json_path(self, tmp_path, name):
+        path = tmp_path / "m.json"
+        path.write_bytes(MUTATED[name].encode())
+        assert MUTATED[name] != statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n"
+        assert outcome(statefile.load_state, path) == outcome(old_load, path)
+
+    def test_only_files_the_writer_could_write_are_scanned(self):
+        text = statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n"
+        assert statefile._canonical_matrix(text.encode()) is not None
+        scanned = [name for name, t in MUTATED.items()
+                   if statefile._canonical_matrix(t.encode()) is not None]
+        # a 4-dim one-part state, and one with a -0.0 entry
+        assert scanned == ["dims of two", "token -0.0"]
+
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes((statefile._state_text(MUTATED_SOURCE, "x") + "\n")
+                         .encode().replace(b'"x"', b'"\xe9"'))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            statefile.load_state(path)
+
+
+def _constructed_files(tmp_path):
+    """Every kind of file ``construct`` writes, through the CLI."""
+    plus = tmp_path / "plus.json"
+    statefile.save_state(plus, pl.DensityMatrix(np.ones((2, 2)) / 2))
+    g3 = tmp_path / "g3.json"
+    statefile.save_state(g3, pl.ginibre_density(3, 3, pl.RngState(5)))
+    real3 = tmp_path / "real3.json"  # positive coherences: phases are L = 1 roots
+    psi = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    statefile.save_state(real3, pl.DensityMatrix(0.6 * np.outer(psi, psi) + 0.4 * np.eye(3) / 3))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p0": 0.2, "diag": [0.5, 0, 0, 0.5, 0, 0],
+                                "blocks": [{"p": 0.8, "coeffs": [[0.5, 0.3], [0.3, 0.5]],
+                                            "columns": [1, 2]}]}))
+    runs = {
+        "mc": ["mc", "--coeffs", "[[0.5,0.3],[0.3,0.5]]", "--a-labels", "0", "1",
+               "--b-labels", "0", "1"],
+        "qq": ["qubit-qudit", "--spec", str(spec)],
+        "cnot-plus": ["cnot-embed", "--input", str(plus)],
+        "cnot-g3": ["cnot-embed", "--input", str(g3)],
+        "appa-plus": ["appendix-a", "--input", str(plus), "--L", "1"],
+        "appa-real3": ["appendix-a", "--input", str(real3), "--L", "1"],
+        "tau": ["counterexample", "--name", "tau-remark"],
+        "appf": ["counterexample", "--name", "appendix-f"],
+        "iso": ["counterexample", "--name", "isotropic", "--p", "0.3"],
+    }
+    paths = []
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.out.json"
+        assert cli.main(["construct", *argv, "--out", str(out)]) == 0, name
+        paths.append(out)
+    return paths
+
+
+class TestFastPathGuard:
+    """Every file the package writes takes the scan: a change to the writer
+    that loses it fails here, not silently."""
+
+    def test_constructed_files_and_fixtures_are_scanned(self, tmp_path, monkeypatch, capsys):
+        paths = _constructed_files(tmp_path) + sorted((REPO / "fixtures").glob("*.json"))
+
+        def no_fallback(doc):
+            raise AssertionError("took the json path")
+
+        monkeypatch.setattr(statefile, "parse_state", no_fallback)
+        for path in paths:
+            statefile.load_state(path)
