@@ -3,11 +3,9 @@
 from .linalg import (
     BipartiteState,
     DensityMatrix,
-    SpectralDecomposition,
     binary_entropy,
     dephase,
     entrywise_l1_norm,
-    hermitian_eig,
     partial_transpose,
     singular_values,
     tensor_product,

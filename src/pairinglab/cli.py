@@ -17,6 +17,7 @@ import numpy as np
 
 from . import constructions, measures, pairing, statefile, verify
 from .errors import (
+    DimensionCapExceeded,
     Infeasible,
     NoTransposition,
     NotCanonicalPairing,
@@ -158,6 +159,9 @@ def _construct_state(args):
         rho = statefile.load_state(_option(args, "input"))
         if isinstance(rho, BipartiteState):
             rho = rho.rho
+        if rho.dim ** 2 > args.dim_cap:  # before the d^2 x d^2 output is allocated
+            raise DimensionCapExceeded(
+                f"cnot-embed dimension {rho.dim ** 2} exceeds cap {args.dim_cap}")
         bs = constructions.cnot_embed(rho)
         n, _ = measures.negativity(bs)
         return bs, {"N": n, "C_l1_input": measures.c_l1(rho)}
@@ -281,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--spec", help="JSON block file for kind=qubit-qudit")
     c.add_argument("--input", help="input state file for cnot-embed / appendix-a")
     c.add_argument("--L", type=int, default=1)
-    c.add_argument("--dim-cap", type=int, default=4096)
+    c.add_argument("--dim-cap", type=int, default=4096,
+                   help="largest matrix dimension appendix-a and cnot-embed may build "
+                        "(exit 5 above it)")
     c.add_argument("--name", help="counterexample name")
     c.add_argument("--p", type=float, default=None)
     c.set_defaults(func=cmd_construct)

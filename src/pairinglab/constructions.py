@@ -51,11 +51,14 @@ class MCSpec:
 
 def make_mc_state(spec: MCSpec, d_a: int, d_b: int) -> BipartiteState:
     """rho = sum_rs c_rs |j_r k_r><j_s k_s| on a d_A x d_B system."""
+    if min(spec.a_labels) < 0 or min(spec.b_labels) < 0:
+        raise LabelCollision("labels must be nonnegative")
     if max(spec.a_labels) >= d_a or max(spec.b_labels) >= d_b:
         raise LabelCollision("labels exceed the subsystem dimensions")
     idx = [j * d_b + k for j, k in zip(spec.a_labels, spec.b_labels)]
-    return BipartiteState(DensityMatrix.from_blocks([spec.coeffs], 1e-9, [idx], d_a * d_b),
-                          d_a, d_b)
+    m = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    m[np.ix_(idx, idx)] = spec.coeffs
+    return BipartiteState(DensityMatrix(m, 1e-9), d_a, d_b)
 
 
 def make_qubit_qudit_pairing(
@@ -96,18 +99,15 @@ def make_qubit_qudit_pairing(
     m = np.zeros((2 * d_b, 2 * d_b), dtype=complex)
     if p0 > 0:
         m += p0 * np.diag(diag.astype(complex))
-    supports = [[int(k0), d_b + int(k1)] for _, _, (k0, k1) in blocks]
-    for (p, coeffs, _), idx in zip(blocks, supports):
+    for p, coeffs, (k0, k1) in blocks:
         c = linalg.as_complex_matrix(coeffs)
         try:
             DensityMatrix(c, 1e-9)
         except ValidationError as exc:
             raise InvalidCoeffs(str(exc)) from exc
+        idx = [int(k0), d_b + int(k1)]
         m[np.ix_(idx, idx)] += p * c
-    # m is the direct sum of its 2x2 blocks and its other diagonal entries
-    supports += [[i] for i in np.setdiff1d(np.arange(2 * d_b), supports).tolist()]
-    rho = DensityMatrix.from_blocks([m[np.ix_(s, s)] for s in supports], 1e-9, supports)
-    return BipartiteState(rho, 2, d_b)
+    return BipartiteState(DensityMatrix(m, 1e-9), 2, d_b)
 
 
 def cnot_embed(rho: DensityMatrix) -> BipartiteState:
@@ -118,9 +118,13 @@ def cnot_embed(rho: DensityMatrix) -> BipartiteState:
     to C_l1 of the input.
     """
     d = rho.dim
+    m = np.zeros((d * d, d * d), dtype=complex)
     idx = [j * d + j for j in range(d)]
-    return BipartiteState(DensityMatrix.from_blocks([rho.mat], rho.validation_tol, [idx], d * d),
-                          d, d)
+    m[np.ix_(idx, idx)] = rho.mat
+    # an isometric embedding keeps rho's Hermiticity defect, trace and
+    # nonzero spectrum, so m passes rho's checks with rho's spectrum plus zeros
+    lam = np.sort(np.concatenate([rho._ascending(), np.zeros(d * d - d)]))
+    return BipartiteState(DensityMatrix._validated(m, rho.validation_tol, lam), d, d)
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,17 @@ def _offdiag_multiset(m: np.ndarray, cut: float = 1e-13) -> np.ndarray:
     # round the sort keys so sign noise around zero cannot scramble the order
     order = np.lexsort((np.round(vals.imag, 12), np.round(vals.real, 12)))
     return vals[order]
+
+
+def _direct_sum(blocks: list[np.ndarray]) -> np.ndarray:
+    """The square ``blocks`` one after another along the diagonal."""
+    n = sum(len(b) for b in blocks)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        m[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return m
 
 
 def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> AppendixAChain:
@@ -190,7 +205,7 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     for powers in itertools.product(range(K), repeat=d):
         u = omega ** np.asarray(powers)
         conj_blocks.append((u[:, None] * m * u.conj()[None, :]) / K**d)
-    rho2 = DensityMatrix.from_blocks(conj_blocks, 1e-9)
+    rho2 = DensityMatrix(_direct_sum(conj_blocks), 1e-9)
 
     psi = omega ** np.arange(K) / np.sqrt(K)
     phi = np.ones(K) / np.sqrt(K)
@@ -225,9 +240,9 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     # the 1 - tr(M) corner, with tr(M) summed as the dense trace sums it
     psi_blocks, phi_blocks = m_blocks(psi_proj), m_blocks(phi_proj)
     tr_m = float(dense_trace(psi_blocks).real)
-    rho3 = DensityMatrix.from_blocks([*psi_blocks, np.array([[1.0 - tr_m]])], 1e-9)
+    rho3 = DensityMatrix(_direct_sum([*psi_blocks, np.array([[1.0 - tr_m]])]), 1e-9)
     tr_phi = dense_trace(phi_blocks).real
-    rho4 = DensityMatrix.from_blocks([*phi_blocks, np.array([[1.0 - tr_phi]])], 1e-9)
+    rho4 = DensityMatrix(_direct_sum([*phi_blocks, np.array([[1.0 - tr_phi]])]), 1e-9)
 
     weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])
     v_diag = omega ** (-np.arange(K))

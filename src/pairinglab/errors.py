@@ -9,10 +9,6 @@ class ValidationError(PairingLabError):
     """A matrix failed density-matrix validation (Hermiticity, PSD, trace)."""
 
 
-class NotHermitian(PairingLabError):
-    pass
-
-
 class NoConvergence(PairingLabError):
     pass
 

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     NegativeEigenvalue,
     NoConvergence,
-    NotHermitian,
     OutOfRange,
     ValidationError,
 )
@@ -67,8 +66,10 @@ class DensityMatrix:
     allowed Hermiticity defect, the most negative eigenvalue, and the
     trace deviation from 1.  The spectrum validation computes is kept,
     so ``eigenvalues`` and ``von_neumann_entropy`` never decompose again.
-    It is taken block by block when the matrix is a direct sum up to a
-    permutation of the basis (``_component_spectrum``).
+    Unless a row is full, it is taken block by block over the connected
+    components of the nonzero pattern (``_component_spectrum``): the
+    matrix is a direct sum of its principal blocks on them, up to a
+    permutation of the basis.
     """
 
     mat: np.ndarray
@@ -81,53 +82,14 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "mat", m)
-        self._validate(np.max(np.abs(m - m.conj().T)), lambda: _component_spectrum(m))
-
-    @classmethod
-    def from_blocks(cls, blocks, validation_tol: float = DEFAULT_TOL, supports=None,
-                    dim: int | None = None) -> DensityMatrix:
-        """The direct sum of square ``blocks``, validated block by block.
-
-        Block i sits on the rows and columns ``supports[i]`` of a
-        ``dim``-dimensional matrix; by default the blocks follow one
-        another along the diagonal and ``dim`` is the sum of their sizes.
-        Rows that no block covers are zero.  The checks and messages are
-        those of the dense constructor, but the spectrum is the merged
-        block spectra and a zero for each uncovered row: one batched
-        eigvalsh per block shape instead of one of the whole matrix.
-        """
-        blocks = [as_complex_matrix(b) for b in blocks]
-        if not blocks or any(b.shape[0] != b.shape[1] for b in blocks):
-            raise ValidationError("expected a nonempty list of square blocks")
-        sizes = [len(b) for b in blocks]
-        if supports is None:
-            supports = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
-        supports = [np.asarray(s, dtype=np.intp).ravel() for s in supports]
-        dim = sum(sizes) if dim is None else dim
-        flat = np.concatenate(supports)
-        if [s.size for s in supports] != sizes or np.unique(flat).size != flat.size \
-                or flat.min() < 0 or flat.max() >= dim:
-            raise ValidationError("block supports must be disjoint index lists inside "
-                                  "the matrix, one of each block's size")
-        mat = np.zeros((dim, dim), dtype=complex)
-        stacks = []
-        for size in sorted(set(sizes)):
-            stack = np.stack([b for b in blocks if len(b) == size])
-            idx = np.array([s for s in supports if s.size == size])
-            mat[idx[:, :, None], idx[:, None, :]] = stack
-            stacks.append(stack)
-        self = object.__new__(cls)  # not __init__: it would decompose the whole matrix
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "validation_tol", validation_tol)
-
-        def spectrum():
-            lam = np.sort(np.concatenate([np.zeros(dim - flat.size)]
-                                         + [_hermitian_spectrum(s).ravel() for s in stacks]))
-            lam.flags.writeable = False
-            return lam
-
-        self._validate(max(np.max(np.abs(s - _dagger(s))) for s in stacks), spectrum)
-        return self
+        present = m != 0
+        if present.all(axis=1).any():  # a full row: the pattern is one component
+            self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
+            return
+        rows, cols = np.nonzero(present)
+        # the dense max |M - M^dag|: every other entry pair is zero on both sides
+        defect = np.abs(m[rows, cols] - m[cols, rows].conj()).max(initial=0.0)
+        self._validate(defect, lambda: _component_spectrum(m, rows, cols))
 
     @classmethod
     def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
@@ -217,30 +179,15 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return lam
 
 
-# Below this many rows one eigvalsh of the whole matrix costs less than
-# finding the components.  Measured on canonical pairing states (best of
-# 400, one thread): the component search takes 3.3-3.7x one eigvalsh at
-# 6-12 rows, 2.3x at 16, 1.2x at 25, 0.5x at 36 and 0.4x at 48-64; without
-# this cut the verify-sweep benchmark lost 3% of its throughput.
-_MIN_COMPONENT_ROWS = 32
-
-
-def _component_spectrum(m: np.ndarray) -> np.ndarray:
+def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Read-only ascending spectrum of the Hermitian part of the square
-    matrix ``m``, taken over the connected components of its nonzero
-    pattern (i ~ j when m[i, j] or m[j, i] is not exactly zero): the
-    Hermitian part is the direct sum of its principal blocks on them, so
-    one batched eigvalsh per component size gives the spectrum.  A small
-    matrix, a pattern with a full row, or a connected one takes one
-    eigvalsh of the whole matrix.
+    matrix ``m`` whose nonzero entries are ``m[rows, cols]``, taken over the
+    connected components of that pattern (i ~ j when m[i, j] or m[j, i] is
+    not zero): the Hermitian part is the direct sum of its principal blocks
+    on them, so one batched eigvalsh per component size gives the spectrum.
+    A connected pattern takes one eigvalsh of the whole matrix.
     """
-    if len(m) < _MIN_COMPONENT_ROWS:
-        return _hermitian_spectrum(m)
-    linked = m != 0
-    linked |= linked.T
-    if linked.all(axis=1).any():
-        return _hermitian_spectrum(m)
-    rows, cols = np.nonzero(linked)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     # min-label propagation with pointer jumping: each label stays a row
     # of its component and only falls, until every edge joins equal labels
     label = np.arange(len(m))
@@ -299,39 +246,6 @@ class BipartiteState:
 
     def index_of(self, j: int, k: int) -> int:
         return j * self.d_B + k
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in descending order plus orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(m, hermiticity_tol: float = 1e-9) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises NotHermitian if the symmetry defect exceeds ``hermiticity_tol``
-    (scaled by the largest entry modulus) and NoConvergence if the
-    underlying iteration fails.
-    """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is not square: {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > hermiticity_tol * scale:
-        raise NotHermitian(f"symmetry defect {defect:.3e} exceeds tolerance")
-    try:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NoConvergence(str(exc)) from exc
-    return SpectralDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
 def singular_values(x) -> np.ndarray:

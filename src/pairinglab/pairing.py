@@ -20,6 +20,7 @@ from . import linalg, measures
 from .errors import (
     ConditionViolated,
     InvalidPartition,
+    NoConvergence,
     NoTransposition,
     NotCanonicalPairing,
     NotQubit,
@@ -127,15 +128,18 @@ def ppt_cost_condition(
     weight, which signals a certificate/state mismatch.
     """
     pt = linalg.partial_transpose(bs)
-    dec = linalg.hermitian_eig(pt)
-    abs_pt = (dec.eigenvectors * np.abs(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+    try:  # rho^T_A of a validated state is Hermitian
+        w, v = np.linalg.eigh((pt + pt.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NoConvergence(str(exc)) from exc
+    abs_pt = (v * np.abs(w)) @ v.conj().T
     off = abs_pt - np.diag(np.diag(abs_pt))
     if np.max(np.abs(off)) > diag_tol * max(1.0, float(np.max(np.abs(abs_pt)))):
         raise ConditionViolated("|rho^T_A| is not diagonal; state does not match certificate")
     if float(np.min(np.diag(abs_pt).real)) < -1e-9:
         raise ConditionViolated("|rho^T_A|^T_A has a negative diagonal entry")
     # N_L from the same spectrum (ascending, as measures.negativity sums it)
-    _, n_log = measures._negativity_of(dec.eigenvalues[::-1])
+    _, n_log = measures._negativity_of(w)
     return float(n_log)
 
 

@@ -180,7 +180,7 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
               np.abs(n - measures._c_l1_of(np.abs(mats[ok]))), 0.0, 1e-8)
     if d_a == 2:
         gaps = [float(np.max(np.abs(
-                    pairing.qubit_qudit_decompose(states[t], cert=c).reassemble().mat
+                    pairing.qubit_qudit_decompose(states[t], cert=c)._matrix()
                     - mats[t])))
                 for t, c in zip(ok, certs)]
         rep.check(ok, "decompose/reassemble round trip", gaps, 0.0, 1e-9)

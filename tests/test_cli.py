@@ -177,6 +177,19 @@ class TestConstructCommand:
         back = statefile.load_state(out)
         assert np.allclose(back.mat[np.ix_([0, 3], [0, 3])], MC_COEFFS)
 
+    @pytest.mark.parametrize("b_labels", [["0", "-2"], ["0", "-1"]],
+                             ids=["colliding", "negative"])
+    def test_mc_negative_label_exit_code(self, tmp_path, capsys, b_labels):
+        # b label -2 would put both coefficients on the product state |00>,
+        # b label -1 would wrap |1 -1> onto |01>
+        out = tmp_path / "mc.json"
+        assert cli.main(["construct", "mc", "--out", str(out),
+                         "--coeffs", json.dumps([[0.5, 0.3], [0.3, 0.5]]),
+                         "--a-labels", "0", "1", "--b-labels", *b_labels,
+                         "--dims", "2", "2"]) == 5
+        assert "labels must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_qubit_qudit(self, tmp_path, capsys):
         spec = {
             "p0": 0.0,
@@ -219,6 +232,17 @@ class TestConstructCommand:
         statefile.save_state(inp, plus_rho)
         assert cli.main(["construct", "appendix-a", "--input", str(inp),
                          "--out", str(tmp_path / "x.json"), "--dim-cap", "8"]) == 5
+
+    def test_cnot_embed_cap_exit_code(self, tmp_path, rng, capsys):
+        inp = tmp_path / "g12.json"
+        statefile.save_state(inp, pl.ginibre_density(12, 12, rng))
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", "cnot-embed", "--input", str(inp),
+                         "--out", str(out), "--dim-cap", "100"]) == 5
+        assert "cnot-embed dimension 144 exceeds cap 100" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["construct", "cnot-embed", "--input", str(inp),
+                         "--out", str(out), "--dim-cap", "144"]) == 0
 
     def test_counterexample(self, tmp_path, capsys):
         out = tmp_path / "iso.json"

@@ -42,6 +42,12 @@ class TestMakeMCState:
         with pytest.raises(LabelCollision):
             pl.make_mc_state(pl.MCSpec(MC_COEFFS, (0, 1), (0, 2)), 2, 2)
 
+    @pytest.mark.parametrize("a_labels, b_labels", [((0, 1), (0, -2)), ((0, 1), (0, -1)),
+                                                    ((-1, 1), (0, 1))])
+    def test_negative_labels_rejected(self, a_labels, b_labels):
+        with pytest.raises(LabelCollision, match="nonnegative"):
+            pl.make_mc_state(pl.MCSpec(MC_COEFFS, a_labels, b_labels), 2, 2)
+
     def test_non_density_coeffs_rejected(self):
         with pytest.raises(InvalidCoeffs):
             pl.MCSpec(np.array([[0.5, 0.6], [0.6, 0.5]]), (0, 1), (0, 1))
@@ -203,8 +209,9 @@ class TestAppendixAChainBlockwise:
         rho = chain_input(1, [0.5, 0.6, 0.62], 0.6)
         decompositions.clear()
         pl.appendix_a_chain(rho, 1)
-        # rho2: 216 blocks of 3x3; rho3 and rho4: 6x6, 2x2 and 1x1 blocks
-        assert sorted(decompositions) == [(1, 1, 1), (1, 1, 1), (18, 2, 2), (18, 2, 2),
+        # rho2: 216 blocks of 3x3; rho3 and rho4: 6x6 and 2x2 blocks, and a
+        # 1x1 corner read off its diagonal
+        assert sorted(decompositions) == [(18, 2, 2), (18, 2, 2),
                                           (42, 6, 6), (42, 6, 6), (216, 3, 3)]
         assert sum(np.prod(s) * s[-1] for s in decompositions) <= 1e5
 

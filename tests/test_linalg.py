@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
 from pairinglab.errors import (
     NegativeEigenvalue,
-    NotHermitian,
     OutOfRange,
     ValidationError,
 )
-from conftest import random_density, random_hermitian
+from conftest import random_density
 
 
 class TestDensityMatrix:
@@ -50,96 +48,6 @@ class TestDensityMatrix:
         rho.eigenvalues()[:] = 0.2
         assert np.array_equal(rho.eigenvalues(), spectrum)
         assert pl.von_neumann_entropy(rho) == entropy
-
-
-
-def direct_sum_outcome(build, blocks, tol=1e-9):
-    try:
-        rho = build(blocks, tol)
-    except ValidationError as exc:
-        return str(exc)
-    return rho.mat.tobytes()
-
-
-class TestFromBlocks:
-    BLOCKS = [np.array([[0.2, 0.1j], [-0.1j, 0.2]]), np.array([[0.3]]),
-              np.array([[0.1, 0.05], [0.05, 0.2]])]
-
-    @staticmethod
-    def dense(blocks, tol):
-        return pl.DensityMatrix(block_diag(*blocks), tol)
-
-    def test_matrix_and_spectrum_match_dense_validation(self, decompositions):
-        rho = pl.DensityMatrix.from_blocks(self.BLOCKS, 1e-9)
-        # one batched eigvalsh per block shape
-        assert sorted(decompositions) == [(1, 1, 1), (2, 2, 2)]
-        ref = self.dense(self.BLOCKS, 1e-9)
-        assert rho.mat.tobytes() == ref.mat.tobytes()
-        assert rho.validation_tol == ref.validation_tol
-        assert np.allclose(rho.eigenvalues(), ref.eigenvalues(), rtol=0, atol=1e-15)
-        decompositions.clear()
-        pl.von_neumann_entropy(rho)
-        assert decompositions == []
-
-    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
-    def test_rejects_with_the_dense_message(self, case):
-        blocks = [b.copy() for b in self.BLOCKS]
-        if case == "non-psd":
-            blocks[1] = np.array([[0.5, 0], [0, -0.2]])  # same trace as before
-        elif case == "off-trace":
-            blocks[1] = np.array([[0.31]])
-        else:
-            blocks[2][0, 1] += 1e-6
-        got = direct_sum_outcome(pl.DensityMatrix.from_blocks, blocks)
-        assert isinstance(got, str)
-        assert got == direct_sum_outcome(self.dense, blocks)
-
-    def test_rejects_non_square_blocks(self):
-        with pytest.raises(ValidationError):
-            pl.DensityMatrix.from_blocks([np.ones((1, 2))])
-        with pytest.raises(ValidationError):
-            pl.DensityMatrix.from_blocks([])
-
-    # on a 7-dim matrix whose rows 2 and 5 no block covers
-    SUPPORTS = [[4, 1], [6], [0, 3]]
-
-    @staticmethod
-    def scattered(blocks, tol):
-        return pl.DensityMatrix.from_blocks(blocks, tol, TestFromBlocks.SUPPORTS, 7)
-
-    @staticmethod
-    def scattered_dense(blocks, tol):
-        m = np.zeros((7, 7), dtype=complex)
-        for b, s in zip(blocks, TestFromBlocks.SUPPORTS):
-            m[np.ix_(s, s)] = b
-        return pl.DensityMatrix(m, tol)
-
-    def test_blocks_on_index_lists_match_dense_validation(self, decompositions):
-        rho = self.scattered(self.BLOCKS, 1e-9)
-        assert sorted(decompositions) == [(1, 1, 1), (2, 2, 2)]
-        ref = self.scattered_dense(self.BLOCKS, 1e-9)
-        assert rho.mat.tobytes() == ref.mat.tobytes()
-        assert np.allclose(rho.eigenvalues(), ref.eigenvalues(), rtol=0, atol=1e-15)
-        assert np.count_nonzero(rho.eigenvalues() == 0) >= 2  # the uncovered rows
-
-    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
-    def test_index_lists_reject_with_the_dense_message(self, case):
-        blocks = [b.copy() for b in self.BLOCKS]
-        if case == "non-psd":
-            blocks[0] = np.array([[0.5, 0], [0, -0.1]])  # same trace as before
-        elif case == "off-trace":
-            blocks[1] = np.array([[0.31]])
-        else:
-            blocks[2][0, 1] += 1e-6
-        got = direct_sum_outcome(self.scattered, blocks)
-        assert isinstance(got, str)
-        assert got == direct_sum_outcome(self.scattered_dense, blocks)
-
-    @pytest.mark.parametrize("supports", [[[4, 1], [6], [1, 3]], [[4, 1], [7], [0, 3]],
-                                          [[4, 1], [6], [0]], [[4, 1], [-1], [0, 3]]])
-    def test_rejects_overlapping_or_misfitting_supports(self, supports):
-        with pytest.raises(ValidationError, match="block supports"):
-            pl.DensityMatrix.from_blocks(self.BLOCKS, 1e-9, supports, 7)
 
 
 def dense_outcome(mats, tols):
@@ -207,15 +115,16 @@ def dense_validation(m, tol, monkeypatch):
     """The outcome of ``DensityMatrix(m, tol)`` with the spectrum taken by
     one eigvalsh of the whole matrix: the error message, or the state."""
     with monkeypatch.context() as patch:
-        patch.setattr(pl.linalg, "_component_spectrum", pl.linalg._hermitian_spectrum)
+        patch.setattr(pl.linalg, "_component_spectrum",
+                      lambda m, rows, cols: pl.linalg._hermitian_spectrum(m))
         try:
             return pl.DensityMatrix(m, tol)
         except ValidationError as exc:
             return str(exc)
 
 
-# the fewest rows the constructor splits into components
-ROWS = pl.linalg._MIN_COMPONENT_ROWS
+# rows of the scattered test states
+ROWS = 32
 
 
 def scattered_state(lowest=None, extra=None, rows=ROWS):
@@ -296,17 +205,19 @@ class TestComponentValidation:
         assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-15)
 
     def test_one_batched_eigvalsh_per_component_size(self, decompositions):
-        pl.DensityMatrix(scattered_state())  # rows 1 and 4 are their own components
-        assert sorted(decompositions) == [(1, 2, 2), (1, 3, 3)]
+        for rows in (7, ROWS):  # rows 1 and 4 are their own components
+            decompositions.clear()
+            pl.DensityMatrix(scattered_state(rows=rows))
+            assert sorted(decompositions) == [(1, 2, 2), (1, 3, 3)]
 
     def test_small_connected_or_full_patterns_take_one_eigvalsh(self, decompositions):
-        pl.DensityMatrix(scattered_state(rows=ROWS - 1))
-        step = np.diag(np.full(ROWS - 1, 0.01), 1)
-        pl.DensityMatrix(np.eye(ROWS) / ROWS + step + step.T)  # connected, no full row
-        full = np.eye(ROWS) / ROWS
-        full[0, 1:] = full[1:, 0] = 0.004  # row 0 full, the others not
-        pl.DensityMatrix(full)
-        assert decompositions == [(ROWS - 1, ROWS - 1), (ROWS, ROWS), (ROWS, ROWS)]
+        for rows in (12, 40):
+            step = np.diag(np.full(rows - 1, 0.01), 1)
+            pl.DensityMatrix(np.eye(rows) / rows + step + step.T)  # connected, no full row
+            full = np.eye(rows) / rows
+            full[0, 1:] = full[1:, 0] = 0.1 / rows  # row 0 full, the others not
+            pl.DensityMatrix(full)
+        assert decompositions == [(12, 12), (12, 12), (40, 40), (40, 40)]
 
     def test_diagonal_and_zero_rows(self, decompositions):
         m = np.zeros((ROWS, ROWS), dtype=complex)
@@ -316,40 +227,191 @@ class TestComponentValidation:
         assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(m)[::-1])
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        dec = pl.hermitian_eig(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1, 1])
+def one_eigvalsh_reference(m, tol):
+    """(dense Hermiticity defect, verdict) of ``m`` at ``tol``, with the
+    spectrum taken by one eigvalsh of the whole matrix: the verdict is the
+    error message or the ascending spectrum."""
+    defect = np.max(np.abs(m - m.conj().T))
+    if defect > tol:
+        return defect, f"not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.3e}"
+    tr = m.trace()
+    if abs(tr - 1) > tol:
+        return defect, f"trace is {tr:.6g}, expected 1 within {tol:.3e}"
+    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    if lam[0] < -tol:
+        return defect, f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
+    return defect, lam
 
-    def test_2x2_closed_form(self):
-        # [[a, b], [b, a]] has eigenvalues a +/- b
-        dec = pl.hermitian_eig(np.array([[0.5, 0.3], [0.3, 0.5]]))
-        assert np.allclose(dec.eigenvalues, [0.8, 0.2])
 
-    def test_tau_remark_spectrum(self):
-        ex = pl.named_counterexample("tau-remark")
-        dec = pl.hermitian_eig(ex.companion)
-        expected = np.sort(
-            [(1 + np.sqrt(2)) / 4, 0.25, 0.25, (1 - np.sqrt(2)) / 4]
-        )[::-1]
-        assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
+def permuted_direct_sum(g, rows, lowest=None):
+    """A unit-trace direct sum of Hermitian blocks of 1-4 rows on random
+    disjoint rows of a ``rows``-row matrix, zero elsewhere, and the blocks'
+    row lists; with ``lowest``, one block eigenvalue is ``lowest``."""
+    sizes = []
+    while sum(sizes) < rows:
+        sizes.append(int(min(g.integers(1, 5), rows - sum(sizes))))
+    sizes = sizes[:int(g.integers(1, len(sizes) + 1))]  # the rest stay zero
+    ev = g.random(sum(sizes)) + 0.05
+    ev /= ev.sum()
+    if lowest is not None and ev.size > 1:
+        ev[1:] *= (1 - lowest) / ev[1:].sum()
+        ev[0] = lowest
+    g.shuffle(ev)
+    perm = g.permutation(rows)
+    m = np.zeros((rows, rows), dtype=complex)
+    supports, start = [], 0
+    for s in sizes:
+        q, _ = np.linalg.qr(g.standard_normal((s, s)) + 1j * g.standard_normal((s, s)))
+        idx = perm[start:start + s]
+        m[np.ix_(idx, idx)] = (q * ev[start:start + s]) @ q.conj().T
+        supports.append(idx)
+        start += s
+    return m, supports
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            pl.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_and_orthonormality(self, seed):
+class TestOneScan:
+    """The constructor's one nonzero scan gives the dense Hermiticity
+    defect bit for bit, and the verdict, message and spectrum of one
+    eigvalsh of the whole matrix."""
+
+    TOL = 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 48),
+           case=st.sampled_from(["psd", "one-sided entry", "joining entry",
+                                 "non-hermitian in a block", "just above -tol",
+                                 "just below -tol"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_defect_verdict_and_spectrum_as_one_eigvalsh(self, seed, rows, case):
         g = np.random.Generator(np.random.Philox(seed))
-        d = int(g.integers(1, 17))
-        m = random_hermitian(seed + 1, d)
-        dec = pl.hermitian_eig(m)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        assert np.max(np.abs(dec.reconstruct() - m)) <= 1e-10 * scale
-        v = dec.eigenvectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-10
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+        lowest = {"just above -tol": -self.TOL * (1 - 1e-3),
+                  "just below -tol": -self.TOL * (1 + 1e-3)}.get(case)
+        m, supports = permuted_direct_sum(g, rows, lowest)
+        i, j = g.choice(rows, size=2) if rows > 1 else (0, 0)
+        phase = np.exp(2j * np.pi * g.random())
+        if case == "one-sided entry" and m[i, j] == 0:  # below or above the tolerance
+            m[i, j] = g.choice([1e-12, 1e-6]) * phase
+        elif case == "joining entry" and m[i, j] == 0:
+            m[i, j], m[j, i] = 0.01 * phase, 0.01 * np.conj(phase)
+        elif case == "non-hermitian in a block" and len(supports[0]) > 1:
+            a, b = supports[0][:2]
+            m[a, b] += g.choice([1e-10, 1e-6]) * phase
+
+        defects = []
+        validate = pl.DensityMatrix._validate
+
+        def spy(self, herm_defect, spectrum):
+            defects.append(herm_defect)
+            return validate(self, herm_defect, spectrum)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pl.DensityMatrix, "_validate", spy)
+            try:
+                got = pl.DensityMatrix(m, self.TOL)
+            except ValidationError as exc:
+                got = str(exc)
+        defect, want = one_eigvalsh_reference(m, self.TOL)
+        assert defects == [defect]
+        if isinstance(want, str):
+            assert got == want
+        else:
+            scale = max(1.0, float(np.max(np.abs(m))))
+            assert np.max(np.abs(got._ascending() - want)) <= 1e-15 * scale
+
+
+class TestFromBlocks:
+    """A direct sum, on contiguous rows or on scattered index lists, is
+    rejected with the message of one eigvalsh of the whole matrix."""
+
+    BLOCKS = [np.array([[0.2, 0.1j], [-0.1j, 0.2]]), np.array([[0.3]]),
+              np.array([[0.1, 0.05], [0.05, 0.2]])]
+    # on a 7-dim matrix whose rows 2 and 5 no block covers
+    SUPPORTS = [[4, 1], [6], [0, 3]]
+
+    @staticmethod
+    def placed(blocks, supports, rows):
+        m = np.zeros((rows, rows), dtype=complex)
+        for b, s in zip(blocks, supports):
+            m[np.ix_(s, s)] = b
+        return m
+
+    @staticmethod
+    def rejection(m, tol=1e-9):
+        try:
+            pl.DensityMatrix(m, tol)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
+    def test_rejects_with_the_dense_message(self, case):
+        blocks = [b.copy() for b in self.BLOCKS]
+        if case == "non-psd":
+            blocks[1] = np.array([[0.5, 0], [0, -0.2]])  # same trace as before
+        elif case == "off-trace":
+            blocks[1] = np.array([[0.31]])
+        else:
+            blocks[2][0, 1] += 1e-6
+        sizes = np.cumsum([0] + [len(b) for b in blocks])
+        supports = [list(range(a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+        m = self.placed(blocks, supports, int(sizes[-1]))
+        _, want = one_eigvalsh_reference(m, 1e-9)
+        assert isinstance(want, str)
+        assert self.rejection(m) == want
+
+    @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian"])
+    def test_index_lists_reject_with_the_dense_message(self, case):
+        blocks = [b.copy() for b in self.BLOCKS]
+        if case == "non-psd":
+            blocks[0] = np.array([[0.5, 0], [0, -0.1]])  # same trace as before
+        elif case == "off-trace":
+            blocks[1] = np.array([[0.31]])
+        else:
+            blocks[2][0, 1] += 1e-6
+        m = self.placed(blocks, self.SUPPORTS, 7)
+        _, want = one_eigvalsh_reference(m, 1e-9)
+        assert isinstance(want, str)
+        assert self.rejection(m) == want
+
+
+def near_threshold_input():
+    """A 3x3 state whose smallest eigenvalue, -5e-10, passes at 1e-9."""
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))
+    return pl.DensityMatrix((q * [0.6, 0.4 + 5e-10, -5e-10]) @ q.T, 1e-9)
+
+
+def chain_state(which):
+    psi = np.array([0.4, 0.7, 0.9]) / np.linalg.norm([0.4, 0.7, 0.9])
+    rho = pl.DensityMatrix(0.7 * np.outer(psi, psi) + 0.3 * np.eye(3) / 3)
+    return getattr(pl.appendix_a_chain(rho, 1), which)
+
+
+COEFFS = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+QQ_DIAG = np.eye(12)[4] / 2 + np.eye(12)[11] / 2  # |0 4> and |1 5>
+
+
+class TestConstructorValidation:
+    """Every constructor's matrix and verdict are those of the dense
+    constructor on the same matrix."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: pl.make_mc_state(pl.MCSpec(COEFFS, (0, 2), (1, 0)), 3, 3).rho,
+        lambda: pl.make_qubit_qudit_pairing(
+            0.5, QQ_DIAG, [(0.25, COEFFS, (0, 1)), (0.25, COEFFS, (2, 3))]).rho,
+        lambda: pl.cnot_embed(pl.ginibre_density(5, 5, pl.RngState(5))).rho,
+        lambda: pl.cnot_embed(near_threshold_input()).rho,
+        lambda: chain_state("rho2"),
+        lambda: chain_state("rho3"),
+        lambda: chain_state("rho4"),
+    ], ids=["mc", "qubit-qudit", "cnot-embed", "cnot-embed-near-tol",
+            "appendix-a-rho2", "appendix-a-rho3", "appendix-a-rho4"])
+    def test_matches_the_dense_constructor(self, build, monkeypatch):
+        rho = build()
+        want = dense_validation(rho.mat, rho.validation_tol, monkeypatch)
+        assert isinstance(want, pl.DensityMatrix)  # the dense constructor accepts it too
+        assert rho.mat.tobytes() == want.mat.tobytes()
+        assert rho.validation_tol == want.validation_tol
+        scale = max(1.0, float(np.max(np.abs(rho.mat))))
+        assert np.max(np.abs(rho.eigenvalues() - want.eigenvalues())) <= 1e-15 * scale
 
 
 class TestSingularValues:
