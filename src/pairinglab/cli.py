@@ -166,12 +166,16 @@ def _construct_state(args):
         n, _ = measures.negativity(bs)
         return bs, {"N": n, "C_l1_input": measures.c_l1(rho)}
     if kind == "appendix-a":
+        if args.L < 1:
+            raise ParseError(f"--L must be a positive integer, got {args.L}")
         rho = statefile.load_state(_option(args, "input"))
         if isinstance(rho, BipartiteState):
             rho = rho.rho
         chain = constructions.appendix_a_chain(rho, args.L, dim_cap=args.dim_cap)
         return chain.rho3, {"K": chain.K, **chain.report}
     if kind == "counterexample":
+        if args.name == "isotropic" and not 0.0 <= _option(args, "p") <= 1.0:
+            raise ParseError(f"--p must be a number in [0, 1], got {args.p}")
         ex = constructions.named_counterexample(args.name, p=args.p)
         details = {
             k: ([float(x) for x in v] if isinstance(v, np.ndarray) else v)
@@ -185,8 +189,7 @@ def cmd_construct(args) -> int:
     state, report = _construct_state(args)
     statefile.save_state(args.out, state, label=args.kind)
     sidecar = os.fspath(args.out) + ".report.json"
-    with open(sidecar, "w") as fh:
-        json.dump({"kind": args.kind, "report": report}, fh, indent=1)
+    statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1))
     print(f"wrote {args.out} and {sidecar}")
     for key, value in report.items():
         print(f"  {key}: {value}")

@@ -6,13 +6,14 @@ counterexamples."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, measures
 from .errors import (
     DimensionCapExceeded,
+    Infeasible,
     InvalidCoeffs,
     LabelCollision,
     PhaseNotRoot,
@@ -32,6 +33,8 @@ class MCSpec:
     coeffs: np.ndarray
     a_labels: tuple[int, ...]
     b_labels: tuple[int, ...]
+    # the coefficient matrix, validated as a state
+    _rho: DensityMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         c = linalg.as_complex_matrix(self.coeffs)
@@ -44,7 +47,7 @@ class MCSpec:
         if len(set(self.a_labels)) != r or len(set(self.b_labels)) != r:
             raise LabelCollision("A labels and B labels must each be pairwise distinct")
         try:
-            DensityMatrix(c, 1e-9)
+            object.__setattr__(self, "_rho", DensityMatrix(c, 1e-9))
         except ValidationError as exc:
             raise InvalidCoeffs(str(exc)) from exc
 
@@ -55,10 +58,9 @@ def make_mc_state(spec: MCSpec, d_a: int, d_b: int) -> BipartiteState:
         raise LabelCollision("labels must be nonnegative")
     if max(spec.a_labels) >= d_a or max(spec.b_labels) >= d_b:
         raise LabelCollision("labels exceed the subsystem dimensions")
+    # distinct labels in range give distinct indices
     idx = [j * d_b + k for j, k in zip(spec.a_labels, spec.b_labels)]
-    m = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    m[np.ix_(idx, idx)] = spec.coeffs
-    return BipartiteState(DensityMatrix(m, 1e-9), d_a, d_b)
+    return BipartiteState(_embedded(spec._rho, idx, d_a * d_b), d_a, d_b)
 
 
 def make_qubit_qudit_pairing(
@@ -118,13 +120,18 @@ def cnot_embed(rho: DensityMatrix) -> BipartiteState:
     to C_l1 of the input.
     """
     d = rho.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    idx = [j * d + j for j in range(d)]
+    return BipartiteState(_embedded(rho, [j * d + j for j in range(d)], d * d), d, d)
+
+
+def _embedded(rho: DensityMatrix, idx: list[int], n: int) -> DensityMatrix:
+    """``rho`` placed on the distinct rows and columns ``idx`` of an n x n
+    zero matrix, validated without a decomposition."""
+    m = np.zeros((n, n), dtype=complex)
     m[np.ix_(idx, idx)] = rho.mat
     # an isometric embedding keeps rho's Hermiticity defect, trace and
     # nonzero spectrum, so m passes rho's checks with rho's spectrum plus zeros
-    lam = np.sort(np.concatenate([rho._ascending(), np.zeros(d * d - d)]))
-    return BipartiteState(DensityMatrix._validated(m, rho.validation_tol, lam), d, d)
+    lam = np.sort(np.concatenate([rho._ascending(), np.zeros(n - rho.dim)]))
+    return DensityMatrix._validated(m, rho.validation_tol, lam)
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,16 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     """Instantiate the uniqueness-proof state chain for a state whose
     off-diagonal phases are L-th roots of unity.
 
-    K is the smallest integer >= 2d divisible by L.  Raises PhaseNotRoot
-    when a phase is not an L-th root of unity within 1e-9, and
-    DimensionCapExceeded when any constructed matrix would exceed
-    ``dim_cap``.
+    K is the smallest integer >= 2d divisible by L.  Raises Infeasible
+    for a state of dimension 1, PhaseNotRoot when a phase is not an L-th
+    root of unity within 1e-9, and DimensionCapExceeded when any
+    constructed matrix would exceed ``dim_cap``.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
     d = rho.dim
     if d < 2:
-        raise ValueError("the chain needs dimension at least 2")
+        raise Infeasible("the chain needs dimension at least 2")
     m = rho.mat
 
     for j in range(d):

@@ -131,8 +131,8 @@ class DensityMatrix:
 
     def _validate(self, herm_defect: float, spectrum) -> None:
         """Check ``mat``, given its Hermiticity defect max |M - M^dag| and
-        ``spectrum()``, its read-only ascending spectrum (taken only once
-        the cheaper checks pass), and keep that spectrum."""
+        ``spectrum()``, its ascending spectrum (taken only once the cheaper
+        checks pass), and keep that spectrum, read-only."""
         tol = self.validation_tol
         if tol < 0:
             raise ValidationError("validation_tol must be nonnegative")
@@ -148,6 +148,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
             )
+        lam.flags.writeable = False
         object.__setattr__(self, "_spectrum", (self.mat, lam))
 
     @property
@@ -158,6 +159,7 @@ class DensityMatrix:
         source, lam = self._spectrum
         if source is not self.mat:  # ``mat`` was swapped after validation
             lam = _hermitian_spectrum(self.mat)
+            lam.flags.writeable = False
             object.__setattr__(self, "_spectrum", (self.mat, lam))
         return lam
 
@@ -172,45 +174,69 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Read-only ascending spectrum of the Hermitian part of ``m`` (of each
-    matrix, for a stack)."""
-    lam = np.linalg.eigvalsh((m + _dagger(m)) / 2)
-    lam.flags.writeable = False
-    return lam
+    """Ascending spectrum of the Hermitian part of ``m`` (of each matrix,
+    for a stack)."""
+    return np.linalg.eigvalsh((m + _dagger(m)) / 2)
 
 
-def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Read-only ascending spectrum of the Hermitian part of the square
-    matrix ``m`` whose nonzero entries are ``m[rows, cols]``, taken over the
-    connected components of that pattern (i ~ j when m[i, j] or m[j, i] is
-    not zero): the Hermitian part is the direct sum of its principal blocks
-    on them, so one batched eigvalsh per component size gives the spectrum.
-    A connected pattern takes one eigvalsh of the whole matrix.
+def _component_spectrum(m: np.ndarray, *nonzero: np.ndarray,
+                        dims: tuple[int, int] | None = None) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of the square matrix ``m``
+    (of each matrix of a ``(T, n, n)`` stack), or of its partial transpose
+    on ``dims`` = (d_A, d_B), from the connected components of the pattern
+    of the matrix taken, whose nonzero entries sit at the index arrays
+    ``nonzero`` (i ~ j when entry (i, j) or (j, i) is not zero): its
+    Hermitian part is the direct sum of its principal blocks on them.
+    One batched eigvalsh per component size gives the spectrum, except
+    that a component of one row and a hollow one of two rows are read off
+    their entries, and a pattern with one component per matrix takes one
+    eigvalsh of the whole matrix (the partial transpose is formed only
+    then).
     """
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    *trial, rows, cols = nonzero
+    if trial:  # row r of matrix t is node t * n + r
+        rows, cols = trial[0] * n + rows, trial[0] * n + cols
     rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    # min-label propagation with pointer jumping: each label stays a row
+    # min-label propagation with pointer jumping: each label stays a node
     # of its component and only falls, until every edge joins equal labels
-    label = np.arange(len(m))
+    label = np.arange(stack.shape[0] * n)
     while True:
         np.minimum.at(label, rows, label[cols])
         label = label[label]
         if np.array_equal(label[rows], label[cols]):
             break
-    size = np.bincount(label)[label]  # of each row's component
-    if size[0] == len(m):  # one component
-        return _hermitian_spectrum(m)
+    size = np.bincount(label)[label]  # of each node's component
+    if size.min() == n:  # one component per matrix
+        return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
     order = np.lexsort((label, size))  # by component size, then component
-    rows_of_size = np.bincount(size)
-    parts, start = [], 0
-    for s in np.flatnonzero(rows_of_size).tolist():
-        idx = order[start:start + rows_of_size[s]].reshape(-1, s)
+    nodes_of_size = np.bincount(size)
+    parts, owners, start = [], [], 0
+    for s in np.flatnonzero(nodes_of_size).tolist():
+        idx = order[start:start + nodes_of_size[s]].reshape(-1, s)
         start += idx.size
-        blocks = m[idx[:, :, None], idx[:, None, :]]
+        owner, r = np.divmod(idx, n)  # each component's rows, ascending
+        i, j = r[:, :, None], r[:, None, :]
+        if dims is not None:  # entry (i, j) of the partial transpose, read off m
+            d_b = dims[1]
+            i, j = (j // d_b) * d_b + i % d_b, (i // d_b) * d_b + j % d_b
+        blocks = stack[owner[:, :1, None], i, j]
         # a component of one row is its real diagonal entry, as eigvalsh gives it
-        parts.append((blocks.real if s == 1 else _hermitian_spectrum(blocks)).ravel())
-    lam = np.sort(np.concatenate(parts))
-    lam.flags.writeable = False
-    return lam
+        lam = blocks.diagonal(axis1=1, axis2=2).real
+        if s == 2:  # a hollow pair [[0, x], [y, 0]]: -|h|, |h| with h = (x + y*) / 2
+            hollow = ~lam.any(axis=1)
+            h = (blocks[hollow, 0, 1] + blocks[hollow, 1, 0].conj()) / 2
+            parts.append(np.abs(h)[:, None] * [-1.0, 1.0])
+            owners.append(owner[hollow])
+            blocks, owner = blocks[~hollow], owner[~hollow]
+        if s > 1:
+            lam = _hermitian_spectrum(blocks) if len(blocks) else lam[:0]
+        parts.append(lam)
+        owners.append(owner)
+    lam, owner = np.concatenate(parts, axis=None), np.concatenate(owners, axis=None)
+    # each matrix's eigenvalues into its own row, ascending
+    return lam[np.lexsort((lam, owner))].reshape(m.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -286,65 +312,6 @@ def partial_transpose(state, dims: tuple[int, int] | None = None) -> np.ndarray:
         .swapaxes(-4, -2)
         .reshape(*lead, d_a * d_b, d_a * d_b)
     )
-
-
-def monomial_spectrum(m, dims: tuple[int, int] | None = None) -> np.ndarray | None:
-    """Exact ascending spectrum of the Hermitian part of ``m``, or of its
-    partial transpose on ``dims`` = (d_A, d_B), when that Hermitian part
-    has at most one nonzero entry in each row; None otherwise.  For a
-    ``(T, n, n)`` stack: the ``(T, n)`` spectra, or None unless every
-    matrix qualifies.
-
-    The matrix judged is the one eigvalsh would be given, ``(X + X^dag) / 2``
-    entry for entry, and an entry is zero only when it is exactly zero.
-    A Hermitian matrix with that pattern is, up to a permutation of the
-    basis, a direct sum of its real diagonal entries, 2x2 blocks
-    [[0, x], [x*, 0]] with eigenvalues +-|x|, and zero rows.  The pattern
-    is read from the nonzero entries of ``m``, whose indices the partial
-    transpose only permutes; a matrix with more nonzero entries than rows
-    goes no further than counting them, and no index array is made for it.
-    """
-    m = np.asarray(m)
-    n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
-    present = stack != 0  # one pass over the entries: counted, then scanned
-    if np.count_nonzero(present) > stack.shape[0] * n:
-        return None
-    out = np.zeros(stack.shape[:2])
-    t, r, c = np.nonzero(present)
-    if not t.size:
-        return out.reshape(m.shape[:-1])
-    vals = stack[t, r, c]
-    if dims is not None:  # the index map of partial_transpose
-        d_b = dims[1]
-        r, c = (c // d_b) * d_b + r % d_b, (r // d_b) * d_b + c % d_b
-    # entries of X by flat key (t, row, col), sorted; H = (X + X^dag) / 2
-    # is nonzero only on the keys of X and of X^T
-    key = (t * n + r) * n + c
-    order = np.argsort(key)
-    key, vals = key[order], vals[order]
-    cand = np.union1d(key, (t * n + c) * n + r)
-    t, r, c = cand // (n * n), cand // n % n, cand % n
-
-    def entry(q):
-        i = np.minimum(np.searchsorted(key, q), key.size - 1)
-        return np.where(key[i] == q, vals[i], 0)
-
-    h = (entry(cand) + entry((t * n + c) * n + r).conj()) / 2
-    keep = h != 0
-    t, r, c, h = t[keep], r[keep], c[keep], h[keep]
-    row = t * n + r
-    if np.any(row[1:] == row[:-1]):
-        return None
-    fixed, upper = r == c, r < c
-    lam = np.concatenate([h[fixed].real, np.abs(h[upper]), -np.abs(h[upper])])
-    owner = np.concatenate([t[fixed], t[upper], t[upper]])
-    order = np.argsort(owner, kind="stable")
-    owner, lam = owner[order], lam[order]
-    # each matrix's eigenvalues fill its first slots; the rest are the zeros
-    out[owner, np.arange(owner.size) - np.searchsorted(owner, owner)] = lam
-    out.sort(axis=-1)
-    return out.reshape(m.shape[:-1])
 
 
 def tensor_product(a, b) -> np.ndarray:

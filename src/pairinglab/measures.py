@@ -68,16 +68,15 @@ def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
     a BipartiteState, or of each matrix of a ``(T, d, d)`` stack on
     ``dims`` = (d_A, d_B).
 
-    A monomial rho^T_A (a canonical pairing state's) gives its spectrum
-    exactly, without a decomposition; anything else takes one eigvalsh.
+    Unless a row of rho^T_A is full, the spectrum is taken over the
+    components of its pattern (``linalg._component_spectrum``).
     """
     if isinstance(state, BipartiteState):
         state, dims = state.mat, (state.d_A, state.d_B)
-    lam = linalg.monomial_spectrum(state, dims)
-    if lam is None:
-        pt = linalg.partial_transpose(state, dims)
-        lam = np.linalg.eigvalsh((pt + linalg._dagger(pt)) / 2)
-    return lam
+    present = linalg.partial_transpose(state != 0, dims)  # the pattern of rho^T_A
+    if present.all(axis=-1).any():  # a full row: the pattern is one component
+        return linalg._hermitian_spectrum(linalg.partial_transpose(state, dims))
+    return linalg._component_spectrum(state, *np.nonzero(present), dims=dims)
 
 
 def _negativity_of(pt_spectrum: np.ndarray):
@@ -163,8 +162,9 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
     """All closed-form measures of a state; bipartite inputs additionally
     get negativity-side quantities.
 
-    N and N0 share one spectrum of rho^T_A: read off exactly when rho^T_A
-    is monomial, otherwise from its one eigvalsh, the only decomposition.
+    N and N0 share one spectrum of rho^T_A (``_pt_spectrum``): read off
+    exactly when rho^T_A is monomial, otherwise from eigvalsh of its
+    components, the only decompositions.
     """
     rho = state.rho if isinstance(state, BipartiteState) else state
     # one modulus array: C_l0 reads it before C_l1 zeroes its diagonal

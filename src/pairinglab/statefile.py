@@ -103,6 +103,15 @@ def _read(path) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``; ParseError when it cannot be
+    written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _json(data: bytes, path):
     """The JSON document in the bytes ``data`` of the file ``path``;
     ParseError when they are not UTF-8 text or not JSON."""
@@ -216,8 +225,8 @@ def save_state(path, state, label: str | None = None) -> None:
     """Write a state file; float serialization is shortest round-trip
     (<= 17 significant digits), so read-back is bit-exact.  The bytes are
     those of ``json.dumps(state_document(state, label), indent=1)`` plus a
-    newline."""
-    Path(path).write_text(_state_text(state, label) + "\n")
+    newline.  ParseError when the file cannot be written."""
+    _write(path, _state_text(state, label) + "\n")
 
 
 # The scan converts each distinct number that is not 0.0 with float() and

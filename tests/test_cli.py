@@ -190,6 +190,21 @@ class TestConstructCommand:
         assert "labels must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mc_decomposes_only_its_coefficients(self, tmp_path, capsys, decompositions):
+        coeffs = [[0.4, 0.1, 0.05], [0.1, 0.3, 0.1], [0.05, 0.1, 0.3]]
+        out = tmp_path / "mc.json"
+        assert cli.main(["construct", "mc", "--out", str(out), "--coeffs", json.dumps(coeffs),
+                         "--a-labels", "0", "2", "1", "--b-labels", "2", "0", "1",
+                         "--dims", "3", "3"]) == 0
+        assert decompositions == [(3, 3)]  # the coefficients' validation
+        # the file of the coefficients placed on |02>, |20>, |11> and the
+        # whole matrix validated
+        m = np.zeros((9, 9), dtype=complex)
+        m[np.ix_([2, 6, 4], [2, 6, 4])] = coeffs
+        want = tmp_path / "want.json"
+        statefile.save_state(want, pl.BipartiteState(pl.DensityMatrix(m, 1e-9), 3, 3), label="mc")
+        assert out.read_bytes() == want.read_bytes()
+
     def test_qubit_qudit(self, tmp_path, capsys):
         spec = {
             "p0": 0.0,
@@ -283,6 +298,47 @@ class TestConstructInputErrors:
     def test_missing_option(self, tmp_path, capsys, kind, option):
         assert cli.main(["construct", kind, "--out", str(tmp_path / "x.json")]) == 2
         assert f"{option} is required" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["counterexample", "--name", "isotropic"], 2, "--p is required for kind=counterexample"),
+        (["counterexample", "--name", "isotropic", "--p", "nan"], 2,
+         "--p must be a number in [0, 1], got nan"),
+        (["counterexample", "--name", "isotropic", "--p", "1.5"], 2,
+         "--p must be a number in [0, 1], got 1.5"),
+        (["counterexample", "--name", "isotropic", "--p=-0.25"], 2,
+         "--p must be a number in [0, 1], got -0.25"),
+        (["appendix-a", "--L", "0"], 2, "--L must be a positive integer, got 0"),
+        (["appendix-a", "--L", "-3"], 2, "--L must be a positive integer, got -3"),
+        (["appendix-a", "--L", "1"], 5, "the chain needs dimension at least 2"),
+    ], ids=["p-missing", "p-nan", "p-above-1", "p-negative", "L-zero", "L-negative",
+            "appendix-a-of-one-dim"])
+    def test_bad_parameters(self, tmp_path, capsys, argv, code, message):
+        if argv[0] == "appendix-a":  # a 1-dim input
+            statefile.save_state(tmp_path / "one.json", pl.DensityMatrix(np.eye(1)))
+            argv = [*argv, "--input", str(tmp_path / "one.json")]
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", *argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "sidecar directory"])
+    def test_unwritable_out(self, tmp_path, capsys, where):
+        out = tmp_path / "x.json"
+        if where == "missing directory":
+            out = tmp_path / "nope" / "x.json"
+        elif where == "directory":
+            out.mkdir()
+        else:
+            (tmp_path / "x.json.report.json").mkdir()
+        assert cli.main(["construct", "counterexample", "--name", "tau-remark",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        failed = f"{out}.report.json" if where == "sidecar directory" else str(out)
+        assert err.startswith(f"parse error: cannot write {failed}: ")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -219,6 +219,19 @@ class TestComponentValidation:
             pl.DensityMatrix(full)
         assert decompositions == [(12, 12), (12, 12), (40, 40), (40, 40)]
 
+    def test_a_hollow_pair_is_rejected_with_the_dense_message(self, decompositions):
+        # [[0, x], [x*, 0]] on rows (5, 2) has the eigenvalue -|x|
+        m = scattered_state()
+        m[np.ix_([5, 2], [5, 2])] = [[0, 0.03 + 0.04j], [0.03 - 0.04j, 0]]
+        m[1, 1] += 0.2
+        _, want = one_eigvalsh_reference(m, 1e-9)
+        assert want == "smallest eigenvalue -5.000e-02 below -1.000e-09"
+        decompositions.clear()
+        with pytest.raises(ValidationError) as err:
+            pl.DensityMatrix(m, 1e-9)
+        assert str(err.value) == want
+        assert decompositions == [(1, 3, 3)]  # the pair is read off its entries
+
     def test_diagonal_and_zero_rows(self, decompositions):
         m = np.zeros((ROWS, ROWS), dtype=complex)
         m[:5, :5] = np.diag([0.5, 0.0, 0.25, -0.0, 0.25 - 1e-300j])
@@ -479,26 +492,31 @@ class TestPartialTranspose:
 
 
 def hermitian_monomial(g, n, scale, one_sided):
-    """A random Hermitian matrix with at most one nonzero per row: 2x2
-    blocks on random index pairs with complex phases, fixed rows with
-    positive, negative or (signed) zero diagonal entries, and empty rows.
-    With ``one_sided``, some pairs keep only one of their two entries, at
-    twice the size, so that only the Hermitian part is monomial."""
+    """A random Hermitian matrix with at most one nonzero per row, and the
+    exact ascending spectrum of its Hermitian part: 2x2 blocks on random
+    index pairs with complex phases (eigenvalues -|v|, |v|), fixed rows
+    with positive, negative or (signed) zero diagonal entries (their
+    entry), and empty rows (0).  With ``one_sided``, some pairs keep only
+    one of their two entries, at twice the size, so that only the
+    Hermitian part is monomial."""
     perm = g.permutation(n)
     n_pairs = int(g.integers(0, n // 2 + 1))
     x = np.zeros((n, n), dtype=complex)
+    spectrum = []
     for a, b in perm[:2 * n_pairs].reshape(-1, 2):
         v = scale * g.uniform(0.1, 1.0) * np.exp(2j * np.pi * g.random())
         if one_sided and g.random() < 0.5:
             x[a, b] = 2 * v
         else:
             x[a, b], x[b, a] = v, np.conj(v)
+        spectrum += [-np.abs(v), np.abs(v)]
     for a in perm[2 * n_pairs:]:
         kind = g.integers(0, 5)  # positive, negative, 0.0, -0.0, empty
         if kind < 4:
             x[a, a] = (scale * g.uniform(0.1, 1.0), -scale * g.uniform(0.1, 1.0),
                        0.0, -0.0)[kind]
-    return x
+        spectrum.append(x[a, a].real)
+    return x, np.sort(spectrum)
 
 
 def hermitian_part(x):
@@ -506,6 +524,9 @@ def hermitian_part(x):
 
 
 class TestMonomialSpectrum:
+    """``measures._pt_spectrum`` reads the spectrum of a monomial rho^T_A
+    off its entries, and takes any other pattern by its components."""
+
     @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 1), (1, 5), (2, 2), (2, 5),
                                                                  (3, 3), (3, 4)]),
            count=st.sampled_from([None, 1, 4]), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e150]),
@@ -514,42 +535,97 @@ class TestMonomialSpectrum:
     def test_matches_eigvalsh(self, seed, dims, count, scale, one_sided):
         g = np.random.Generator(np.random.Philox(seed))
         n = dims[0] * dims[1]
-        x = np.array([hermitian_monomial(g, n, scale, one_sided) for _ in range(count or 1)])
-        x = x if count else x[0]
+        drawn = [hermitian_monomial(g, n, scale, one_sided) for _ in range(count or 1)]
+        x, exact = np.array([x for x, _ in drawn]), np.array([lam for _, lam in drawn])
+        x, exact = (x, exact) if count else (x[0], exact[0])
+        # d_A = 1: rho^T_A = rho, so this is the spectrum of x itself
+        got = pl.measures._pt_spectrum(x, (1, n))
+        assert got.shape == exact.shape
+        assert np.array_equal(got, exact)
         want = np.linalg.eigvalsh(hermitian_part(x))
-        got = pl.linalg.monomial_spectrum(x)
-        assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert np.array_equal(pl.measures._n0_of(got, None), pl.measures._n0_of(want, None))
         # the same matrix as the partial transpose of another: the transpose
         # on A is an involution, so rho = x^T_A has rho^T_A = x
         rho = pl.partial_transpose(x, dims)
-        assert np.array_equal(pl.linalg.monomial_spectrum(rho, dims), got)
+        assert np.array_equal(pl.measures._pt_spectrum(rho, dims), exact)
 
-    def test_one_extra_entry_takes_the_dense_path(self, decompositions):
+    def test_stack_keeps_each_spectrum_in_its_row(self, decompositions):
+        q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))
+        x = np.zeros((2, 4, 4), dtype=complex)
+        # matrix 0: rows 0 and 1 fixed, a hollow pair on rows 2 and 3
+        x[0, [0, 1], [0, 1]] = 0.4, 0.3
+        x[0, 2, 3], x[0, 3, 2] = 0.25j, -0.25j
+        # matrix 1: a 3-row component on rows 0-2, row 3 fixed
+        x[1, :3, :3] = (q * [0.1, 0.2, 0.7]) @ q.T
+        x[1, 3, 3] = -0.05
+        for dims in [(1, 4), (2, 2)]:
+            decompositions.clear()
+            got = pl.measures._pt_spectrum(pl.partial_transpose(x, dims), dims)
+            assert decompositions == [(1, 3, 3)]
+            assert np.array_equal(got[0], [-0.25, 0.25, 0.3, 0.4])
+            want = np.linalg.eigvalsh(hermitian_part(x))
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_one_extra_entry_decomposes_only_its_component(self, decompositions):
         g = np.random.Generator(np.random.Philox(4))
-        for x in [hermitian_monomial(g, 12, 1.0, False) for _ in range(20)]:
+        for x, exact in [hermitian_monomial(g, 12, 1.0, False) for _ in range(20)]:
             row = np.flatnonzero(np.any(x != 0, axis=1))[0]
             extra = x.copy()
             extra[row, np.flatnonzero(x[row] == 0)[0]] = 1e-300  # beside the row's entry
-            assert pl.linalg.monomial_spectrum(x) is not None
-            assert pl.linalg.monomial_spectrum(extra) is None
-            assert pl.linalg.monomial_spectrum(np.array([x, extra, x])) is None
+            # the rows the extra entry joins to ``row``
+            joined = (extra != 0) | (extra != 0).T
+            reach = np.arange(12) == row
+            for _ in range(12):
+                reach |= joined[reach].any(axis=0)
+            size = int(np.count_nonzero(reach))
             decompositions.clear()
-            pl.measures._pt_spectrum(extra, (1, 12))  # A is trivial: rho^T_A = rho
-            assert decompositions == [(12, 12)]
+            got = pl.measures._pt_spectrum(extra, (1, 12))  # A is trivial: rho^T_A = rho
+            assert decompositions == [(1, size, size)]
+            assert 2 <= size <= 4
+            want = np.linalg.eigvalsh(hermitian_part(extra))
+            assert np.max(np.abs(got - want)) <= 1e-15
+            # in a stack, only that matrix changes
+            stacked = pl.measures._pt_spectrum(np.array([x, extra, x]), (1, 12))
+            assert np.array_equal(stacked, [exact, got, exact])
 
     def test_a_dense_matrix_is_only_counted(self, monkeypatch):
+        mats = np.array([random_density(5 + i, 12).mat for i in range(3)])
+        want = np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(mats, (3, 4))))
         scans = []
         monkeypatch.setattr(np, "nonzero", lambda *a: scans.append(a))
-        assert pl.linalg.monomial_spectrum(random_density(5, 12).mat) is None
+        assert np.array_equal(pl.measures._pt_spectrum(mats[0], (3, 4)), want[0])
+        assert np.array_equal(pl.measures._pt_spectrum(mats, (3, 4)), want)
         assert scans == []
 
     def test_cancelling_entries_and_empty_matrices(self):
         # X = [[0, 1], [-1, 0]] is anti-Hermitian: its Hermitian part is 0
         x = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert np.array_equal(pl.linalg.monomial_spectrum(x), [0.0, 0.0])
-        assert np.array_equal(pl.linalg.monomial_spectrum(np.zeros((3, 4, 4))), np.zeros((3, 4)))
+        assert np.array_equal(pl.measures._pt_spectrum(x, (1, 2)), [0.0, 0.0])
+        assert np.array_equal(pl.measures._pt_spectrum(np.zeros((3, 4, 4)), (2, 2)),
+                              np.zeros((3, 4)))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 6), (4, 3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_block_structure_matches_eigvalsh(self, seed, dims):
+        # a direct sum of 1-4 row blocks as rho^T_A: not monomial
+        g = np.random.Generator(np.random.Philox(seed))
+        x, _ = permuted_direct_sum(g, dims[0] * dims[1])
+        got = pl.measures._pt_spectrum(pl.partial_transpose(x, dims), dims)
+        want = np.linalg.eigvalsh(hermitian_part(x))
+        scale = max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+    def test_isotropic_state_decomposes_its_pairs(self, decompositions):
+        # rho^T_A of an isotropic 3x3 state: 2x2 blocks on |jk>, |kj> for
+        # j < k and the fixed rows |jj>
+        iso = pl.isotropic_mixture(0.4, np.eye(3).ravel(), 3, 3)
+        decompositions.clear()
+        got = pl.measures._pt_spectrum(iso)
+        assert decompositions == [(3, 2, 2)]
+        want = np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(iso)))
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestTensorProduct:
