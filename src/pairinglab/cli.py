@@ -117,13 +117,26 @@ def _option(args, name: str):
     return value
 
 
+def _coeff_matrix(value, where: str) -> np.ndarray:
+    """``value`` as a finite complex matrix; ParseError naming ``where``
+    otherwise."""
+    try:
+        m = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: expected a matrix of numbers ({exc})") from exc
+    if m.ndim != 2:
+        raise ParseError(f"{where}: expected a matrix of numbers, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ParseError(f"{where}: matrix has a NaN or infinite entry")
+    return m
+
+
 def _mc_coeffs(text: str) -> np.ndarray:
     try:
-        return np.asarray(json.loads(text), dtype=complex)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"--coeffs: invalid JSON at column {exc.colno}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"--coeffs: expected a matrix of numbers ({exc})") from exc
+    return _coeff_matrix(doc, "--coeffs")
 
 
 def _qubit_qudit_spec(path: str) -> tuple:
@@ -131,8 +144,9 @@ def _qubit_qudit_spec(path: str) -> tuple:
     {"p0": p0, "diag": [...], "blocks": [{"p", "coeffs", "columns"}, ...]}."""
     doc = statefile._read_json(path)
     try:
-        blocks = [(b["p"], np.asarray(b["coeffs"], dtype=complex), tuple(b["columns"]))
-                  for b in doc.get("blocks", [])]
+        blocks = [(b["p"], _coeff_matrix(b["coeffs"], f"{path}: block {i} coeffs"),
+                   tuple(b["columns"]))
+                  for i, b in enumerate(doc.get("blocks", []))]
         return doc.get("p0", 0.0), doc["diag"], blocks
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
@@ -189,7 +203,11 @@ def cmd_construct(args) -> int:
     state, report = _construct_state(args)
     statefile.save_state(args.out, state, label=args.kind)
     sidecar = os.fspath(args.out) + ".report.json"
-    statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1))
+    try:
+        statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1))
+    except ParseError:
+        os.remove(args.out)  # no state file without its report
+        raise
     print(f"wrote {args.out} and {sidecar}")
     for key, value in report.items():
         print(f"  {key}: {value}")
@@ -244,8 +262,8 @@ def cmd_witness(args) -> int:
     indices = [args.index] if args.index is not None else range(n)
     # each transposition's two-qubit block, as distill_witness cuts it out,
     # validated as one stack; N of every block from one stacked spectrum
-    support = [pairing._witness_support(state, cert.transpositions[i]) for i in indices]
-    idx = np.array(support, dtype=np.intp)
+    idx = pairing._witness_supports(np.array([cert.transpositions[i] for i in indices]),
+                                    state.d_B)
     _, blocks = pairing._renormalized(state.mat[idx[:, :, None], idx[:, None, :]],
                                       state.rho.validation_tol)
     block_n, _ = measures._negativity_of(
@@ -272,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="certify canonical pairing structure")
     d.add_argument("path")
-    d.add_argument("--tol", type=float, default=1e-10)
+    d.add_argument("--tol", type=float, default=pairing.ZERO_TOL)
     d.add_argument("--decompose", action="store_true")
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=cmd_detect)
@@ -306,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", help="two-qubit distillation witness blocks")
     w.add_argument("path")
     w.add_argument("--index", type=int, default=None)
-    w.add_argument("--tol", type=float, default=1e-10)
+    w.add_argument("--tol", type=float, default=pairing.ZERO_TOL)
     w.set_defaults(func=cmd_witness)
     return p
 

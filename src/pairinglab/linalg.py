@@ -325,14 +325,33 @@ def entropy_of_spectrum(lams: np.ndarray, tol: float) -> float:
     Entries below the relative zero cutoff are dropped; raises
     NegativeEigenvalue when one lies below ``-tol``.
     """
-    scale = max(1.0, float(np.max(np.abs(lams)))) if lams.size else 1.0
-    cut = ZERO_EIGENVALUE_RTOL * scale
-    bad = lams[lams < -tol]
-    if bad.size:
-        raise NegativeEigenvalue(f"eigenvalue {bad.min():.3e} below -{tol:.3e}")
-    lams = np.clip(lams, 0.0, None)
-    lams = lams[lams > cut]
-    return float(-np.sum(lams * np.log2(lams)))
+    return float(_entropies(np.asarray(lams)[None], tol)[0])
+
+
+def _entropies(lams: np.ndarray, tols) -> np.ndarray:
+    """``entropy_of_spectrum`` of each row of a ``(T, n)`` array, row t
+    checked at ``tols[t]`` (one tolerance or one per row).
+
+    A row's sum is taken as ``np.sum`` takes it over the row's kept terms
+    alone: the rows with equal kept counts are summed as one array.
+    """
+    tols = np.zeros(len(lams)) + tols
+    bad = lams < -tols[:, None]
+    if bad.any():
+        t = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise NegativeEigenvalue(f"eigenvalue {lams[t][bad[t]].min():.3e} below -{tols[t]:.3e}")
+    scale = np.fmax(1.0, np.abs(lams).max(axis=1, initial=0.0))  # as max(1.0, nan) is 1.0
+    kept = lams > ZERO_EIGENVALUE_RTOL * scale[:, None]
+    terms = lams[kept]
+    terms *= np.log2(terms)
+    counts = kept.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    out = np.full(len(lams), -0.0)  # -np.sum of no terms
+    sizes = np.flatnonzero(np.bincount(counts))
+    for c in sizes[sizes > 0].tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = -terms[starts[rows, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -340,17 +359,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_of_spectrum(rho._ascending()[::-1], rho.validation_tol)
 
 
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x) on [0, 1], with H(0) = H(1) = 0."""
-    if not (-1e-12 <= x <= 1 + 1e-12):
-        raise OutOfRange(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    out = 0.0
-    if x > 0.0:
-        out -= x * np.log2(x)
-    if x < 1.0:
-        out -= (1 - x) * np.log2(1 - x)
-    return float(out)
+def binary_entropy(x):
+    """H(x) = -x log2 x - (1-x) log2 (1-x) on [0, 1], with H(0) = H(1) = 0
+    (of each entry of an array)."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((-1e-12 <= x) & (x <= 1 + 1e-12))
+    if bad.any():
+        raise OutOfRange(f"binary entropy argument {x[bad].flat[0]} outside [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.0 - np.where(x > 0.0, x * np.log2(x), 0.0)
+        out -= np.where(x < 1.0, (1 - x) * np.log2(1 - x), 0.0)
+    return _scalar(out)
 
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:

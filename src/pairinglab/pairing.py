@@ -13,6 +13,7 @@ distillable entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,13 @@ class PairingCertificate:
             raise ValueError("pairing_number must equal the transposition count")
 
 
+#: default cutoff of detection: an entry of rho^T_A counts as present when
+#: its modulus exceeds this times the largest entry modulus
+ZERO_TOL = 1e-10
+
+
 def detect_canonical_pairing(
-    bs: BipartiteState, zero_tol: float = 1e-10
+    bs: BipartiteState, zero_tol: float = ZERO_TOL
 ) -> PairingCertificate | None:
     """Certify a canonical pairing state, or return None.
 
@@ -65,52 +71,89 @@ def detect_canonical_pairing(
     |N - C_l1| <= |sum_i |rho_ii| - 1| + 2 ||R||_l1.  Only when that bound
     exceeds the tolerance is N computed, by an SVD.
     """
-    pt = linalg.partial_transpose(bs)
-    d = pt.shape[0]
-    mod = np.abs(pt)
-    top = float(np.max(mod))
-    present = mod > zero_tol * top
+    return _certify_stack(bs.mat[None], (bs.d_A, bs.d_B), zero_tol)[0]
 
-    if np.any(present.sum(axis=0) > 1) or np.any(present.sum(axis=1) > 1):
-        return None
 
-    # the permutation, one entry per nonempty row; empty rows carry zero weight
-    rows, cols = np.nonzero(present)
-    partner = dict(zip(rows.tolist(), cols.tolist()))
+def _certify_stack(mats: np.ndarray, dims: tuple[int, int],
+                   zero_tol: float) -> list[PairingCertificate | None]:
+    """``detect_canonical_pairing`` of each matrix of a ``(T, d, d)`` stack
+    on ``dims`` = (d_A, d_B), as one mask over the stack per check; the
+    checks stop once no matrix passes.
 
-    for r, c in partner.items():
-        if partner.get(c) != r:
-            return None  # not an involution; cannot be Hermitian-consistent
+    rho^T_A is never formed: its entries are those of rho, moved, so its
+    pattern is read off rho's present entries.
+    """
+    certs: list[PairingCertificate | None] = [None] * len(mats)
+    d, d_b = mats.shape[-1], dims[1]
+    mod = np.abs(mats)
+    top = mod.max(axis=(1, 2))
+    present = mod > (zero_tol * top)[:, None, None]
+    # a monomial matrix has at most d present entries
+    live = np.flatnonzero(np.count_nonzero(present, axis=(1, 2)) <= d)
+    if not live.size:
+        return certs
+    if live.size < len(mats):
+        mod, top, present = mod[live], top[live], present[live]
 
-    fixed = {r for r, c in partner.items() if r == c}
-    trans = sorted({(min(r, c), max(r, c)) for r, c in partner.items() if r != c})
+    # entry (a, b) = ((j', k), (j, k')) of rho is entry (r, c) =
+    # ((j, k), (j', k')) of rho^T_A; s is the matrix, live[s]
+    s, a, b = np.unravel_index(np.flatnonzero(present), present.shape)
+    r = b // d_b * d_b + a % d_b
+    c = a // d_b * d_b + b % d_b
+    # monomial: at most one present entry in each row and in each column
+    ok = np.ones(live.size, dtype=bool)
+    for line in (r, c):
+        ok &= np.bincount(s * d + line, minlength=live.size * d).reshape(-1, d).max(axis=1) <= 1
+    if not ok.any():
+        return certs
 
-    transpositions = []
-    for r, c in trans:
-        j, k = bs.label_of(r)
-        jp, kp = bs.label_of(c)
-        if j == jp or k == kp:
-            return None
-        # companion condition: (j,k') and (j',k) must be fixed points
-        if bs.index_of(j, kp) not in fixed or bs.index_of(jp, k) not in fixed:
-            return None
-        transpositions.append(((j, k), (jp, kp)))
-
-    cert = PairingCertificate(
-        transpositions=tuple(transpositions),
-        fixed_points=tuple(sorted(bs.label_of(r) for r in fixed)),
-        pairing_number=len(transpositions),
-    )
+    # the permutation, one entry per nonempty row, in row order; empty rows
+    # carry zero weight.  It must be an involution (else it is not
+    # Hermitian-consistent) whose transpositions ((j,k), (j',k')) have
+    # j != j', k != k' and the companion fixed points (j,k') and (j',k)
+    order = np.argsort(s * d + r)
+    s, r, c = s[order], r[order], c[order]
+    partner = np.full((live.size, d), -1)
+    partner[s, r] = c
+    j, k = np.divmod(r, d_b)
+    jp, kp = np.divmod(c, d_b)
+    bad = partner[s, c] != r
+    bad |= (r != c) & ((j == jp) | (k == kp)
+                       | (partner[s, j * d_b + kp] != j * d_b + kp)
+                       | (partner[s, jp * d_b + k] != jp * d_b + k))
+    ok[s[bad]] = False
+    if not ok.any():
+        return certs
 
     # soundness: certified states must actually saturate N = C_l1
-    slack = 10 * zero_tol * d * max(1.0, top)
-    trace_defect = abs(float(np.sum(np.diag(mod))) - 1.0)
-    if trace_defect + 2.0 * float(np.sum(mod, where=~present)) <= slack:
-        return cert
-    n = linalg.trace_norm(pt) - 1.0
-    if abs(n - measures.c_l1(bs.rho)) > slack:
-        return None
-    return cert
+    slack = 10 * zero_tol * d * np.maximum(1.0, top)
+    trace_defect = np.abs(np.diagonal(mod, axis1=1, axis2=2).sum(axis=1) - 1.0)
+    decided = trace_defect + 2.0 * np.sum(mod, axis=(1, 2), where=~present) <= slack
+    for i in np.flatnonzero(ok & ~decided).tolist():
+        m = mats[live[i]]
+        n = linalg.trace_norm(linalg.partial_transpose(m, dims)) - 1.0
+        c_l1 = measures._c_l1_checked(float(measures._c_l1_of(np.abs(m))), d)
+        ok[i] = abs(n - c_l1) <= slack[i]
+
+    # each certificate off the sorted entries: its fixed points and its
+    # transpositions (r, c), r < c, in row order
+    keep = ok[s]
+    fixed, trans = keep & (r == c), keep & (r < c)
+    fixed_points = list(zip(j[fixed].tolist(), k[fixed].tolist()))
+    transpositions = list(zip(zip(j[trans].tolist(), k[trans].tolist()),
+                              zip(jp[trans].tolist(), kp[trans].tolist())))
+    f_end = np.cumsum(np.bincount(s[fixed], minlength=live.size)).tolist()
+    t_end = np.cumsum(np.bincount(s[trans], minlength=live.size)).tolist()
+    f_start = t_start = 0
+    for i, t in enumerate(live.tolist()):
+        if ok[i]:
+            certs[t] = PairingCertificate(
+                transpositions=tuple(transpositions[t_start:t_end[i]]),
+                fixed_points=tuple(fixed_points[f_start:f_end[i]]),
+                pairing_number=t_end[i] - t_start,
+            )
+        f_start, t_start = f_end[i], t_end[i]
+    return certs
 
 
 def pairing_number_bound_check(cert: PairingCertificate, d_a: int) -> bool:
@@ -143,22 +186,18 @@ def ppt_cost_condition(
     return float(n_log)
 
 
-def _renormalized(sub: np.ndarray, tol: float, spectrum: np.ndarray | None = None):
+def _renormalized(sub: np.ndarray, tol):
     """Weight p = tr(sub) of a principal block of a state validated at
     ``tol``, and the block renormalized to unit trace; for a ``(T, n, n)``
-    stack of blocks, the array of weights and the list of blocks.
+    stack of blocks (of states validated at ``tol``, one tolerance or one
+    per block), the array of weights and the list of blocks.
 
     A principal block keeps the source's Hermiticity defect and (by
     interlacing) its smallest eigenvalue, so dividing by p scales both by
     1/p: each block is validated at the source tolerance over its p.
-    ``spectrum``, given when the block is the whole source state, is that
-    state's validated spectrum: the block's checks then hold already, and
-    its spectrum is that over p.
     """
     p = np.trace(sub, axis1=-2, axis2=-1).real
-    block_tol = max(tol, linalg.DEFAULT_TOL) / p
-    if spectrum is not None:
-        return float(p), DensityMatrix._validated(sub / p, float(block_tol), spectrum / p)
+    block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
     if sub.ndim == 2:
         return float(p), DensityMatrix(sub / p, float(block_tol))
     return p, DensityMatrix.from_stack(sub / p[:, None, None], block_tol)
@@ -199,22 +238,60 @@ class QubitQuditDecomposition:
         return 2
 
     def _matrix(self) -> np.ndarray:
-        m = np.diag(self.diag_probs.astype(complex))
-        if self.blocks:
-            idx = np.array([(k0, self.d_B + k1) for k0, k1 in
-                            (blk.b_columns for blk in self.blocks)], dtype=np.intp)
-            weighted = np.array([blk.weight * blk.coeffs.mat for blk in self.blocks])
-            # add.at accumulates, block after block, even where supports overlap
-            np.add.at(m, (idx[:, :, None], idx[:, None, :]), weighted)
-        return m
+        return _assembled(_Blocks.of(self))[0]
 
     def reassemble(self) -> BipartiteState:
         """The dense state, validated at ``validation_tol``."""
         return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
 
 
+class _Blocks(NamedTuple):
+    """Block data of the qubit-qudit decompositions of a stack of T
+    states: the blocks of each state in B-column order, state by state."""
+
+    diag: np.ndarray  # (T, 2 d_B) diagonal parts
+    tols: np.ndarray  # (T,) validation tolerance of each state
+    owner: np.ndarray  # (B,) state of each block
+    columns: np.ndarray  # (B, 2) B-columns of each block
+    weights: np.ndarray  # (B,)
+    coeffs: list[DensityMatrix]  # (B,) unit-trace coefficient matrices
+
+    @classmethod
+    def of(cls, dec: QubitQuditDecomposition) -> _Blocks:
+        """The one-state stack of a decomposition."""
+        return cls(dec.diag_probs[None], np.array([dec.validation_tol]),
+                   np.zeros(len(dec.blocks), dtype=np.intp),
+                   np.array([blk.b_columns for blk in dec.blocks], dtype=np.intp).reshape(-1, 2),
+                   np.array([blk.weight for blk in dec.blocks]),
+                   [blk.coeffs for blk in dec.blocks])
+
+
+def _assembled(stack: _Blocks) -> np.ndarray:
+    """The ``(T, d, d)`` matrices of a block stack."""
+    t, d = stack.diag.shape
+    m = np.zeros((t, d, d), dtype=complex)
+    m[:, np.arange(d), np.arange(d)] = stack.diag
+    idx = stack.columns + [0, d // 2]
+    # add.at accumulates, block after block, even where supports overlap
+    np.add.at(m, (stack.owner[:, None, None], idx[:, :, None], idx[:, None, :]),
+              stack.weights[:, None, None] * _coeff_mats(stack))
+    return m
+
+
+def _coeff_mats(stack: _Blocks) -> np.ndarray:
+    """The ``(B, 2, 2)`` coefficient matrices of a block stack."""
+    return np.array([c.mat for c in stack.coeffs]).reshape(-1, 2, 2)
+
+
+def _transpositions(certs: list[PairingCertificate]) -> np.ndarray:
+    """The transpositions of certificates, one after another, as a
+    ``(B, 2, 2)`` array of label pairs ((j, k), (j', k'))."""
+    return np.array([t for cert in certs for t in cert.transpositions],
+                    dtype=np.intp).reshape(-1, 2, 2)
+
+
 def qubit_qudit_decompose(
-    bs: BipartiteState, zero_tol: float = 1e-10, cert: PairingCertificate | None = None
+    bs: BipartiteState, zero_tol: float = ZERO_TOL, cert: PairingCertificate | None = None
 ) -> QubitQuditDecomposition:
     """Split a canonical 2 x d_B pairing state into its diagonal part and
     2x2 maximally correlated blocks on disjoint B-column pairs.
@@ -230,39 +307,50 @@ def qubit_qudit_decompose(
         cert = detect_canonical_pairing(bs, zero_tol)
     if cert is None:
         raise NotCanonicalPairing("state is not a canonical pairing state")
-
-    m = bs.mat
     tol = bs.rho.validation_tol
-    columns, support = [], []
-    for (j, k), (jp, kp) in cert.transpositions:
-        if j != 0:  # orient so the first label sits on A-level 0
-            (j, k), (jp, kp) = (jp, kp), (j, k)
-        # the rho-support of this transposition is the fixed-point pair
-        # (0, kp) and (1, k)
-        columns.append((kp, k))
-        support.append((bs.index_of(0, kp), bs.index_of(1, k)))
-    idx = np.array(support, dtype=np.intp).reshape(-1, 2)
-    weights, coeffs = _renormalized(m[idx[:, :, None], idx[:, None, :]], tol)
-    blocks = [MCBlock(weight=p, coeffs=c, b_columns=cols)
-              for p, c, cols in zip(weights.tolist(), coeffs, columns)]
-    used = idx.ravel()
-
-    diag = np.diag(m).real.copy()
-    diag[used] = 0.0
-    diag[np.abs(diag) < zero_tol] = 0.0
-    p0 = float(diag.sum())
-
-    dec = QubitQuditDecomposition(
+    stack, gaps = _decompose_stack(bs.mat[None], bs.d_B, [cert], tol, zero_tol)
+    # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
+    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(np.max(np.abs(bs.mat))):
+        raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
+    diag = stack.diag[0]
+    return QubitQuditDecomposition(
         d_B=bs.d_B,
-        p0=p0,
+        p0=float(diag.sum()),
         diag_probs=diag,
-        blocks=tuple(sorted(blocks, key=lambda b: b.b_columns)),
+        blocks=tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
+                     for p, c, cols in zip(stack.weights.tolist(), stack.coeffs,
+                                           stack.columns.tolist())),
         validation_tol=tol,
     )
-    gap = float(np.max(np.abs(dec._matrix() - m)))
-    if gap > 1e-9 * max(1.0, float(np.max(np.abs(m)))):
-        raise NotCanonicalPairing(f"reassembly gap {gap:.3e}; state is not block-structured")
-    return dec
+
+
+def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate],
+                     tols, zero_tol: float) -> tuple[_Blocks, np.ndarray]:
+    """``qubit_qudit_decompose`` of each canonical 2 x d_B pairing state of
+    a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
+    state), from its certificate: the block stack, and each state's
+    reassembly gap max |assembled - rho|.  Every block is validated in one
+    stack."""
+    tols = np.zeros(len(mats)) + tols
+    trans = _transpositions(certs)
+    owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
+    # orient so the first label sits on A-level 0: the rho-support of
+    # ((0,k), (1,k')) is the fixed-point pair (0, k') and (1, k)
+    (j, k), kp = trans[:, 0].T, trans[:, 1, 1]
+    columns = np.where((j == 0)[:, None], np.stack([kp, k], axis=1), np.stack([k, kp], axis=1))
+    order = np.lexsort((columns[:, 1], columns[:, 0], owner))
+    owner, columns = owner[order], columns[order]
+    idx = columns + [0, d_b]
+    weights, coeffs = _renormalized(mats[owner[:, None, None], idx[:, :, None], idx[:, None, :]],
+                                    tols[owner])
+
+    diag = np.diagonal(mats, axis1=1, axis2=2).real.copy()
+    diag[owner[:, None], idx] = 0.0
+    diag[np.abs(diag) < zero_tol] = 0.0
+    stack = _Blocks(diag, tols, owner, columns, weights, coeffs)
+    diff = _assembled(stack)
+    diff -= mats
+    return stack, np.abs(diff).max(axis=(1, 2), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -283,28 +371,40 @@ def pairing_measures(dec: QubitQuditDecomposition) -> PairingMeasures:
     E_C = C_C = sum_j p_j H((1 + sqrt(1 - N_j^2)) / 2);
     E_PPT = N_L = log2(1 + sum_j p_j N_j).
 
-    Everything is read from the block data: rho is the diagonal part plus
-    the weighted blocks on disjoint supports, so its spectrum is the
-    diagonal part's entries plus each block's validated spectrum times its
-    weight, and its partial transpose is monomial.
+    Everything is read from the block data (``_closed_forms``).
     """
-    weighted = np.array([blk.weight * blk.coeffs.mat for blk in dec.blocks]).reshape(-1, 2, 2)
-    spectrum = np.array([blk.weight * blk.coeffs.eigenvalues() for blk in dec.blocks])
-    diagonal = np.diagonal(weighted, axis1=1, axis2=2).real
-    s_diag = linalg.entropy_of_spectrum(np.concatenate([dec.diag_probs, diagonal.ravel()]),
-                                        dec.validation_tol)
-    s_rho = linalg.entropy_of_spectrum(np.concatenate([dec.diag_probs, spectrum.ravel()]),
-                                       dec.validation_tol)
-    e_d = s_diag - s_rho
-    e_c = sum(
-        blk.weight
-        * linalg.binary_entropy(
-            (1.0 + np.sqrt(max(0.0, 1.0 - blk.block_negativity**2))) / 2.0
-        )
-        for blk in dec.blocks
-    )
-    e_ppt = float(np.log2(1.0 + sum(blk.weight * blk.block_negativity for blk in dec.blocks)))
-    return PairingMeasures(E_D=e_d, C_D=e_d, E_C=float(e_c), C_C=float(e_c), E_PPT=e_ppt)
+    e_d, e_c, e_ppt = (float(x[0]) for x in _closed_forms(_Blocks.of(dec)))
+    return PairingMeasures(E_D=e_d, C_D=e_d, E_C=e_c, C_C=e_c, E_PPT=e_ppt)
+
+
+def _closed_forms(stack: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E_D, E_C and E_PPT of each state of a block stack.
+
+    rho is the diagonal part plus the weighted blocks on disjoint supports,
+    so its diagonal and its spectrum are the diagonal part's entries plus
+    each block's diagonal and validated spectrum times its weight, and its
+    partial transpose is monomial.
+    """
+    t = len(stack.diag)
+    coeffs = _coeff_mats(stack)
+    spectra = np.array([c._ascending()[::-1] for c in stack.coeffs]).reshape(-1, 2)
+    counts = np.bincount(stack.owner, minlength=t)
+    slot = np.arange(len(stack.owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = 2 * slot[:, None] + [0, 1]
+
+    def entropies(block_values):
+        # each state's row: its diagonal part, then its blocks' values
+        rows = np.zeros((t, 2 * counts.max(initial=0)))
+        rows[stack.owner[:, None], cols] = stack.weights[:, None] * block_values
+        return linalg._entropies(np.concatenate([stack.diag, rows], axis=1), stack.tols)
+
+    e_d = entropies(coeffs.diagonal(axis1=1, axis2=2).real) - entropies(spectra)
+    n = 2.0 * np.abs(coeffs[:, 0, 1])  # each block's negativity
+    h = linalg.binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - n**2))) / 2.0)
+    # bincount adds each state's blocks in order, as a running sum does
+    e_c = np.bincount(stack.owner, stack.weights * h, minlength=t)
+    e_ppt = np.log2(1.0 + np.bincount(stack.owner, stack.weights * n, minlength=t))
+    return e_d, e_c, e_ppt
 
 
 def distill_witness(
@@ -341,8 +441,15 @@ def _witness_support(bs: BipartiteState, transposition: tuple[Label, Label]) -> 
     """Flat indices of the two-qubit subspace of one transposition
     ((j,k), (j',k')): A-levels {j, j'} times B-levels {k, k'}, in the
     product order of a 2 x 2 state."""
-    (j, k), (jp, kp) = transposition
-    return [bs.index_of(a, b) for a in sorted((j, jp)) for b in sorted((k, kp))]
+    return _witness_supports(np.array([transposition]), bs.d_B)[0].tolist()
+
+
+def _witness_supports(trans: np.ndarray, d_b: int) -> np.ndarray:
+    """``_witness_support`` of each transposition of a ``(B, 2, 2)`` array
+    of them, as a ``(B, 4)`` array."""
+    a = np.sort(trans[:, :, 0], axis=1)
+    b = np.sort(trans[:, :, 1], axis=1)
+    return (a[:, :, None] * d_b + b[:, None, :]).reshape(-1, 4)
 
 
 def distillable_lower_bound(
@@ -366,14 +473,30 @@ def distillable_lower_bound(
             raise InvalidPartition(f"A-level {pair} outside range 0..{bs.d_A - 1}")
 
     m = bs.mat
+    tol = bs.rho.validation_tol
     total = 0.0
     for pair in a_pairs:
         idx = [bs.index_of(a, b) for a in sorted(pair) for b in range(bs.d_B)]
         sub = m[np.ix_(idx, idx)]
         if float(sub.trace().real) <= zero_tol:
             continue
-        # a pair of all d_A = 2 levels projects onto rho itself
-        whole = bs.rho._ascending() if len(idx) == bs.dim else None
-        p, rho_j = _renormalized(sub, bs.rho.validation_tol, whole)
+        if len(idx) == bs.dim:  # a pair of all d_A = 2 levels projects onto rho itself
+            total += float(_whole_state_bounds(sub[None], bs.rho._ascending()[None], tol)[0])
+            continue
+        p, rho_j = _renormalized(sub, tol)
         total += p * measures.c_rel_entropy(rho_j)
     return total
+
+
+def _whole_state_bounds(mats: np.ndarray, spectra: np.ndarray, tol) -> np.ndarray:
+    """``distillable_lower_bound(bs, cert, [(0, 1)])`` of each 2 x d_B state
+    of a ``(T, d, d)`` stack validated at ``tol``, given its ascending
+    validated spectrum: the projected block is the state itself, so the
+    renormalized block's spectrum is the state's over p."""
+    p = np.trace(mats, axis1=1, axis2=2).real
+    block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
+    # the diagonal of the complex block over p, as the renormalized block has it
+    diag = (np.diagonal(mats, axis1=1, axis2=2) / p[:, None]).real
+    s_diag = linalg._entropies(diag, block_tol)
+    s_rho = linalg._entropies(spectra[:, ::-1] / p[:, None], block_tol)
+    return p * (s_diag - s_rho)

@@ -8,8 +8,11 @@ in a plain loop, making the RNG calls in the order the public generators
 make them, so a seed gives the same states as generating them one at a
 time.  Then it does the numerical work on ``(T, d, d)`` stacks: one
 batched validation, partial transpose and eigvalsh per quantity, and
-checks each quantity for all trials at once.  Only detection, which is
-under test, and the closed forms built on its certificate run per state.
+checks each quantity for all trials at once.  Detection, the qubit-qudit
+decomposition and the closed forms built on the certificates run on the
+stack as well, through the routines whose one-state case the public
+pairing functions are, so no suite's decomposition count grows with the
+number of trials.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import measures, pairing, randgen
 from .errors import Infeasible
-from .linalg import BipartiteState, DensityMatrix
+from .linalg import DensityMatrix
 from .majorization import majorizes, trace_vs_l1, uvw_triple
 from .randgen import RngState
 
@@ -107,12 +110,6 @@ def _random_pairing(rep: VerifyReport, rng: RngState, entangled: bool = False):
     return randgen._canonical_pairing_matrix(d_a, d_b, n_pairs, rng), n_pairs
 
 
-def _validated(mats: np.ndarray, d_a: int, d_b: int) -> list[BipartiteState]:
-    """Generated matrices, validated as one stack at the generators' tolerance."""
-    return [BipartiteState(rho, d_a, d_b)
-            for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)]
-
-
 def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
     """Validated ``random_bipartite_state`` matrices, one per trial."""
     d_a, d_b = rep.dims
@@ -121,10 +118,10 @@ def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
     return mats
 
 
-def _certified(rep: VerifyReport, states: list[BipartiteState]):
-    """Detect each state; record the states detection refuses.  Returns
-    the certified trials and their certificates."""
-    certs = [pairing.detect_canonical_pairing(bs) for bs in states]
+def _certified(rep: VerifyReport, mats: np.ndarray, dims: tuple[int, int]):
+    """Detect each state of a stack; record the states detection refuses.
+    Returns the certified trials and their certificates."""
+    certs = pairing._certify_stack(mats, dims, pairing.ZERO_TOL)
     refused = [t for t, cert in enumerate(certs) if cert is None]
     rep.check(refused, "detector certifies generated state", 1.0, 0.0)
     ok = np.array([t for t, cert in enumerate(certs) if cert is not None], dtype=np.intp)
@@ -170,8 +167,8 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
     draws = [_random_pairing(rep, rng) for _ in range(rep.trials)]
     mats = np.array([m for m, _ in draws])
-    states = _validated(mats, d_a, d_b)
-    ok, certs = _certified(rep, states)
+    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
+    ok, certs = _certified(rep, mats, rep.dims)
     n_pairs = np.array([n for _, n in draws])[ok]
     rep.check(ok, "pairing number matches generator",
               np.abs([c.pairing_number for c in certs] - n_pairs), 0.0)
@@ -179,27 +176,22 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     rep.check(ok, "|N - C_l1| on pairing state",
               np.abs(n - measures._c_l1_of(np.abs(mats[ok]))), 0.0, 1e-8)
     if d_a == 2:
-        gaps = [float(np.max(np.abs(
-                    pairing.qubit_qudit_decompose(states[t], cert=c)._matrix()
-                    - mats[t])))
-                for t, c in zip(ok, certs)]
+        _, gaps = pairing._decompose_stack(mats[ok], d_b, certs, randgen.GENERATED_TOL,
+                                           pairing.ZERO_TOL)
         rep.check(ok, "decompose/reassemble round trip", gaps, 0.0, 1e-9)
 
 
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
-    d_a, d_b = rep.dims
+    d_b = rep.dims[1]
     mats = np.array([_random_pairing(rep, rng, entangled=True)[0] for _ in range(rep.trials)])
-    states = _validated(mats, d_a, d_b)
-    ok, certs = _certified(rep, states)
-    # every certified trial's two-qubit blocks, as distill_witness takes them
-    trial, which, support = [], [], []
-    for t, cert in zip(ok, certs):
-        for i, transposition in enumerate(cert.transpositions):
-            trial.append(t)
-            which.append(i)
-            support.append(pairing._witness_support(states[t], transposition))
-    trial, which = np.array(trial, dtype=np.intp), np.array(which, dtype=np.intp)
-    idx = np.array(support, dtype=np.intp).reshape(-1, 4)
+    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
+    ok, certs = _certified(rep, mats, rep.dims)
+    # every certified trial's two-qubit blocks, as distill_witness takes them:
+    # block `which` of trial `trial`
+    counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
+    trial = np.repeat(ok, counts)
+    which = np.arange(trial.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = pairing._witness_supports(pairing._transpositions(certs), d_b)
     blocks = mats[trial[:, None, None], idx[:, :, None], idx[:, None, :]]
     _, renormalized = pairing._renormalized(blocks, randgen.GENERATED_TOL)
     subs = np.array([s.mat for s in renormalized]).reshape(-1, 4, 4)
@@ -238,14 +230,17 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
         randgen._canonical_pairing_matrix(2, d_b, int(g.integers(1, d_b // 2 + 1)), rng,
                                           diag_weight=0.0)
         for _ in range(rep.trials)])
-    states = _validated(mats, 2, d_b)
-    ok, certs = _certified(rep, states)
-    bounds = np.array([pairing.distillable_lower_bound(states[t], c, [(0, 1)])
-                       for t, c in zip(ok, certs)])
+    spectra = np.array([rho._ascending()
+                        for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)])
+    ok, certs = _certified(rep, mats, (2, d_b))
+    # two independent routes: the projected-block bound from each whole
+    # state's spectrum and diagonal, E_D from its block decomposition
+    bounds = pairing._whole_state_bounds(mats[ok], spectra[ok], randgen.GENERATED_TOL)
     _, n_log = measures._negativity_of(measures._pt_spectrum(mats[ok], (2, d_b)))
     rep.check(ok, "lower bound <= N_L", bounds, n_log, 1e-9)
-    e_d = np.array([pairing.pairing_measures(pairing.qubit_qudit_decompose(states[t], cert=c)).E_D
-                    for t, c in zip(ok, certs)])
+    blocks, _ = pairing._decompose_stack(mats[ok], d_b, certs, randgen.GENERATED_TOL,
+                                         pairing.ZERO_TOL)
+    e_d, _, _ = pairing._closed_forms(blocks)
     rep.check(ok, "p0=0 bound equals E_D", np.abs(bounds - e_d), 0.0, 1e-8)
 
 

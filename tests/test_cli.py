@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,28 @@ class TestConstructInputErrors:
         assert "--coeffs: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("kind, coeffs, message", [
+        ("mc", [0.5, 0.5], "--coeffs: expected a matrix of numbers, got shape (2,)"),
+        ("mc", [[float("nan")]], "--coeffs: matrix has a NaN or infinite entry"),
+        ("qubit-qudit", [0.5, 0.5],
+         "block 0 coeffs: expected a matrix of numbers, got shape (2,)"),
+    ], ids=["mc-vector", "mc-nan", "qubit-qudit-vector"])
+    def test_malformed_coeffs(self, tmp_path, capsys, kind, coeffs, message):
+        if kind == "mc":
+            argv = ["mc", "--coeffs", json.dumps(coeffs), "--a-labels", "0", "1",
+                    "--b-labels", "0", "1"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"p0": 0.0, "diag": [0.0] * 4, "blocks": [
+                {"p": 1.0, "coeffs": coeffs, "columns": [0, 1]}]}))
+            argv = ["qubit-qudit", "--spec", str(spec)]
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, option", [("mc", "--coeffs"), ("qubit-qudit", "--spec"),
                                               ("cnot-embed", "--input")])
     def test_missing_option(self, tmp_path, capsys, kind, option):
@@ -339,9 +363,19 @@ class TestConstructInputErrors:
         failed = f"{out}.report.json" if where == "sidecar directory" else str(out)
         assert err.startswith(f"parse error: cannot write {failed}: ")
         assert err.count("\n") == 1
+        if where == "sidecar directory":  # no state file without its report
+            assert not out.exists()
 
 
 class TestVerifyCommand:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "pairinglab", "verify", "--suite", "l0-bound", "--trials", "5"],
+            env={"PYTHONPATH": str(src), "PATH": ""}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("l0-bound: trials=5 ")
+
     def test_single_suite_ok(self, capsys):
         code = cli.main(["verify", "--suite", "negativity-bound",
                          "--trials", "20", "--seed", "7"])

@@ -674,6 +674,41 @@ class TestEntropies:
         with pytest.raises(OutOfRange):
             pl.binary_entropy(1.5)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_the_per_row_formula(self, seed):
+        # rows of varying kept counts: zeros, entries below the cutoff, a
+        # tiny negative entry within tolerance
+        g = np.random.Generator(np.random.Philox(seed))
+        t, n = int(g.integers(1, 9)), int(g.integers(1, 13))
+        lams = g.dirichlet(np.ones(n), size=t) * g.choice([1.0, 3.0])
+        lams[g.random((t, n)) < 0.3] = 0.0
+        lams[g.random((t, n)) < 0.1] = 1e-12
+        lams[g.random((t, n)) < 0.1] = -1e-11
+        tols = g.choice([1e-10, 1e-9], size=t)
+
+        def per_row(row, tol):  # -sum l log2 l as one spectrum at a time
+            cut = 1e-10 * max(1.0, float(np.max(np.abs(row))))
+            row = np.clip(row, 0.0, None)
+            row = row[row > cut]
+            return float(-np.sum(row * np.log2(row)))
+
+        got = pl.linalg._entropies(lams, tols)
+        assert got.tolist() == [per_row(row, tol) for row, tol in zip(lams, tols)]
+        assert [pl.linalg.entropy_of_spectrum(row, tol) for row, tol in zip(lams, tols)] \
+            == got.tolist()
+
+    def test_stack_names_the_first_negative_row(self):
+        lams = np.array([[0.5, 0.5], [1.2, -0.2], [1.5, -0.5]])
+        with pytest.raises(NegativeEigenvalue, match=r"eigenvalue -2.000e-01 below -1.000e-09"):
+            pl.linalg._entropies(lams, 1e-9)
+
+    def test_binary_entropy_of_an_array_is_entrywise(self):
+        x = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        assert pl.binary_entropy(x).tolist() == [pl.binary_entropy(float(v)) for v in x]
+        with pytest.raises(OutOfRange, match="argument 1.5 outside"):
+            pl.binary_entropy(np.array([0.5, 1.5]))
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_dephasing_never_decreases_entropy(self, seed):

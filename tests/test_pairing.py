@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairinglab as pl
+from pairinglab import measures, pairing, verify
 from pairinglab.errors import (
     ConditionViolated,
     InvalidPartition,
@@ -48,6 +51,123 @@ class TestDetect:
         cert = pl.detect_canonical_pairing(ex.state)
         assert cert is not None
         assert cert.pairing_number == 2
+
+
+def per_state_detect(m, d_a, d_b, zero_tol):
+    """Reference detector: ``detect_canonical_pairing`` as it ran on one
+    state at a time, before detection ran on stacks (a dict of partners
+    and a loop over transpositions), on a matrix ``m`` of a d_A x d_B
+    system."""
+    def label_of(index):
+        return divmod(index, d_b)
+
+    def index_of(j, k):
+        return j * d_b + k
+
+    pt = pl.partial_transpose(m, (d_a, d_b))
+    d = pt.shape[0]
+    mod = np.abs(pt)
+    top = float(np.max(mod))
+    present = mod > zero_tol * top
+    if np.any(present.sum(axis=0) > 1) or np.any(present.sum(axis=1) > 1):
+        return None
+    rows, cols = np.nonzero(present)
+    partner = dict(zip(rows.tolist(), cols.tolist()))
+    for r, c in partner.items():
+        if partner.get(c) != r:
+            return None
+    fixed = {r for r, c in partner.items() if r == c}
+    trans = sorted({(min(r, c), max(r, c)) for r, c in partner.items() if r != c})
+    transpositions = []
+    for r, c in trans:
+        j, k = label_of(r)
+        jp, kp = label_of(c)
+        if j == jp or k == kp:
+            return None
+        if index_of(j, kp) not in fixed or index_of(jp, k) not in fixed:
+            return None
+        transpositions.append(((j, k), (jp, kp)))
+    cert = pl.PairingCertificate(
+        transpositions=tuple(transpositions),
+        fixed_points=tuple(sorted(label_of(r) for r in fixed)),
+        pairing_number=len(transpositions),
+    )
+    slack = 10 * zero_tol * d * max(1.0, top)
+    trace_defect = abs(float(np.sum(np.diag(mod))) - 1.0)
+    if trace_defect + 2.0 * float(np.sum(mod, where=~present)) <= slack:
+        return cert
+    n = pl.linalg.trace_norm(pt) - 1.0
+    if abs(n - float(measures._c_l1_of(np.abs(m)))) > slack:
+        return None
+    return cert
+
+
+def monomial_pt_matrix(d_a, d_b, g, kind):
+    """rho whose partial transpose is monomial, with some rows empty and
+    some fixed points of zero weight, on a random permutation: a Hermitian
+    involution ("involution"), an involution whose empty rows break some
+    transpositions into one-way entries ("chain"), or any permutation.
+    The fixed points' weights sum to 1, so the remainder bound decides
+    most states without an SVD."""
+    d = d_a * d_b
+    perm = g.permutation(d)
+    if kind != "permutation":
+        order, perm = perm, np.arange(d)
+        pairs = order[:2 * int(g.integers(0, d // 2 + 1))].reshape(-1, 2)
+        perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    rows = np.flatnonzero(g.random(d) < 0.85)
+    pt = np.zeros((d, d), dtype=complex)
+    x = g.uniform(0.05, 0.5, rows.size) * np.exp(2j * np.pi * g.random(rows.size))
+    pt[rows, perm[rows]] = np.where(perm[rows] == rows, np.abs(x), x)
+    fixed = rows[perm[rows] == rows]
+    if fixed.size:
+        pt[fixed, fixed] /= pt[fixed, fixed].real.sum()
+    if kind == "involution":  # Hermitian, as the partial transpose of a state is
+        pt = np.triu(pt) + np.triu(pt, 1).conj().T
+    return pl.partial_transpose(pt, (d_a, d_b))
+
+
+def detection_input(kind, d_a, d_b, zero_tol, g):
+    """One matrix of a stack for the stacked-detector equivalence test."""
+    if kind in ("involution", "chain", "permutation"):
+        return monomial_pt_matrix(d_a, d_b, g, kind)
+    rng = pl.RngState(int(g.integers(2**32)))
+    n_pairs = int(g.integers(0, verify._feasible_pairs(d_a, d_b) + 1))
+    m = pl.random_canonical_pairing(d_a, d_b, n_pairs, rng).mat.copy()
+    top = float(np.max(np.abs(m)))
+    d = m.shape[0]
+    if kind == "near":  # one Hermitian pair just above or just below the cutoff
+        i, j = g.choice(d, size=2, replace=False)
+        x = g.choice([0.98, 1.02]) * zero_tol * top * np.exp(2j * np.pi * g.random())
+        m[i, j] += x
+        m[j, i] += np.conj(x)
+    elif kind == "remainder":  # dropped entries too many for the bound: an SVD decides
+        rows, cols = np.triu_indices(d, 1)
+        noise = np.zeros((d, d), dtype=complex)
+        noise[rows, cols] = 0.45 * zero_tol * top * np.exp(2j * np.pi * g.random(rows.size))
+        m += noise + noise.conj().T
+    return m
+
+
+class TestStackedDetection:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 6), (3, 4), (4, 4)]),
+        kinds=st.lists(st.sampled_from(["pairing", "near", "remainder", "involution", "chain",
+                                        "permutation"]), min_size=1, max_size=6),
+        zero_tol=st.sampled_from([1e-10, 1e-8]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_state_detector(self, seed, dims, kinds, zero_tol):
+        g = np.random.Generator(np.random.Philox(seed))
+        mats = np.array([detection_input(kind, *dims, zero_tol, g) for kind in kinds])
+        want = [per_state_detect(m, *dims, zero_tol) for m in mats]
+        assert pairing._certify_stack(mats, dims, zero_tol) == want
+
+    def test_a_stack_of_rejected_states_stops_at_the_monomial_check(self, rng, monkeypatch):
+        mats = np.array([pl.random_bipartite_state(3, 3, rng).mat for _ in range(4)])
+        monkeypatch.setattr(np, "unravel_index", None)  # the entry scan is never reached
+        assert pairing._certify_stack(mats, (3, 3), 1e-10) == [None] * 4
 
 
 class TestPairingNumberBound:

@@ -264,13 +264,15 @@ def test_violations_are_listed_in_trial_order(monkeypatch):
     assert_same_report(got, ref)
 
 
-@pytest.mark.parametrize("suite", ["negativity-bound", "l0-bound", "additivity",
-                                   "witness", "majorization"])
-def test_decompositions_do_not_grow_with_trials(suite, decompositions):
-    verify.run_suite(suite, 50, 1, (3, 3))
+@pytest.mark.parametrize("suite, dims", [
+    *[pytest.param(suite, (3, 3), id=suite) for suite in verify.SUITES],
+    *[pytest.param(suite, (2, 6), id=f"{suite}-2x6") for suite in verify.SUITES],
+])
+def test_decompositions_do_not_grow_with_trials(suite, dims, decompositions):
+    verify.run_suite(suite, 50, 1, dims)
     calls_at_50 = len(decompositions)
     decompositions.clear()
-    verify.run_suite(suite, 200, 1, (3, 3))
+    verify.run_suite(suite, 200, 1, dims)
     assert len(decompositions) == calls_at_50 <= 3
 
 
