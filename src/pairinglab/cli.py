@@ -139,15 +139,31 @@ def _mc_coeffs(text: str) -> np.ndarray:
     return _coeff_matrix(doc, "--coeffs")
 
 
+def _real(value, where: str) -> float:
+    """``value`` as a finite float; ParseError naming ``where`` otherwise."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN fails
+        raise ParseError(f"{where}: expected a finite real number, got {value!r}")
+    return float(value)
+
+
+def _block(b, where: str) -> tuple:
+    """(p, coeffs, columns) of one block of a qubit-qudit spec file."""
+    coeffs, columns = _coeff_matrix(b["coeffs"], f"{where} coeffs"), b["columns"]
+    if coeffs.shape != (2, 2):
+        raise ParseError(f"{where} coeffs: expected a 2x2 matrix, got shape {coeffs.shape}")
+    if type(columns) is not list or [type(k) for k in columns] != [int, int]:
+        raise ParseError(f"{where} columns: expected two integers, got {columns!r}")
+    return _real(b["p"], f"{where} p"), coeffs, tuple(columns)
+
+
 def _qubit_qudit_spec(path: str) -> tuple:
     """(p0, diag, blocks) of a JSON block file
     {"p0": p0, "diag": [...], "blocks": [{"p", "coeffs", "columns"}, ...]}."""
     doc = statefile._read_json(path)
     try:
-        blocks = [(b["p"], _coeff_matrix(b["coeffs"], f"{path}: block {i} coeffs"),
-                   tuple(b["columns"]))
-                  for i, b in enumerate(doc.get("blocks", []))]
-        return doc.get("p0", 0.0), doc["diag"], blocks
+        blocks = [_block(b, f"{path}: block {i}") for i, b in enumerate(doc.get("blocks", []))]
+        diag = [_real(x, f"{path}: diag entry {i}") for i, x in enumerate(doc["diag"])]
+        return _real(doc.get("p0", 0.0), f"{path}: p0"), diag, blocks
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -260,14 +276,9 @@ def cmd_witness(args) -> int:
         raise Infeasible(f"--index {args.index} out of range: the state has {n} "
                          f"transpositions, indices 0 to {n - 1}")
     indices = [args.index] if args.index is not None else range(n)
-    # each transposition's two-qubit block, as distill_witness cuts it out,
-    # validated as one stack; N of every block from one stacked spectrum
-    idx = pairing._witness_supports(np.array([cert.transpositions[i] for i in indices]),
-                                    state.d_B)
-    _, blocks = pairing._renormalized(state.mat[idx[:, :, None], idx[:, None, :]],
-                                      state.rho.validation_tol)
-    block_n, _ = measures._negativity_of(
-        measures._pt_spectrum(np.array([b.mat for b in blocks]), (2, 2)))
+    block_n = pairing._witness_negativities(
+        state.mat[None], state.d_B, np.zeros(len(indices), dtype=np.intp),
+        np.array([cert.transpositions[i] for i in indices]), state.rho.validation_tol)
     for i, value in zip(indices, block_n.tolist()):
         (j, k), (jp, kp) = cert.transpositions[i]
         print(f"transposition {i}: ({j},{k})<->({jp},{kp})  "

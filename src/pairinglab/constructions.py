@@ -47,7 +47,7 @@ class MCSpec:
         if len(set(self.a_labels)) != r or len(set(self.b_labels)) != r:
             raise LabelCollision("A labels and B labels must each be pairwise distinct")
         try:
-            object.__setattr__(self, "_rho", DensityMatrix(c, 1e-9))
+            object.__setattr__(self, "_rho", DensityMatrix(c, linalg.DEFAULT_TOL))
         except ValidationError as exc:
             raise InvalidCoeffs(str(exc)) from exc
 
@@ -103,13 +103,15 @@ def make_qubit_qudit_pairing(
         m += p0 * np.diag(diag.astype(complex))
     for p, coeffs, (k0, k1) in blocks:
         c = linalg.as_complex_matrix(coeffs)
+        if c.shape != (2, 2):
+            raise InvalidCoeffs(f"block coefficients must be 2x2, got shape {c.shape}")
         try:
-            DensityMatrix(c, 1e-9)
+            DensityMatrix(c, linalg.DEFAULT_TOL)
         except ValidationError as exc:
             raise InvalidCoeffs(str(exc)) from exc
         idx = [int(k0), d_b + int(k1)]
         m[np.ix_(idx, idx)] += p * c
-    return BipartiteState(DensityMatrix(m, 1e-9), 2, d_b)
+    return BipartiteState(DensityMatrix(m, linalg.DEFAULT_TOL), 2, d_b)
 
 
 def cnot_embed(rho: DensityMatrix) -> BipartiteState:
@@ -212,7 +214,7 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     for powers in itertools.product(range(K), repeat=d):
         u = omega ** np.asarray(powers)
         conj_blocks.append((u[:, None] * m * u.conj()[None, :]) / K**d)
-    rho2 = DensityMatrix(_direct_sum(conj_blocks), 1e-9)
+    rho2 = DensityMatrix(_direct_sum(conj_blocks), linalg.DEFAULT_TOL)
 
     psi = omega ** np.arange(K) / np.sqrt(K)
     phi = np.ones(K) / np.sqrt(K)
@@ -247,9 +249,9 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     # the 1 - tr(M) corner, with tr(M) summed as the dense trace sums it
     psi_blocks, phi_blocks = m_blocks(psi_proj), m_blocks(phi_proj)
     tr_m = float(dense_trace(psi_blocks).real)
-    rho3 = DensityMatrix(_direct_sum([*psi_blocks, np.array([[1.0 - tr_m]])]), 1e-9)
+    rho3 = DensityMatrix(_direct_sum([*psi_blocks, np.array([[1.0 - tr_m]])]), linalg.DEFAULT_TOL)
     tr_phi = dense_trace(phi_blocks).real
-    rho4 = DensityMatrix(_direct_sum([*phi_blocks, np.array([[1.0 - tr_phi]])]), 1e-9)
+    rho4 = DensityMatrix(_direct_sum([*phi_blocks, np.array([[1.0 - tr_phi]])]), linalg.DEFAULT_TOL)
 
     weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])
     v_diag = omega ** (-np.arange(K))
@@ -347,7 +349,7 @@ def isotropic_mixture(p: float, psi, d_a: int, d_b: int) -> BipartiteState:
     if v.size != d:
         raise ValueError("pure part has wrong dimension")
     m = p * np.outer(v, v.conj()) + (1.0 - p) * np.eye(d) / d
-    return BipartiteState(DensityMatrix(m, 1e-9), d_a, d_b)
+    return BipartiteState(DensityMatrix(m, linalg.DEFAULT_TOL), d_a, d_b)
 
 
 def bell_vector() -> np.ndarray:

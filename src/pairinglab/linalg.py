@@ -96,11 +96,11 @@ class DensityMatrix:
         """Validate each matrix of a ``(T, d, d)`` stack, ``mats[t]`` at
         ``validation_tols[t]`` (one tolerance or one per matrix).
 
-        The checks are the dense constructor's, taken for the whole stack
-        at once with one batched eigvalsh; a matrix that fails them is
-        passed to the constructor, so the error and its message are the
-        ones ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The
-        states hold views of ``mats`` and keep their spectra.
+        The checks are the constructor's, taken for the whole stack at once,
+        and the spectra (``_spectra``) those it keeps; a matrix that fails is
+        passed to the constructor, so the error and its message are the ones
+        ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The states
+        hold views of ``mats`` and keep their spectra.
         """
         mats = as_complex_stack(mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -110,7 +110,7 @@ class DensityMatrix:
         tols = np.zeros(len(mats)) + validation_tols
         defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
         traces = mats.trace(axis1=1, axis2=2)
-        spectra = _hermitian_spectrum(mats)
+        spectra = _spectra(mats, mats != 0)
         # defects >= 0, so a negative tolerance is caught here as well
         bad = np.maximum(np.maximum(defects, np.abs(traces - 1)), -spectra[:, 0]) > tols
         for t in np.flatnonzero(bad):
@@ -177,6 +177,17 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of ``m`` (of each matrix,
     for a stack)."""
     return np.linalg.eigvalsh((m + _dagger(m)) / 2)
+
+
+def _spectra(m: np.ndarray, present: np.ndarray,
+             dims: tuple[int, int] | None = None) -> np.ndarray:
+    """``_component_spectrum`` of ``m`` given ``present``, the nonzero
+    pattern of the matrix taken; a stack whose every matrix has a full row
+    takes one eigvalsh, the bits the components give a connected matrix.
+    So a matrix's spectrum is the same alone or in any stack."""
+    if present.all(axis=-1).any(axis=-1).all():
+        return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
+    return _component_spectrum(m, *np.nonzero(present), dims=dims)
 
 
 def _component_spectrum(m: np.ndarray, *nonzero: np.ndarray,

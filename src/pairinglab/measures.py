@@ -16,11 +16,9 @@ from .errors import ValidationError
 from .linalg import BipartiteState, DensityMatrix
 
 
-def _default_zero_tol(mod: np.ndarray):
-    """Entry-size cutoff from the entry moduli ``mod``: 1e-10 times
-    max(1, largest modulus) (one per matrix of a ``(..., d, d)`` stack)."""
-    top = np.max(mod, axis=(-2, -1), initial=0.0)
-    return linalg._scalar(1e-10 * np.maximum(1.0, top))
+def _relative_cutoff(top):
+    """The default cutoff, 1e-10 times max(1, top), for a largest modulus ``top``."""
+    return 1e-10 * np.maximum(1.0, top)
 
 
 def _c_l1_of(mod: np.ndarray):
@@ -68,15 +66,11 @@ def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
     a BipartiteState, or of each matrix of a ``(T, d, d)`` stack on
     ``dims`` = (d_A, d_B).
 
-    Unless a row of rho^T_A is full, the spectrum is taken over the
-    components of its pattern (``linalg._component_spectrum``).
+    A matrix's spectrum is the same alone or in any stack (``linalg._spectra``).
     """
     if isinstance(state, BipartiteState):
         state, dims = state.mat, (state.d_A, state.d_B)
-    present = linalg.partial_transpose(state != 0, dims)  # the pattern of rho^T_A
-    if present.all(axis=-1).any():  # a full row: the pattern is one component
-        return linalg._hermitian_spectrum(linalg.partial_transpose(state, dims))
-    return linalg._component_spectrum(state, *np.nonzero(present), dims=dims)
+    return linalg._spectra(state, linalg.partial_transpose(state != 0, dims), dims)
 
 
 def _negativity_of(pt_spectrum: np.ndarray):
@@ -91,8 +85,7 @@ def _n0_of(pt_spectrum: np.ndarray, zero_tol: float | None):
     """Count of eigenvalues below -zero_tol (per row of a stack); the
     default cutoff is relative to each spectrum's largest modulus."""
     if zero_tol is None:
-        top = np.max(np.abs(pt_spectrum), axis=-1, keepdims=True)
-        zero_tol = 1e-10 * np.maximum(1.0, top)
+        zero_tol = _relative_cutoff(np.max(np.abs(pt_spectrum), axis=-1, keepdims=True))
     return np.count_nonzero(pt_spectrum < -zero_tol, axis=-1)
 
 
@@ -132,9 +125,9 @@ def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
 def _c_l0_of(mod: np.ndarray, zero_tol: float | None):
     """Count of off-diagonal entries above zero_tol, given the entry
     moduli ``mod`` of a matrix (of each matrix of a stack); the default
-    cutoff is ``_default_zero_tol`` of each matrix."""
+    cutoff is relative to each matrix's largest modulus."""
     if zero_tol is None:
-        zero_tol = np.asarray(_default_zero_tol(mod))[..., None, None]
+        zero_tol = _relative_cutoff(np.max(mod, axis=(-2, -1), keepdims=True, initial=0.0))
     mask = mod > zero_tol
     diag = np.arange(mod.shape[-1])
     mask[..., diag, diag] = False

@@ -186,21 +186,18 @@ def ppt_cost_condition(
     return float(n_log)
 
 
-def _renormalized(sub: np.ndarray, tol):
-    """Weight p = tr(sub) of a principal block of a state validated at
-    ``tol``, and the block renormalized to unit trace; for a ``(T, n, n)``
-    stack of blocks (of states validated at ``tol``, one tolerance or one
-    per block), the array of weights and the list of blocks.
+def _renormalized(subs: np.ndarray, tol):
+    """Weights p = tr(sub) of a ``(T, n, n)`` stack of principal blocks of
+    states validated at ``tol`` (one tolerance or one per block), and the
+    blocks renormalized to unit trace, validated as one stack.
 
     A principal block keeps the source's Hermiticity defect and (by
     interlacing) its smallest eigenvalue, so dividing by p scales both by
     1/p: each block is validated at the source tolerance over its p.
     """
-    p = np.trace(sub, axis1=-2, axis2=-1).real
+    p = np.trace(subs, axis1=1, axis2=2).real
     block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
-    if sub.ndim == 2:
-        return float(p), DensityMatrix(sub / p, float(block_tol))
-    return p, DensityMatrix.from_stack(sub / p[:, None, None], block_tol)
+    return p, DensityMatrix.from_stack(subs / p[:, None, None], block_tol)
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,11 @@ class QubitQuditDecomposition:
         return 2
 
     def _matrix(self) -> np.ndarray:
-        return _assembled(_Blocks.of(self))[0]
+        m = np.diag(self.diag_probs).astype(complex)
+        for blk in self.blocks:  # block after block, even where supports overlap
+            idx = np.add(blk.b_columns, [0, self.d_B])
+            m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
+        return m
 
     def reassemble(self) -> BipartiteState:
         """The dense state, validated at ``validation_tol``."""
@@ -264,18 +265,6 @@ class _Blocks(NamedTuple):
                    np.array([blk.b_columns for blk in dec.blocks], dtype=np.intp).reshape(-1, 2),
                    np.array([blk.weight for blk in dec.blocks]),
                    [blk.coeffs for blk in dec.blocks])
-
-
-def _assembled(stack: _Blocks) -> np.ndarray:
-    """The ``(T, d, d)`` matrices of a block stack."""
-    t, d = stack.diag.shape
-    m = np.zeros((t, d, d), dtype=complex)
-    m[:, np.arange(d), np.arange(d)] = stack.diag
-    idx = stack.columns + [0, d // 2]
-    # add.at accumulates, block after block, even where supports overlap
-    np.add.at(m, (stack.owner[:, None, None], idx[:, :, None], idx[:, None, :]),
-              stack.weights[:, None, None] * _coeff_mats(stack))
-    return m
 
 
 def _coeff_mats(stack: _Blocks) -> np.ndarray:
@@ -341,16 +330,20 @@ def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate]
     order = np.lexsort((columns[:, 1], columns[:, 0], owner))
     owner, columns = owner[order], columns[order]
     idx = columns + [0, d_b]
-    weights, coeffs = _renormalized(mats[owner[:, None, None], idx[:, :, None], idx[:, None, :]],
-                                    tols[owner])
+    support = owner[:, None, None], idx[:, :, None], idx[:, None, :]
+    weights, coeffs = _renormalized(mats[support], tols[owner])
 
     diag = np.diagonal(mats, axis1=1, axis2=2).real.copy()
     diag[owner[:, None], idx] = 0.0
     diag[np.abs(diag) < zero_tol] = 0.0
     stack = _Blocks(diag, tols, owner, columns, weights, coeffs)
-    diff = _assembled(stack)
-    diff -= mats
-    return stack, np.abs(diff).max(axis=(1, 2), initial=0.0)
+    # the block supports are disjoint: |assembled - rho| is |rho| but on the
+    # diagonal and on each block's support
+    gap = np.abs(mats)
+    on = np.arange(mats.shape[-1])
+    gap[:, on, on] = np.abs(diag - mats[:, on, on])
+    gap[support] = np.abs(weights[:, None, None] * _coeff_mats(stack) - mats[support])
+    return stack, gap.max(axis=(1, 2), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -420,33 +413,31 @@ def distill_witness(
         raise NoTransposition("certificate has no transpositions; state is separable")
     if not 0 <= which < len(cert.transpositions):
         raise IndexError(f"transposition index {which} out of range")
-    (j, k), (jp, kp) = cert.transpositions[which]
-
-    pa = np.zeros((bs.d_A, bs.d_A), dtype=complex)
-    pa[j, j] = pa[jp, jp] = 1.0
-    pb = np.zeros((bs.d_B, bs.d_B), dtype=complex)
-    pb[k, k] = pb[kp, kp] = 1.0
-    proj = linalg.tensor_product(pa, pb)
+    trans = np.array([cert.transpositions[which]])
+    mask = np.zeros(bs.dim)
+    mask[_witness_supports(trans, bs.d_B)] = 1.0
+    (n,) = _witness_negativities(bs.mat[None], bs.d_B, np.zeros(1, dtype=np.intp), trans,
+                                 bs.rho.validation_tol)
     # P is a diagonal 0/1 projector, so P rho P is rho masked entrywise
-    mask = np.diag(proj).real
-    block = bs.mat * np.outer(mask, mask)
-
-    idx = _witness_support(bs, cert.transpositions[which])
-    _, sub = _renormalized(block[np.ix_(idx, idx)], bs.rho.validation_tol)
-    n, _ = measures.negativity(BipartiteState(sub, 2, 2))
-    return proj, block, n
+    return np.diag(mask).astype(complex), bs.mat * np.outer(mask, mask), float(n)
 
 
-def _witness_support(bs: BipartiteState, transposition: tuple[Label, Label]) -> list[int]:
-    """Flat indices of the two-qubit subspace of one transposition
-    ((j,k), (j',k')): A-levels {j, j'} times B-levels {k, k'}, in the
-    product order of a 2 x 2 state."""
-    return _witness_supports(np.array([transposition]), bs.d_B)[0].tolist()
+def _witness_negativities(mats: np.ndarray, d_b: int, owner: np.ndarray, trans: np.ndarray,
+                          tol: float) -> np.ndarray:
+    """``distill_witness`` N of each transposition ``trans[i]`` (of a ``(B,
+    2, 2)`` array) of ``mats[owner[i]]`` (of a stack of states on d_A x
+    ``d_b`` validated at ``tol``), from one stack of renormalized blocks and
+    one stacked spectrum of their partial transposes."""
+    idx = _witness_supports(trans, d_b)
+    _, blocks = _renormalized(mats[owner[:, None, None], idx[:, :, None], idx[:, None, :]], tol)
+    subs = np.array([b.mat for b in blocks]).reshape(-1, 4, 4)
+    return measures._negativity_of(measures._pt_spectrum(subs, (2, 2)))[0]
 
 
 def _witness_supports(trans: np.ndarray, d_b: int) -> np.ndarray:
-    """``_witness_support`` of each transposition of a ``(B, 2, 2)`` array
-    of them, as a ``(B, 4)`` array."""
+    """``(B, 4)`` flat indices of the two-qubit subspace of each transposition
+    ((j,k), (j',k')) of a ``(B, 2, 2)`` array of them: A-levels {j, j'} times
+    B-levels {k, k'}, in the product order of a 2 x 2 state."""
     a = np.sort(trans[:, :, 0], axis=1)
     b = np.sort(trans[:, :, 1], axis=1)
     return (a[:, :, None] * d_b + b[:, None, :]).reshape(-1, 4)
@@ -466,37 +457,34 @@ def distillable_lower_bound(
     """
     seen: set[int] = set()
     for pair in a_pairs:
-        if len(set(pair)) != 2 or seen & set(pair):
+        if len(pair) != 2 or len(set(pair)) != 2 or seen & set(pair):
             raise InvalidPartition(f"A-level subsets must be disjoint pairs, got {a_pairs}")
         seen.update(pair)
         if not all(0 <= a < bs.d_A for a in pair):
             raise InvalidPartition(f"A-level {pair} outside range 0..{bs.d_A - 1}")
 
-    m = bs.mat
-    tol = bs.rho.validation_tol
+    a = np.sort(np.array(a_pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+    idx = (a[:, :, None] * bs.d_B + np.arange(bs.d_B)).reshape(len(a), -1)
+    subs = bs.mat[idx[:, :, None], idx[:, None, :]]
+    p = np.trace(subs, axis1=1, axis2=2).real
+    subs, p, tol = subs[p > zero_tol], p[p > zero_tol], bs.rho.validation_tol
+    if bs.d_A == 2:  # the one pair projects onto rho itself: its spectrum over p
+        spectra = bs.rho._ascending() / p[:, None]
+    else:
+        spectra = np.array([b._ascending() for b in _renormalized(subs, tol)[1]])
     total = 0.0
-    for pair in a_pairs:
-        idx = [bs.index_of(a, b) for a in sorted(pair) for b in range(bs.d_B)]
-        sub = m[np.ix_(idx, idx)]
-        if float(sub.trace().real) <= zero_tol:
-            continue
-        if len(idx) == bs.dim:  # a pair of all d_A = 2 levels projects onto rho itself
-            total += float(_whole_state_bounds(sub[None], bs.rho._ascending()[None], tol)[0])
-            continue
-        p, rho_j = _renormalized(sub, tol)
-        total += p * measures.c_rel_entropy(rho_j)
+    for bound in _projected_bounds(subs, spectra.reshape(subs.shape[:2]), tol).tolist():
+        total += bound  # in pair order, as a running sum
     return total
 
 
-def _whole_state_bounds(mats: np.ndarray, spectra: np.ndarray, tol) -> np.ndarray:
-    """``distillable_lower_bound(bs, cert, [(0, 1)])`` of each 2 x d_B state
-    of a ``(T, d, d)`` stack validated at ``tol``, given its ascending
-    validated spectrum: the projected block is the state itself, so the
-    renormalized block's spectrum is the state's over p."""
-    p = np.trace(mats, axis1=1, axis2=2).real
+def _projected_bounds(subs: np.ndarray, spectra: np.ndarray, tol) -> np.ndarray:
+    """p [S(diag(rho_j)) - S(rho_j)] of each principal block ``subs[j]`` of
+    a ``(T, n, n)`` stack of blocks of states validated at ``tol``, with p
+    its trace and rho_j = subs[j] / p, given ``spectra[j]``, the ascending
+    spectrum of rho_j."""
+    p = np.trace(subs, axis1=1, axis2=2).real
     block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
-    # the diagonal of the complex block over p, as the renormalized block has it
-    diag = (np.diagonal(mats, axis1=1, axis2=2) / p[:, None]).real
-    s_diag = linalg._entropies(diag, block_tol)
-    s_rho = linalg._entropies(spectra[:, ::-1] / p[:, None], block_tol)
-    return p * (s_diag - s_rho)
+    # the diagonal of the complex block over p, as rho_j has it
+    diag = (np.diagonal(subs, axis1=1, axis2=2) / p[:, None]).real
+    return p * (linalg._entropies(diag, block_tol) - linalg._entropies(spectra[:, ::-1], block_tol))

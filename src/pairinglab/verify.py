@@ -6,13 +6,12 @@ and records every violation as (trial, quantity, lhs, rhs, gap).
 A suite runs in two phases.  First it draws every trial's random inputs
 in a plain loop, making the RNG calls in the order the public generators
 make them, so a seed gives the same states as generating them one at a
-time.  Then it does the numerical work on ``(T, d, d)`` stacks: one
-batched validation, partial transpose and eigvalsh per quantity, and
-checks each quantity for all trials at once.  Detection, the qubit-qudit
-decomposition and the closed forms built on the certificates run on the
-stack as well, through the routines whose one-state case the public
-pairing functions are, so no suite's decomposition count grows with the
-number of trials.
+time.  Then it checks each quantity for all trials at once, on
+``(T, d, d)`` stacks: validation, spectra (each that of its matrix alone),
+detection, the qubit-qudit decomposition, the closed forms, the witness
+blocks and the lower bound all run through the routines whose one-state
+case the public functions are.  So a report is bit for bit that of a
+per-trial loop, and no suite's decomposition count grows with the trials.
 """
 
 from __future__ import annotations
@@ -182,20 +181,15 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 
 
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
-    d_b = rep.dims[1]
     mats = np.array([_random_pairing(rep, rng, entangled=True)[0] for _ in range(rep.trials)])
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, mats, rep.dims)
-    # every certified trial's two-qubit blocks, as distill_witness takes them:
-    # block `which` of trial `trial`
+    # every certified trial's witness blocks: block `which` of trial `trial`
     counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
     trial = np.repeat(ok, counts)
     which = np.arange(trial.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = pairing._witness_supports(pairing._transpositions(certs), d_b)
-    blocks = mats[trial[:, None, None], idx[:, :, None], idx[:, None, :]]
-    _, renormalized = pairing._renormalized(blocks, randgen.GENERATED_TOL)
-    subs = np.array([s.mat for s in renormalized]).reshape(-1, 4, 4)
-    block_n, _ = measures._negativity_of(measures._pt_spectrum(subs, (2, 2)))
+    block_n = pairing._witness_negativities(mats, rep.dims[1], trial,
+                                            pairing._transpositions(certs), randgen.GENERATED_TOL)
     for i in range(int(which.max(initial=-1)) + 1):
         sel = which == i
         rep.check(trial[sel], f"witness block {i} negativity > 1e-6", 1e-6, block_n[sel])
@@ -235,7 +229,8 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     ok, certs = _certified(rep, mats, (2, d_b))
     # two independent routes: the projected-block bound from each whole
     # state's spectrum and diagonal, E_D from its block decomposition
-    bounds = pairing._whole_state_bounds(mats[ok], spectra[ok], randgen.GENERATED_TOL)
+    p = np.trace(mats[ok], axis1=1, axis2=2).real
+    bounds = pairing._projected_bounds(mats[ok], spectra[ok] / p[:, None], randgen.GENERATED_TOL)
     _, n_log = measures._negativity_of(measures._pt_spectrum(mats[ok], (2, d_b)))
     rep.check(ok, "lower bound <= N_L", bounds, n_log, 1e-9)
     blocks, _ = pairing._decompose_stack(mats[ok], d_b, certs, randgen.GENERATED_TOL,

@@ -126,7 +126,7 @@ def test_criterion_06_closed_form_measures():
     # frozen values from scripts/closed_form_oracle.py
     ok = (
         abs(pm.E_D - 0.2780719051126377) <= 1e-4
-        and abs(pm.E_C - 0.4689955935892812) <= 1e-4
+        and abs(pm.E_C - 0.4689955935892811) <= 1e-4
         and abs(pm_bell.E_D - 1.0) <= 1e-9
         and abs(pm_bell.E_C - 1.0) <= 1e-9
     )

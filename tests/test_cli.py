@@ -317,6 +317,36 @@ class TestConstructInputErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("coeffs", np.eye(3).tolist(), "block 0 coeffs: expected a 2x2 matrix, got shape (3, 3)"),
+        ("coeffs", [[1.0]], "block 0 coeffs: expected a 2x2 matrix, got shape (1, 1)"),
+        ("columns", [0, 1, 2], "block 0 columns: expected two integers, got [0, 1, 2]"),
+        ("columns", [0.5, 1], "block 0 columns: expected two integers, got [0.5, 1]"),
+        ("p", "1.0", "block 0 p: expected a finite real number, got '1.0'"),
+        ("p", float("nan"), "block 0 p: expected a finite real number, got nan"),
+        ("p", 10**400, "block 0 p: expected a finite real number, got 1000"),
+        ("p0", "0.0", "p0: expected a finite real number, got '0.0'"),
+        ("p0", True, "p0: expected a finite real number, got True"),
+        ("diag", [0.0, "x", 0.0, 0.0], "diag entry 1: expected a finite real number, got 'x'"),
+        ("diag", [[0.0, 0.0], [0.0, 0.0]], "diag entry 0: expected a finite real number"),
+    ], ids=["coeffs-3x3", "coeffs-1x1", "three-columns", "fractional-column", "p-string",
+            "p-nan", "p-overflow", "p0-string", "p0-bool", "diag-string", "diag-nested"])
+    def test_malformed_qubit_qudit_spec(self, tmp_path, capsys, field, value, message):
+        doc = {"p0": 0.0, "diag": [0.0] * 4, "blocks": [
+            {"p": 1.0, "coeffs": [[0.5, 0.5], [0.5, 0.5]], "columns": [0, 1]}]}
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["blocks"][0][field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", "qubit-qudit", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {spec}: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, option", [("mc", "--coeffs"), ("qubit-qudit", "--spec"),
                                               ("cnot-embed", "--input")])
     def test_missing_option(self, tmp_path, capsys, kind, option):
@@ -447,20 +477,24 @@ class TestWitnessCommand:
         statefile.save_state(path, diagonal_state)
         assert cli.main(["witness", str(path)]) == 4
 
-    def test_prints_distill_witness_per_transposition(self, tmp_path, rng, capsys):
-        bs = pl.cnot_embed(pl.ginibre_density(5, 5, rng))
-        path = tmp_path / "cnot.json"
-        statefile.save_state(path, bs)
-        cert = pl.detect_canonical_pairing(bs)
-        want = []
-        for i, ((j, k), (jp, kp)) in enumerate(cert.transpositions):
-            _, _, block_n = pl.distill_witness(bs, cert, i)
-            want.append(f"transposition {i}: ({j},{k})<->({jp},{kp})  "
-                        f"block negativity = {cli._fmt(block_n)}")
-        assert cli.main(["witness", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines() == want
-        assert cli.main(["witness", str(path), "--index", "7"]) == 0
-        assert capsys.readouterr().out.splitlines() == want[7:8]
+    def test_prints_distill_witness_per_transposition(self, tmp_path, rng, capsys, monkeypatch):
+        states = [pl.cnot_embed(pl.ginibre_density(5, 5, rng)),
+                  pl.random_canonical_pairing(4, 8, 10, rng, diag_weight=0.3)]
+        # the default text, then every bit of each value
+        for fmt, bs in [(cli._fmt, bs) for bs in states] + [(float.hex, bs) for bs in states]:
+            monkeypatch.setattr(cli, "_fmt", fmt)
+            path = tmp_path / "state.json"
+            statefile.save_state(path, bs)
+            cert = pl.detect_canonical_pairing(bs)
+            want = []
+            for i, ((j, k), (jp, kp)) in enumerate(cert.transpositions):
+                _, _, block_n = pl.distill_witness(bs, cert, i)
+                want.append(f"transposition {i}: ({j},{k})<->({jp},{kp})  "
+                            f"block negativity = {fmt(block_n)}")
+            assert cli.main(["witness", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines() == want
+            assert cli.main(["witness", str(path), "--index", "7"]) == 0
+            assert capsys.readouterr().out.splitlines() == want[7:8]
 
     @pytest.mark.parametrize("index", ["1", "5", "-1"])
     def test_index_out_of_range_is_infeasible(self, mc_file, capsys, index):

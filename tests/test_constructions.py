@@ -77,6 +77,11 @@ class TestMakeQubitQuditPairing:
                 0.0, np.zeros(8), [(0.5, mc, (0, 1)), (0.5, mc, (1, 2))]
             )
 
+    @pytest.mark.parametrize("coeffs", [np.eye(1), np.eye(3) / 3], ids=["1x1", "3x3"])
+    def test_coeffs_must_be_two_by_two(self, coeffs):
+        with pytest.raises(InvalidCoeffs, match="must be 2x2"):
+            pl.make_qubit_qudit_pairing(0.0, np.zeros(4), [(1.0, coeffs, (0, 1))])
+
     def test_diag_on_block_column_rejected(self):
         mc = np.ones((2, 2), dtype=complex) / 2
         diag = np.zeros(8)

@@ -111,6 +111,40 @@ class TestFromStack:
             pl.DensityMatrix.from_stack(np.full((1, 2, 2), np.nan))
 
 
+def stack_of(kind, dims, count=24):
+    """``count`` states on ``dims``: full ones ("dense"), canonical pairing
+    and tridiagonal ones ("sparse", no full row), or both, interleaved."""
+    rng = pl.RngState(17)
+    n = dims[0] * dims[1]
+    mats = []
+    for t in range(count):
+        if kind == "dense" or (kind == "mixed" and t % 3 == 0):
+            mats.append(pl.random_bipartite_state(*dims, rng).mat)
+        elif t % 2:
+            mats.append(pl.random_canonical_pairing(*dims, 1 + t % 3, rng, diag_weight=0.2).mat)
+        else:  # one connected component, and no full row
+            x = np.diag(rng.generator.uniform(1.0, 2.0, n)).astype(complex)
+            x[np.arange(n - 1), np.arange(1, n)] = rng.generator.uniform(-0.4, 0.4, n - 1)
+            x = x + np.triu(x, 1).conj().T
+            mats.append(x / x.trace().real)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "mixed"])
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6)])
+def test_spectra_are_the_same_alone_or_stacked(kind, dims):
+    # the validated spectrum and that of rho^T_A of each matrix of a stack,
+    # bit for bit those the matrix gets on its own
+    mats = stack_of(kind, dims)
+    states = pl.DensityMatrix.from_stack(mats)
+    pt = pl.measures._pt_spectrum(mats, dims)
+    for t, m in enumerate(mats):
+        alone = pl.BipartiteState(pl.DensityMatrix(m), *dims)
+        assert states[t].eigenvalues().tobytes() == alone.rho.eigenvalues().tobytes()
+        assert pt[t].tobytes() == pl.measures._pt_spectrum(alone).tobytes()
+        assert pt[t].tobytes() == pl.measures._pt_spectrum(m[None], dims)[0].tobytes()
+
+
 def dense_validation(m, tol, monkeypatch):
     """The outcome of ``DensityMatrix(m, tol)`` with the spectrum taken by
     one eigvalsh of the whole matrix: the error message, or the state."""

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,11 +262,25 @@ class TestPairingMeasures:
         assert pm.E_C == pytest.approx(1.0, abs=1e-9)
         assert pm.E_PPT == pytest.approx(1.0, abs=1e-9)
 
+    # frozen output of scripts/closed_form_oracle.py for the running example
+    ORACLE = {"mc-example": (0.2780719051126377, 0.4689955935892811), "bell": (1.0, 1.0)}
+
+    def test_closed_form_oracle_prints_the_frozen_values(self):
+        oracle = Path(__file__).resolve().parent.parent / "scripts" / "closed_form_oracle.py"
+        done = subprocess.run([sys.executable, str(oracle)], check=True, capture_output=True,
+                              text=True, env={"PATH": ""})
+        printed = {}
+        for line in done.stdout.splitlines():
+            name, rest = line.split(": ")
+            e_d, e_c = (float(part.split(" = ")[1]) for part in rest.split("  "))
+            printed[name] = (e_d, e_c)
+        assert printed == self.ORACLE
+
     def test_mc_example(self, mc_state):
         pm = pl.pairing_measures(pl.qubit_qudit_decompose(mc_state))
-        # frozen oracle values from scripts/closed_form_oracle.py
-        assert pm.E_D == pytest.approx(0.2780719051126377, abs=1e-12)
-        assert pm.E_C == pytest.approx(0.4689955935892811, abs=1e-12)
+        e_d, e_c = self.ORACLE["mc-example"]
+        assert pm.E_D == pytest.approx(e_d, abs=1e-12)
+        assert pm.E_C == pytest.approx(e_c, abs=1e-12)
         assert pm.E_D == pm.C_D and pm.E_C == pm.C_C
         assert pm.E_D <= pm.E_PPT + 1e-9
 
