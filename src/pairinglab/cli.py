@@ -8,6 +8,7 @@ parameters / unknown suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,6 +287,7 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; its defaults are immutable
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pairinglab",
@@ -311,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "counterexample"])
     c.add_argument("--out", required=True)
     c.add_argument("--coeffs", help="JSON matrix for kind=mc")
-    c.add_argument("--a-labels", type=int, nargs="+", default=[])
-    c.add_argument("--b-labels", type=int, nargs="+", default=[])
-    c.add_argument("--dims", type=int, nargs=2, default=[2, 2])
+    c.add_argument("--a-labels", type=int, nargs="+", default=())
+    c.add_argument("--b-labels", type=int, nargs="+", default=())
+    c.add_argument("--dims", type=int, nargs=2, default=(2, 2))
     c.add_argument("--spec", help="JSON block file for kind=qubit-qudit")
     c.add_argument("--input", help="input state file for cnot-embed / appendix-a")
     c.add_argument("--L", type=int, default=1)
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all")
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--dims", type=int, nargs=2, default=[3, 3])
+    v.add_argument("--dims", type=int, nargs=2, default=(3, 3))
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -6,6 +6,7 @@ counterexamples."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,13 +75,15 @@ def make_qubit_qudit_pairing(
     ``diag`` is a probability vector over the 2*d_B product basis (its
     support must avoid the block columns); each block is
     (weight, 2x2 unit-trace coefficient matrix, (k0, k1)) supported on
-    |0 k0> and |1 k1>.
+    |0 k0> and |1 k1>, with integer columns k0 and k1.
     """
     diag = np.asarray(diag, dtype=float)
     if diag.ndim != 1 or diag.size % 2:
         raise WeightMismatch("diag must be a flat vector over the 2 x d_B product basis")
     d_b = diag.size // 2
     weights = [p for p, _, _ in blocks]
+    if not (np.isfinite(diag).all() and np.isfinite([p0, *weights]).all()):
+        raise WeightMismatch("p0, the block weights and diag must be finite numbers")
     if abs(p0 + sum(weights) - 1.0) > 1e-9:
         raise WeightMismatch(f"p0 + block weights = {p0 + sum(weights):.6g}, expected 1")
     if p0 > 0 and abs(diag.sum() - 1.0) > 1e-9:
@@ -88,7 +91,10 @@ def make_qubit_qudit_pairing(
 
     used_cols: set[int] = set()
     for _, _, (k0, k1) in blocks:
-        cols = {int(k0), int(k1)}
+        try:
+            cols = {operator.index(k0), operator.index(k1)}
+        except TypeError:
+            raise SupportOverlap(f"B-columns must be integers, got ({k0!r}, {k1!r})") from None
         if len(cols) != 2 or not all(0 <= k < d_b for k in cols):
             raise SupportOverlap(f"invalid B-column pair ({k0}, {k1})")
         if used_cols & cols:

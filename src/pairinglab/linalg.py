@@ -187,17 +187,21 @@ def _spectra(m: np.ndarray, present: np.ndarray,
     So a matrix's spectrum is the same alone or in any stack."""
     if present.all(axis=-1).any(axis=-1).all():
         return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
-    return _component_spectrum(m, *np.nonzero(present), dims=dims)
+    n = m.shape[-1]
+    # entry (t, r, c) sits at flat index (t * n + r) * n + c
+    rows, cols = np.divmod(np.flatnonzero(present), n)
+    return _component_spectrum(m, rows, cols + (rows - rows % n), dims=dims)
 
 
-def _component_spectrum(m: np.ndarray, *nonzero: np.ndarray,
+def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                         dims: tuple[int, int] | None = None) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of the square matrix ``m``
     (of each matrix of a ``(T, n, n)`` stack), or of its partial transpose
     on ``dims`` = (d_A, d_B), from the connected components of the pattern
-    of the matrix taken, whose nonzero entries sit at the index arrays
-    ``nonzero`` (i ~ j when entry (i, j) or (j, i) is not zero): its
-    Hermitian part is the direct sum of its principal blocks on them.
+    of the matrix taken, whose nonzero entries join the nodes ``rows`` and
+    ``cols`` (row r of matrix t is node t * n + r, and i ~ j when entry
+    (i, j) or (j, i) is not zero): its Hermitian part is the direct sum of
+    its principal blocks on them.
     One batched eigvalsh per component size gives the spectrum, except
     that a component of one row and a hollow one of two rows are read off
     their entries, and a pattern with one component per matrix takes one
@@ -206,9 +210,6 @@ def _component_spectrum(m: np.ndarray, *nonzero: np.ndarray,
     """
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
-    *trial, rows, cols = nonzero
-    if trial:  # row r of matrix t is node t * n + r
-        rows, cols = trial[0] * n + rows, trial[0] * n + cols
     rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     # min-label propagation with pointer jumping: each label stays a node
     # of its component and only falls, until every edge joins equal labels

@@ -319,7 +319,7 @@ def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate]
     a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
     state), from its certificate: the block stack, and each state's
     reassembly gap max |assembled - rho|.  Every block is validated in one
-    stack."""
+    stack.  Raises NotCanonicalPairing if a block has no weight."""
     tols = np.zeros(len(mats)) + tols
     trans = _transpositions(certs)
     owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
@@ -331,7 +331,12 @@ def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate]
     owner, columns = owner[order], columns[order]
     idx = columns + [0, d_b]
     support = owner[:, None, None], idx[:, :, None], idx[:, None, :]
-    weights, coeffs = _renormalized(mats[support], tols[owner])
+    subs = mats[support]
+    # only a certificate of another state can put a block where rho is zero
+    if not np.all(np.trace(subs, axis1=1, axis2=2).real > 0):
+        raise NotCanonicalPairing("reassembly gap: a block of the certificate holds no weight; "
+                                  "state is not block-structured")
+    weights, coeffs = _renormalized(subs, tols[owner])
 
     diag = np.diagonal(mats, axis1=1, axis2=2).real.copy()
     diag[owner[:, None], idx] = 0.0

@@ -4,14 +4,16 @@ Each suite fuzzes one structural invariant over seeded random states
 and records every violation as (trial, quantity, lhs, rhs, gap).
 
 A suite runs in two phases.  First it draws every trial's random inputs
-in a plain loop, making the RNG calls in the order the public generators
-make them, so a seed gives the same states as generating them one at a
-time.  Then it checks each quantity for all trials at once, on
-``(T, d, d)`` stacks: validation, spectra (each that of its matrix alone),
-detection, the qubit-qudit decomposition, the closed forms, the witness
-blocks and the lower bound all run through the routines whose one-state
-case the public functions are.  So a report is bit for bit that of a
-per-trial loop, and no suite's decomposition count grows with the trials.
+as one stack, through the stacked routines of ``randgen`` whose one-trial
+case the public generators are (stream version 2), so it makes the same
+RNG calls whatever the number of trials.  Then it checks each quantity
+for all trials at once, on ``(T, d, d)`` stacks: validation, spectra
+(each that of its matrix alone), detection, the qubit-qudit
+decomposition, the closed forms, the witness blocks and the lower bound
+all run through the routines whose one-state case the public functions
+are.  So a report is bit for bit that of a loop that measures the drawn
+states one at a time, and no suite's decomposition count grows with the
+trials.
 """
 
 from __future__ import annotations
@@ -100,19 +102,19 @@ def _feasible_pairs(d_a: int, d_b: int) -> int:
     return cap
 
 
-def _random_pairing(rep: VerifyReport, rng: RngState, entangled: bool = False):
-    """The unvalidated matrix of a random pairing state and its pairing number."""
+def _random_pairings(rep: VerifyReport, rng: RngState, entangled: bool = False):
+    """The unvalidated matrices of one random pairing state per trial, and
+    their pairing numbers."""
     d_a, d_b = rep.dims
     cap = _feasible_pairs(d_a, d_b)
     low = 1 if entangled else 0
-    n_pairs = int(rng.generator.integers(low, max(cap, low) + 1))
-    return randgen._canonical_pairing_matrix(d_a, d_b, n_pairs, rng), n_pairs
+    n_pairs = rng.generator.integers(low, max(cap, low) + 1, size=rep.trials)
+    return randgen._pairing_stack(d_a, d_b, n_pairs, rng), n_pairs
 
 
 def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
     """Validated ``random_bipartite_state`` matrices, one per trial."""
-    d_a, d_b = rep.dims
-    mats = np.array([randgen._bipartite_matrix(d_a, d_b, rng) for _ in range(rep.trials)])
+    mats = randgen._bipartite_stack(*rep.dims, rep.trials, rng)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
     return mats
 
@@ -143,11 +145,8 @@ def suite_l0_bound(rep: VerifyReport, rng: RngState) -> None:
 def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
     g = rng.generator
-    rhos = np.empty((rep.trials, d_a, d_a), dtype=complex)
-    sigs = np.empty((rep.trials, d_b, d_b), dtype=complex)
-    for t in range(rep.trials):
-        rhos[t] = randgen._ginibre_matrix(d_a, int(g.integers(1, d_a + 1)), rng)
-        sigs[t] = randgen._ginibre_matrix(d_b, int(g.integers(1, d_b + 1)), rng)
+    rhos = randgen._ginibre_stack(d_a, g.integers(1, d_a + 1, size=rep.trials), rng)
+    sigs = randgen._ginibre_stack(d_b, g.integers(1, d_b + 1, size=rep.trials), rng)
     # rho (x) sigma per trial: entry (i k, j l) = rho_ij sigma_kl
     prods = (rhos[:, :, None, :, None] * sigs[:, None, :, None, :]).reshape(
         rep.trials, d_a * d_b, d_a * d_b)
@@ -164,13 +163,11 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
 
 def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
-    draws = [_random_pairing(rep, rng) for _ in range(rep.trials)]
-    mats = np.array([m for m, _ in draws])
+    mats, n_pairs = _random_pairings(rep, rng)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, mats, rep.dims)
-    n_pairs = np.array([n for _, n in draws])[ok]
     rep.check(ok, "pairing number matches generator",
-              np.abs([c.pairing_number for c in certs] - n_pairs), 0.0)
+              np.abs([c.pairing_number for c in certs] - n_pairs[ok]), 0.0)
     n, _ = measures._negativity_of(measures._pt_spectrum(mats[ok], rep.dims))
     rep.check(ok, "|N - C_l1| on pairing state",
               np.abs(n - measures._c_l1_of(np.abs(mats[ok]))), 0.0, 1e-8)
@@ -181,7 +178,7 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 
 
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
-    mats = np.array([_random_pairing(rep, rng, entangled=True)[0] for _ in range(rep.trials)])
+    mats, _ = _random_pairings(rep, rng, entangled=True)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, mats, rep.dims)
     # every certified trial's witness blocks: block `which` of trial `trial`
@@ -203,10 +200,11 @@ MAJORIZATION_SIZE = 8
 
 def suite_majorization(rep: VerifyReport, rng: RngState) -> None:
     g = rng.generator
-    x = np.zeros((rep.trials, MAJORIZATION_SIZE, MAJORIZATION_SIZE), dtype=complex)
-    for t in range(rep.trials):
-        n, m = int(g.integers(1, MAJORIZATION_SIZE + 1)), int(g.integers(1, MAJORIZATION_SIZE + 1))
-        x[t, :n, :m] = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+    # each X is n x m, for uniformly random n and m, drawn as one 8x8 stack
+    n, m = g.integers(1, MAJORIZATION_SIZE + 1, size=(2, rep.trials))
+    x = randgen._complex_normals(g, (rep.trials, MAJORIZATION_SIZE, MAJORIZATION_SIZE))
+    span = np.arange(MAJORIZATION_SIZE)
+    x *= (span < n[:, None])[:, :, None] & (span < m[:, None])[:, None, :]
     trials = np.arange(rep.trials)
     triple = uvw_triple(x)
     rep.check(trials, "u < v", np.where(majorizes(triple.v, triple.u), 0.0, 1.0), 0.0)
@@ -219,11 +217,8 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     d_b = rep.dims[1]
     if d_b < 2:
         raise Infeasible(f"cannot host a transposition on a 2 x {d_b} system")
-    g = rng.generator
-    mats = np.array([
-        randgen._canonical_pairing_matrix(2, d_b, int(g.integers(1, d_b // 2 + 1)), rng,
-                                          diag_weight=0.0)
-        for _ in range(rep.trials)])
+    n_pairs = rng.generator.integers(1, d_b // 2 + 1, size=rep.trials)
+    mats = randgen._pairing_stack(2, d_b, n_pairs, rng, diag_weight=0.0)
     spectra = np.array([rho._ascending()
                         for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)])
     ok, certs = _certified(rep, mats, (2, d_b))

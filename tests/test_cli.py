@@ -179,6 +179,18 @@ class TestConstructCommand:
         back = statefile.load_state(out)
         assert np.allclose(back.mat[np.ix_([0, 3], [0, 3])], MC_COEFFS)
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        out, coeffs = str(tmp_path / "mc.json"), json.dumps([[0.5, 0.3], [0.3, 0.5]])
+        assert cli.main(["construct", "mc", "--out", out, "--coeffs", coeffs,
+                         "--a-labels", "0", "1", "--b-labels", "0", "1"]) == 0
+        # the second call sees the empty default labels, not the first call's
+        assert cli.main(["construct", "mc", "--out", out, "--coeffs", coeffs]) == 5
+        assert "label lists must match" in capsys.readouterr().err
+        assert cli.build_parser.cache_info().misses == 1
+        args = cli.build_parser().parse_args(["construct", "mc", "--out", out])
+        assert (args.a_labels, args.b_labels, args.dims) == ((), (), (2, 2))
+
     @pytest.mark.parametrize("b_labels", [["0", "-2"], ["0", "-1"]],
                              ids=["colliding", "negative"])
     def test_mc_negative_label_exit_code(self, tmp_path, capsys, b_labels):
@@ -419,7 +431,7 @@ class TestVerifyCommand:
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == len(cli.verify.SUITES)
         assert all(r["violations"] == [] for r in reports)
-        assert all(r["algorithm"] == "philox4x64" for r in reports)
+        assert all(r["algorithm"] == "philox4x64/stream-2" for r in reports)
 
     def test_unknown_suite_exit_code(self, capsys):
         assert cli.main(["verify", "--suite", "nonsense", "--trials", "5"]) == 5

@@ -82,6 +82,21 @@ class TestMakeQubitQuditPairing:
         with pytest.raises(InvalidCoeffs, match="must be 2x2"):
             pl.make_qubit_qudit_pairing(0.0, np.zeros(4), [(1.0, coeffs, (0, 1))])
 
+    @pytest.mark.parametrize("p0, diag, weight", [
+        (0.0, np.zeros(4), np.nan), (np.nan, np.zeros(4), 1.0),
+        (0.5, [np.nan, 0.5, 0.5, 0.0], 0.5), (0.0, np.zeros(4), np.inf)],
+        ids=["nan-weight", "nan-p0", "nan-diag", "inf-weight"])
+    def test_non_finite_weights_rejected(self, p0, diag, weight):
+        mc = np.ones((2, 2), dtype=complex) / 2
+        with pytest.raises(WeightMismatch, match="finite"):
+            pl.make_qubit_qudit_pairing(p0, diag, [(weight, mc, (0, 1))])
+
+    @pytest.mark.parametrize("columns", [(0.5, 1), (0, 1.0), ("0", 1)])
+    def test_non_integer_columns_rejected(self, columns):
+        mc = np.ones((2, 2), dtype=complex) / 2
+        with pytest.raises(SupportOverlap, match="integers"):
+            pl.make_qubit_qudit_pairing(0.0, np.zeros(4), [(1.0, mc, columns)])
+
     def test_diag_on_block_column_rejected(self):
         mc = np.ones((2, 2), dtype=complex) / 2
         diag = np.zeros(8)

@@ -13,6 +13,7 @@ from pairinglab.errors import (
     ConditionViolated,
     InvalidPartition,
     NoTransposition,
+    NotCanonicalPairing,
     NotQubit,
 )
 
@@ -248,6 +249,14 @@ class TestQubitQuditDecompose:
                 idx = [blk.b_columns[0], d_b + blk.b_columns[1]]
                 m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
             assert dec._matrix().tobytes() == m.tobytes()
+
+    def test_a_certificate_block_on_zero_entries_is_refused(self):
+        bell = np.ones((2, 2), dtype=complex) / 2
+        bs = pl.make_qubit_qudit_pairing(0.0, np.zeros(8), [(1.0, bell, (0, 1))])
+        other = pl.make_qubit_qudit_pairing(0.0, np.zeros(8), [(1.0, bell, (2, 3))])
+        # the other state's block sits where bs has no weight at all
+        with pytest.raises(NotCanonicalPairing, match="holds no weight"):
+            pl.qubit_qudit_decompose(bs, cert=pl.detect_canonical_pairing(other))
 
     def test_appendix_f_refused(self):
         ex = pl.named_counterexample("appendix-f")

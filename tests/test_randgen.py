@@ -29,7 +29,7 @@ class TestRngState:
         assert not np.array_equal(draws1[0], draws1[1])
 
     def test_algorithm_recorded(self):
-        assert pl.RngState(0).algorithm == "philox4x64"
+        assert pl.RngState(0).algorithm == "philox4x64/stream-2"
 
 
 class TestHaarRandomPure:
@@ -64,6 +64,10 @@ class TestGinibreDensity:
             pl.ginibre_density(3, 4, rng)
         with pytest.raises(InvalidRank):
             pl.ginibre_density(3, 0, rng)
+        with pytest.raises(InvalidRank):
+            pl.ginibre_density(3, 1.5, rng)
+        with pytest.raises(InvalidRank):
+            pl.random_bipartite_state(2, 2, rng, rank=2.5)
 
 
 class TestRandomBipartite:
@@ -134,6 +138,8 @@ class TestRandomCanonicalPairing:
             pl.random_canonical_pairing(1, 5, 1, rng)
         with pytest.raises(Infeasible):
             pl.random_canonical_pairing(3, 3, 4, rng)
+        with pytest.raises(Infeasible, match="integers"):
+            pl.random_canonical_pairing(3, 3, 1.5, rng)
 
     def test_capacity_edge(self):
         # a 3x3 component can host up to 3 coherence edges
@@ -142,46 +148,73 @@ class TestRandomCanonicalPairing:
         assert cert.pairing_number == 3
 
 
-def per_edge_pairing_matrix(d_a, d_b, n_pairs, rng, diag_weight=None):
-    """The pairing-state matrix built one edge and one diagonal entry at a
-    time, each component drawing its angle and phase in turn."""
-    g = rng.generator
+def per_edge_pairing_matrices(d_a, d_b, trials, edges, diag):
+    """The pairing-state matrices of drawn parameters, built one edge and
+    one diagonal entry at a time."""
     dim = d_a * d_b
-    if n_pairs == 0:
-        return np.diag(g.dirichlet(np.ones(dim)).astype(complex))
-    b_pool = list(g.permutation(d_b))
-    edges, support = [], []
-    for m, n_edges in pl.randgen._component_plan(d_a, d_b, n_pairs):
-        a_levels = g.choice(d_a, size=m, replace=False)
-        levels = [int(a) * d_b + int(b_pool.pop()) for a in a_levels]
-        support.extend(levels)
-        all_pairs = [(r, s) for i, r in enumerate(levels) for s in levels[i + 1:]]
-        edges.extend(all_pairs[i] for i in g.choice(len(all_pairs), size=n_edges, replace=False))
-    weights = 0.4 / len(edges) + 0.6 * g.dirichlet(np.ones(len(edges)))
-    if diag_weight is None:
-        diag_weight = float(g.random() * 0.4) if g.random() < 0.5 else 0.0
-    m = np.zeros((dim, dim), dtype=complex)
-    for w, (r, s) in zip(weights, edges):
-        theta = 0.3 + g.random() * (np.pi / 2 - 0.6)
-        phase = np.exp(2j * np.pi * g.random())
+    m = np.zeros((trials, dim, dim), dtype=complex)
+    for t, r, s, weight, theta, phase in zip(*edges):
         v = np.array([np.cos(theta), phase * np.sin(theta)])
-        m[np.ix_([r, s], [r, s])] += (1.0 - diag_weight) * w * np.outer(v, v.conj())
-    if diag_weight > 0.0:
-        targets = list(support) + [a * d_b + b for a in range(d_a) for b in b_pool]
-        for t, p in zip(targets, g.dirichlet(np.ones(len(targets)))):
-            m[t, t] += diag_weight * p
+        m[t][np.ix_([r, s], [r, s])] += weight * np.outer(v, v.conj())
+    for t, k, value in zip(*diag):
+        m[t, k, k] += value
     return m
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 7), (3, 3), (3, 8), (5, 4)])
 @pytest.mark.parametrize("diag_weight", [None, 0.0, 0.3])
 def test_pairing_matrix_bit_identical_to_the_per_edge_build(d_a, d_b, diag_weight):
-    cap = verify._feasible_pairs(d_a, d_b)
-    for seed in range(15):
+    n_pairs = np.arange(15) % (verify._feasible_pairs(d_a, d_b) + 1)
+    for seed in range(5):
         fast, slow = pl.RngState(seed), pl.RngState(seed)
-        n_pairs = seed % (cap + 1)
-        got = pl.randgen._canonical_pairing_matrix(d_a, d_b, n_pairs, fast, diag_weight)
-        want = per_edge_pairing_matrix(d_a, d_b, n_pairs, slow, diag_weight)
+        got = pl.randgen._pairing_stack(d_a, d_b, n_pairs, fast, diag_weight)
+        entries = pl.randgen._pairing_entries(d_a, d_b, n_pairs, slow, diag_weight)
+        want = per_edge_pairing_matrices(d_a, d_b, len(n_pairs), *entries)
         assert got.tobytes() == want.tobytes()
-        # and the stream is left where the per-edge build leaves it
+        # and the stack draws nothing beyond its parameters
         assert fast.generator.random() == slow.generator.random()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_public_generators_are_the_one_trial_stacks(seed):
+    def same(state, stack):
+        assert stack.shape[0] == 1
+        assert state.mat.tobytes() == stack[0].tobytes()
+
+    randgen = pl.randgen
+    same(pl.ginibre_density(5, 3, pl.RngState(seed)),
+         randgen._ginibre_stack(5, [3], pl.RngState(seed)))
+    same(pl.random_bipartite_state(2, 3, pl.RngState(seed)),
+         randgen._bipartite_stack(2, 3, 1, pl.RngState(seed)))
+    same(pl.random_bipartite_state(2, 3, pl.RngState(seed), rank=2),
+         randgen._bipartite_stack(2, 3, 1, pl.RngState(seed), rank=2))
+    for n_pairs, diag_weight in [(0, None), (2, None), (3, 0.0), (4, 0.3)]:
+        same(pl.random_canonical_pairing(3, 5, n_pairs, pl.RngState(seed), diag_weight),
+             randgen._pairing_stack(3, 5, [n_pairs], pl.RngState(seed), diag_weight))
+
+
+def test_a_ginibre_stack_draws_each_trial_at_its_rank():
+    ranks = [1, 4, 2, 3]
+    mats = pl.randgen._ginibre_stack(4, ranks, pl.RngState(5))
+    assert [np.linalg.matrix_rank(m, tol=1e-10) for m in mats] == ranks
+    assert np.allclose(np.trace(mats, axis1=1, axis2=2), 1.0, atol=1e-14)
+    with pytest.raises(InvalidRank):
+        pl.randgen._ginibre_stack(4, [1, 5], pl.RngState(5))
+
+
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 10**6),
+       st.sampled_from([None, 0.0, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_every_stacked_pairing_draw_is_certified(d_a, d_b, seed, diag_weight):
+    cap = verify._feasible_pairs(d_a, d_b)
+    rng = pl.RngState(seed)
+    # every feasible pairing number, the capacity included, twice, shuffled
+    n_pairs = rng.generator.permutation(np.arange(cap + 1).repeat(2))
+    mats = pl.randgen._pairing_stack(d_a, d_b, n_pairs, rng, diag_weight)
+    for m, n in zip(mats, n_pairs.tolist()):
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        bs = pl.BipartiteState(pl.DensityMatrix(m, pl.randgen.GENERATED_TOL), d_a, d_b)
+        cert = pl.detect_canonical_pairing(bs)
+        assert cert is not None and cert.pairing_number == n
+    with pytest.raises(Infeasible):
+        pl.randgen._pairing_stack(d_a, d_b, [cap + 1], rng, diag_weight)

@@ -1,10 +1,10 @@
 """The batched verify suites against per-trial reference loops.
 
-The reference suites below generate, validate and measure one trial at a
-time through the public functions, in the form the suites had before
-they were batched.  The batched suites draw from the same RNG stream, so
-every seed must give the same violations and the same worst gap, bit
-for bit.
+The reference suites below draw each suite's trials as one stack through
+randgen's stacked routines, in the suite's order of RNG calls, and then
+validate and measure one trial at a time through the public functions,
+in the form the suites had before they were batched.  So every seed must
+give the same violations and the same worst gap, bit for bit.
 """
 
 import json
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pairinglab import cli, measures, pairing, randgen, verify
-from pairinglab.linalg import DensityMatrix, tensor_product
+from pairinglab.linalg import BipartiteState, DensityMatrix, tensor_product
 from pairinglab.majorization import majorizes, trace_vs_l1, uvw_triple
 from pairinglab.randgen import RngState
 
@@ -33,32 +33,53 @@ class ReferenceReport:
             self.violations.append((trial, quantity, lhs, rhs, gap))
 
 
-def _random_pairing(rep, rng, entangled=False):
+def states(mats, dims):
+    """Each matrix of a drawn stack as a public state, validated alone."""
+    return [BipartiteState(DensityMatrix(m, randgen.GENERATED_TOL), *dims) for m in mats]
+
+
+def draw_pairings(rep, rng, entangled=False):
+    """A stack of random pairing states and their pairing numbers."""
     d_a, d_b = rep.dims
     cap = verify._feasible_pairs(d_a, d_b)
     low = 1 if entangled else 0
-    n_pairs = int(rng.generator.integers(low, max(cap, low) + 1))
-    return randgen.random_canonical_pairing(d_a, d_b, n_pairs, rng), n_pairs
+    n_pairs = rng.generator.integers(low, max(cap, low) + 1, size=rep.trials)
+    return states(randgen._pairing_stack(d_a, d_b, n_pairs, rng), rep.dims), n_pairs
+
+
+def draw_bipartite(rep, rng):
+    return states(randgen._bipartite_stack(*rep.dims, rep.trials, rng), rep.dims)
+
+
+def draw_products(rep, rng):
+    """Each trial's rho and sigma of the additivity suite."""
+    g = rng.generator
+    d_a, d_b = rep.dims
+    rhos = randgen._ginibre_stack(d_a, g.integers(1, d_a + 1, size=rep.trials), rng)
+    sigs = randgen._ginibre_stack(d_b, g.integers(1, d_b + 1, size=rep.trials), rng)
+    return ([DensityMatrix(m, randgen.GENERATED_TOL) for m in rhos],
+            [DensityMatrix(m, randgen.GENERATED_TOL) for m in sigs])
+
+
+def draw_lowerbound(rep, rng):
+    d_b = rep.dims[1]
+    n_pairs = rng.generator.integers(1, d_b // 2 + 1, size=rep.trials)
+    return states(randgen._pairing_stack(2, d_b, n_pairs, rng, diag_weight=0.0), (2, d_b))
 
 
 def ref_negativity_bound(rep, rng):
-    for t in range(rep.trials):
-        bs = randgen.random_bipartite_state(*rep.dims, rng)
+    for t, bs in enumerate(draw_bipartite(rep, rng)):
         n, _ = measures.negativity(bs)
         rep.check(t, "N <= C_l1", n, measures.c_l1(bs.rho), 1e-9)
 
 
 def ref_l0_bound(rep, rng):
-    for t in range(rep.trials):
-        bs = randgen.random_bipartite_state(*rep.dims, rng)
+    for t, bs in enumerate(draw_bipartite(rep, rng)):
         rep.check(t, "2*N0 <= C_l0", 2 * measures.n0_count(bs), measures.c_l0_count(bs.rho))
 
 
 def ref_additivity(rep, rng):
-    d_a, d_b = rep.dims
-    for t in range(rep.trials):
-        rho = randgen.ginibre_density(d_a, int(rng.generator.integers(1, d_a + 1)), rng)
-        sig = randgen.ginibre_density(d_b, int(rng.generator.integers(1, d_b + 1)), rng)
+    for t, (rho, sig) in enumerate(zip(*draw_products(rep, rng))):
         prod = DensityMatrix(tensor_product(rho.mat, sig.mat), 1e-8)
         gap = abs(measures.c_log(prod) - measures.c_log(rho) - measures.c_log(sig))
         rep.check(t, "C_L additivity", gap, 0.0, 1e-9)
@@ -66,8 +87,7 @@ def ref_additivity(rep, rng):
 
 def ref_pairing_roundtrip(rep, rng):
     d_a, d_b = rep.dims
-    for t in range(rep.trials):
-        bs, n_pairs = _random_pairing(rep, rng)
+    for t, (bs, n_pairs) in enumerate(zip(*draw_pairings(rep, rng))):
         cert = pairing.detect_canonical_pairing(bs)
         if cert is None:
             rep.check(t, "detector certifies generated state", 1.0, 0.0)
@@ -84,8 +104,7 @@ def ref_pairing_roundtrip(rep, rng):
 
 
 def ref_witness(rep, rng):
-    for t in range(rep.trials):
-        bs, _ = _random_pairing(rep, rng, entangled=True)
+    for t, bs in enumerate(draw_pairings(rep, rng, entangled=True)[0]):
         cert = pairing.detect_canonical_pairing(bs)
         if cert is None:
             rep.check(t, "detector certifies generated state", 1.0, 0.0)
@@ -97,9 +116,10 @@ def ref_witness(rep, rng):
 
 def ref_majorization(rep, rng):
     g = rng.generator
+    rows, cols = g.integers(1, 9, size=(2, rep.trials))
+    xs = randgen._complex_normals(g, (rep.trials, 8, 8))
     for t in range(rep.trials):
-        n, m = int(g.integers(1, 9)), int(g.integers(1, 9))
-        x = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+        x = xs[t, :rows[t], :cols[t]]
         triple = uvw_triple(x)
         rep.check(t, "u < v", 0.0 if majorizes(triple.v, triple.u) else 1.0, 0.0)
         rep.check(t, "v < w", 0.0 if majorizes(triple.w, triple.v) else 1.0, 0.0)
@@ -108,10 +128,7 @@ def ref_majorization(rep, rng):
 
 
 def ref_lowerbound(rep, rng):
-    d_b = rep.dims[1]
-    for t in range(rep.trials):
-        bs = randgen.random_canonical_pairing(
-            2, d_b, int(rng.generator.integers(1, d_b // 2 + 1)), rng, diag_weight=0.0)
+    for t, bs in enumerate(draw_lowerbound(rep, rng)):
         cert = pairing.detect_canonical_pairing(bs)
         if cert is None:
             rep.check(t, "detector certifies generated state", 1.0, 0.0)
@@ -156,29 +173,24 @@ def test_reference_covers_every_suite():
 def test_batched_suite_matches_per_trial_reference(suite, dims):
     for seed in range(10):
         (rep,) = verify.run_suite(suite, 50, seed, dims)
-        assert rep.algorithm == "philox4x64"
+        assert rep.algorithm == "philox4x64/stream-2"
         assert_same_report(rep, reference_run(suite, 50, seed, dims))
 
 
 def reference_draws(suite, trials, seed, dims):
-    """The matrices the public generators give, trial by trial, for the
-    states a suite validates first (for additivity: rho, then sigma)."""
+    """The matrices the stacked generators give for the states a suite
+    validates first (for additivity: the rhos, then the sigmas)."""
     rng = RngState(seed)
-    g = rng.generator
-    d_a, d_b = dims
     rep = ReferenceReport(trials, dims)
     if suite in ("negativity-bound", "l0-bound"):
-        return [[randgen.random_bipartite_state(d_a, d_b, rng).mat for _ in range(trials)]]
-    if suite == "additivity":
-        pairs = [(randgen.ginibre_density(d_a, int(g.integers(1, d_a + 1)), rng).mat,
-                  randgen.ginibre_density(d_b, int(g.integers(1, d_b + 1)), rng).mat)
-                 for _ in range(trials)]
-        return [[rho for rho, _ in pairs], [sig for _, sig in pairs]]
-    if suite in ("pairing-roundtrip", "witness"):
-        entangled = suite == "witness"
-        return [[_random_pairing(rep, rng, entangled)[0].mat for _ in range(trials)]]
-    return [[randgen.random_canonical_pairing(2, d_b, int(g.integers(1, d_b // 2 + 1)), rng,
-                                              diag_weight=0.0).mat for _ in range(trials)]]
+        drawn = [draw_bipartite(rep, rng)]
+    elif suite == "additivity":
+        drawn = draw_products(rep, rng)
+    elif suite in ("pairing-roundtrip", "witness"):
+        drawn = [draw_pairings(rep, rng, entangled=suite == "witness")[0]]
+    else:
+        drawn = [draw_lowerbound(rep, rng)]
+    return [[state.mat for state in group] for group in drawn]
 
 
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "majorization"])
@@ -217,10 +229,9 @@ def _patch_spectra(monkeypatch, targets, change):
 
 
 def test_injected_defect_is_reported_at_its_trial(monkeypatch):
-    rng = RngState(4)
-    states = [randgen.random_bipartite_state(3, 3, rng) for _ in range(20)]
+    drawn = randgen._bipartite_stack(3, 3, 20, RngState(4))
     # N grows by 10 with the top (last, ascending) eigenvalue
-    _patch_spectra(monkeypatch, [states[7].mat],
+    _patch_spectra(monkeypatch, [drawn[7]],
                    lambda w: w + 10.0 * (np.arange(w.shape[-1]) == w.shape[-1] - 1))
     (rep,) = verify.run_suite("negativity-bound", 20, 4, (3, 3))
     ref = reference_run("negativity-bound", 20, 4, (3, 3))
@@ -230,9 +241,8 @@ def test_injected_defect_is_reported_at_its_trial(monkeypatch):
 
 
 def test_a_nan_measure_is_reported_at_its_trial(monkeypatch):
-    rng = RngState(4)
-    states = [randgen.random_bipartite_state(3, 3, rng) for _ in range(20)]
-    _patch_spectra(monkeypatch, [states[5].mat], lambda w: np.full_like(w, np.nan))
+    drawn = randgen._bipartite_stack(3, 3, 20, RngState(4))
+    _patch_spectra(monkeypatch, [drawn[5]], lambda w: np.full_like(w, np.nan))
     (rep,) = verify.run_suite("negativity-bound", 20, 4, (3, 3))
     assert not rep.ok
     assert [(v.trial, v.quantity) for v in rep.violations] == [(5, "N <= C_l1")]
@@ -242,16 +252,14 @@ def test_a_nan_measure_is_reported_at_its_trial(monkeypatch):
 def test_violations_are_listed_in_trial_order(monkeypatch):
     # break witness block 1 of an early trial and block 0 of a later one:
     # the suite checks block 0 of every trial before block 1 of any
-    rng = RngState(6)
-    rep = ReferenceReport(30, (3, 3))
-    states = [_random_pairing(rep, rng, entangled=True)[0] for _ in range(30)]
-    certs = [pairing.detect_canonical_pairing(bs) for bs in states]
+    drawn, _ = draw_pairings(ReferenceReport(30, (3, 3)), RngState(6), entangled=True)
+    certs = [pairing.detect_canonical_pairing(bs) for bs in drawn]
     early = next(t for t, c in enumerate(certs) if c.pairing_number >= 2)
-    late = len(states) - 1
+    late = len(drawn) - 1
 
     def block(t, i):
-        (idx,) = pairing._witness_supports(np.array([certs[t].transpositions[i]]), states[t].d_B)
-        sub = states[t].mat[np.ix_(idx, idx)]
+        (idx,) = pairing._witness_supports(np.array([certs[t].transpositions[i]]), drawn[t].d_B)
+        sub = drawn[t].mat[np.ix_(idx, idx)]
         return sub / sub.trace().real
 
     # a flat spectrum of trace 1 has N = 0
@@ -273,6 +281,38 @@ def test_decompositions_do_not_grow_with_trials(suite, dims, decompositions):
     decompositions.clear()
     verify.run_suite(suite, 200, 1, dims)
     assert len(decompositions) == calls_at_50 <= 3
+
+
+class CountingGenerator:
+    """A numpy Generator that records the name of each method called."""
+
+    def __init__(self, generator, calls):
+        self._generator, self._calls = generator, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("suite, dims", [
+    *[pytest.param(suite, (3, 3), id=suite) for suite in verify.SUITES],
+    *[pytest.param(suite, (2, 6), id=f"{suite}-2x6") for suite in verify.SUITES],
+])
+def test_rng_calls_do_not_grow_with_trials(suite, dims, monkeypatch):
+    calls = []
+    real = RngState.generator.fget
+    monkeypatch.setattr(RngState, "generator",
+                        property(lambda rng: CountingGenerator(real(rng), calls)))
+    verify.run_suite(suite, 5, 1, dims)
+    calls_at_5 = list(calls)
+    calls.clear()
+    verify.run_suite(suite, 50, 1, dims)
+    assert calls == calls_at_5 and calls
 
 
 class TestReport:
