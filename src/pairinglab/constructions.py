@@ -5,7 +5,6 @@ counterexamples."""
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -159,23 +158,62 @@ class AppendixAChain:
     report: dict
 
 
-def _offdiag_multiset(m: np.ndarray, cut: float = 1e-13) -> np.ndarray:
-    vals = m[~np.eye(m.shape[0], dtype=bool)]
+def _entries(runs, part) -> np.ndarray:
+    """``part(blocks)`` of each run's stack (one row per block), each row
+    repeated as often as its block stands, flattened: those entries of the
+    direct sum of ``runs`` (see ``_block_diagonal``) block by block, in the
+    order of the dense matrix's rows."""
+    return np.concatenate([np.repeat(part(blocks), copies, axis=0).ravel()
+                           for blocks, copies in runs])
+
+
+def _block_diagonal(runs, tol: float) -> DensityMatrix:
+    """The direct sum of the blocks of ``runs`` along the diagonal,
+    validated at ``tol``.  ``runs`` lists (blocks, copies): a (T, s, s)
+    stack whose every block stands ``copies`` (at least 1) times in a row.
+
+    The checks are the dense constructor's, taken on the distinct blocks:
+    the Hermiticity defect is the largest of theirs, the trace the dense
+    matrix's, and the spectrum theirs, each block's repeated
+    (``linalg._spectra``: one batched eigvalsh per block size; a 1 x 1
+    block is its real entry, as the constructor reads a row of its own).
+    A matrix that fails is passed to the constructor, so the error and its
+    message are the ones ``DensityMatrix(m, tol)`` raises.
+    """
+    n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for blocks, copies in runs:
+        s = blocks.shape[-1]
+        first = start + s * np.arange(len(blocks) * copies)[:, None, None]
+        m[first + np.arange(s)[:, None], first + np.arange(s)] = np.repeat(blocks, copies, axis=0)
+        start += s * len(blocks) * copies
+    defect, spectra = 0.0, []
+    for s in {blocks.shape[-1] for blocks, _ in runs}:
+        group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
+        stack = np.concatenate([blocks for blocks, _ in group])
+        defect = max(defect, np.abs(stack - linalg._dagger(stack)).max())
+        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(stack, stack != 0)
+        counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
+        spectra.append(np.repeat(lam, counts, axis=0).ravel())
+    lam = np.sort(np.concatenate(spectra))
+    if max(defect, abs(m.trace() - 1), -lam[0]) > tol:
+        return DensityMatrix(m, tol)  # raises what the dense constructor raises
+    return DensityMatrix._validated(m, tol, lam)
+
+
+def _offdiag(blocks: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each block of a stack, row-major."""
+    return blocks[:, ~np.eye(blocks.shape[-1], dtype=bool)]
+
+
+def _multiset(vals: np.ndarray, cut: float = 1e-13) -> np.ndarray:
+    """``vals`` above ``cut`` in modulus, sorted (stably) by real and then
+    imaginary part."""
     vals = vals[np.abs(vals) > cut]
     # round the sort keys so sign noise around zero cannot scramble the order
     order = np.lexsort((np.round(vals.imag, 12), np.round(vals.real, 12)))
     return vals[order]
-
-
-def _direct_sum(blocks: list[np.ndarray]) -> np.ndarray:
-    """The square ``blocks`` one after another along the diagonal."""
-    n = sum(len(b) for b in blocks)
-    m = np.zeros((n, n), dtype=complex)
-    start = 0
-    for b in blocks:
-        m[start:start + len(b), start:start + len(b)] = b
-        start += len(b)
-    return m
 
 
 def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> AppendixAChain:
@@ -214,19 +252,20 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
             f"chain dimensions ({dim2}, {dim3}) exceed cap {dim_cap}"
         )
 
+    tol = rho.validation_tol
     # rho2: uniform mixture of conjugations by every diagonal unitary with
-    # K-th root-of-unity entries, arranged block-diagonally
-    conj_blocks = []
-    for powers in itertools.product(range(K), repeat=d):
-        u = omega ** np.asarray(powers)
-        conj_blocks.append((u[:, None] * m * u.conj()[None, :]) / K**d)
-    rho2 = DensityMatrix(_direct_sum(conj_blocks), linalg.DEFAULT_TOL)
+    # K-th root-of-unity entries, one block per unitary in the order of
+    # itertools.product
+    u = omega ** np.indices((K,) * d).reshape(d, -1).T
+    conj = (u[:, :, None] * m * u.conj()[:, None, :]) / K**d
+    rho2 = _block_diagonal([(conj, 1)], tol)
 
     psi = omega ** np.arange(K) / np.sqrt(K)
     phi = np.ones(K) / np.sqrt(K)
     psi_proj = np.outer(psi, psi.conj())
     phi_proj = np.outer(phi, phi.conj())
     ones2 = np.ones((2, 2), dtype=complex)
+    weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])
 
     def unit(b: np.ndarray) -> np.ndarray:
         # a diagonal block of kron(eye(n), b) as a complex core holds it:
@@ -235,42 +274,39 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
         # complex loops and the blocks match the dense M bit for bit
         return np.kron(np.eye(1), b).astype(complex)
 
-    def m_blocks(rank1: np.ndarray) -> list[np.ndarray]:
-        """Diagonal blocks of M: for each pair j < k, |rho_jk| / K^(d-1)
-        times 2K^(d-2) copies of ``rank1``, mult2 of phi_proj and K of
-        ones2 / K."""
-        core = [(unit(rank1), 2 * K ** (d - 2)), (unit(phi_proj), mult2),
-                (unit(ones2) / K, K)]
-        blocks = []
-        for j in range(d):
-            for k in range(j + 1, d):
-                for b, copies in core:
-                    blocks += [abs(m[j, k]) * b / K ** (d - 1)] * copies
-        return blocks
+    def chain_runs(core) -> tuple[list, float]:
+        """(runs, tr(M)): the runs of the diagonal blocks of M, for each
+        pair j < k |rho_jk| / K^(d-1) times each (block, copies) of
+        ``core``, then the 1 - tr(M) corner, with tr(M) summed as the dense
+        trace sums it."""
+        runs = [(w * b[None] / K ** (d - 1), copies)
+                for w in weights for b, copies in core if copies]
+        tr_m = float(_entries(runs, lambda blocks: blocks.diagonal(axis1=1, axis2=2)).sum().real)
+        return [*runs, (np.array([[[1.0 - tr_m]]]), 1)], tr_m
 
-    def dense_trace(blocks: list[np.ndarray]) -> complex:
-        # the diagonal of the direct sum, summed in one pass as its trace is
-        return np.concatenate([b.diagonal() for b in blocks]).sum()
+    # per pair, M holds 2K^(d-2) copies of the rank-one block, mult2 of
+    # phi_proj and K of ones2 / K: the rank-one block is psi_proj in rho3
+    # and phi_proj in rho4
+    two = (unit(ones2) / K, K)
+    runs3, tr_m = chain_runs([(unit(psi_proj), 2 * K ** (d - 2)), (unit(phi_proj), mult2), two])
+    runs4, _ = chain_runs([(unit(phi_proj), 2 * K ** (d - 2) + mult2), two])
+    rho3, rho4 = _block_diagonal(runs3, tol), _block_diagonal(runs4, tol)
 
-    # the 1 - tr(M) corner, with tr(M) summed as the dense trace sums it
-    psi_blocks, phi_blocks = m_blocks(psi_proj), m_blocks(phi_proj)
-    tr_m = float(dense_trace(psi_blocks).real)
-    rho3 = DensityMatrix(_direct_sum([*psi_blocks, np.array([[1.0 - tr_m]])]), linalg.DEFAULT_TOL)
-    tr_phi = dense_trace(phi_blocks).real
-    rho4 = DensityMatrix(_direct_sum([*phi_blocks, np.array([[1.0 - tr_phi]])]), linalg.DEFAULT_TOL)
-
-    weights = np.array([abs(m[j, k]) for j in range(d) for k in range(j + 1, d)])
     v_diag = omega ** (-np.arange(K))
 
-    off2 = _offdiag_multiset(rho2.mat)
-    off3 = _offdiag_multiset(rho3.mat)
+    off2 = _multiset(_offdiag(conj).ravel())
+    off3 = _multiset(_entries(runs3, _offdiag))
     if off2.size != off3.size:
         multiset_gap = np.inf
     elif off2.size == 0:
         multiset_gap = 0.0
     else:
         multiset_gap = float(np.max(np.abs(off2 - off3)))
-    abs_gap = float(np.max(np.abs(np.abs(rho3.mat) - rho4.mat.real)))
+    # the two sums have blocks of the same sizes in the same order, so
+    # their entries, block by block, align
+    abs3, real4 = (_entries(runs, lambda blocks: blocks.reshape(len(blocks), -1))
+                   for runs in (runs3, runs4))
+    abs_gap = float(np.max(np.abs(np.abs(abs3) - real4.real)))
     report = {
         "K_divisible_by_L": K % L == 0 and K >= 2 * d,
         "trace_M": tr_m,

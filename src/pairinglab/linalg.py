@@ -140,9 +140,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"not Hermitian: max |M - M^dag| = {herm_defect:.3e} > {tol:.3e}"
             )
-        tr = self.mat.trace()
-        if abs(tr - 1) > tol:
-            raise ValidationError(f"trace is {tr:.6g}, expected 1 within {tol:.3e}")
+        gap = abs(self.mat.trace() - 1)
+        if gap > tol:
+            raise ValidationError(f"not unit trace: |tr - 1| = {gap:.3e} > {tol:.3e}")
         lam = spectrum()
         if lam[0] < -tol:
             raise ValidationError(

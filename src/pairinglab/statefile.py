@@ -230,19 +230,17 @@ def save_state(path, state, label: str | None = None) -> None:
 
 
 # The scan converts each distinct number that is not 0.0 with float() and
-# checks it with repr(), about 3-5x what json.loads and np.array spend on a
-# number, and spends little on a 0.0.  Measured per matrix text (best of 9,
-# one thread, distinct random entries, d = 64 and 144), its time over that
-# of json.loads and np.array is 0.45 with 2% of the entries nonzero, 0.95
-# with 10%, 1.5 with 20% and 4.7 with all.  So it is taken when at most 5%
-# of the entries are nonzero, or at most 64 of them: a small file that then
-# costs at most 0.4 ms more (d = 17).  A dense file pays only the count.
+# checks it with repr(), several times what json.loads and np.array spend
+# on a number, and spends little on a 0.0.  Measured per matrix text (best
+# of 25, one thread, distinct random entries, d = 64 and 144, two runs),
+# its time over that of json.loads and np.array is 0.3-0.4 with 2% of the
+# entries nonzero, 0.45-0.5 with 5%, 0.75-0.85 with 10%, 0.75-1.3 with 20%
+# and 2-5 with all.  So it is taken when at most 5% of the entries are
+# nonzero, or at most 64 of them: a small file that then costs at most
+# 0.15 ms more (d = 17).  A dense file pays only the pass over its newlines.
 _MAX_NONZERO_SHARE = 0.05
 _FEW = 64
 _ZERO = b"0.0"
-# The bytes that float.__repr__ of a nonzero finite float can hold, but no
-# separator and not "0.0": each number that is not 0.0 holds one.
-_IS_MARK = bytes(c in b"123456789-" for c in range(256))
 
 
 def _canonical_matrix(data: bytes) -> tuple[np.ndarray, list] | None:
@@ -270,20 +268,21 @@ def _canonical_matrix(data: bytes) -> tuple[np.ndarray, list] | None:
     except (ValueError, RecursionError, ParseError):
         return None  # the json path reports it as it always has
     d = math.prod(dims)
-    zero_entry = b" " + _ZERO + _SEPARATORS[0].encode() + _ZERO + b"\n"
-    if d * d - data.count(zero_entry, start, end) > max(_FEW, _MAX_NONZERO_SHARE * d * d):
-        return None
     numbers = _scan_matrix(data[start:end], d)
     return None if numbers is None else (numbers.view(complex).reshape(d, d), dims)
 
 
 def _scan_matrix(text: bytes, d: int) -> np.ndarray | None:
     """The 2 d^2 numbers of the matrix text ``text`` in file order, when it
-    is what ``_matrix_text`` writes for a d x d matrix; None otherwise.
+    is what ``_matrix_text`` writes for a d x d matrix with at most
+    max(64, 5% of d^2) nonzero entries; None otherwise.
 
-    The proof: ``text``, with each number that is not "0.0" put back to
-    "0.0", is the text of the zero matrix, and each such number is finite
-    and equals ``float.__repr__`` of its value, which rules out NaN,
+    Every number sits on a line of its own, four spaces after its newline
+    and before a comma or the line's end; one pass over the newlines finds
+    the lines that hold a number other than "0.0", and so the count of
+    nonzero entries.  The proof: ``text``, with each such number put back
+    to "0.0", is the text of the zero matrix, and each such number is
+    finite and equals ``float.__repr__`` of its value, which rules out NaN,
     infinities, integers and any other spelling.  ``repr`` round trips, so
     the numbers are bit for bit the ones json.loads reads, signed zeros
     included.  Only the numbers that are not "0.0" are converted, each
@@ -292,22 +291,30 @@ def _scan_matrix(text: bytes, d: int) -> np.ndarray | None:
     sep = [s.encode() for s in _SEPARATORS]
     entry = _ZERO + sep[0] + _ZERO
     row = (entry + sep[1]) * (d - 1) + entry
-    # every number sits on a line of its own, after four spaces and before
-    # a comma or the line's end; the lines holding a mark hold the numbers
-    # that are not 0.0
     region = np.frombuffer(text, dtype=np.uint8)
     newlines = np.flatnonzero(region == ord("\n"))
-    marks = np.flatnonzero(np.frombuffer(text.translate(_IS_MARK), dtype=bool))
-    marks = marks[np.diff(marks, prepend=-2) > 1]  # the first of each run
-    lines = np.unique(np.searchsorted(newlines, marks))
-    if lines.size and lines[0] == 0:
+    # after its newline, a number's line holds four spaces, the number, and
+    # a comma or the next newline; so test the bytes after each newline but
+    # the last and those in the last eight bytes, where the writer puts no
+    # number (a line left out stays in the text the proof compares)
+    at = newlines[:-1]
+    at = at[:np.searchsorted(at, len(text) - 8)]
+    zero = region[8:][at] == ord(",")
+    zero |= region[8:][at] == ord("\n")
+    for k, byte in enumerate(_ZERO, 5):
+        zero &= region[k:][at] == byte
+    lines = np.flatnonzero((region[4:][at] == ord(" ")) & ~zero)  # not "0.0"
+    # an entry's two numbers are on adjacent lines, and entries are not
+    if lines.size - np.count_nonzero(np.diff(lines) == 1) \
+            > max(_FEW, _MAX_NONZERO_SHARE * d * d):
         return None
-    firsts = newlines[lines - 1] + 5  # after the newline and four spaces
-    lasts = newlines[lines] - (region[newlines[lines] - 1] == ord(","))
+    firsts = newlines[lines] + 5  # after the newline and four spaces
+    nexts = newlines[lines + 1]
+    lasts = nexts - (region[nexts - 1] == ord(","))
     tokens = [text[a:b] for a, b in zip(firsts.tolist(), lasts.tolist())]
     gaps = zip([0, *lasts.tolist()], [*firsts.tolist(), len(text)])
     if _ZERO.join([text[a:b] for a, b in gaps]) \
-            != _MATRIX_OPEN.encode() + (row + sep[2]) * (d - 1) + row + sep[3]:
+            != b"".join([_MATRIX_OPEN.encode(), *[row + sep[2]] * (d - 1), row, sep[3]]):
         return None
     distinct = list(set(tokens))
     try:

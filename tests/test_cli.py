@@ -256,6 +256,22 @@ class TestConstructCommand:
         assert report["report"]["K"] == 4
         assert report["report"]["trace_M"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_appendix_a_of_an_input_the_loader_accepts(self, tmp_path, capsys):
+        # trace 1 + 5e-9: within a state file's 1e-8, beyond DEFAULT_TOL; so
+        # is the trace of rho2, which must be validated at the input's 1e-8
+        inp = tmp_path / "near.json"
+        statefile.save_state(inp, pl.DensityMatrix(np.array([[0.5 + 5e-9, 0.25], [0.25, 0.5]]),
+                                                   1e-8))
+        rho = statefile.load_state(inp)
+        with pytest.raises(ValidationError, match=r"\|tr - 1\| = 5\.000e-09 > 1\.000e-09"):
+            pl.DensityMatrix(rho.mat)
+        out = tmp_path / "chain.json"
+        assert cli.main(["construct", "appendix-a", "--input", str(inp),
+                         "--out", str(out), "--L", "1"]) == 0
+        chain = pl.appendix_a_chain(rho, 1)
+        assert chain.rho2.validation_tol == 1e-8
+        assert statefile.load_state(out).mat.tobytes() == chain.rho3.mat.tobytes()
+
     def test_appendix_a_cap_exit_code(self, tmp_path, plus_rho, capsys):
         inp = tmp_path / "plus.json"
         statefile.save_state(inp, plus_rho)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import pairinglab as pl
+from pairinglab import constructions
 from pairinglab.errors import (
     DimensionCapExceeded,
     InvalidCoeffs,
@@ -14,6 +15,7 @@ from pairinglab.errors import (
     PhaseNotRoot,
     SupportOverlap,
     UnknownName,
+    ValidationError,
     WeightMismatch,
 )
 
@@ -206,6 +208,39 @@ def dense_chain_reference(rho, L):
     return rho2, *out
 
 
+def dense_report(rho, L, rho2, rho3, rho4):
+    """The report of the chain, recomputed from its dense matrices: the
+    off-diagonal multisets of the whole of rho2 and rho3 (their nonzero
+    entries in row-major order, sorted stably by rounded real and imaginary
+    part) and the entrywise gap between |rho3| and rho4."""
+    d = rho.dim
+    K = ((2 * d + L - 1) // L) * L
+
+    def offdiag_multiset(m, cut=1e-13):
+        vals = m[~np.eye(m.shape[0], dtype=bool)]
+        vals = vals[np.abs(vals) > cut]
+        return vals[np.lexsort((np.round(vals.imag, 12), np.round(vals.real, 12)))]
+
+    off2, off3 = offdiag_multiset(rho2.mat), offdiag_multiset(rho3.mat)
+    if off2.size != off3.size:
+        gap = np.inf
+    else:
+        gap = float(np.max(np.abs(off2 - off3))) if off2.size else 0.0
+    tr_m = float(rho3.mat[:-1, :-1].trace().real)
+    abs_gap = float(np.max(np.abs(np.abs(rho3.mat) - rho4.mat.real)))
+    return {
+        "K_divisible_by_L": K % L == 0 and K >= 2 * d,
+        "trace_M": tr_m,
+        "trace_M_below_1": tr_m < 1.0,
+        "offdiag_count_rho2": off2.size,
+        "offdiag_count_rho3": off3.size,
+        "offdiag_multiset_gap": gap,
+        "offdiag_multiset_match": off2.size == off3.size and gap <= 1e-10,
+        "rho4_abs_gap": abs_gap,
+        "rho4_is_entrywise_abs_of_rho3": abs_gap <= 1e-10,
+    }
+
+
 def chain_input(L, vec, t):
     v = np.asarray(vec, dtype=complex)
     return pl.DensityMatrix(t * np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -216,24 +251,43 @@ class TestAppendixAChainBlockwise:
     @pytest.mark.parametrize("L, vec, t", [
         (1, [0.5, 0.6, 0.62], 0.6), (2, [0.5, -0.6, 0.62], 0.7), (1, [0.3, 0.4], 0.5),
         (4, [1, 1j, -1], 0.8), (1, [1, 0, 1], 0.4), (3, [1, np.exp(2j * np.pi / 3)], 0.9),
+        (1, [1, 0, 0], 0.5),
     ])
     def test_matches_the_dense_validated_chain(self, L, vec, t):
         rho = chain_input(L, vec, t)
         chain = pl.appendix_a_chain(rho, L)
-        for got, want in zip((chain.rho2, chain.rho3, chain.rho4), dense_chain_reference(rho, L)):
+        dense = dense_chain_reference(rho, L)
+        for got, want in zip((chain.rho2, chain.rho3, chain.rho4), dense):
             assert got.mat.tobytes() == want.mat.tobytes()  # signed zeros included
-            assert np.allclose(got.eigenvalues(), want.eigenvalues(), rtol=0, atol=1e-16)
-        assert chain.report["trace_M"] == float(chain.rho3.mat[:-1, :-1].trace().real)
+            assert got.validation_tol == want.validation_tol
+            assert np.array_equal(got.eigenvalues(), want.eigenvalues())  # -0.0 == 0.0
+        want = dense_report(rho, L, *dense)
+        assert chain.report == want  # every float bit for bit
+        assert list(map(type, chain.report.values())) == list(map(type, want.values()))
+
+    @pytest.mark.parametrize("runs", [
+        [(np.array([[[0.7, 0.2], [0.2, -0.05]]]), 2), (np.array([[[-0.3]]]), 1)],
+        [(np.array([[[0.5, 0.1], [0.0, 0.5]]]), 1)],
+        [(np.eye(2)[None] / 2, 1), (np.array([[[1e-8]]]), 1)],
+    ], ids=["negative eigenvalue", "not Hermitian", "trace"])
+    def test_a_failing_sum_raises_the_constructors_error(self, runs):
+        dense = block_diag(*[b for blocks, copies in runs for b in np.repeat(blocks, copies, 0)])
+        with pytest.raises(ValidationError) as want:
+            pl.DensityMatrix(dense)
+        with pytest.raises(ValidationError) as got:
+            constructions._block_diagonal(runs, 1e-9)
+        assert str(got.value) == str(want.value)
 
     def test_decomposes_only_blocks(self, decompositions):
         rho = chain_input(1, [0.5, 0.6, 0.62], 0.6)
         decompositions.clear()
         pl.appendix_a_chain(rho, 1)
-        # rho2: 216 blocks of 3x3; rho3 and rho4: 6x6 and 2x2 blocks, and a
-        # 1x1 corner read off its diagonal
-        assert sorted(decompositions) == [(18, 2, 2), (18, 2, 2),
-                                          (42, 6, 6), (42, 6, 6), (216, 3, 3)]
-        assert sum(np.prod(s) * s[-1] for s in decompositions) <= 1e5
+        # only distinct blocks: rho2's 216 of 3x3; for each of the 3 pairs,
+        # rho3's psi- and phi-block (6x6) and its 2x2 block, and rho4's
+        # phi-block and 2x2 block; each 1x1 corner is read off its entry
+        assert sorted(decompositions) == [(3, 2, 2), (3, 2, 2),
+                                          (3, 6, 6), (6, 6, 6), (216, 3, 3)]
+        assert sum(np.prod(s) * s[-1] for s in decompositions) <= 1e4
 
 
 class TestCounterexamples:

@@ -281,9 +281,9 @@ def one_eigvalsh_reference(m, tol):
     defect = np.max(np.abs(m - m.conj().T))
     if defect > tol:
         return defect, f"not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.3e}"
-    tr = m.trace()
-    if abs(tr - 1) > tol:
-        return defect, f"trace is {tr:.6g}, expected 1 within {tol:.3e}"
+    gap = abs(m.trace() - 1)
+    if gap > tol:
+        return defect, f"not unit trace: |tr - 1| = {gap:.3e} > {tol:.3e}"
     lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
     if lam[0] < -tol:
         return defect, f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"

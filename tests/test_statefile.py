@@ -261,6 +261,37 @@ class TestCanonicalReader:
         assert statefile._canonical_matrix((statefile._state_text(state, None) + "\n").encode()) \
             is None
 
+    @pytest.mark.parametrize("d, entries, parts, scanned", [
+        (12, 64, "both", True), (12, 65, "re", False), (12, 65, "im", False),
+        (12, 65, "both", False), (40, 80, "both", True), (40, 80, "im", True),
+        (40, 81, "re", False), (40, 81, "both", False), (1, 1, "both", True),
+    ])
+    def test_scan_decision_at_the_nonzero_entry_limit(self, d, entries, parts, scanned):
+        # the limit is max(64, 5% of d^2) nonzero entries, not numbers: 64 at
+        # d = 12, 80 at d = 40
+        g = np.random.Generator(np.random.Philox(d + entries))
+        m = np.zeros((d, d), dtype=complex)
+        where = g.choice(d * d, entries, replace=False)
+        re, im = g.uniform(-1, 1, (2, entries))
+        m.flat[where] = {"both": re + 1j * im, "re": re, "im": 1j * im}[parts]
+        data = (statefile._state_text(pl.DensityMatrix(m, math.inf), None) + "\n").encode()
+        got = statefile._canonical_matrix(data)
+        assert (got is not None) == scanned
+        if scanned:
+            assert got[0].tobytes() == json_path_matrix(data)[0].tobytes()
+
+    @pytest.mark.parametrize("value", [0.5, 0.05, -0.0, 5e-324, 0.0001, 1.0, -5e-324])
+    def test_numbers_that_start_like_zero_are_read_bit_for_bit(self, value):
+        for d in (1, 3):
+            numbers = np.zeros(2 * d * d)
+            numbers[::3] = value  # first, real and imaginary parts, row ends
+            numbers[-1] = value
+            m = numbers.view(complex).reshape(d, d)
+            data = (statefile._state_text(pl.DensityMatrix(m, math.inf), None) + "\n").encode()
+            got = statefile._canonical_matrix(data)
+            assert got is not None
+            assert got[0].tobytes() == json_path_matrix(data)[0].tobytes() == m.tobytes()
+
     def test_zero_matrix_text_is_the_writers(self):
         for d in (1, 2, 5):
             text = statefile._matrix_text(np.zeros((d, d), dtype=complex)).encode()
