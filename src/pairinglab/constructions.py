@@ -132,13 +132,18 @@ def cnot_embed(rho: DensityMatrix) -> BipartiteState:
 
 def _embedded(rho: DensityMatrix, idx: list[int], n: int) -> DensityMatrix:
     """``rho`` placed on the distinct rows and columns ``idx`` of an n x n
-    zero matrix, validated without a decomposition."""
+    zero matrix, validated without a decomposition or a scan."""
     m = np.zeros((n, n), dtype=complex)
     m[np.ix_(idx, idx)] = rho.mat
     # an isometric embedding keeps rho's Hermiticity defect, trace and
     # nonzero spectrum, so m passes rho's checks with rho's spectrum plus zeros
     lam = np.sort(np.concatenate([rho._ascending(), np.zeros(n - rho.dim)]))
-    return DensityMatrix._validated(m, rho.validation_tol, lam)
+    # and rho's nonzero entries, moved
+    flat = rho._flat_nonzero()
+    rows, cols = np.divmod(np.arange(rho.dim ** 2) if flat is None else flat, rho.dim)
+    idx = np.asarray(idx)
+    return DensityMatrix._validated(m, rho.validation_tol, lam,
+                                    np.sort(idx[rows] * n + idx[cols]))
 
 
 @dataclass(frozen=True)
@@ -178,28 +183,33 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
     (``linalg._spectra``: one batched eigvalsh per block size; a 1 x 1
     block is its real entry, as the constructor reads a row of its own).
     A matrix that fails is passed to the constructor, so the error and its
-    message are the ones ``DensityMatrix(m, tol)`` raises.
+    message are the ones ``DensityMatrix(m, tol)`` raises.  The nonzero
+    pattern is the placed blocks' nonzero entries.
     """
     n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
     m = np.zeros((n, n), dtype=complex)
-    start = 0
+    flat, start = [], 0
     for blocks, copies in runs:
         s = blocks.shape[-1]
         first = start + s * np.arange(len(blocks) * copies)[:, None, None]
-        m[first + np.arange(s)[:, None], first + np.arange(s)] = np.repeat(blocks, copies, axis=0)
+        rows, cols = first + np.arange(s)[:, None], first + np.arange(s)
+        placed = np.repeat(blocks, copies, axis=0)
+        m[rows, cols] = placed
+        # block after block, each row-major: ascending flat indices
+        flat.append((rows * n + cols)[placed != 0])
         start += s * len(blocks) * copies
     defect, spectra = 0.0, []
     for s in {blocks.shape[-1] for blocks, _ in runs}:
         group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
         stack = np.concatenate([blocks for blocks, _ in group])
         defect = max(defect, np.abs(stack - linalg._dagger(stack)).max())
-        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(stack, stack != 0)
+        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(stack, linalg._pattern(stack))
         counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
         spectra.append(np.repeat(lam, counts, axis=0).ravel())
     lam = np.sort(np.concatenate(spectra))
     if max(defect, abs(m.trace() - 1), -lam[0]) > tol:
         return DensityMatrix(m, tol)  # raises what the dense constructor raises
-    return DensityMatrix._validated(m, tol, lam)
+    return DensityMatrix._validated(m, tol, lam, np.concatenate(flat))
 
 
 def _offdiag(blocks: np.ndarray) -> np.ndarray:

@@ -69,13 +69,17 @@ class DensityMatrix:
     Unless a row is full, it is taken block by block over the connected
     components of the nonzero pattern (``_component_spectrum``): the
     matrix is a direct sum of its principal blocks on them, up to a
-    permutation of the basis.
+    permutation of the basis.  The pattern validation found is kept too
+    (``_flat_nonzero``), so detection and the measures read the nonzero
+    entries without a scan of the whole matrix.
     """
 
     mat: np.ndarray
     validation_tol: float = DEFAULT_TOL
     # (matrix the spectrum belongs to, read-only ascending spectrum)
     _spectrum: tuple = field(init=False, compare=False, repr=False)
+    # (matrix the pattern belongs to, its ``_pattern``)
+    _nonzero: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
@@ -84,9 +88,12 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         present = m != 0
         if present.all(axis=1).any():  # a full row: the pattern is one component
+            object.__setattr__(self, "_nonzero",
+                               (m, None if present.all() else np.flatnonzero(present)))
             self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
             return
         rows, cols = np.nonzero(present)
+        object.__setattr__(self, "_nonzero", (m, rows * m.shape[0] + cols))
         # the dense max |M - M^dag|: every other entry pair is zero on both sides
         defect = np.abs(m[rows, cols] - m[cols, rows].conj()).max(initial=0.0)
         self._validate(defect, lambda: _component_spectrum(m, rows, cols))
@@ -100,7 +107,8 @@ class DensityMatrix:
         and the spectra (``_spectra``) those it keeps; a matrix that fails is
         passed to the constructor, so the error and its message are the ones
         ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The states
-        hold views of ``mats`` and keep their spectra.
+        hold views of ``mats`` and keep their spectra, but not their
+        patterns, which ``_flat_nonzero`` scans for on each call.
         """
         mats = as_complex_stack(mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -110,7 +118,7 @@ class DensityMatrix:
         tols = np.zeros(len(mats)) + validation_tols
         defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
         traces = mats.trace(axis1=1, axis2=2)
-        spectra = _spectra(mats, mats != 0)
+        spectra = _spectra(mats, _pattern(mats))
         # defects >= 0, so a negative tolerance is caught here as well
         bad = np.maximum(np.maximum(defects, np.abs(traces - 1)), -spectra[:, 0]) > tols
         for t in np.flatnonzero(bad):
@@ -119,14 +127,22 @@ class DensityMatrix:
         return [cls._validated(m, tol, lam) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
 
     @classmethod
-    def _validated(cls, mat: np.ndarray, validation_tol: float, spectrum: np.ndarray):
+    def _validated(cls, mat: np.ndarray, validation_tol: float, spectrum: np.ndarray,
+                   nonzero: np.ndarray | None = None):
         """A state whose checks the caller has already made, holding
-        ``mat`` and its ascending ``spectrum`` (which becomes read-only)."""
+        ``mat`` and its ascending ``spectrum`` (which becomes read-only),
+        and keeping ``nonzero``, the ascending flat indices of the nonzero
+        entries of ``mat``, when the caller knows them."""
         self = object.__new__(cls)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "validation_tol", validation_tol)
         spectrum.flags.writeable = False
         object.__setattr__(self, "_spectrum", (mat, spectrum))
+        if nonzero is None:
+            object.__setattr__(self, "_nonzero", (None, None))
+        else:
+            object.__setattr__(self, "_nonzero",
+                               (mat, None if nonzero.size == mat.size else nonzero))
         return self
 
     def _validate(self, herm_defect: float, spectrum) -> None:
@@ -163,6 +179,13 @@ class DensityMatrix:
             object.__setattr__(self, "_spectrum", (self.mat, lam))
         return lam
 
+    def _flat_nonzero(self) -> np.ndarray | None:
+        """``_pattern(mat)``: the kept one, or a new scan when none is kept
+        for ``mat`` (it was swapped after validation, or the state came
+        from a stack); a scan is not kept."""
+        source, flat = self._nonzero
+        return flat if source is self.mat else _pattern(self.mat)
+
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order (a copy of the cached one)."""
         return self._ascending()[::-1].copy()
@@ -179,18 +202,67 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + _dagger(m)) / 2)
 
 
-def _spectra(m: np.ndarray, present: np.ndarray,
+def _pattern(m: np.ndarray) -> np.ndarray | None:
+    """The flat indices of the nonzero entries of a matrix or stack, in
+    ascending order, or None when every entry is nonzero.  Entry (t, r, c)
+    of a ``(T, n, n)`` stack sits at flat index (t * n + r) * n + c."""
+    # m.all() makes no boolean temporary, so a stack with no zero costs one read
+    return None if m.all() else np.flatnonzero(m != 0)
+
+
+def _pt_flat(flat, n: int, d_b: int):
+    """The flat index in rho^T_A, on d_A x ``d_b``, of the entry of rho at
+    each flat index ``flat`` of an n x n matrix (or of a stack of them):
+    entry ((j', k), (j, k')) of rho is entry ((j, k), (j', k')) of rho^T_A.
+    The map is its own inverse, so it also gives the entry of rho at each
+    flat index of rho^T_A."""
+    row, col = np.divmod(flat, n)
+    # the row moves by (j - j') d_B rows and the column by (j' - j) d_B
+    return flat + (col // d_b - row % n // d_b) * (d_b * (n - 1))
+
+
+def _segment_reduce(ufunc, values: np.ndarray, counts: np.ndarray, empty=0.0) -> np.ndarray:
+    """``ufunc.reduce`` of each run of ``counts[t]`` consecutive ``values``,
+    ``empty`` for a run of none, taken as over that run alone: a float sum
+    in ``np.sum``'s pairwise order, so a matrix's result is the same alone
+    or in any stack.  Runs of one length are the rows of one array.
+    Otherwise ``reduceat`` takes each run behind an ``empty``, which must
+    not change a reduction (0 for a sum, a count or a max of moduli): it
+    starts a run from its first value and adds the rest pairwise, so a run
+    led by 0 sums as ``np.sum``, which starts from 0, sums it."""
+    c = int(counts[0]) if counts.size else 0
+    if c and (counts.size == 1 or (counts == c).all()):
+        return ufunc.reduce(values.reshape(counts.size, c), axis=1)
+    at = np.cumsum(counts) - counts + np.arange(counts.size)  # each run's lead
+    led = np.full(values.size + counts.size, empty, dtype=values.dtype)
+    rest = np.ones(led.size, dtype=bool)
+    rest[at] = False
+    led[rest] = values
+    return ufunc.reduceat(led, at)
+
+
+def _per_entry(x, counts: np.ndarray):
+    """A value per run of ``counts`` (see ``_segment_reduce``), or one for
+    all, repeated for each value of its run; one value is left to
+    broadcast."""
+    x = np.asarray(x)
+    return x if x.ndim == 0 or counts.size == 1 else np.repeat(x, counts)
+
+
+def _spectra(m: np.ndarray, flat: np.ndarray | None,
              dims: tuple[int, int] | None = None) -> np.ndarray:
-    """``_component_spectrum`` of ``m`` given ``present``, the nonzero
-    pattern of the matrix taken; a stack whose every matrix has a full row
-    takes one eigvalsh, the bits the components give a connected matrix.
-    So a matrix's spectrum is the same alone or in any stack."""
-    if present.all(axis=-1).any(axis=-1).all():
-        return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
+    """``_component_spectrum`` of ``m`` given ``flat``, the ``_pattern``
+    of the matrix taken; a stack whose every matrix has a full row takes
+    one eigvalsh, the bits the components give a connected matrix.  So a
+    matrix's spectrum is the same alone or in any stack."""
     n = m.shape[-1]
-    # entry (t, r, c) sits at flat index (t * n + r) * n + c
-    rows, cols = np.divmod(np.flatnonzero(present), n)
-    return _component_spectrum(m, rows, cols + (rows - rows % n), dims=dims)
+    if flat is not None:
+        # entry (t, r, c) joins the nodes t * n + r and t * n + c
+        rows, cols = np.divmod(flat, n)
+        full = np.bincount(rows, minlength=m.size // n) == n
+        if not full.reshape(-1, n).any(axis=1).all():
+            return _component_spectrum(m, rows, cols + (rows - rows % n), dims=dims)
+    return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
 
 
 def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -229,11 +301,10 @@ def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         idx = order[start:start + nodes_of_size[s]].reshape(-1, s)
         start += idx.size
         owner, r = np.divmod(idx, n)  # each component's rows, ascending
-        i, j = r[:, :, None], r[:, None, :]
-        if dims is not None:  # entry (i, j) of the partial transpose, read off m
-            d_b = dims[1]
-            i, j = (j // d_b) * d_b + i % d_b, (i // d_b) * d_b + j % d_b
-        blocks = stack[owner[:, :1, None], i, j]
+        at = (owner[:, :1, None] * n + r[:, :, None]) * n + r[:, None, :]
+        if dims is not None:  # the entry of the partial transpose, read off m
+            at = _pt_flat(at, n, dims[1])
+        blocks = stack.reshape(-1)[at]
         # a component of one row is its real diagonal entry, as eigvalsh gives it
         lam = blocks.diagonal(axis1=1, axis2=2).real
         if s == 2:  # a hollow pair [[0, x], [y, 0]]: -|h|, |h| with h = (x + y*) / 2

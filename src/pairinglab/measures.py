@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +22,47 @@ def _relative_cutoff(top):
     return 1e-10 * np.maximum(1.0, top)
 
 
-def _c_l1_of(mod: np.ndarray):
-    """Sum of the off-diagonal entries of the entry moduli ``mod`` of a
-    matrix (of each matrix of a ``(..., d, d)`` stack); zeroes the
-    diagonal of ``mod``."""
-    diag = np.arange(mod.shape[-1])
-    mod[..., diag, diag] = 0.0
-    return mod.sum(axis=(-2, -1))
+class _Moduli(NamedTuple):
+    """The nonzero entries of a ``(T, d, d)`` stack whose ``linalg._pattern``
+    is ``flat``, in flat order."""
+
+    mod: np.ndarray  # their moduli
+    counts: np.ndarray  # (T,) nonzero entries of each matrix
+    flat: np.ndarray | None
+    d: int
+
+    def zero_diagonal(self, a: np.ndarray) -> np.ndarray:
+        """``a``, one value per nonzero entry, with those of the diagonal
+        entries set to zero (False), in place."""
+        d = self.d
+        if self.flat is None:
+            a.reshape(-1, d * d)[:, ::d + 1] = 0
+        else:
+            a[self.flat % (d * d) % (d + 1) == 0] = 0
+        return a
+
+
+def _moduli(mats: np.ndarray, flat: np.ndarray | None) -> _Moduli:
+    """The nonzero entries of a ``(T, d, d)`` stack whose ``linalg._pattern``
+    is ``flat``: a state's are those of ``rho.mat[None]`` and
+    ``rho._flat_nonzero()``."""
+    t, d = len(mats), mats.shape[-1]
+    if flat is None:
+        return _Moduli(np.abs(mats).ravel(), np.full(t, d * d), flat, d)
+    counts = np.array([flat.size]) if t == 1 else np.bincount(flat // (d * d), minlength=t)
+    return _Moduli(np.abs(mats.ravel()[flat]), counts, flat, d)
+
+
+def _state_moduli(rho: DensityMatrix) -> _Moduli:
+    """``_moduli`` of one state, from the pattern validation kept."""
+    return _moduli(rho.mat[None], rho._flat_nonzero())
+
+
+def _c_l1_of(ent: _Moduli) -> np.ndarray:
+    """C_l1 of each matrix: the sum of its nonzero entries' moduli with the
+    diagonal ones zeroed (``linalg._segment_reduce``, so a matrix's C_l1 is
+    the same alone or in any stack); zeroes them in ``ent.mod``."""
+    return linalg._segment_reduce(np.add, ent.zero_diagonal(ent.mod), ent.counts)
 
 
 def _c_l1_checked(val: float, dim: int) -> float:
@@ -43,7 +78,7 @@ def _c_l1_checked(val: float, dim: int) -> float:
 
 def c_l1(rho: DensityMatrix) -> float:
     """l1-norm of coherence: sum of off-diagonal entry moduli."""
-    return _c_l1_checked(float(_c_l1_of(np.abs(rho.mat))), rho.dim)
+    return _c_l1_checked(float(_c_l1_of(_state_moduli(rho))[0]), rho.dim)
 
 
 def c_log(rho: DensityMatrix) -> float:
@@ -67,10 +102,16 @@ def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
     ``dims`` = (d_A, d_B).
 
     A matrix's spectrum is the same alone or in any stack (``linalg._spectra``).
+    The pattern of rho^T_A is read off the one validation kept; a stack is
+    scanned for its own.
     """
     if isinstance(state, BipartiteState):
-        state, dims = state.mat, (state.d_A, state.d_B)
-    return linalg._spectra(state, linalg.partial_transpose(state != 0, dims), dims)
+        flat, state, dims = state.rho._flat_nonzero(), state.mat, (state.d_A, state.d_B)
+    else:
+        flat = linalg._pattern(state)
+    if flat is not None:  # the pattern of rho^T_A: rho's, moved
+        flat = linalg._pt_flat(flat, state.shape[-1], dims[1])
+    return linalg._spectra(state, flat, dims)
 
 
 def _negativity_of(pt_spectrum: np.ndarray):
@@ -122,21 +163,19 @@ def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
     return int(_n0_of(_pt_spectrum(bs), zero_tol))
 
 
-def _c_l0_of(mod: np.ndarray, zero_tol: float | None):
-    """Count of off-diagonal entries above zero_tol, given the entry
-    moduli ``mod`` of a matrix (of each matrix of a stack); the default
-    cutoff is relative to each matrix's largest modulus."""
+def _c_l0_of(ent: _Moduli, zero_tol: float | None) -> np.ndarray:
+    """Count of off-diagonal nonzero entries above zero_tol of each
+    matrix; the default cutoff is relative to each matrix's largest
+    modulus."""
     if zero_tol is None:
-        zero_tol = _relative_cutoff(np.max(mod, axis=(-2, -1), keepdims=True, initial=0.0))
-    mask = mod > zero_tol
-    diag = np.arange(mod.shape[-1])
-    mask[..., diag, diag] = False
-    return np.count_nonzero(mask, axis=(-2, -1))
+        zero_tol = _relative_cutoff(linalg._segment_reduce(np.maximum, ent.mod, ent.counts))
+    mask = ent.zero_diagonal(ent.mod > linalg._per_entry(zero_tol, ent.counts))
+    return linalg._segment_reduce(np.add, mask, ent.counts, 0)
 
 
 def c_l0_count(rho: DensityMatrix, zero_tol: float | None = None) -> int:
     """Number of off-diagonal entries with modulus above zero_tol."""
-    return int(_c_l0_of(np.abs(rho.mat), zero_tol))
+    return int(_c_l0_of(_state_moduli(rho), zero_tol)[0])
 
 
 @dataclass
@@ -157,13 +196,14 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
 
     N and N0 share one spectrum of rho^T_A (``_pt_spectrum``): read off
     exactly when rho^T_A is monomial, otherwise from eigvalsh of its
-    components, the only decompositions.
+    components, the only decompositions.  Every quantity reads the
+    nonzero entries that validation kept, not the whole matrix.
     """
     rho = state.rho if isinstance(state, BipartiteState) else state
-    # one modulus array: C_l0 reads it before C_l1 zeroes its diagonal
-    mod = np.abs(rho.mat)
-    c_l0 = int(_c_l0_of(mod, zero_tol))
-    c_l1_value = _c_l1_checked(float(_c_l1_of(mod)), rho.dim)
+    # one modulus list: C_l0 reads it before C_l1 zeroes its diagonal
+    ent = _state_moduli(rho)
+    c_l0 = int(_c_l0_of(ent, zero_tol)[0])
+    c_l1_value = _c_l1_checked(float(_c_l1_of(ent)[0]), rho.dim)
     rep = MeasureReport()
     rep.add("C_l1", c_l1_value, "sum of off-diagonal moduli")
     rep.add("C_L", float(np.log2(1.0 + c_l1_value)), "log2(1 + C_l1)")

@@ -69,41 +69,41 @@ def detect_canonical_pairing(
     M + R, M the kept monomial part and R the dropped remainder,
     ||M||_1 = ||M||_l1 and ||R||_1 <= ||R||_l1 give
     |N - C_l1| <= |sum_i |rho_ii| - 1| + 2 ||R||_l1.  Only when that bound
-    exceeds the tolerance is N computed, by an SVD.
+    exceeds the tolerance is N computed, from the spectrum of rho^T_A that
+    ``measures.negativity`` takes.  Every check reads the nonzero entries
+    that validation kept.
     """
-    return _certify_stack(bs.mat[None], (bs.d_A, bs.d_B), zero_tol)[0]
+    return _certify_stack(bs.mat[None], bs.rho._flat_nonzero(), (bs.d_A, bs.d_B), zero_tol)[0]
 
 
-def _certify_stack(mats: np.ndarray, dims: tuple[int, int],
+def _certify_stack(mats: np.ndarray, flat: np.ndarray | None, dims: tuple[int, int],
                    zero_tol: float) -> list[PairingCertificate | None]:
     """``detect_canonical_pairing`` of each matrix of a ``(T, d, d)`` stack
-    on ``dims`` = (d_A, d_B), as one mask over the stack per check; the
-    checks stop once no matrix passes.
+    on ``dims`` = (d_A, d_B), given the stack's ``linalg._pattern``
+    ``flat``: each check is one pass over the nonzero entries of the
+    stack, and the checks stop once no matrix passes.
 
     rho^T_A is never formed: its entries are those of rho, moved, so its
     pattern is read off rho's present entries.
     """
     certs: list[PairingCertificate | None] = [None] * len(mats)
     d, d_b = mats.shape[-1], dims[1]
-    mod = np.abs(mats)
-    top = mod.max(axis=(1, 2))
-    present = mod > (zero_tol * top)[:, None, None]
+    ent = measures._moduli(mats, flat)
+    top = linalg._segment_reduce(np.maximum, ent.mod, ent.counts)
+    present = ent.mod > linalg._per_entry(zero_tol * top, ent.counts)
     # a monomial matrix has at most d present entries
-    live = np.flatnonzero(np.count_nonzero(present, axis=(1, 2)) <= d)
-    if not live.size:
+    ok = linalg._segment_reduce(np.add, present, ent.counts, 0) <= d
+    if not ok.any():
         return certs
-    if live.size < len(mats):
-        mod, top, present = mod[live], top[live], present[live]
 
-    # entry (a, b) = ((j', k), (j, k')) of rho is entry (r, c) =
-    # ((j, k), (j', k')) of rho^T_A; s is the matrix, live[s]
-    s, a, b = np.unravel_index(np.flatnonzero(present), present.shape)
-    r = b // d_b * d_b + a % d_b
-    c = a // d_b * d_b + b % d_b
+    # each present entry of rho sits at (r, c) of the rho^T_A of matrix s,
+    # in row line = s * d + r of the stack's
+    kept = np.flatnonzero(present & linalg._per_entry(ok, ent.counts))
+    line, c = np.divmod(linalg._pt_flat(kept if flat is None else flat[kept], d, d_b), d)
+    s, r = np.divmod(line, d)
     # monomial: at most one present entry in each row and in each column
-    ok = np.ones(live.size, dtype=bool)
-    for line in (r, c):
-        ok &= np.bincount(s * d + line, minlength=live.size * d).reshape(-1, d).max(axis=1) <= 1
+    for key in (line, s * d + c):
+        ok &= np.bincount(key, minlength=len(mats) * d).reshape(-1, d).max(axis=1) <= 1
     if not ok.any():
         return certs
 
@@ -111,9 +111,9 @@ def _certify_stack(mats: np.ndarray, dims: tuple[int, int],
     # carry zero weight.  It must be an involution (else it is not
     # Hermitian-consistent) whose transpositions ((j,k), (j',k')) have
     # j != j', k != k' and the companion fixed points (j,k') and (j',k)
-    order = np.argsort(s * d + r)
+    order = np.argsort(line)
     s, r, c = s[order], r[order], c[order]
-    partner = np.full((live.size, d), -1)
+    partner = np.full((len(mats), d), -1)
     partner[s, r] = c
     j, k = np.divmod(r, d_b)
     jp, kp = np.divmod(c, d_b)
@@ -127,13 +127,16 @@ def _certify_stack(mats: np.ndarray, dims: tuple[int, int],
 
     # soundness: certified states must actually saturate N = C_l1
     slack = 10 * zero_tol * d * np.maximum(1.0, top)
-    trace_defect = np.abs(np.diagonal(mod, axis1=1, axis2=2).sum(axis=1) - 1.0)
-    decided = trace_defect + 2.0 * np.sum(mod, axis=(1, 2), where=~present) <= slack
-    for i in np.flatnonzero(ok & ~decided).tolist():
-        m = mats[live[i]]
-        n = linalg.trace_norm(linalg.partial_transpose(m, dims)) - 1.0
-        c_l1 = measures._c_l1_checked(float(measures._c_l1_of(np.abs(m))), d)
-        ok[i] = abs(n - c_l1) <= slack[i]
+    trace_defect = np.abs(np.abs(np.diagonal(mats, axis1=1, axis2=2)).sum(axis=1) - 1.0)
+    # ||R||_l1: the moduli of the nonzero entries that are not present
+    remainder = (np.zeros(len(mats)) if present.all() else
+                 linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts))
+    unsure = np.flatnonzero(ok & (trace_defect + 2.0 * remainder > slack))
+    if unsure.size:
+        sub = mats[unsure]
+        n, _ = measures._negativity_of(measures._pt_spectrum(sub, dims))
+        c_l1 = measures._c_l1_of(measures._moduli(sub, linalg._pattern(sub)))
+        ok[unsure] = np.abs(n - c_l1) <= slack[unsure]
 
     # each certificate off the sorted entries: its fixed points and its
     # transpositions (r, c), r < c, in row order
@@ -142,17 +145,15 @@ def _certify_stack(mats: np.ndarray, dims: tuple[int, int],
     fixed_points = list(zip(j[fixed].tolist(), k[fixed].tolist()))
     transpositions = list(zip(zip(j[trans].tolist(), k[trans].tolist()),
                               zip(jp[trans].tolist(), kp[trans].tolist())))
-    f_end = np.cumsum(np.bincount(s[fixed], minlength=live.size)).tolist()
-    t_end = np.cumsum(np.bincount(s[trans], minlength=live.size)).tolist()
-    f_start = t_start = 0
-    for i, t in enumerate(live.tolist()):
-        if ok[i]:
-            certs[t] = PairingCertificate(
-                transpositions=tuple(transpositions[t_start:t_end[i]]),
-                fixed_points=tuple(fixed_points[f_start:f_end[i]]),
-                pairing_number=t_end[i] - t_start,
-            )
-        f_start, t_start = f_end[i], t_end[i]
+    # matrix t's are fixed_points[f[t]:f[t + 1]] and transpositions[p[t]:p[t + 1]]
+    f, p = ([0, *np.cumsum(np.bincount(s[sel], minlength=len(mats))).tolist()]
+            for sel in (fixed, trans))
+    for t in np.flatnonzero(ok).tolist():
+        certs[t] = PairingCertificate(
+            transpositions=tuple(transpositions[p[t]:p[t + 1]]),
+            fixed_points=tuple(fixed_points[f[t]:f[t + 1]]),
+            pairing_number=p[t + 1] - p[t],
+        )
     return certs
 
 
@@ -186,18 +187,25 @@ def ppt_cost_condition(
     return float(n_log)
 
 
-def _renormalized(subs: np.ndarray, tol):
-    """Weights p = tr(sub) of a ``(T, n, n)`` stack of principal blocks of
-    states validated at ``tol`` (one tolerance or one per block), and the
-    blocks renormalized to unit trace, validated as one stack.
+def _block_tol(tol, p: np.ndarray) -> np.ndarray:
+    """Validation tolerance of principal blocks of weights (traces) ``p``
+    renormalized to unit trace, cut from states validated at ``tol`` (one
+    tolerance or one per block).
 
     A principal block keeps the source's Hermiticity defect and (by
     interlacing) its smallest eigenvalue, so dividing by p scales both by
-    1/p: each block is validated at the source tolerance over its p.
+    1/p: each block is held to the source tolerance over its p.
     """
+    return np.maximum(tol, linalg.DEFAULT_TOL) / p
+
+
+def _renormalized(subs: np.ndarray, tol):
+    """Weights p = tr(sub) of a ``(T, n, n)`` stack of principal blocks of
+    states validated at ``tol`` (one tolerance or one per block), and the
+    blocks renormalized to unit trace, validated as one stack at
+    ``_block_tol``."""
     p = np.trace(subs, axis1=1, axis2=2).real
-    block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
-    return p, DensityMatrix.from_stack(subs / p[:, None, None], block_tol)
+    return p, DensityMatrix.from_stack(subs / p[:, None, None], _block_tol(tol, p))
 
 
 @dataclass(frozen=True)
@@ -297,9 +305,10 @@ def qubit_qudit_decompose(
     if cert is None:
         raise NotCanonicalPairing("state is not a canonical pairing state")
     tol = bs.rho.validation_tol
-    stack, gaps = _decompose_stack(bs.mat[None], bs.d_B, [cert], tol, zero_tol)
+    flat = bs.rho._flat_nonzero()
+    stack, gaps = _decompose_stack(bs.mat[None], flat, bs.d_B, [cert], tol, zero_tol)
     # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
-    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(np.max(np.abs(bs.mat))):
+    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(bs.mat[None], flat).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
     diag = stack.diag[0]
     return QubitQuditDecomposition(
@@ -313,13 +322,15 @@ def qubit_qudit_decompose(
     )
 
 
-def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate],
-                     tols, zero_tol: float) -> tuple[_Blocks, np.ndarray]:
+def _decompose_stack(mats: np.ndarray, flat: np.ndarray | None, d_b: int,
+                     certs: list[PairingCertificate], tols,
+                     zero_tol: float) -> tuple[_Blocks, np.ndarray]:
     """``qubit_qudit_decompose`` of each canonical 2 x d_B pairing state of
-    a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
-    state), from its certificate: the block stack, and each state's
-    reassembly gap max |assembled - rho|.  Every block is validated in one
-    stack.  Raises NotCanonicalPairing if a block has no weight."""
+    a ``(T, d, d)`` stack whose ``linalg._pattern`` is ``flat``, validated
+    at ``tols`` (one tolerance or one per state), from its certificate: the
+    block stack, and each state's reassembly gap max |assembled - rho|.
+    Every block is validated in one stack.  Raises NotCanonicalPairing if
+    a block has no weight."""
     tols = np.zeros(len(mats)) + tols
     trans = _transpositions(certs)
     owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
@@ -343,12 +354,22 @@ def _decompose_stack(mats: np.ndarray, d_b: int, certs: list[PairingCertificate]
     diag[np.abs(diag) < zero_tol] = 0.0
     stack = _Blocks(diag, tols, owner, columns, weights, coeffs)
     # the block supports are disjoint: |assembled - rho| is |rho| but on the
-    # diagonal and on each block's support
-    gap = np.abs(mats)
-    on = np.arange(mats.shape[-1])
-    gap[:, on, on] = np.abs(diag - mats[:, on, on])
-    gap[support] = np.abs(weights[:, None, None] * _coeff_mats(stack) - mats[support])
-    return stack, gap.max(axis=(1, 2), initial=0.0)
+    # diagonal and on each block's support, so off them it is read off the
+    # nonzero entries.  Row r of state t is in a block with row mate[t, r],
+    # or mate[t, r] = -1.
+    mate = np.full(diag.shape, -1)
+    mate[owner[:, None], idx] = idx[:, ::-1]
+    d = mats.shape[-1]
+    at = np.arange(mats.size) if flat is None else flat
+    line, col = np.divmod(at, d)
+    at = at[(line % d != col) & (mate.ravel()[line] != col)]
+    on_diag = np.abs(diag - np.diagonal(mats, axis1=1, axis2=2))
+    on_diag[owner[:, None], idx] = 0.0
+    gap = on_diag.max(axis=1, initial=0.0)
+    np.maximum.at(gap, at // (d * d), np.abs(mats.ravel()[at]))
+    np.maximum.at(gap, owner, np.abs(weights[:, None, None] * _coeff_mats(stack)
+                                     - subs).max(axis=(1, 2)))
+    return stack, gap
 
 
 @dataclass(frozen=True)
@@ -489,7 +510,7 @@ def _projected_bounds(subs: np.ndarray, spectra: np.ndarray, tol) -> np.ndarray:
     its trace and rho_j = subs[j] / p, given ``spectra[j]``, the ascending
     spectrum of rho_j."""
     p = np.trace(subs, axis1=1, axis2=2).real
-    block_tol = np.maximum(tol, linalg.DEFAULT_TOL) / p
+    block_tol = _block_tol(tol, p)
     # the diagonal of the complex block over p, as rho_j has it
     diag = (np.diagonal(subs, axis1=1, axis2=2) / p[:, None]).real
     return p * (linalg._entropies(diag, block_tol) - linalg._entropies(spectra[:, ::-1], block_tol))

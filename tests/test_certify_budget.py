@@ -179,6 +179,42 @@ class TestLoadBudget:
         assert state.dim > largest
 
 
+@pytest.fixture
+def abs_sizes(monkeypatch):
+    """Sizes of the arrays passed to ``np.abs`` while the test runs."""
+    sizes = []
+
+    def counted(x, *args, _orig=np.abs, **kwargs):
+        sizes.append(np.size(x))
+        return _orig(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted)
+    return sizes
+
+
+class TestNonzeroBudget:
+    """The certify path reads the nonzero entries validation kept: no
+    modulus array is larger than the state's nonzero count."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: pl.cnot_embed(pl.ginibre_density(64, 64, pl.RngState(9))),
+        lambda: pl.random_canonical_pairing(2, 256, 124, pl.RngState(9), diag_weight=0.3),
+    ], ids=["cnot_embed d=64", "pairing 2x256"])
+    def test_certify_path_takes_moduli_of_nonzero_entries_only(self, abs_sizes, make):
+        bs = make()
+        nonzero = np.count_nonzero(bs.mat)
+        assert nonzero < bs.dim ** 2 / 100
+        abs_sizes.clear()
+        assert pl.detect_canonical_pairing(bs) is not None
+        pl.measure_report(bs)
+        if bs.d_A == 2:
+            pl.qubit_qudit_decompose(bs)
+        else:
+            with pytest.raises(pl.errors.NotQubit):
+                pl.qubit_qudit_decompose(bs)
+        assert abs_sizes and max(abs_sizes) <= nonzero
+
+
 class TestRemainderBound:
     def test_bound_decides_small_noise_without_svd(self, decompositions):
         g = np.random.Generator(np.random.Philox(1))
@@ -193,7 +229,8 @@ class TestRemainderBound:
         bs = noisy_bell(6, 0.45e-8 * g.random(630), g)
         decompositions.clear()
         assert pl.detect_canonical_pairing(bs, 1e-8) is not None
-        assert decompositions == [(36, 36)]
+        # the spectrum of rho^T_A, taken for a stack of the undecided states
+        assert decompositions == [(1, 36, 36)]
 
     def test_svd_rejects_a_true_gap_above_the_slack(self, decompositions):
         # every dropped entry just below the threshold: C_l1 - N is 1.5x the slack
@@ -202,7 +239,7 @@ class TestRemainderBound:
         decompositions.clear()
         assert pl.detect_canonical_pairing(bs, 1e-8) is None
         assert svd_detect(bs, 1e-8) is None
-        assert decompositions == [(36, 36), (36, 36)]
+        assert decompositions == [(1, 36, 36), (36, 36)]
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
+from pairinglab import statefile
 from pairinglab.errors import (
     NegativeEigenvalue,
     OutOfRange,
@@ -459,6 +460,150 @@ class TestConstructorValidation:
         assert rho.validation_tol == want.validation_tol
         scale = max(1.0, float(np.max(np.abs(rho.mat))))
         assert np.max(np.abs(rho.eigenvalues() - want.eigenvalues())) <= 1e-15 * scale
+
+
+def kept_pattern_states():
+    """(route, state) for every way a state comes to keep its pattern."""
+    rng = pl.RngState(8)
+    sparse = pl.DensityMatrix(np.diag([0.5, 0.2, 0.3]) + 0.1 * np.eye(3, k=2) + 0.1 * np.eye(3, k=-2))
+    one_full_row = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    one_full_row[0, 1:] = one_full_row[1:, 0] = 0.01
+    qq = pl.make_qubit_qudit_pairing(0.5, QQ_DIAG, [(0.25, COEFFS, (0, 1)), (0.25, COEFFS, (2, 3))])
+    return [
+        ("component path", pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3).rho),
+        ("every entry nonzero", pl.random_bipartite_state(2, 3, rng).rho),
+        ("a full row and zeros", pl.DensityMatrix(one_full_row)),
+        ("cnot_embed of a full input", pl.cnot_embed(pl.ginibre_density(5, 5, rng)).rho),
+        ("cnot_embed of a sparse input", pl.cnot_embed(sparse).rho),
+        ("make_mc_state, labels out of order", pl.make_mc_state(
+            pl.MCSpec(COEFFS, (1, 0), (2, 0)), 2, 3).rho),
+        ("make_mc_state on 1 x 1", pl.make_mc_state(pl.MCSpec([[1.0]], (0,), (0,)), 1, 1).rho),
+        ("appendix-a rho2", chain_state("rho2")),
+        ("appendix-a rho3", chain_state("rho3")),
+        ("appendix-a rho4", chain_state("rho4")),
+        ("make_qubit_qudit_pairing", qq.rho),
+        ("reassemble", pl.qubit_qudit_decompose(qq).reassemble().rho),
+    ]
+
+
+class TestKeptPattern:
+    """A state keeps the nonzero pattern its construction found, and it is
+    exactly ``np.flatnonzero(mat)``: a superset would merge components of
+    rho^T_A and change the bits of N."""
+
+    @staticmethod
+    def assert_kept(rho):
+        source, flat = rho._nonzero
+        assert source is rho.mat  # kept, not scanned again
+        want = np.flatnonzero(rho.mat)
+        if flat is None:  # every entry is nonzero
+            assert want.size == rho.mat.size
+        else:
+            assert flat.dtype.kind == "i" and np.array_equal(flat, want)
+
+    @pytest.mark.parametrize("rho", [pytest.param(rho, id=route)
+                                     for route, rho in kept_pattern_states()])
+    def test_every_construction_route_keeps_the_true_pattern(self, rho, tmp_path):
+        self.assert_kept(rho)
+        path = tmp_path / "state.json"
+        statefile.save_state(path, rho)
+        self.assert_kept(statefile.load_state(path))
+
+    def test_stacked_states_and_swapped_matrices_are_scanned_on_each_call(self, rng):
+        bs = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3)
+        other = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.3)
+        (stacked,) = pl.DensityMatrix.from_stack(other.mat[None])
+        assert stacked._nonzero == (None, None)
+        assert np.array_equal(stacked._flat_nonzero(), np.flatnonzero(other.mat))
+        object.__setattr__(bs.rho, "mat", other.mat.copy())
+        assert np.array_equal(bs.rho._flat_nonzero(), np.flatnonzero(other.mat))
+        assert bs.rho._nonzero[0] is not bs.rho.mat  # the scan is not kept
+        assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(other)
+        got, want = pl.measure_report(bs).entries, pl.measure_report(other).entries
+        # the swapped matrix's spectrum is taken again, by one eigvalsh
+        assert got.pop("C_r") == pytest.approx(want.pop("C_r"), abs=1e-12)
+        assert got == want
+
+    def test_a_stale_pattern_changes_the_answers(self, rng):
+        # negative control: a kept pattern is trusted, so one that misses
+        # a coherence pair must show in detection and in every measure
+        bs = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3)
+        cert, entries = pl.detect_canonical_pairing(bs), pl.measure_report(bs).entries
+        flat = np.flatnonzero(bs.mat)
+        i = flat[flat // 12 != flat % 12][0]  # a coherence and its conjugate
+        stale = np.setdiff1d(flat, [i, (i % 12) * 12 + i // 12])
+        object.__setattr__(bs.rho, "_nonzero", (bs.mat, stale))
+        got = pl.measure_report(bs).entries
+        assert pl.detect_canonical_pairing(bs).pairing_number == cert.pairing_number - 1
+        assert got["C_l0"] == entries["C_l0"] - 2
+        assert got["C_l1"] < entries["C_l1"] - 1e-3
+        assert got["N"] != entries["N"]
+
+
+def alone_or_stacked_input(kind, d, g, rng):
+    """One matrix on d x d for the alone-or-stacked test, with entries
+    just above or below the cutoffs or exact zeros in full rows."""
+    if kind.startswith("pairing"):
+        n_pairs = int(g.integers(0, d * (d - 1) // 2 + 1))
+        m = pl.random_canonical_pairing(d, d, n_pairs, rng, diag_weight=0.3).mat.copy()
+    elif kind.startswith("cnot"):
+        m = pl.cnot_embed(pl.ginibre_density(d, d, rng)).mat.copy()
+    else:
+        m = pl.random_bipartite_state(d, d, rng).mat.copy()
+    n = d * d
+    i, j = g.choice(n, size=2, replace=False)
+    if kind.endswith("near"):  # about the detection cutoff, or the measures' 1e-10
+        top = float(np.max(np.abs(m)))
+        x = g.choice([0.99, 1.01]) * 1e-10 * g.choice([top, 1.0]) * np.exp(2j * np.pi * g.random())
+        m[i, j], m[j, i] = x, np.conj(x)
+    elif kind.endswith("zero"):  # an exact zero, inside a full row for a Ginibre state
+        m[i, j] = m[j, i] = 0.0
+    return m
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+       kinds=st.lists(st.sampled_from(["pairing", "pairing near", "pairing zero", "cnot",
+                                       "cnot near", "ginibre", "ginibre near",
+                                       "ginibre zero"]), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_measures_and_certificates_are_the_same_alone_or_stacked(seed, d, kinds):
+    g = np.random.Generator(np.random.Philox(seed))
+    rng = pl.RngState(int(g.integers(2**32)))
+    mats = np.array([alone_or_stacked_input(kind, d, g, rng) for kind in kinds])
+    dims = (d, d)
+    flat = pl.linalg._pattern(mats)
+    c_l1 = pl.measures._c_l1_of(pl.measures._moduli(mats, flat))
+    c_l0 = pl.measures._c_l0_of(pl.measures._moduli(mats, flat), None)
+    w = pl.measures._pt_spectrum(mats, dims)
+    n, n0 = pl.measures._negativity_of(w)[0], pl.measures._n0_of(w, None)
+    certs = pl.pairing._certify_stack(mats, flat, dims, pl.pairing.ZERO_TOL)
+    for t, m in enumerate(mats):
+        # a loose tolerance: an exact zero may cost a Ginibre state its PSD
+        bs = pl.BipartiteState(pl.DensityMatrix(m, 1.0), *dims)
+        assert pl.c_l1(bs.rho) == c_l1[t] and type(pl.c_l1(bs.rho)) is float
+        assert pl.c_l0_count(bs.rho) == c_l0[t]
+        assert pl.negativity(bs)[0].hex() == float(n[t]).hex()
+        assert pl.n0_count(bs) == n0[t]
+        assert pl.detect_canonical_pairing(bs) == certs[t]
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.sampled_from([0, 1, 2, 7, 8, 9, 100, 128, 129, 300]),
+                       min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_segment_reduce_takes_each_run_as_numpy_takes_it_alone(seed, counts):
+    # the reduceat route must give np.sum's pairwise bits, run by run
+    g = np.random.Generator(np.random.Philox(seed))
+    counts = np.array(counts)
+    values = g.random(counts.sum()) * 10.0 ** g.integers(-8, 9, counts.sum())
+    runs = np.split(values, np.cumsum(counts)[:-1])
+    sums = pl.linalg._segment_reduce(np.add, values, counts)
+    tops = pl.linalg._segment_reduce(np.maximum, values, counts)
+    above = pl.linalg._segment_reduce(np.add, values > 1.0, counts, 0)
+    for t, run in enumerate(runs):
+        assert sums[t] == np.sum(run)
+        assert tops[t] == np.max(run, initial=0.0)
+        assert above[t] == np.count_nonzero(run > 1.0)
 
 
 class TestSingularValues:
