@@ -139,7 +139,7 @@ def _embedded(rho: DensityMatrix, idx: list[int], n: int) -> DensityMatrix:
     # nonzero spectrum, so m passes rho's checks with rho's spectrum plus zeros
     lam = np.sort(np.concatenate([rho._ascending(), np.zeros(n - rho.dim)]))
     # and rho's nonzero entries, moved
-    flat = rho._flat_nonzero()
+    flat = rho._stack().flat
     rows, cols = np.divmod(np.arange(rho.dim ** 2) if flat is None else flat, rho.dim)
     idx = np.asarray(idx)
     return DensityMatrix._validated(m, rho.validation_tol, lam,

@@ -42,20 +42,13 @@ class _Moduli(NamedTuple):
         return a
 
 
-def _moduli(mats: np.ndarray, flat: np.ndarray | None) -> _Moduli:
-    """The nonzero entries of a ``(T, d, d)`` stack whose ``linalg._pattern``
-    is ``flat``: a state's are those of ``rho.mat[None]`` and
-    ``rho._flat_nonzero()``."""
+def _moduli(stack: linalg._Stack) -> _Moduli:
+    """The nonzero entries of a stack (of ``rho._stack()`` for a state)."""
+    mats, flat = stack
     t, d = len(mats), mats.shape[-1]
     if flat is None:
         return _Moduli(np.abs(mats).ravel(), np.full(t, d * d), flat, d)
-    counts = np.array([flat.size]) if t == 1 else np.bincount(flat // (d * d), minlength=t)
-    return _Moduli(np.abs(mats.ravel()[flat]), counts, flat, d)
-
-
-def _state_moduli(rho: DensityMatrix) -> _Moduli:
-    """``_moduli`` of one state, from the pattern validation kept."""
-    return _moduli(rho.mat[None], rho._flat_nonzero())
+    return _Moduli(np.abs(mats.ravel()[flat]), np.bincount(flat // (d * d), minlength=t), flat, d)
 
 
 def _c_l1_of(ent: _Moduli) -> np.ndarray:
@@ -78,7 +71,7 @@ def _c_l1_checked(val: float, dim: int) -> float:
 
 def c_l1(rho: DensityMatrix) -> float:
     """l1-norm of coherence: sum of off-diagonal entry moduli."""
-    return _c_l1_checked(float(_c_l1_of(_state_moduli(rho))[0]), rho.dim)
+    return _c_l1_checked(float(_c_l1_of(_moduli(rho._stack()))[0]), rho.dim)
 
 
 def c_log(rho: DensityMatrix) -> float:
@@ -96,22 +89,18 @@ def c_rel_entropy(rho: DensityMatrix) -> float:
     return s_diag - linalg.von_neumann_entropy(rho)
 
 
-def _pt_spectrum(state, dims: tuple[int, int] | None = None) -> np.ndarray:
+def _pt_spectrum(stack: linalg._Stack, dims: tuple[int, int]) -> np.ndarray:
     """Ascending spectrum of the (Hermitian) partial transpose rho^T_A of
-    a BipartiteState, or of each matrix of a ``(T, d, d)`` stack on
-    ``dims`` = (d_A, d_B).
+    each matrix of a stack on ``dims`` = (d_A, d_B) (of
+    ``rho._stack()`` for a state).
 
     A matrix's spectrum is the same alone or in any stack (``linalg._spectra``).
-    The pattern of rho^T_A is read off the one validation kept; a stack is
-    scanned for its own.
+    The pattern of rho^T_A is read off the stack's.
     """
-    if isinstance(state, BipartiteState):
-        flat, state, dims = state.rho._flat_nonzero(), state.mat, (state.d_A, state.d_B)
-    else:
-        flat = linalg._pattern(state)
+    mats, flat = stack
     if flat is not None:  # the pattern of rho^T_A: rho's, moved
-        flat = linalg._pt_flat(flat, state.shape[-1], dims[1])
-    return linalg._spectra(state, flat, dims)
+        flat = linalg._pt_flat(flat, mats.shape[-1], dims[1])
+    return linalg._spectra(mats, flat, dims)
 
 
 def _negativity_of(pt_spectrum: np.ndarray):
@@ -135,7 +124,7 @@ def negativity(bs: BipartiteState) -> tuple[float, float]:
 
     N = ||rho^T_A||_1 - 1 and N_L = log2(1 + N).
     """
-    n, n_log = _negativity_of(_pt_spectrum(bs))
+    n, n_log = _negativity_of(_pt_spectrum(bs.rho._stack(), (bs.d_A, bs.d_B))[0])
     return float(n), float(n_log)
 
 
@@ -160,7 +149,7 @@ def schmidt_spectrum(psi, d_a: int, d_b: int) -> np.ndarray:
 
 def n0_count(bs: BipartiteState, zero_tol: float | None = None) -> int:
     """Number of eigenvalues of rho^T_A strictly below -zero_tol."""
-    return int(_n0_of(_pt_spectrum(bs), zero_tol))
+    return int(_n0_of(_pt_spectrum(bs.rho._stack(), (bs.d_A, bs.d_B))[0], zero_tol))
 
 
 def _c_l0_of(ent: _Moduli, zero_tol: float | None) -> np.ndarray:
@@ -175,7 +164,7 @@ def _c_l0_of(ent: _Moduli, zero_tol: float | None) -> np.ndarray:
 
 def c_l0_count(rho: DensityMatrix, zero_tol: float | None = None) -> int:
     """Number of off-diagonal entries with modulus above zero_tol."""
-    return int(_c_l0_of(_state_moduli(rho), zero_tol)[0])
+    return int(_c_l0_of(_moduli(rho._stack()), zero_tol)[0])
 
 
 @dataclass
@@ -200,8 +189,9 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
     nonzero entries that validation kept, not the whole matrix.
     """
     rho = state.rho if isinstance(state, BipartiteState) else state
+    stack = rho._stack()
     # one modulus list: C_l0 reads it before C_l1 zeroes its diagonal
-    ent = _state_moduli(rho)
+    ent = _moduli(stack)
     c_l0 = int(_c_l0_of(ent, zero_tol)[0])
     c_l1_value = _c_l1_checked(float(_c_l1_of(ent)[0]), rho.dim)
     rep = MeasureReport()
@@ -209,7 +199,7 @@ def measure_report(state: DensityMatrix | BipartiteState, zero_tol: float | None
     rep.add("C_L", float(np.log2(1.0 + c_l1_value)), "log2(1 + C_l1)")
     rep.add("C_r", c_rel_entropy(rho), "S(diag(rho)) - S(rho)")
     if isinstance(state, BipartiteState):
-        w = _pt_spectrum(state)
+        w = _pt_spectrum(stack, (state.d_A, state.d_B))[0]
         n, n_log = _negativity_of(w)
         rep.add("N", n, "trace norm of partial transpose minus 1")
         rep.add("N_L", n_log, "log2(1 + N)")

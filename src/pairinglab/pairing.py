@@ -73,22 +73,22 @@ def detect_canonical_pairing(
     ``measures.negativity`` takes.  Every check reads the nonzero entries
     that validation kept.
     """
-    return _certify_stack(bs.mat[None], bs.rho._flat_nonzero(), (bs.d_A, bs.d_B), zero_tol)[0]
+    return _certify_stack(bs.rho._stack(), (bs.d_A, bs.d_B), zero_tol)[0]
 
 
-def _certify_stack(mats: np.ndarray, flat: np.ndarray | None, dims: tuple[int, int],
+def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
                    zero_tol: float) -> list[PairingCertificate | None]:
     """``detect_canonical_pairing`` of each matrix of a ``(T, d, d)`` stack
-    on ``dims`` = (d_A, d_B), given the stack's ``linalg._pattern``
-    ``flat``: each check is one pass over the nonzero entries of the
-    stack, and the checks stop once no matrix passes.
+    on ``dims`` = (d_A, d_B): each check is one pass over the nonzero
+    entries of the stack, and the checks stop once no matrix passes.
 
     rho^T_A is never formed: its entries are those of rho, moved, so its
     pattern is read off rho's present entries.
     """
+    mats, flat = stack
     certs: list[PairingCertificate | None] = [None] * len(mats)
     d, d_b = mats.shape[-1], dims[1]
-    ent = measures._moduli(mats, flat)
+    ent = measures._moduli(stack)
     top = linalg._segment_reduce(np.maximum, ent.mod, ent.counts)
     present = ent.mod > linalg._per_entry(zero_tol * top, ent.counts)
     # a monomial matrix has at most d present entries
@@ -129,13 +129,12 @@ def _certify_stack(mats: np.ndarray, flat: np.ndarray | None, dims: tuple[int, i
     slack = 10 * zero_tol * d * np.maximum(1.0, top)
     trace_defect = np.abs(np.abs(np.diagonal(mats, axis1=1, axis2=2)).sum(axis=1) - 1.0)
     # ||R||_l1: the moduli of the nonzero entries that are not present
-    remainder = (np.zeros(len(mats)) if present.all() else
-                 linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts))
+    remainder = linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts)
     unsure = np.flatnonzero(ok & (trace_defect + 2.0 * remainder > slack))
     if unsure.size:
-        sub = mats[unsure]
+        sub = stack.take(unsure)
         n, _ = measures._negativity_of(measures._pt_spectrum(sub, dims))
-        c_l1 = measures._c_l1_of(measures._moduli(sub, linalg._pattern(sub)))
+        c_l1 = measures._c_l1_of(measures._moduli(sub))
         ok[unsure] = np.abs(n - c_l1) <= slack[unsure]
 
     # each certificate off the sorted entries: its fixed points and its
@@ -304,33 +303,31 @@ def qubit_qudit_decompose(
         cert = detect_canonical_pairing(bs, zero_tol)
     if cert is None:
         raise NotCanonicalPairing("state is not a canonical pairing state")
-    tol = bs.rho.validation_tol
-    flat = bs.rho._flat_nonzero()
-    stack, gaps = _decompose_stack(bs.mat[None], flat, bs.d_B, [cert], tol, zero_tol)
+    tol, stack = bs.rho.validation_tol, bs.rho._stack()
+    blocks, gaps = _decompose_stack(stack, bs.d_B, [cert], tol, zero_tol)
     # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
-    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(bs.mat[None], flat).mod.max()):
+    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
-    diag = stack.diag[0]
+    diag = blocks.diag[0]
     return QubitQuditDecomposition(
         d_B=bs.d_B,
         p0=float(diag.sum()),
         diag_probs=diag,
         blocks=tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
-                     for p, c, cols in zip(stack.weights.tolist(), stack.coeffs,
-                                           stack.columns.tolist())),
+                     for p, c, cols in zip(blocks.weights.tolist(), blocks.coeffs,
+                                           blocks.columns.tolist())),
         validation_tol=tol,
     )
 
 
-def _decompose_stack(mats: np.ndarray, flat: np.ndarray | None, d_b: int,
-                     certs: list[PairingCertificate], tols,
+def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertificate], tols,
                      zero_tol: float) -> tuple[_Blocks, np.ndarray]:
     """``qubit_qudit_decompose`` of each canonical 2 x d_B pairing state of
-    a ``(T, d, d)`` stack whose ``linalg._pattern`` is ``flat``, validated
-    at ``tols`` (one tolerance or one per state), from its certificate: the
-    block stack, and each state's reassembly gap max |assembled - rho|.
-    Every block is validated in one stack.  Raises NotCanonicalPairing if
-    a block has no weight."""
+    a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
+    state), from its certificate: the block stack, and each state's
+    reassembly gap max |assembled - rho|.  Every block is validated in one
+    stack.  Raises NotCanonicalPairing if a block has no weight."""
+    mats, flat = stack
     tols = np.zeros(len(mats)) + tols
     trans = _transpositions(certs)
     owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
@@ -352,7 +349,7 @@ def _decompose_stack(mats: np.ndarray, flat: np.ndarray | None, d_b: int,
     diag = np.diagonal(mats, axis1=1, axis2=2).real.copy()
     diag[owner[:, None], idx] = 0.0
     diag[np.abs(diag) < zero_tol] = 0.0
-    stack = _Blocks(diag, tols, owner, columns, weights, coeffs)
+    blocks = _Blocks(diag, tols, owner, columns, weights, coeffs)
     # the block supports are disjoint: |assembled - rho| is |rho| but on the
     # diagonal and on each block's support, so off them it is read off the
     # nonzero entries.  Row r of state t is in a block with row mate[t, r],
@@ -367,9 +364,9 @@ def _decompose_stack(mats: np.ndarray, flat: np.ndarray | None, d_b: int,
     on_diag[owner[:, None], idx] = 0.0
     gap = on_diag.max(axis=1, initial=0.0)
     np.maximum.at(gap, at // (d * d), np.abs(mats.ravel()[at]))
-    np.maximum.at(gap, owner, np.abs(weights[:, None, None] * _coeff_mats(stack)
+    np.maximum.at(gap, owner, np.abs(weights[:, None, None] * _coeff_mats(blocks)
                                      - subs).max(axis=(1, 2)))
-    return stack, gap
+    return blocks, gap
 
 
 @dataclass(frozen=True)
@@ -457,7 +454,7 @@ def _witness_negativities(mats: np.ndarray, d_b: int, owner: np.ndarray, trans: 
     idx = _witness_supports(trans, d_b)
     _, blocks = _renormalized(mats[owner[:, None, None], idx[:, :, None], idx[:, None, :]], tol)
     subs = np.array([b.mat for b in blocks]).reshape(-1, 4, 4)
-    return measures._negativity_of(measures._pt_spectrum(subs, (2, 2)))[0]
+    return measures._negativity_of(measures._pt_spectrum(linalg._Stack.of(subs), (2, 2)))[0]
 
 
 def _witness_supports(trans: np.ndarray, d_b: int) -> np.ndarray:

@@ -119,32 +119,28 @@ def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
     return mats
 
 
-def _certified(rep: VerifyReport, mats: np.ndarray, dims: tuple[int, int]):
+def _certified(rep: VerifyReport, stack: linalg._Stack, dims: tuple[int, int]):
     """Detect each state of a stack; record the states detection refuses.
     Returns the certified trials and their certificates."""
-    certs = pairing._certify_stack(mats, linalg._pattern(mats), dims, pairing.ZERO_TOL)
+    certs = pairing._certify_stack(stack, dims, pairing.ZERO_TOL)
     refused = [t for t, cert in enumerate(certs) if cert is None]
     rep.check(refused, "detector certifies generated state", 1.0, 0.0)
     ok = np.array([t for t, cert in enumerate(certs) if cert is not None], dtype=np.intp)
     return ok, [certs[t] for t in ok]
 
 
-def _moduli(mats: np.ndarray) -> measures._Moduli:
-    """The nonzero entries of a stack, from one scan."""
-    return measures._moduli(mats, linalg._pattern(mats))
-
-
 def suite_negativity_bound(rep: VerifyReport, rng: RngState) -> None:
-    mats = _bipartite_stack(rep, rng)
-    n, _ = measures._negativity_of(measures._pt_spectrum(mats, rep.dims))
-    rep.check(np.arange(rep.trials), "N <= C_l1", n, measures._c_l1_of(_moduli(mats)), 1e-9)
+    stack = linalg._Stack.of(_bipartite_stack(rep, rng))
+    n, _ = measures._negativity_of(measures._pt_spectrum(stack, rep.dims))
+    rep.check(np.arange(rep.trials), "N <= C_l1", n,
+              measures._c_l1_of(measures._moduli(stack)), 1e-9)
 
 
 def suite_l0_bound(rep: VerifyReport, rng: RngState) -> None:
-    mats = _bipartite_stack(rep, rng)
-    n0 = measures._n0_of(measures._pt_spectrum(mats, rep.dims), None)
+    stack = linalg._Stack.of(_bipartite_stack(rep, rng))
+    n0 = measures._n0_of(measures._pt_spectrum(stack, rep.dims), None)
     rep.check(np.arange(rep.trials), "2*N0 <= C_l0", 2 * n0,
-              measures._c_l0_of(_moduli(mats), None))
+              measures._c_l0_of(measures._moduli(stack), None))
 
 
 def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
@@ -160,7 +156,7 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     DensityMatrix.from_stack(prods, 1e-8)
 
     def c_log(mats):
-        return np.log2(1.0 + measures._c_l1_of(_moduli(mats)))
+        return np.log2(1.0 + measures._c_l1_of(measures._moduli(linalg._Stack.of(mats))))
 
     gap = np.abs(c_log(prods) - c_log(rhos) - c_log(sigs))
     rep.check(np.arange(rep.trials), "C_L additivity", gap, 0.0, 1e-9)
@@ -170,16 +166,16 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
     mats, n_pairs = _random_pairings(rep, rng)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, mats, rep.dims)
+    stack = linalg._Stack.of(mats)
+    ok, certs = _certified(rep, stack, rep.dims)
     rep.check(ok, "pairing number matches generator",
               np.abs([c.pairing_number for c in certs] - n_pairs[ok]), 0.0)
-    mats = mats[ok]
-    flat = linalg._pattern(mats)
-    n, _ = measures._negativity_of(measures._pt_spectrum(mats, rep.dims))
+    stack = stack.take(ok)
+    n, _ = measures._negativity_of(measures._pt_spectrum(stack, rep.dims))
     rep.check(ok, "|N - C_l1| on pairing state",
-              np.abs(n - measures._c_l1_of(measures._moduli(mats, flat))), 0.0, 1e-8)
+              np.abs(n - measures._c_l1_of(measures._moduli(stack))), 0.0, 1e-8)
     if d_a == 2:
-        _, gaps = pairing._decompose_stack(mats, flat, d_b, certs, randgen.GENERATED_TOL,
+        _, gaps = pairing._decompose_stack(stack, d_b, certs, randgen.GENERATED_TOL,
                                            pairing.ZERO_TOL)
         rep.check(ok, "decompose/reassemble round trip", gaps, 0.0, 1e-9)
 
@@ -187,7 +183,7 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
     mats, _ = _random_pairings(rep, rng, entangled=True)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, mats, rep.dims)
+    ok, certs = _certified(rep, linalg._Stack.of(mats), rep.dims)
     # every certified trial's witness blocks: block `which` of trial `trial`
     counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
     trial = np.repeat(ok, counts)
@@ -228,16 +224,17 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     mats = randgen._pairing_stack(2, d_b, n_pairs, rng, diag_weight=0.0)
     spectra = np.array([rho._ascending()
                         for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)])
-    ok, certs = _certified(rep, mats, (2, d_b))
+    stack = linalg._Stack.of(mats)
+    ok, certs = _certified(rep, stack, (2, d_b))
     # two independent routes: the projected-block bound from each whole
     # state's spectrum and diagonal, E_D from its block decomposition
-    mats, spectra = mats[ok], spectra[ok]
-    p = np.trace(mats, axis1=1, axis2=2).real
-    bounds = pairing._projected_bounds(mats, spectra / p[:, None], randgen.GENERATED_TOL)
-    _, n_log = measures._negativity_of(measures._pt_spectrum(mats, (2, d_b)))
+    stack, spectra = stack.take(ok), spectra[ok]
+    p = np.trace(stack.mat, axis1=1, axis2=2).real
+    bounds = pairing._projected_bounds(stack.mat, spectra / p[:, None], randgen.GENERATED_TOL)
+    _, n_log = measures._negativity_of(measures._pt_spectrum(stack, (2, d_b)))
     rep.check(ok, "lower bound <= N_L", bounds, n_log, 1e-9)
-    blocks, _ = pairing._decompose_stack(mats, linalg._pattern(mats), d_b, certs,
-                                         randgen.GENERATED_TOL, pairing.ZERO_TOL)
+    blocks, _ = pairing._decompose_stack(stack, d_b, certs, randgen.GENERATED_TOL,
+                                         pairing.ZERO_TOL)
     e_d, _, _ = pairing._closed_forms(blocks)
     rep.check(ok, "p0=0 bound equals E_D", np.abs(bounds - e_d), 0.0, 1e-8)
 

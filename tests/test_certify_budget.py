@@ -63,9 +63,10 @@ def noisy_bell(d, size, g):
 
 class TestDecompositionBudget:
     def test_measure_report_makes_one_eigvalsh(self, decompositions, rng):
-        # a monomial rho^T_A gives its spectrum without a decomposition
+        # a monomial rho^T_A gives its spectrum without a decomposition; a
+        # state's is taken as a one-matrix stack
         ginibre = pl.random_bipartite_state(3, 4, rng)
-        states = [(ginibre, [(12, 12)]),
+        states = [(ginibre, [(1, 12, 12)]),
                   (pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3), []),
                   (pl.cnot_embed(pl.ginibre_density(3, 3, rng)), [])]
         for bs, want in states:

@@ -13,6 +13,11 @@ from pairinglab.errors import (
 from conftest import random_density
 
 
+def pt_spectrum(x, dims):
+    """``measures._pt_spectrum`` of a matrix or stack, scanned for its pattern."""
+    return pl.measures._pt_spectrum(pl.linalg._Stack.of(x), dims)
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
@@ -138,12 +143,12 @@ def test_spectra_are_the_same_alone_or_stacked(kind, dims):
     # bit for bit those the matrix gets on its own
     mats = stack_of(kind, dims)
     states = pl.DensityMatrix.from_stack(mats)
-    pt = pl.measures._pt_spectrum(mats, dims)
+    pt = pt_spectrum(mats, dims)
     for t, m in enumerate(mats):
         alone = pl.BipartiteState(pl.DensityMatrix(m), *dims)
         assert states[t].eigenvalues().tobytes() == alone.rho.eigenvalues().tobytes()
-        assert pt[t].tobytes() == pl.measures._pt_spectrum(alone).tobytes()
-        assert pt[t].tobytes() == pl.measures._pt_spectrum(m[None], dims)[0].tobytes()
+        assert pt[t].tobytes() == pl.measures._pt_spectrum(alone.rho._stack(), dims)[0].tobytes()
+        assert pt[t].tobytes() == pt_spectrum(m[None], dims)[0].tobytes()
 
 
 def dense_validation(m, tol, monkeypatch):
@@ -514,15 +519,27 @@ class TestKeptPattern:
         other = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.3)
         (stacked,) = pl.DensityMatrix.from_stack(other.mat[None])
         assert stacked._nonzero == (None, None)
-        assert np.array_equal(stacked._flat_nonzero(), np.flatnonzero(other.mat))
+        assert np.array_equal(stacked._stack().flat, np.flatnonzero(other.mat))
         object.__setattr__(bs.rho, "mat", other.mat.copy())
-        assert np.array_equal(bs.rho._flat_nonzero(), np.flatnonzero(other.mat))
+        assert np.array_equal(bs.rho._stack().flat, np.flatnonzero(other.mat))
         assert bs.rho._nonzero[0] is not bs.rho.mat  # the scan is not kept
         assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(other)
         got, want = pl.measure_report(bs).entries, pl.measure_report(other).entries
         # the swapped matrix's spectrum is taken again, by one eigvalsh
         assert got.pop("C_r") == pytest.approx(want.pop("C_r"), abs=1e-12)
         assert got == want
+
+    def test_a_part_of_a_stack_reads_its_pattern_off_the_stack(self, rng):
+        mats = np.array([pl.random_canonical_pairing(2, 6, 2, rng).mat,
+                         pl.random_bipartite_state(2, 6, rng).mat,
+                         pl.random_canonical_pairing(2, 6, 1, rng).mat])
+        stack = pl.linalg._Stack.of(mats)
+        for keep in ([], [0], [1], [0, 2], [1, 2], [0, 1, 2]):
+            part = stack.take(np.array(keep, dtype=np.intp))
+            assert np.array_equal(part.mat, mats[keep])
+            assert np.array_equal(part.flat, np.flatnonzero(mats[keep]))
+        dense = pl.linalg._Stack.of(mats[[1, 1]])
+        assert dense.flat is None and dense.take(np.array([1])).flat is None
 
     def test_a_stale_pattern_changes_the_answers(self, rng):
         # negative control: a kept pattern is trusted, so one that misses
@@ -571,12 +588,12 @@ def test_measures_and_certificates_are_the_same_alone_or_stacked(seed, d, kinds)
     rng = pl.RngState(int(g.integers(2**32)))
     mats = np.array([alone_or_stacked_input(kind, d, g, rng) for kind in kinds])
     dims = (d, d)
-    flat = pl.linalg._pattern(mats)
-    c_l1 = pl.measures._c_l1_of(pl.measures._moduli(mats, flat))
-    c_l0 = pl.measures._c_l0_of(pl.measures._moduli(mats, flat), None)
-    w = pl.measures._pt_spectrum(mats, dims)
+    stack = pl.linalg._Stack.of(mats)
+    c_l1 = pl.measures._c_l1_of(pl.measures._moduli(stack))
+    c_l0 = pl.measures._c_l0_of(pl.measures._moduli(stack), None)
+    w = pl.measures._pt_spectrum(stack, dims)
     n, n0 = pl.measures._negativity_of(w)[0], pl.measures._n0_of(w, None)
-    certs = pl.pairing._certify_stack(mats, flat, dims, pl.pairing.ZERO_TOL)
+    certs = pl.pairing._certify_stack(stack, dims, pl.pairing.ZERO_TOL)
     for t, m in enumerate(mats):
         # a loose tolerance: an exact zero may cost a Ginibre state its PSD
         bs = pl.BipartiteState(pl.DensityMatrix(m, 1.0), *dims)
@@ -718,7 +735,7 @@ class TestMonomialSpectrum:
         x, exact = np.array([x for x, _ in drawn]), np.array([lam for _, lam in drawn])
         x, exact = (x, exact) if count else (x[0], exact[0])
         # d_A = 1: rho^T_A = rho, so this is the spectrum of x itself
-        got = pl.measures._pt_spectrum(x, (1, n))
+        got = pt_spectrum(x, (1, n))
         assert got.shape == exact.shape
         assert np.array_equal(got, exact)
         want = np.linalg.eigvalsh(hermitian_part(x))
@@ -727,7 +744,7 @@ class TestMonomialSpectrum:
         # the same matrix as the partial transpose of another: the transpose
         # on A is an involution, so rho = x^T_A has rho^T_A = x
         rho = pl.partial_transpose(x, dims)
-        assert np.array_equal(pl.measures._pt_spectrum(rho, dims), exact)
+        assert np.array_equal(pt_spectrum(rho, dims), exact)
 
     def test_stack_keeps_each_spectrum_in_its_row(self, decompositions):
         q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))
@@ -740,7 +757,7 @@ class TestMonomialSpectrum:
         x[1, 3, 3] = -0.05
         for dims in [(1, 4), (2, 2)]:
             decompositions.clear()
-            got = pl.measures._pt_spectrum(pl.partial_transpose(x, dims), dims)
+            got = pt_spectrum(pl.partial_transpose(x, dims), dims)
             assert decompositions == [(1, 3, 3)]
             assert np.array_equal(got[0], [-0.25, 0.25, 0.3, 0.4])
             want = np.linalg.eigvalsh(hermitian_part(x))
@@ -759,13 +776,13 @@ class TestMonomialSpectrum:
                 reach |= joined[reach].any(axis=0)
             size = int(np.count_nonzero(reach))
             decompositions.clear()
-            got = pl.measures._pt_spectrum(extra, (1, 12))  # A is trivial: rho^T_A = rho
+            got = pt_spectrum(extra, (1, 12))  # A is trivial: rho^T_A = rho
             assert decompositions == [(1, size, size)]
             assert 2 <= size <= 4
             want = np.linalg.eigvalsh(hermitian_part(extra))
             assert np.max(np.abs(got - want)) <= 1e-15
             # in a stack, only that matrix changes
-            stacked = pl.measures._pt_spectrum(np.array([x, extra, x]), (1, 12))
+            stacked = pt_spectrum(np.array([x, extra, x]), (1, 12))
             assert np.array_equal(stacked, [exact, got, exact])
 
     def test_a_dense_matrix_is_only_counted(self, monkeypatch):
@@ -773,15 +790,15 @@ class TestMonomialSpectrum:
         want = np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(mats, (3, 4))))
         scans = []
         monkeypatch.setattr(np, "nonzero", lambda *a: scans.append(a))
-        assert np.array_equal(pl.measures._pt_spectrum(mats[0], (3, 4)), want[0])
-        assert np.array_equal(pl.measures._pt_spectrum(mats, (3, 4)), want)
+        assert np.array_equal(pt_spectrum(mats[0], (3, 4)), want[0])
+        assert np.array_equal(pt_spectrum(mats, (3, 4)), want)
         assert scans == []
 
     def test_cancelling_entries_and_empty_matrices(self):
         # X = [[0, 1], [-1, 0]] is anti-Hermitian: its Hermitian part is 0
         x = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert np.array_equal(pl.measures._pt_spectrum(x, (1, 2)), [0.0, 0.0])
-        assert np.array_equal(pl.measures._pt_spectrum(np.zeros((3, 4, 4)), (2, 2)),
+        assert np.array_equal(pt_spectrum(x, (1, 2)), [0.0, 0.0])
+        assert np.array_equal(pt_spectrum(np.zeros((3, 4, 4)), (2, 2)),
                               np.zeros((3, 4)))
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -791,7 +808,7 @@ class TestMonomialSpectrum:
         # a direct sum of 1-4 row blocks as rho^T_A: not monomial
         g = np.random.Generator(np.random.Philox(seed))
         x, _ = permuted_direct_sum(g, dims[0] * dims[1])
-        got = pl.measures._pt_spectrum(pl.partial_transpose(x, dims), dims)
+        got = pt_spectrum(pl.partial_transpose(x, dims), dims)
         want = np.linalg.eigvalsh(hermitian_part(x))
         scale = max(1.0, float(np.max(np.abs(x))))
         assert np.max(np.abs(got - want)) <= 1e-15 * scale
@@ -801,7 +818,7 @@ class TestMonomialSpectrum:
         # j < k and the fixed rows |jj>
         iso = pl.isotropic_mixture(0.4, np.eye(3).ravel(), 3, 3)
         decompositions.clear()
-        got = pl.measures._pt_spectrum(iso)
+        got = pl.measures._pt_spectrum(iso.rho._stack(), (3, 3))[0]
         assert decompositions == [(3, 2, 2)]
         want = np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(iso)))
         assert np.max(np.abs(got - want)) <= 1e-15

@@ -169,13 +169,14 @@ class TestStackedDetection:
         g = np.random.Generator(np.random.Philox(seed))
         mats = np.array([detection_input(kind, *dims, zero_tol, g) for kind in kinds])
         want = [per_state_detect(m, *dims, zero_tol) for m in mats]
-        assert pairing._certify_stack(mats, pl.linalg._pattern(mats), dims, zero_tol) == want
+        assert pairing._certify_stack(pl.linalg._Stack.of(mats), dims, zero_tol) == want
 
     def test_a_stack_of_rejected_states_stops_at_the_monomial_check(self, rng, monkeypatch):
         mats = np.array([pl.random_bipartite_state(3, 3, rng).mat for _ in range(4)])
-        monkeypatch.setattr(np, "unravel_index", None)  # the entry scan is never reached
-        assert pairing._certify_stack(mats, pl.linalg._pattern(mats), (3, 3), 1e-10) == \
-            [None] * 4
+        stack = pl.linalg._Stack.of(mats)
+        # the present entries are never moved to their place in rho^T_A
+        monkeypatch.setattr(pl.linalg, "_pt_flat", None)
+        assert pairing._certify_stack(stack, (3, 3), 1e-10) == [None] * 4
 
 
 class TestPairingNumberBound:
