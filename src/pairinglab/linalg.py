@@ -214,11 +214,13 @@ def _pattern(m: np.ndarray) -> np.ndarray | None:
 
 
 class _Stack(NamedTuple):
-    """A ``(T, n, n)`` stack of matrices and its ``_pattern`` ``flat``.
-    The stack routines of ``measures`` and ``pairing`` take one, so they
-    read the nonzero entries without a scan of their own: a stack is
-    scanned once (``of``), a part of it is read off its pattern (``take``)
-    and a state's is the pattern validation kept (``DensityMatrix._stack``)."""
+    """A ``(T, n, n)`` stack of matrices ``mat`` and ``flat``, the
+    ascending flat indices of its nonzero entries (or None when it has no
+    zero, as ``_pattern`` gives them).  The stack routines of ``measures``
+    and ``pairing`` take one, so they read the nonzero entries without a
+    scan of their own: a stack is scanned once (``of``), a part of it is
+    read off its pattern (``take``) and a state's is the pattern
+    validation kept (``DensityMatrix._stack``)."""
 
     mat: np.ndarray
     flat: np.ndarray | None
