@@ -221,7 +221,7 @@ def cmd_construct(args) -> int:
     statefile.save_state(args.out, state, label=args.kind)
     sidecar = os.fspath(args.out) + ".report.json"
     try:
-        statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1))
+        statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1).encode())
     except ParseError:
         os.remove(args.out)  # no state file without its report
         raise

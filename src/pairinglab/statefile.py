@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ParseError
 from .linalg import BipartiteState, DensityMatrix
 
+#: the tolerance a state file's matrix is validated at
+FILE_TOL = 1e-8
+
 
 def _entry(value, row: int, col: int) -> complex:
     loc = f"matrix[{row}][{col}]"
@@ -76,7 +79,7 @@ def _checked_dims(doc) -> list:
 
 def _state(m: np.ndarray, dims: list) -> DensityMatrix | BipartiteState:
     """The state file's matrix ``m`` on ``dims``, validated."""
-    rho = DensityMatrix(m, 1e-8)
+    rho = DensityMatrix(m, FILE_TOL)
     if len(dims) == 2:
         return BipartiteState(rho, dims[0], dims[1])
     return rho
@@ -103,11 +106,10 @@ def _read(path) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path, text: str) -> None:
-    """Write ``text`` to the file ``path``; ParseError when it cannot be
-    written."""
+def _write(path, data: bytes) -> None:
+    """Write ``data`` to the file ``path``; ParseError when that fails."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -150,75 +152,82 @@ def load_state(path) -> DensityMatrix | BipartiteState:
     return _state(*canonical)
 
 
-def _dims_and_matrix(state) -> tuple[list, np.ndarray]:
-    if isinstance(state, BipartiteState):
-        return [state.d_A, state.d_B], state.mat
-    return [state.dim], state.mat
+def _dims(state) -> list:
+    return [state.d_A, state.d_B] if isinstance(state, BipartiteState) else [state.dim]
 
 
-def state_document(state: DensityMatrix | BipartiteState, label: str | None = None) -> dict:
-    dims, m = _dims_and_matrix(state)
-    doc = {
-        "dims": dims,
-        "matrix": [[[z.real, z.imag] for z in row] for row in m],
-    }
+def _document(dims: list, matrix, label: str | None) -> dict:
+    doc = {"dims": dims, "matrix": matrix}
     if label is not None:
         doc["label"] = label
     return doc
 
 
+def state_document(state: DensityMatrix | BipartiteState, label: str | None = None) -> dict:
+    return _document(_dims(state), [[[z.real, z.imag] for z in row] for row in state.mat], label)
+
+
 # What json.dumps(..., indent=1) puts between the numbers of "matrix":
 # each number sits on its own line, four levels deep.  The separators are,
 # in order, re -> im, entry -> entry, row -> row and end of matrix.
-_MATRIX_OPEN = "[\n  [\n   [\n    "
-_SEPARATORS = (",\n    ", "\n   ],\n   [\n    ", "\n   ]\n  ],\n  [\n   [\n    ",
-               "\n   ]\n  ]\n ]")
+_MATRIX_OPEN = b"[\n  [\n   [\n    "
+_SEPARATORS = (b",\n    ", b"\n   ],\n   [\n    ", b"\n   ]\n  ],\n  [\n   [\n    ",
+               b"\n   ]\n  ]\n ]")
 _MATRIX_KEY = '"matrix": '
+_ZERO = b"0.0"
+
+
+def _layout(d: int) -> tuple[int, tuple[int, int, int]]:
+    """The length of ``_zero_text(d)``, and the strides by which number
+    (i, j, part) begins at len(_MATRIX_OPEN) + (i, j, part) @ strides in it."""
+    part, entry, row, end = map(len, _SEPARATORS)
+    cell = 2 * len(_ZERO) + part + entry  # an entry and the separator after it
+    strides = (d * cell - entry + row, cell, len(_ZERO) + part)
+    return len(_MATRIX_OPEN) + d * strides[0] - row + end, strides
+
+
+def _zero_text(d: int) -> bytes:
+    """The [re, im] nest of the d x d zero matrix as ``_matrix_pieces`` writes it."""
+    part, entry, row, end = _SEPARATORS
+    cells = (_ZERO + part + _ZERO + entry) * (d - 1) + _ZERO + part + _ZERO
+    return b"".join([_MATRIX_OPEN, *[cells + row] * (d - 1), cells, end])
+
+
+def _matrix_pieces(m: np.ndarray) -> list:
+    """Pieces whose join is the [re, im] nest of a state's matrix ``m`` as
+    json.dumps(..., indent=1) writes it: the zero matrix's text, with the
+    numbers that are not +0.0 spliced in at their ``_layout`` offsets, each
+    distinct float (by bit pattern) formatted once by ``float.__repr__``."""
+    d = m.shape[0]
+    bits = np.ascontiguousarray(m).view(np.uint64).ravel()
+    flat = np.flatnonzero(bits)
+    distinct, inverse = np.unique(bits[flat], return_inverse=True)
+    reprs = np.array([repr(x).encode() for x in distinct.view(np.float64).tolist()], dtype=object)
+    at = len(_MATRIX_OPEN) + np.dot(_layout(d)[1], np.unravel_index(flat, (d, d, 2)))
+    zero = memoryview(_zero_text(d))
+    pieces = [zero] * (2 * at.size + 1)
+    pieces[::2] = [zero[a:b] for a, b in zip([0, *(at + len(_ZERO)).tolist()],
+                                             [*at.tolist(), len(zero)])]
+    pieces[1::2] = reprs[inverse].tolist()
+    return pieces
 
 
 def _matrix_text(m: np.ndarray) -> str:
-    """``m`` as json.dumps(..., indent=1) writes its [re, im] nest; ``m`` is
-    a state's matrix, so complex128 and finite (``as_complex_matrix``).
-
-    Each distinct float (by bit pattern, so -0.0 stays apart from 0.0) is
-    formatted once with ``float.__repr__``, as json does, and joined to
-    each separator that can follow it; the text is one ``str.join`` over
-    those pieces.  +0.0, the bulk of a structured state, skips the sort.
-    """
-    d = m.shape[0]
-    bits = np.ascontiguousarray(m).view(np.uint64).ravel()
-    nonzero = bits != 0
-    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
-    reprs = ["0.0", *map(float.__repr__, distinct.view(np.float64).tolist())]
-    pieces = np.array([r + sep for sep in _SEPARATORS for r in reprs], dtype=object)
-    index = np.zeros(bits.size, dtype=np.intp)
-    index[nonzero] = inverse + 1
-    index = index.reshape(d, d, 2)
-    # which separator follows each number: re -> im, im -> next entry,
-    # the last im of a row -> next row, the very last -> end of matrix
-    n = len(reprs)
-    index[..., 1] += n
-    index[:, -1, 1] += n
-    index[-1, -1, 1] += n
-    return _MATRIX_OPEN + "".join(pieces[index.ravel()].tolist())
+    """The join of ``_matrix_pieces(m)``."""
+    return b"".join(_matrix_pieces(m)).decode()
 
 
-def _document_text(dims, label) -> str:
-    """json.dumps(..., indent=1) of a state document whose matrix is the
-    placeholder 0."""
-    doc = {"dims": dims, "matrix": 0}
-    if label is not None:
-        doc["label"] = label
-    return json.dumps(doc, indent=1)
+def _state_bytes(state, label: str | None) -> bytes:
+    """json.dumps(state_document(state, label), indent=1) and a newline,
+    encoded, with the matrix spliced by ``_matrix_pieces``."""
+    text = json.dumps(_document(_dims(state), 0, label), indent=1) + "\n"
+    cut = text.index(_MATRIX_KEY) + len(_MATRIX_KEY)  # a label's quotes are escaped
+    return b"".join([text[:cut].encode(), *_matrix_pieces(state.mat), text[cut + 1:].encode()])
 
 
 def _state_text(state, label: str | None) -> str:
-    """The bytes of json.dumps(state_document(state, label), indent=1),
-    with the matrix formatted by ``_matrix_text``."""
-    dims, m = _dims_and_matrix(state)
-    # a label's quotes are escaped, so the first match is the key itself
-    head, tail = _document_text(dims, label).split(_MATRIX_KEY + "0", 1)
-    return f"{head}{_MATRIX_KEY}{_matrix_text(m)}{tail}"
+    """json.dumps(state_document(state, label), indent=1)."""
+    return _state_bytes(state, label)[:-1].decode()
 
 
 def save_state(path, state, label: str | None = None) -> None:
@@ -226,21 +235,19 @@ def save_state(path, state, label: str | None = None) -> None:
     (<= 17 significant digits), so read-back is bit-exact.  The bytes are
     those of ``json.dumps(state_document(state, label), indent=1)`` plus a
     newline.  ParseError when the file cannot be written."""
-    _write(path, _state_text(state, label) + "\n")
+    _write(path, _state_bytes(state, label))
 
 
 # The scan converts each distinct number that is not 0.0 with float() and
 # checks it with repr(), several times what json.loads and np.array spend
-# on a number, and spends little on a 0.0.  Measured per matrix text (best
-# of 25, one thread, distinct random entries, d = 64 and 144, two runs),
-# its time over that of json.loads and np.array is 0.3-0.4 with 2% of the
-# entries nonzero, 0.45-0.5 with 5%, 0.75-0.85 with 10%, 0.75-1.3 with 20%
-# and 2-5 with all.  So it is taken when at most 5% of the entries are
-# nonzero, or at most 64 of them: a small file that then costs at most
-# 0.15 ms more (d = 17).  A dense file pays only the pass over its newlines.
+# on a number.  Its time over theirs per matrix text (best of 25, one
+# thread, distinct random entries, d = 64 and 144, two seeds): 0.2 with 2%
+# of the entries nonzero, 0.4-0.45 with 5%, 0.7-0.9 with 10%, 1.0-1.7 with
+# 20% and 2.8-4.8 with all.  So it is taken when at most 5% of the entries
+# are nonzero, or at most 64 of them: a small file that then costs at most
+# 0.12 ms more (d = 17).  A dense file pays only the count of its flags.
 _MAX_NONZERO_SHARE = 0.05
 _FEW = 64
-_ZERO = b"0.0"
 
 
 def _canonical_matrix(data: bytes) -> tuple[np.ndarray, list] | None:
@@ -249,73 +256,70 @@ def _canonical_matrix(data: bytes) -> tuple[np.ndarray, list] | None:
     any other file, and for one with too many nonzero entries to gain.
 
     Everything but the matrix, with the placeholder 0 in its place, must be
-    a document that ``_document_text`` writes again byte for byte, with
-    dims that pass ``parse_state``'s check; ``_scan_matrix`` proves the
-    rest.
+    written again byte for byte by json.dumps(..., indent=1), with dims
+    that pass ``parse_state``'s check; ``_scan_matrix`` proves the rest.
     """
     key = data.find(_MATRIX_KEY.encode())
     start = key + len(_MATRIX_KEY)
-    end = data.rfind(_SEPARATORS[-1].encode()) + len(_SEPARATORS[-1])
+    end = data.rfind(_SEPARATORS[-1]) + len(_SEPARATORS[-1])
     if key < 0 or end < start + len(_MATRIX_OPEN):
         return None
     try:
         shell = (data[:start] + b"0" + data[end:]).decode("utf-8")
         doc = json.loads(shell)
-        if not isinstance(doc, dict) \
-                or shell != _document_text(doc.get("dims"), doc.get("label")) + "\n":
+        if not isinstance(doc, dict) or shell != \
+                json.dumps(_document(doc.get("dims"), 0, doc.get("label")), indent=1) + "\n":
             return None
         dims = _checked_dims(doc)
     except (ValueError, RecursionError, ParseError):
         return None  # the json path reports it as it always has
     d = math.prod(dims)
-    numbers = _scan_matrix(data[start:end], d)
+    numbers = _scan_matrix(memoryview(data)[start:end], d)
     return None if numbers is None else (numbers.view(complex).reshape(d, d), dims)
 
 
-def _scan_matrix(text: bytes, d: int) -> np.ndarray | None:
-    """The 2 d^2 numbers of the matrix text ``text`` in file order, when it
-    is what ``_matrix_text`` writes for a d x d matrix with at most
-    max(64, 5% of d^2) nonzero entries; None otherwise.
+def _scan_matrix(text, d: int) -> np.ndarray | None:
+    """The 2 d^2 numbers of the matrix text ``text`` (bytes or a view of
+    them) in file order when ``_matrix_pieces`` writes it for a d x d
+    matrix with at most max(64, 5% of d^2) nonzero entries, else None.
 
-    Every number sits on a line of its own, four spaces after its newline
-    and before a comma or the line's end; one pass over the newlines finds
-    the lines that hold a number other than "0.0", and so the count of
-    nonzero entries.  The proof: ``text``, with each such number put back
-    to "0.0", is the text of the zero matrix, and each such number is
-    finite and equals ``float.__repr__`` of its value, which rules out NaN,
+    The zero matrix's text has no digit 1-9 and no "-" (the flags), and any
+    other number has one within five bytes of its start, after a space; it
+    ends at the next comma or newline.  The proof: ``text``, with each such
+    number put back to "0.0", is the zero matrix's text, and each is finite
+    and equals ``float.__repr__`` of its value, which rules out NaN,
     infinities, integers and any other spelling.  ``repr`` round trips, so
-    the numbers are bit for bit the ones json.loads reads, signed zeros
-    included.  Only the numbers that are not "0.0" are converted, each
-    distinct one once.
+    the numbers are bit for bit json.loads's, signed zeros included.
     """
-    sep = [s.encode() for s in _SEPARATORS]
-    entry = _ZERO + sep[0] + _ZERO
-    row = (entry + sep[1]) * (d - 1) + entry
     region = np.frombuffer(text, dtype=np.uint8)
-    newlines = np.flatnonzero(region == ord("\n"))
-    # after its newline, a number's line holds four spaces, the number, and
-    # a comma or the next newline; so test the bytes after each newline but
-    # the last and those in the last eight bytes, where the writer puts no
-    # number (a line left out stays in the text the proof compares)
-    at = newlines[:-1]
-    at = at[:np.searchsorted(at, len(text) - 8)]
-    zero = region[8:][at] == ord(",")
-    zero |= region[8:][at] == ord("\n")
-    for k, byte in enumerate(_ZERO, 5):
-        zero &= region[k:][at] == byte
-    lines = np.flatnonzero((region[4:][at] == ord(" ")) & ~zero)  # not "0.0"
-    # an entry's two numbers are on adjacent lines, and entries are not
-    if lines.size - np.count_nonzero(np.diff(lines) == 1) \
-            > max(_FEW, _MAX_NONZERO_SHARE * d * d):
+    flagged = np.subtract(region, ord("1"), dtype=np.uint8) < 9
+    flagged |= region == ord("-")
+    size, strides = _layout(d)
+    limit = max(_FEW, _MAX_NONZERO_SHARE * d * d)
+    # no number is shorter than "0.0", nor has more than 24 flags
+    if len(text) < size or np.count_nonzero(flagged) > 48 * limit:
         return None
-    firsts = newlines[lines] + 5  # after the newline and four spaces
-    nexts = newlines[lines + 1]
-    lasts = nexts - (region[nexts - 1] == ord(","))
-    tokens = [text[a:b] for a, b in zip(firsts.tolist(), lasts.tolist())]
-    gaps = zip([0, *lasts.tolist()], [*firsts.tolist(), len(text)])
-    if _ZERO.join([text[a:b] for a, b in gaps]) \
-            != b"".join([_MATRIX_OPEN.encode(), *[row + sep[2]] * (d - 1), row, sep[3]]):
+    # a number's first flag is at least seven bytes after the flags of the
+    # number before it, and a later flag more than six after its space
+    at = np.flatnonzero(flagged)
+    at = at[np.diff(at, prepend=-7) >= 7]
+    near = np.take(region, at[:, None] + np.arange(-6, 25), mode="clip")
+    space = near[:, 5::-1] == ord(" ")
+    first = space.any(1)
+    lead, near = space.argmax(1)[first], near[first]
+    sizes = lead + ((near[:, 6:] == ord(",")) | (near[:, 6:] == ord("\n"))).argmax(1)
+    firsts = at[first] - lead
+    # each number's offset in the zero matrix's text, where an entry's two
+    # numbers are one stride apart and entries are not
+    at = firsts - np.cumsum(sizes - len(_ZERO)) + sizes - len(_ZERO)
+    if firsts.size - np.count_nonzero(np.diff(at) == strides[2]) > limit:
         return None
+    gaps = zip([0, *(firsts + sizes).tolist()], [*firsts.tolist(), len(text)])
+    if _ZERO.join([text[a:b] for a, b in gaps]) != _zero_text(d):
+        return None
+    window = near.tobytes()
+    starts = np.arange(6, near.size, near.shape[1]) - lead
+    tokens = [window[a:b] for a, b in zip(starts.tolist(), (starts + sizes).tolist())]
     distinct = list(set(tokens))
     try:
         values = list(map(float, distinct))
@@ -327,13 +331,9 @@ def _scan_matrix(text: bytes, d: int) -> np.ndarray | None:
     if not all(map(math.isfinite, values)) \
             or ",".join(map(float.__repr__, values)).encode() != b",".join(distinct):
         return None
-    # a number's offset in the zero matrix's text names its row, entry and
-    # part; it is its offset in ``text`` less what the numbers before it add
-    excess = lasts - firsts - len(_ZERO)
-    i, rest = np.divmod(firsts - (np.cumsum(excess) - excess) - len(_MATRIX_OPEN),
-                        len(row) + len(sep[2]))
-    j, rest = np.divmod(rest, len(entry) + len(sep[1]))
+    i, rest = np.divmod(at - len(_MATRIX_OPEN), strides[0])
+    j, rest = np.divmod(rest, strides[1])
     numbers = np.zeros(2 * d * d)
-    numbers[2 * (i * d + j) + rest // (len(_ZERO) + len(sep[0]))] = \
+    numbers[np.ravel_multi_index((i, j, rest // strides[2]), (d, d, 2))] = \
         list(map(dict(zip(distinct, values)).__getitem__, tokens))
     return numbers

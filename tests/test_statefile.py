@@ -40,12 +40,44 @@ def states(draw):
     return pl.BipartiteState(rho, *dims) if len(dims) == 2 else rho
 
 
+@st.composite
+def sparse_states(draw):
+    """An unvalidated state with at most 64 nonzero entries, drawn from the
+    edge values, on up to 12 x 12."""
+    dims = draw(st.sampled_from([[1], [5], [12], [2, 2], [3, 4], [4, 3], [2, 6]]))
+    d = math.prod(dims)
+    numbers = np.zeros(2 * d * d)
+    count = draw(st.integers(0, min(2 * d * d, 64)))
+    where = draw(st.lists(st.integers(0, 2 * d * d - 1), min_size=count, max_size=count,
+                          unique=True))
+    numbers[where] = draw(st.lists(floats, min_size=count, max_size=count))
+    rho = pl.DensityMatrix(numbers.view(complex).reshape(d, d), math.inf)
+    return pl.BipartiteState(rho, *dims) if len(dims) == 2 else rho
+
+
 def json_bytes(state, label):
     return json.dumps(statefile.state_document(state, label), indent=1) + "\n"
 
 
+def positive_coherences():
+    """A 3x3 state whose coherences all have phase 1: an appendix-a input
+    at L = 1."""
+    psi = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    return pl.DensityMatrix(0.6 * np.outer(psi, psi) + 0.4 * np.eye(3) / 3)
+
+
+LARGE_STATES = {  # the sizes the cli-roundtrip benchmark writes and reads
+    "appendix-a rho3": lambda: pl.appendix_a_chain(positive_coherences(), 1).rho3,
+    "cnot-embed d=12": lambda: pl.cnot_embed(pl.ginibre_density(12, 12, pl.RngState(7))),
+    "qubit-qudit 2x64": lambda: pl.make_qubit_qudit_pairing(
+        0.1, [0.5, *[0.0] * 63, 0.5, *[0.0] * 63],
+        [(0.9 / 24, np.array([[0.6, 0.3], [0.3, 0.4]]), (2 * k + 1, 2 * k + 2))
+         for k in range(24)]),
+}
+
+
 class TestWriter:
-    @given(state=states(), label=labels)
+    @given(state=states() | sparse_states(), label=labels)
     @settings(max_examples=100, deadline=None)
     def test_writes_the_bytes_of_json_dumps(self, state, label):
         assert statefile._state_text(state, label) + "\n" == json_bytes(state, label)
@@ -55,6 +87,15 @@ class TestWriter:
         path = tmp_path / "s.json"
         statefile.save_state(path, bs, label="café \"x\"\n")
         assert path.read_text() == json_bytes(bs, "café \"x\"\n")
+
+    @pytest.mark.parametrize("name", sorted(LARGE_STATES))
+    def test_benchmark_sized_states(self, name):
+        # many nonzero numbers spliced into a large zero matrix text, and back
+        state = LARGE_STATES[name]()
+        data = (statefile._state_text(state, "x") + "\n").encode()
+        assert data.decode() == json_bytes(state, "x")
+        got = statefile._canonical_matrix(data)
+        assert got is not None and got[0].tobytes() == json_path_matrix(data)[0].tobytes()
 
     def test_signed_zero_and_subnormal_survive(self, tmp_path):
         m = np.array([[0.5, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]])
@@ -201,21 +242,6 @@ class TestFixtures:
         assert (tmp_path / name).read_text() == text
 
 
-@st.composite
-def sparse_states(draw):
-    """An unvalidated state with at most 64 nonzero entries, drawn from the
-    edge values, on up to 12 x 12."""
-    dims = draw(st.sampled_from([[1], [5], [12], [2, 2], [3, 4], [4, 3], [2, 6]]))
-    d = math.prod(dims)
-    numbers = np.zeros(2 * d * d)
-    count = draw(st.integers(0, min(2 * d * d, 64)))
-    where = draw(st.lists(st.integers(0, 2 * d * d - 1), min_size=count, max_size=count,
-                          unique=True))
-    numbers[where] = draw(st.lists(floats, min_size=count, max_size=count))
-    rho = pl.DensityMatrix(numbers.view(complex).reshape(d, d), math.inf)
-    return pl.BipartiteState(rho, *dims) if len(dims) == 2 else rho
-
-
 CANONICAL_LABELS = labels | st.sampled_from(['{"matrix": [[[1.0, 0.0]]]}', "a]\n[b", '"', ""])
 
 
@@ -261,6 +287,11 @@ class TestCanonicalReader:
         assert statefile._canonical_matrix((statefile._state_text(state, None) + "\n").encode()) \
             is None
 
+    def test_a_dense_file_is_refused_before_its_numbers_are_located(self, rng, monkeypatch):
+        data = (statefile._state_text(pl.ginibre_density(16, 16, rng), None) + "\n").encode()
+        monkeypatch.setattr(np, "flatnonzero", None)  # the count of flags decides alone
+        assert statefile._canonical_matrix(data) is None
+
     @pytest.mark.parametrize("d, entries, parts, scanned", [
         (12, 64, "both", True), (12, 65, "re", False), (12, 65, "im", False),
         (12, 65, "both", False), (40, 80, "both", True), (40, 80, "im", True),
@@ -280,7 +311,9 @@ class TestCanonicalReader:
         if scanned:
             assert got[0].tobytes() == json_path_matrix(data)[0].tobytes()
 
-    @pytest.mark.parametrize("value", [0.5, 0.05, -0.0, 5e-324, 0.0001, 1.0, -5e-324])
+    @pytest.mark.parametrize("value", [0.5, 0.05, -0.0, 5e-324, 0.0001, 1.0, -5e-324, 0.0009,
+                                       -0.0001, 1e-05, 1.0000000000000002,
+                                       -1.0000000000000002e-300, 100000.00000000001])
     def test_numbers_that_start_like_zero_are_read_bit_for_bit(self, value):
         for d in (1, 3):
             numbers = np.zeros(2 * d * d)
@@ -367,6 +400,25 @@ class TestMutatedCanonicalFiles:
                          .encode().replace(b'"x"', b'"\xe9"'))
         with pytest.raises(ParseError, match="not UTF-8"):
             statefile.load_state(path)
+
+
+class TestDeclaredSize:
+    @pytest.mark.parametrize("d", [2000, 2**40])
+    def test_huge_dims_in_a_tiny_file_is_a_parse_error(self, tmp_path, monkeypatch, capsys, d):
+        # a canonical shell: the scan must refuse the short text before it
+        # builds anything of size d^2
+        text = statefile._state_text(pl.DensityMatrix(np.ones((1, 1))), None) + "\n"
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"dims": [\n  1\n ]', f'"dims": [\n  {d}\n ]'))
+
+        def no_zero_text(n):
+            raise AssertionError(f"built the text of the {n} x {n} zero matrix")
+
+        monkeypatch.setattr(statefile, "_zero_text", no_zero_text)
+        with pytest.raises(ParseError, match=f"matrix: expected {d} rows, got 1"):
+            statefile.load_state(path)
+        assert cli.main(["measure", str(path)]) == 2
+        assert f"expected {d} rows, got 1" in capsys.readouterr().err
 
 
 def _constructed_files(tmp_path):
