@@ -427,9 +427,8 @@ def _constructed_files(tmp_path):
     statefile.save_state(plus, pl.DensityMatrix(np.ones((2, 2)) / 2))
     g3 = tmp_path / "g3.json"
     statefile.save_state(g3, pl.ginibre_density(3, 3, pl.RngState(5)))
-    real3 = tmp_path / "real3.json"  # positive coherences: phases are L = 1 roots
-    psi = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
-    statefile.save_state(real3, pl.DensityMatrix(0.6 * np.outer(psi, psi) + 0.4 * np.eye(3) / 3))
+    real3 = tmp_path / "real3.json"
+    statefile.save_state(real3, positive_coherences())
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"p0": 0.2, "diag": [0.5, 0, 0, 0.5, 0, 0],
                                 "blocks": [{"p": 0.8, "coeffs": [[0.5, 0.3], [0.3, 0.5]],
