@@ -1,8 +1,11 @@
-"""JSON state files: explicit [re, im] entry pairs, diffable and
+"""JSON state files: a sparse list of [i, j, re, im] entries, diffable and
 bit-exact on round trip.
 
-Schema: {"dims": [d_A, d_B] or [d], "matrix": [[[re, im], ...], ...],
-"label": optional string}.
+Schema: {"dims": [d_A, d_B] or [d], "entries": [[i, j, re, im], ...],
+"label": optional string}.  ``save_state`` writes one entry per line, in
+ascending row-major order, for each entry whose real or imaginary part is
+not +0.0 (so -0.0 is kept); every other entry is zero.  The older dense
+schema {"dims": ..., "matrix": [[[re, im], ...], ...]} is still read.
 """
 
 from __future__ import annotations
@@ -21,20 +24,25 @@ from .linalg import BipartiteState, DensityMatrix
 FILE_TOL = 1e-8
 
 
-def _entry(value, row: int, col: int) -> complex:
-    loc = f"matrix[{row}][{col}]"
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ParseError(f"{loc}: expected a [re, im] pair", loc)
-    re, im = value
+def _complex(re, im, loc: str, what: str) -> complex:
+    """complex(re, im) of two decoded JSON numbers; ParseError at ``loc``
+    unless both are finite numbers."""
     if not all(isinstance(x, (int, float)) for x in (re, im)):
-        raise ParseError(f"{loc}: entries must be numbers", loc)
+        raise ParseError(f"{loc}: {what} must be numbers", loc)
     try:
         z = complex(re, im)
         if cmath.isfinite(z):
             return z
     except OverflowError:  # an integer beyond float range
         pass
-    raise ParseError(f"{loc}: entries must be finite numbers", loc)
+    raise ParseError(f"{loc}: {what} must be finite numbers", loc)
+
+
+def _entry(value, row: int, col: int) -> complex:
+    loc = f"matrix[{row}][{col}]"
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ParseError(f"{loc}: expected a [re, im] pair", loc)
+    return _complex(*value, loc, "entries")
 
 
 def _parse_entries(rows: list, d: int) -> np.ndarray:
@@ -65,6 +73,66 @@ def _parse_matrix(rows: list, d: int) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
 
 
+def _sparse_entries(entries: list, numbers: np.ndarray, d: int) -> None:
+    """Write the [re, im] of each of ``entries`` into row i d + j of
+    ``numbers``, one checked entry at a time."""
+    last = -1
+    for k, entry in enumerate(entries):
+        loc = f"entries[{k}]"
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ParseError(f"{loc}: expected [i, j, re, im]", loc)
+        i, j, re, im = entry
+        if type(i) is not int or type(j) is not int:
+            raise ParseError(f"{loc}: indices must be integers", loc)
+        if not (0 <= i < d and 0 <= j < d):
+            raise ParseError(f"{loc}: index ({i}, {j}) out of range for d = {d}", loc)
+        if i * d + j <= last:
+            fault = "is repeated" if i * d + j == last else "is out of row-major order"
+            raise ParseError(f"{loc}: index ({i}, {j}) {fault}", loc)
+        last = i * d + j
+        z = _complex(re, im, loc, "values")
+        numbers[last] = z.real, z.imag
+
+
+def _sparse_columns(entries: list, d: int) -> tuple | None:
+    """(flat indices i d + j, [re, im] rows) of ``entries`` in a few numpy
+    calls, with the numbers ``_sparse_entries`` would write; None when it
+    would raise, and for an empty list."""
+    try:
+        i, j, re, im = zip(*entries)
+    except (TypeError, ValueError):  # an entry that is no array, or shorter than four
+        return None
+    if max(map(len, entries)) != 4 or set(map(type, i + j)) != {int} \
+            or not set(map(type, re + im)) <= {int, float, bool}:
+        return None
+    try:  # an index beyond int64, or a value beyond float range
+        rows, cols = (np.fromiter(x, np.int64, len(x)) for x in (i, j))
+        values = np.fromiter(re + im, np.float64, 2 * len(re)).reshape(2, -1).T
+    except OverflowError:
+        return None
+    at = rows * d + cols
+    if not (np.all((0 <= rows) & (rows < d) & (0 <= cols) & (cols < d))
+            and np.isfinite(values).all() and (np.diff(at) > 0).all()):
+        return None
+    return at, values
+
+
+def _parse_sparse(entries: list, d: int) -> np.ndarray:
+    """The d x d matrix of a sparse entry list, filled by flat index in one
+    numpy call when ``_sparse_columns`` accepts it; anything else goes
+    through ``_sparse_entries``, which locates the first malformed entry."""
+    try:
+        numbers = np.zeros((d * d, 2))
+    except (ValueError, MemoryError) as exc:  # a size no allocator grants
+        raise ParseError(f"dims: no {d} x {d} matrix can be held ({exc})", "dims") from exc
+    columns = _sparse_columns(entries, d)
+    if columns is None:
+        _sparse_entries(entries, numbers, d)
+    else:
+        numbers[columns[0]] = columns[1]
+    return numbers.view(complex).reshape(d, d)
+
+
 def _checked_dims(doc) -> list:
     """The "dims" of a decoded document; ParseError unless the document is
     an object with dims [d] or [d_A, d_B] of positive integers."""
@@ -87,12 +155,20 @@ def _state(m: np.ndarray, dims: list) -> DensityMatrix | BipartiteState:
 
 def parse_state(doc: dict) -> DensityMatrix | BipartiteState:
     """Build a validated state from a decoded state-file document (as
-    ``json.loads`` returns it: lists, not tuples or arrays)."""
+    ``json.loads`` returns it: lists, not tuples or arrays), sparse
+    ("entries") or dense ("matrix")."""
     dims = _checked_dims(doc)
+    d = math.prod(dims)
+    if "entries" in doc:
+        if "matrix" in doc:
+            raise ParseError('expected "entries" or "matrix", not both')
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
+        return _state(_parse_sparse(entries, d), dims)
     rows = doc.get("matrix")
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix: expected a nonempty nested array", "matrix")
-    d = int(np.prod(dims))
     if len(rows) != d:
         raise ParseError(f"matrix: expected {d} rows, got {len(rows)}", "matrix")
     return _state(_parse_matrix(rows, d), dims)
@@ -136,204 +212,56 @@ def _read_json(path):
 
 
 def load_state(path) -> DensityMatrix | BipartiteState:
-    """Read and validate a state file.
-
-    A file that is byte for byte what ``save_state`` writes is read by
-    ``_canonical_matrix``; any other file is decoded by ``json.loads`` and
-    built by ``parse_state``.  Both give the same matrix, bit for bit.
+    """Read and validate a state file: ``json.loads``, then ``parse_state``.
 
     Raises ParseError on malformed content and ValidationError when the
     matrix is not a density matrix.
     """
-    data = _read(path)
-    canonical = _canonical_matrix(data)
-    if canonical is None:
-        return parse_state(_json(data, path))
-    return _state(*canonical)
+    return parse_state(_read_json(path))
 
 
 def _dims(state) -> list:
     return [state.d_A, state.d_B] if isinstance(state, BipartiteState) else [state.dim]
 
 
-def _document(dims: list, matrix, label: str | None) -> dict:
-    doc = {"dims": dims, "matrix": matrix}
+def _kept(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat indices, [re, im] bit patterns) of the entries of ``m`` whose
+    real or imaginary part is not +0.0, in row-major order."""
+    bits = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2)
+    at = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    return at, bits[at]
+
+
+def state_document(state: DensityMatrix | BipartiteState, label: str | None = None) -> dict:
+    """The document ``save_state`` writes, as ``json.loads`` reads it back."""
+    at, bits = _kept(state.mat)
+    i, j = np.divmod(at, state.mat.shape[0])
+    rows = zip(i.tolist(), j.tolist(), *bits.view(np.float64).T.tolist())
+    doc = {"dims": _dims(state), "entries": [list(row) for row in rows]}
     if label is not None:
         doc["label"] = label
     return doc
 
 
-def state_document(state: DensityMatrix | BipartiteState, label: str | None = None) -> dict:
-    return _document(_dims(state), [[[z.real, z.imag] for z in row] for row in state.mat], label)
-
-
-# What json.dumps(..., indent=1) puts between the numbers of "matrix":
-# each number sits on its own line, four levels deep.  The separators are,
-# in order, re -> im, entry -> entry, row -> row and end of matrix.
-_MATRIX_OPEN = b"[\n  [\n   [\n    "
-_SEPARATORS = (b",\n    ", b"\n   ],\n   [\n    ", b"\n   ]\n  ],\n  [\n   [\n    ",
-               b"\n   ]\n  ]\n ]")
-_MATRIX_KEY = '"matrix": '
-_ZERO = b"0.0"
-
-
-def _layout(d: int) -> tuple[int, tuple[int, int, int]]:
-    """The length of ``_zero_text(d)``, and the strides by which number
-    (i, j, part) begins at len(_MATRIX_OPEN) + (i, j, part) @ strides in it."""
-    part, entry, row, end = map(len, _SEPARATORS)
-    cell = 2 * len(_ZERO) + part + entry  # an entry and the separator after it
-    strides = (d * cell - entry + row, cell, len(_ZERO) + part)
-    return len(_MATRIX_OPEN) + d * strides[0] - row + end, strides
-
-
-def _zero_text(d: int) -> bytes:
-    """The [re, im] nest of the d x d zero matrix as ``_matrix_pieces`` writes it."""
-    part, entry, row, end = _SEPARATORS
-    cells = (_ZERO + part + _ZERO + entry) * (d - 1) + _ZERO + part + _ZERO
-    return b"".join([_MATRIX_OPEN, *[cells + row] * (d - 1), cells, end])
-
-
-def _matrix_pieces(m: np.ndarray) -> list:
-    """Pieces whose join is the [re, im] nest of a state's matrix ``m`` as
-    json.dumps(..., indent=1) writes it: the zero matrix's text, with the
-    numbers that are not +0.0 spliced in at their ``_layout`` offsets, each
-    distinct float (by bit pattern) formatted once by ``float.__repr__``."""
-    d = m.shape[0]
-    bits = np.ascontiguousarray(m).view(np.uint64).ravel()
-    flat = np.flatnonzero(bits)
-    distinct, inverse = np.unique(bits[flat], return_inverse=True)
-    reprs = np.array([repr(x).encode() for x in distinct.view(np.float64).tolist()], dtype=object)
-    at = len(_MATRIX_OPEN) + np.dot(_layout(d)[1], np.unravel_index(flat, (d, d, 2)))
-    zero = memoryview(_zero_text(d))
-    pieces = [zero] * (2 * at.size + 1)
-    pieces[::2] = [zero[a:b] for a, b in zip([0, *(at + len(_ZERO)).tolist()],
-                                             [*at.tolist(), len(zero)])]
-    pieces[1::2] = reprs[inverse].tolist()
-    return pieces
-
-
-def _matrix_text(m: np.ndarray) -> str:
-    """The join of ``_matrix_pieces(m)``."""
-    return b"".join(_matrix_pieces(m)).decode()
-
-
-def _state_bytes(state, label: str | None) -> bytes:
-    """json.dumps(state_document(state, label), indent=1) and a newline,
-    encoded, with the matrix spliced by ``_matrix_pieces``."""
-    text = json.dumps(_document(_dims(state), 0, label), indent=1) + "\n"
-    cut = text.index(_MATRIX_KEY) + len(_MATRIX_KEY)  # a label's quotes are escaped
-    return b"".join([text[:cut].encode(), *_matrix_pieces(state.mat), text[cut + 1:].encode()])
-
-
 def _state_text(state, label: str | None) -> str:
-    """json.dumps(state_document(state, label), indent=1)."""
-    return _state_bytes(state, label)[:-1].decode()
+    """The text of ``state_document(state, label)`` with one entry per
+    line; each distinct float (by bit pattern) is formatted once by
+    ``float.__repr__``, as json.dumps formats it."""
+    at, bits = _kept(state.mat)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    re, im = reprs[inverse.reshape(-1, 2)].T.tolist()
+    d = state.mat.shape[0]
+    i, j = np.divmod(at, d)
+    index = list(map(str, range(d)))
+    lines = [f"\n  [{index[a]}, {index[b]}, {x}, {y}]"
+             for a, b, x, y in zip(i.tolist(), j.tolist(), re, im)]
+    tail = "" if label is None else f',\n "label": {json.dumps(label)}'
+    return f'{{\n "dims": {json.dumps(_dims(state))},\n "entries": [{",".join(lines)}\n ]{tail}\n}}\n'
 
 
 def save_state(path, state, label: str | None = None) -> None:
     """Write a state file; float serialization is shortest round-trip
-    (<= 17 significant digits), so read-back is bit-exact.  The bytes are
-    those of ``json.dumps(state_document(state, label), indent=1)`` plus a
-    newline.  ParseError when the file cannot be written."""
-    _write(path, _state_bytes(state, label))
-
-
-# The scan converts each distinct number that is not 0.0 with float() and
-# checks it with repr(), several times what json.loads and np.array spend
-# on a number.  Its time over theirs per matrix text (best of 25, one
-# thread, distinct random entries, d = 64 and 144, two seeds): 0.2 with 2%
-# of the entries nonzero, 0.4-0.45 with 5%, 0.7-0.9 with 10%, 1.0-1.7 with
-# 20% and 2.8-4.8 with all.  So it is taken when at most 5% of the entries
-# are nonzero, or at most 64 of them: a small file that then costs at most
-# 0.12 ms more (d = 17).  A dense file pays only the count of its flags.
-_MAX_NONZERO_SHARE = 0.05
-_FEW = 64
-
-
-def _canonical_matrix(data: bytes) -> tuple[np.ndarray, list] | None:
-    """(matrix, dims) of the bytes ``data`` of a state file when they are
-    exactly what ``save_state`` writes for some state and label; None for
-    any other file, and for one with too many nonzero entries to gain.
-
-    Everything but the matrix, with the placeholder 0 in its place, must be
-    written again byte for byte by json.dumps(..., indent=1), with dims
-    that pass ``parse_state``'s check; ``_scan_matrix`` proves the rest.
-    """
-    key = data.find(_MATRIX_KEY.encode())
-    start = key + len(_MATRIX_KEY)
-    end = data.rfind(_SEPARATORS[-1]) + len(_SEPARATORS[-1])
-    if key < 0 or end < start + len(_MATRIX_OPEN):
-        return None
-    try:
-        shell = (data[:start] + b"0" + data[end:]).decode("utf-8")
-        doc = json.loads(shell)
-        if not isinstance(doc, dict) or shell != \
-                json.dumps(_document(doc.get("dims"), 0, doc.get("label")), indent=1) + "\n":
-            return None
-        dims = _checked_dims(doc)
-    except (ValueError, RecursionError, ParseError):
-        return None  # the json path reports it as it always has
-    d = math.prod(dims)
-    numbers = _scan_matrix(memoryview(data)[start:end], d)
-    return None if numbers is None else (numbers.view(complex).reshape(d, d), dims)
-
-
-def _scan_matrix(text, d: int) -> np.ndarray | None:
-    """The 2 d^2 numbers of the matrix text ``text`` (bytes or a view of
-    them) in file order when ``_matrix_pieces`` writes it for a d x d
-    matrix with at most max(64, 5% of d^2) nonzero entries, else None.
-
-    The zero matrix's text has no digit 1-9 and no "-" (the flags), and any
-    other number has one within five bytes of its start, after a space; it
-    ends at the next comma or newline.  The proof: ``text``, with each such
-    number put back to "0.0", is the zero matrix's text, and each is finite
-    and equals ``float.__repr__`` of its value, which rules out NaN,
-    infinities, integers and any other spelling.  ``repr`` round trips, so
-    the numbers are bit for bit json.loads's, signed zeros included.
-    """
-    region = np.frombuffer(text, dtype=np.uint8)
-    flagged = np.subtract(region, ord("1"), dtype=np.uint8) < 9
-    flagged |= region == ord("-")
-    size, strides = _layout(d)
-    limit = max(_FEW, _MAX_NONZERO_SHARE * d * d)
-    # no number is shorter than "0.0", nor has more than 24 flags
-    if len(text) < size or np.count_nonzero(flagged) > 48 * limit:
-        return None
-    # a number's first flag is at least seven bytes after the flags of the
-    # number before it, and a later flag more than six after its space
-    at = np.flatnonzero(flagged)
-    at = at[np.diff(at, prepend=-7) >= 7]
-    near = np.take(region, at[:, None] + np.arange(-6, 25), mode="clip")
-    space = near[:, 5::-1] == ord(" ")
-    first = space.any(1)
-    lead, near = space.argmax(1)[first], near[first]
-    sizes = lead + ((near[:, 6:] == ord(",")) | (near[:, 6:] == ord("\n"))).argmax(1)
-    firsts = at[first] - lead
-    # each number's offset in the zero matrix's text, where an entry's two
-    # numbers are one stride apart and entries are not
-    at = firsts - np.cumsum(sizes - len(_ZERO)) + sizes - len(_ZERO)
-    if firsts.size - np.count_nonzero(np.diff(at) == strides[2]) > limit:
-        return None
-    gaps = zip([0, *(firsts + sizes).tolist()], [*firsts.tolist(), len(text)])
-    if _ZERO.join([text[a:b] for a, b in gaps]) != _zero_text(d):
-        return None
-    window = near.tobytes()
-    starts = np.arange(6, near.size, near.shape[1]) - lead
-    tokens = [window[a:b] for a, b in zip(starts.tolist(), (starts + sizes).tolist())]
-    distinct = list(set(tokens))
-    try:
-        values = list(map(float, distinct))
-    except ValueError:
-        return None
-    # float() takes no comma, so neither join holds one but its own: they
-    # are equal exactly when each token is the repr of its value ("-inf"
-    # is one, hence the finiteness check)
-    if not all(map(math.isfinite, values)) \
-            or ",".join(map(float.__repr__, values)).encode() != b",".join(distinct):
-        return None
-    i, rest = np.divmod(at - len(_MATRIX_OPEN), strides[0])
-    j, rest = np.divmod(rest, strides[1])
-    numbers = np.zeros(2 * d * d)
-    numbers[np.ravel_multi_index((i, j, rest // strides[2]), (d, d, 2))] = \
-        list(map(dict(zip(distinct, values)).__getitem__, tokens))
-    return numbers
+    (<= 17 significant digits), so read-back is bit-exact.  ParseError
+    when the file cannot be written."""
+    _write(path, _state_text(state, label).encode())

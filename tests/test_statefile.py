@@ -1,8 +1,7 @@
-"""The state-file format is locked: the vectorized writer gives the bytes
-of ``json.dumps(..., indent=1)``, the vectorized reader the matrix and the
-errors of the per-entry reader, the scan of canonical files the matrix of
-json.loads (and any other file the json path's outcome), and the fixtures
-regenerate byte for byte."""
+"""The state-file format is locked: the writer gives the reference text
+assembled from json.dumps of each entry, the sparse reader the matrix and
+the errors of a per-entry reader, a legacy dense file the matrix of its
+sparse copy, and the fixtures regenerate byte for byte."""
 
 import json
 import math
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 import pairinglab as pl
 from pairinglab import cli, statefile
-from pairinglab.errors import ParseError
+from pairinglab.errors import ParseError, ValidationError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,7 +24,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-
                1e300, -1e300, 0.1, 1 / 3, 1.0, -1.0, 2.0**53 + 2.0]
 floats = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(EDGE_FLOATS)
 labels = st.none() | st.text() | st.sampled_from(
-    ['q"uote', "back\\slash", "new\nline", "café ☃ \U0001f600", '"matrix": 0'])
+    ['q"uote', "back\\slash", "new\nline", "café ☃ \U0001f600", '"matrix": 0', '"entries": []'])
 
 
 @st.composite
@@ -55,8 +54,44 @@ def sparse_states(draw):
     return pl.BipartiteState(rho, *dims) if len(dims) == 2 else rho
 
 
+def dims_of(state):
+    return [state.d_A, state.d_B] if isinstance(state, pl.BipartiteState) else [state.dim]
+
+
+def written_entries(state):
+    """[i, j, re, im] of each entry whose re or im is not +0.0, by a plain
+    loop over the matrix."""
+    m = state.mat
+    return [[i, j, m[i, j].real, m[i, j].imag] for i in range(m.shape[0])
+            for j in range(m.shape[1]) if np.array([m[i, j]]).view(np.uint64).any()]
+
+
 def json_bytes(state, label):
-    return json.dumps(statefile.state_document(state, label), indent=1) + "\n"
+    """The reference text of a state file: json.dumps of dims, of each entry
+    on its own line, and of the label."""
+    lines = ",".join("\n  " + json.dumps(e) for e in written_entries(state))
+    tail = "" if label is None else ',\n "label": ' + json.dumps(label)
+    return '{\n "dims": ' + json.dumps(dims_of(state)) + ',\n "entries": [' + lines \
+        + "\n ]" + tail + "\n}\n"
+
+
+def legacy_bytes(state, label):
+    """The dense file an older writer wrote for ``state``."""
+    doc = {"dims": dims_of(state), "matrix": [[[z.real, z.imag] for z in row] for row in state.mat]}
+    if label is not None:
+        doc["label"] = label
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def unvalidated(text: str):
+    """(matrix, dims) of a sparse file's text, read without validation."""
+    doc = json.loads(text)
+    return statefile._parse_sparse(doc["entries"], math.prod(doc["dims"])), doc["dims"]
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
 
 
 def positive_coherences():
@@ -80,7 +115,18 @@ class TestWriter:
     @given(state=states() | sparse_states(), label=labels)
     @settings(max_examples=100, deadline=None)
     def test_writes_the_bytes_of_json_dumps(self, state, label):
-        assert statefile._state_text(state, label) + "\n" == json_bytes(state, label)
+        assert statefile._state_text(state, label) == json_bytes(state, label)
+
+    @given(state=states() | sparse_states(), label=labels)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_keeps_the_bits_and_skips_plus_zero(self, state, label):
+        text = statefile._state_text(state, label)
+        m, dims = unvalidated(text)
+        assert same_bits(m, state.mat) and dims == dims_of(state)
+        doc = json.loads(text)
+        assert doc.get("label") == label and doc == statefile.state_document(state, label)
+        bits = state.mat.view(np.uint64).reshape(-1, 2)
+        assert len(doc["entries"]) == np.count_nonzero(bits.any(1))
 
     def test_save_state_file_bytes(self, tmp_path, rng):
         bs = pl.random_bipartite_state(3, 4, rng)
@@ -89,13 +135,16 @@ class TestWriter:
         assert path.read_text() == json_bytes(bs, "café \"x\"\n")
 
     @pytest.mark.parametrize("name", sorted(LARGE_STATES))
-    def test_benchmark_sized_states(self, name):
-        # many nonzero numbers spliced into a large zero matrix text, and back
+    def test_benchmark_sized_states(self, tmp_path, name):
         state = LARGE_STATES[name]()
-        data = (statefile._state_text(state, "x") + "\n").encode()
-        assert data.decode() == json_bytes(state, "x")
-        got = statefile._canonical_matrix(data)
-        assert got is not None and got[0].tobytes() == json_path_matrix(data)[0].tobytes()
+        text = statefile._state_text(state, "x")
+        assert text == json_bytes(state, "x") == statefile._state_text(state, "x")
+        entries = np.array(json.loads(text)["entries"])  # plain json.loads
+        at = (entries[:, 0] * state.dim + entries[:, 1]).astype(int)
+        assert same_bits(entries[:, 2:], state.mat.view(float).reshape(-1, 2)[at])
+        path = tmp_path / "s.json"
+        statefile.save_state(path, state, "x")
+        assert same_bits(statefile.load_state(path).mat, state.mat)
 
     def test_signed_zero_and_subnormal_survive(self, tmp_path):
         m = np.array([[0.5, -0.0 + 5e-324j], [-0.0 - 5e-324j, 0.5]])
@@ -103,8 +152,16 @@ class TestWriter:
         path = tmp_path / "z.json"
         statefile.save_state(path, rho)
         assert path.read_text() == json_bytes(rho, None)
+        assert "[1, 0, -0.0, -5e-324]" in path.read_text()
         back = statefile.load_state(path)
-        assert back.mat.tobytes() == rho.mat.tobytes()
+        assert same_bits(back.mat, rho.mat)
+
+    def test_plus_zero_entries_are_left_out(self):
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0], m[1, 2], m[2, 1] = 1.0, -0.0, 0.25j
+        text = statefile._state_text(pl.DensityMatrix(m, math.inf), None)
+        assert json.loads(text)["entries"] == [[0, 0, 1.0, 0.0], [1, 2, -0.0, 0.0],
+                                               [2, 1, 0.0, 0.25]]
 
 
 def number_rows(numbers, d):
@@ -131,16 +188,34 @@ class TestFastReader:
         assert np.signbit(fast.real[0, 0]) and np.signbit(fast.imag[0, 1])
 
 
-def per_entry_reference(doc):
-    """``parse_state`` as it was before the vectorized reader: every entry
-    is checked and converted on its own.  A non-finite number, or an
-    integer beyond float range, is a parse error at its entry."""
+def checked_dims(doc):
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) in (1, 2)
             and all(isinstance(x, int) and x > 0 for x in dims)):
         raise ParseError("dims: expected [d] or [d_A, d_B] of positive integers", "dims")
+    return dims
+
+
+def finite_numbers(re, im, loc, what):
+    if not all(isinstance(x, (int, float)) for x in (re, im)):
+        raise ParseError(f"{loc}: {what} must be numbers", loc)
+    if not all(abs(x) <= sys.float_info.max for x in (re, im)):
+        raise ParseError(f"{loc}: {what} must be finite numbers", loc)
+    return complex(re, im)
+
+
+def validated(m, dims):
+    rho = pl.DensityMatrix(m, 1e-8)
+    return pl.BipartiteState(rho, dims[0], dims[1]) if len(dims) == 2 else rho
+
+
+def per_entry_reference(doc):
+    """``parse_state`` of a dense document as it was before the vectorized
+    reader: every entry is checked and converted on its own.  A non-finite
+    number, or an integer beyond float range, is a parse error at its entry."""
+    dims = checked_dims(doc)
     rows = doc.get("matrix")
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix: expected a nonempty nested array", "matrix")
@@ -155,14 +230,40 @@ def per_entry_reference(doc):
             loc = f"matrix[{i}][{j}]"
             if not (isinstance(val, list) and len(val) == 2):
                 raise ParseError(f"{loc}: expected a [re, im] pair", loc)
-            re, im = val
-            if not all(isinstance(x, (int, float)) for x in (re, im)):
-                raise ParseError(f"{loc}: entries must be numbers", loc)
-            if not all(abs(x) <= sys.float_info.max for x in (re, im)):
-                raise ParseError(f"{loc}: entries must be finite numbers", loc)
-            m[i, j] = complex(re, im)
-    rho = pl.DensityMatrix(m, 1e-8)
-    return pl.BipartiteState(rho, dims[0], dims[1]) if len(dims) == 2 else rho
+            m[i, j] = finite_numbers(*val, loc, "entries")
+    return validated(m, dims)
+
+
+def sparse_reference(doc):
+    """``parse_state`` as a plain loop: each sparse entry is checked and
+    placed on its own; a dense document goes to ``per_entry_reference``."""
+    dims = checked_dims(doc)
+    if "entries" not in doc:
+        return per_entry_reference(doc)
+    if "matrix" in doc:
+        raise ParseError('expected "entries" or "matrix", not both')
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
+    d = math.prod(dims)
+    m = np.zeros((d, d), dtype=complex)
+    seen = []
+    for k, entry in enumerate(entries):
+        loc = f"entries[{k}]"
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ParseError(f"{loc}: expected [i, j, re, im]", loc)
+        i, j, re, im = entry
+        if type(i) is not int or type(j) is not int:
+            raise ParseError(f"{loc}: indices must be integers", loc)
+        if not (0 <= i < d and 0 <= j < d):
+            raise ParseError(f"{loc}: index ({i}, {j}) out of range for d = {d}", loc)
+        if seen and seen[-1] == (i, j):
+            raise ParseError(f"{loc}: index ({i}, {j}) is repeated", loc)
+        if seen and seen[-1] > (i, j):
+            raise ParseError(f"{loc}: index ({i}, {j}) is out of row-major order", loc)
+        seen.append((i, j))
+        m[i, j] = finite_numbers(re, im, loc, "values")
+    return validated(m, dims)
 
 
 def outcome(parse, doc):
@@ -224,6 +325,97 @@ class TestMalformedDocuments:
             assert err.value.location == message.split(":")[0]
 
 
+A = [0, 0, 0.5, 0.0]
+D = [1, 1, 0.5, 0.0]
+MALFORMED_ENTRIES = {  # entries of a 2-dim file: (entries, message)
+    "three numbers": ([A, [1, 1, 0.5]], "entries[1]: expected [i, j, re, im]"),
+    "five numbers": ([A, [1, 1, 0.5, 0.0, 0.0]], "entries[1]: expected [i, j, re, im]"),
+    "entry not a list": ([A, 7], "entries[1]: expected [i, j, re, im]"),
+    "entry a string": (["abcd", D], "entries[0]: expected [i, j, re, im]"),
+    "entry a dict": ([A, {"i": 1, "j": 1, "re": 0.5, "im": 0}],
+                     "entries[1]: expected [i, j, re, im]"),
+    "float index": ([A, [1.0, 1, 0.5, 0.0]], "entries[1]: indices must be integers"),
+    "bool index": ([[False, 0, 0.5, 0.0], D], "entries[0]: indices must be integers"),
+    "string index": ([A, [1, "1", 0.5, 0.0]], "entries[1]: indices must be integers"),
+    "index out of range": ([A, [1, 2, 0.5, 0.0]],
+                           "entries[1]: index (1, 2) out of range for d = 2"),
+    "negative index": ([[-1, 0, 0.5, 0.0], D], "entries[0]: index (-1, 0) out of range for d = 2"),
+    "index beyond int64": ([A, [2**64, 0, 0.5, 0.0]],
+                           f"entries[1]: index ({2**64}, 0) out of range for d = 2"),
+    "duplicate index": ([A, A, D], "entries[1]: index (0, 0) is repeated"),
+    "out of order": ([D, A], "entries[1]: index (0, 0) is out of row-major order"),
+    "string value": ([A, [1, 1, "0.5", 0.0]], "entries[1]: values must be numbers"),
+    "none value": ([A, [1, 1, 0.5, None]], "entries[1]: values must be numbers"),
+    "list value": ([A, [1, 1, [0.5], 0.0]], "entries[1]: values must be numbers"),
+    "nan value": ([A, [1, 1, float("nan"), 0.0]], "entries[1]: values must be finite numbers"),
+    "infinite value": ([A, [1, 1, 0.5, float("-inf")]],
+                       "entries[1]: values must be finite numbers"),
+    "int beyond float": ([A, [1, 1, 10**400, 0]], "entries[1]: values must be finite numbers"),
+}
+
+
+class TestSparseEntries:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ENTRIES))
+    def test_messages_name_the_offending_entry(self, tmp_path, capsys, name):
+        entries, message = MALFORMED_ENTRIES[name]
+        doc = {"dims": [2], "entries": entries}
+        with pytest.raises(ParseError) as err:
+            statefile.parse_state(doc)
+        assert str(err.value) == message and err.value.location == message.split(":")[0]
+        assert outcome(statefile.parse_state, doc) == outcome(sparse_reference, doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["measure", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dims": [2], "entries": [A, D], "matrix": [[HALF, ZERO], [ZERO, HALF]]},
+         'expected "entries" or "matrix", not both'),
+        ({"dims": [2], "entries": {"0": A}}, "entries: expected an array of [i, j, re, im]"),
+        ({"dims": [2], "entries": None}, "entries: expected an array of [i, j, re, im]"),
+        ({"dims": [2.0], "entries": [A, D]},
+         "dims: expected [d] or [d_A, d_B] of positive integers"),
+    ])
+    def test_document_level_errors(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            statefile.parse_state(doc)
+        assert str(err.value) == message
+        assert outcome(statefile.parse_state, doc) == outcome(sparse_reference, doc)
+
+    def test_an_empty_list_is_the_zero_matrix(self):
+        assert same_bits(statefile._parse_sparse([], 3), np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValidationError):
+            statefile.parse_state({"dims": [3], "entries": []})
+
+    @given(d=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_path_matches_the_per_entry_loop(self, d, data):
+        index = st.integers(-1, d) | st.sampled_from([0.0, 1.0, True, False, "0"])
+        value = floats | st.integers(-2**70, 2**70) | st.sampled_from(
+            [10**400, float("nan"), float("inf"), True, None, "1"])
+        entry = st.lists(index, min_size=2, max_size=2).flatmap(
+            lambda ij: st.lists(value, min_size=2, max_size=2).map(lambda z: ij + z))
+        ordered = st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), unique=True,
+                           max_size=d * d).map(sorted).flatmap(lambda ijs: st.tuples(
+                               *[st.lists(floats | st.integers(-2**70, 2**70), min_size=2,
+                                          max_size=2).map(lambda z, ij=ij: [*ij, *z])
+                                 for ij in ijs]).map(list))
+        entries = data.draw(ordered | st.lists(entry | st.lists(index, max_size=5), max_size=6))
+        numbers = np.zeros((d * d, 2))
+        try:
+            statefile._sparse_entries(entries, numbers, d)
+        except ParseError:
+            assert statefile._sparse_columns(entries, d) is None
+            return
+        columns = statefile._sparse_columns(entries, d)
+        assert (columns is None) == (entries == [])  # the loop reads no entries at no cost
+        if columns is None:
+            return
+        fast = np.zeros((d * d, 2))
+        fast[columns[0]] = columns[1]
+        assert same_bits(fast, numbers)
+
+
 class TestFixtures:
     def test_make_fixtures_reproduces_every_fixture(self, tmp_path):
         env = {"PYTHONPATH": str(REPO / "src"), "PATH": ""}
@@ -242,28 +434,31 @@ class TestFixtures:
         assert (tmp_path / name).read_text() == text
 
 
-CANONICAL_LABELS = labels | st.sampled_from(['{"matrix": [[[1.0, 0.0]]]}', "a]\n[b", '"', ""])
+CANONICAL_LABELS = labels | st.sampled_from(['{"entries": [[0, 0, 1.0, 0.0]]}', "a]\n[b", '"', ""])
 
 
-def json_path_matrix(data: bytes):
-    """(matrix, dims) as json.loads and ``_parse_matrix`` read them."""
-    doc = json.loads(data)
-    return statefile._parse_matrix(doc["matrix"], math.prod(doc["dims"])), doc["dims"]
+def reference_matrix(text: str):
+    """(matrix, dims) of a sparse file's text: json.loads, then each entry
+    placed on its own."""
+    doc = json.loads(text)
+    d = math.prod(doc["dims"])
+    m = np.zeros((d, d), dtype=complex)
+    for i, j, re, im in doc["entries"]:
+        m[i, j] = complex(re, im)
+    return m, doc["dims"]
 
 
 class TestCanonicalReader:
-    """A file that ``save_state`` wrote is read without json.loads, to the
-    bit; anything else takes the json path."""
+    """A file that ``save_state`` wrote reads back to the bit of what
+    json.loads reads, and a legacy dense file to the bit of its sparse copy."""
 
     @given(state=states() | sparse_states(), label=CANONICAL_LABELS)
     @settings(max_examples=150, deadline=None)
     def test_reads_what_json_reads(self, state, label):
-        data = (statefile._state_text(state, label) + "\n").encode()
-        got = statefile._canonical_matrix(data)
-        assert got is not None  # at most 64 nonzero entries: always scanned
-        want = json_path_matrix(data)
-        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
-        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        text = statefile._state_text(state, label)
+        got, want = unvalidated(text), reference_matrix(text)
+        assert got[0].dtype == want[0].dtype and same_bits(got[0], want[0])
+        assert got[1] == want[1]
 
     @pytest.mark.parametrize("make", [
         lambda rng: pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3),
@@ -272,44 +467,28 @@ class TestCanonicalReader:
         lambda rng: pl.ginibre_density(6, 6, rng),
     ])
     def test_load_state_gives_the_json_paths_state(self, tmp_path, rng, make):
+        # a legacy dense file, as the older writer wrote it, and its sparse copy
         state = make(rng)
-        path = tmp_path / "s.json"
-        statefile.save_state(path, state, label='"matrix": [] ]\n')
-        got = statefile.load_state(path)
-        want = statefile.parse_state(json.loads(path.read_text()))
+        dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+        dense.write_text(legacy_bytes(state, '"matrix": [] ]\n'))
+        statefile.save_state(sparse, state, label='"matrix": [] ]\n')
+        got, want = statefile.load_state(sparse), statefile.load_state(dense)
         assert type(got) is type(want) and got.dim == want.dim
         assert getattr(got, "d_B", None) == getattr(want, "d_B", None)
-        assert got.mat.tobytes() == want.mat.tobytes()
+        assert same_bits(got.mat, want.mat) and same_bits(got.mat, state.mat)
 
-    def test_a_dense_file_takes_the_json_path(self, rng):
-        # no zero entries: the count of zero entries decides, nothing is scanned
+    def test_a_dense_file_takes_the_json_path(self, tmp_path, rng, monkeypatch):
+        # a legacy file of a state with no zero entry is read by the dense path
         state = pl.ginibre_density(16, 16, rng)
-        assert statefile._canonical_matrix((statefile._state_text(state, None) + "\n").encode()) \
-            is None
+        path = tmp_path / "dense.json"
+        path.write_text(legacy_bytes(state, None))
 
-    def test_a_dense_file_is_refused_before_its_numbers_are_located(self, rng, monkeypatch):
-        data = (statefile._state_text(pl.ginibre_density(16, 16, rng), None) + "\n").encode()
-        monkeypatch.setattr(np, "flatnonzero", None)  # the count of flags decides alone
-        assert statefile._canonical_matrix(data) is None
+        def no_sparse(*args):
+            raise AssertionError("took the sparse path")
 
-    @pytest.mark.parametrize("d, entries, parts, scanned", [
-        (12, 64, "both", True), (12, 65, "re", False), (12, 65, "im", False),
-        (12, 65, "both", False), (40, 80, "both", True), (40, 80, "im", True),
-        (40, 81, "re", False), (40, 81, "both", False), (1, 1, "both", True),
-    ])
-    def test_scan_decision_at_the_nonzero_entry_limit(self, d, entries, parts, scanned):
-        # the limit is max(64, 5% of d^2) nonzero entries, not numbers: 64 at
-        # d = 12, 80 at d = 40
-        g = np.random.Generator(np.random.Philox(d + entries))
-        m = np.zeros((d, d), dtype=complex)
-        where = g.choice(d * d, entries, replace=False)
-        re, im = g.uniform(-1, 1, (2, entries))
-        m.flat[where] = {"both": re + 1j * im, "re": re, "im": 1j * im}[parts]
-        data = (statefile._state_text(pl.DensityMatrix(m, math.inf), None) + "\n").encode()
-        got = statefile._canonical_matrix(data)
-        assert (got is not None) == scanned
-        if scanned:
-            assert got[0].tobytes() == json_path_matrix(data)[0].tobytes()
+        monkeypatch.setattr(statefile, "_parse_sparse", no_sparse)
+        assert same_bits(statefile.load_state(path).mat, state.mat)
+        assert len(json.loads(statefile._state_text(state, None))["entries"]) == 16 * 16
 
     @pytest.mark.parametrize("value", [0.5, 0.05, -0.0, 5e-324, 0.0001, 1.0, -5e-324, 0.0009,
                                        -0.0001, 1e-05, 1.0000000000000002,
@@ -320,23 +499,22 @@ class TestCanonicalReader:
             numbers[::3] = value  # first, real and imaginary parts, row ends
             numbers[-1] = value
             m = numbers.view(complex).reshape(d, d)
-            data = (statefile._state_text(pl.DensityMatrix(m, math.inf), None) + "\n").encode()
-            got = statefile._canonical_matrix(data)
-            assert got is not None
-            assert got[0].tobytes() == json_path_matrix(data)[0].tobytes() == m.tobytes()
+            text = statefile._state_text(pl.DensityMatrix(m, math.inf), None)
+            got = unvalidated(text)[0]
+            assert same_bits(got, reference_matrix(text)[0]) and same_bits(got, m)
 
     def test_zero_matrix_text_is_the_writers(self):
         for d in (1, 2, 5):
-            text = statefile._matrix_text(np.zeros((d, d), dtype=complex)).encode()
-            assert statefile._scan_matrix(text, d).tobytes() == bytes(16 * d * d)
-            assert statefile._scan_matrix(text, d + 1) is None
+            text = statefile._state_text(pl.DensityMatrix(np.zeros((d, d)), math.inf), None)
+            assert text == f'{{\n "dims": [{d}],\n "entries": [\n ]\n}}\n'
+            assert same_bits(unvalidated(text)[0], np.zeros((d, d), dtype=complex))
 
 
 def mutations(text: str) -> dict:
-    """One change each to the canonical file ``text``."""
-    key = text.index('"matrix": ')
-    zero = text.index("    0.0", key) + 4  # a zero number
-    nonzero = text.index("    0.5", key) + 4  # a nonzero one
+    """One change each to the written file ``text``."""
+    key = text.index('"entries": ')
+    zero = text.index(", 0.0]", key) + 2  # a zero number
+    nonzero = text.index("0.5", key)  # a nonzero one
     tail = text.rindex("\n}")
     out = {
         "space in the head": text[:5] + " " + text[5:],
@@ -349,12 +527,18 @@ def mutations(text: str) -> dict:
         "truncated matrix end": text[:tail - 2] + text[tail:],
         "second matrix key": text[:tail] + ',\n "matrix": 0' + text[tail:],
         "second matrix nest": text[:tail] + ',\n "matrix": [[[1.0, 0.0]]]' + text[tail:],
+        "second entries key": text[:tail] + ',\n "entries": []' + text[tail:],
         "label null": text[:tail] + ',\n "label": null' + text[tail:],
         "extra key": text[:tail] + ',\n "note": 1' + text[tail:],
-        "dims of two": text.replace('"dims": [\n  2,\n  2\n ]', '"dims": [\n  4\n ]'),
-        "dims wrong": text.replace('"dims": [\n  2,\n  2\n ]', '"dims": [\n  2,\n  3\n ]'),
-        "dims float": text.replace('"dims": [\n  2,', '"dims": [\n  2.0,'),
+        "dims of two": text.replace('"dims": [2, 2]', '"dims": [4]'),
+        "dims wrong": text.replace('"dims": [2, 2]', '"dims": [2, 3]'),
+        "dims too small": text.replace('"dims": [2, 2]', '"dims": [3]'),
+        "dims float": text.replace('"dims": [2, 2]', '"dims": [2.0, 2]'),
         "crlf": text.replace("\n", "\r\n"),
+        "entries swapped": text.replace("[0, 3,", "[9, 9,").replace("[3, 0,", "[0, 3,")
+                               .replace("[9, 9,", "[3, 0,"),
+        "entry repeated": text.replace("[3, 0,", "[0, 3,"),
+        "index float": text.replace("[3, 0,", "[3.0, 0,"),
     }
     for name, token in [("1", "1"), ("-0", "-0"), ("1.0e5", "1.0e5"), ("NaN", "NaN"),
                         ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
@@ -368,14 +552,14 @@ def mutations(text: str) -> dict:
     return out
 
 
-def old_load(path):
-    """``load_state`` as it was: json.loads of the text, then parse_state."""
-    return statefile.parse_state(statefile._read_json(path))
+def reference_load(path):
+    """``load_state`` as a plain loop: the decoded file, then ``sparse_reference``."""
+    return sparse_reference(statefile._read_json(path))
 
 
 MUTATED_SOURCE = pl.make_mc_state(pl.MCSpec(np.array([[0.5, 0.3], [0.3, 0.5]]), (0, 1), (0, 1)),
                                   2, 2)
-MUTATED = mutations(statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n")
+MUTATED = mutations(statefile._state_text(MUTATED_SOURCE, 'mc "x"'))
 
 
 class TestMutatedCanonicalFiles:
@@ -383,20 +567,12 @@ class TestMutatedCanonicalFiles:
     def test_same_outcome_as_the_json_path(self, tmp_path, name):
         path = tmp_path / "m.json"
         path.write_bytes(MUTATED[name].encode())
-        assert MUTATED[name] != statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n"
-        assert outcome(statefile.load_state, path) == outcome(old_load, path)
-
-    def test_only_files_the_writer_could_write_are_scanned(self):
-        text = statefile._state_text(MUTATED_SOURCE, 'mc "x"') + "\n"
-        assert statefile._canonical_matrix(text.encode()) is not None
-        scanned = [name for name, t in MUTATED.items()
-                   if statefile._canonical_matrix(t.encode()) is not None]
-        # a 4-dim one-part state, and one with a -0.0 entry
-        assert scanned == ["dims of two", "token -0.0"]
+        assert MUTATED[name] != statefile._state_text(MUTATED_SOURCE, 'mc "x"')
+        assert outcome(statefile.load_state, path) == outcome(reference_load, path)
 
     def test_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "latin1.json"
-        path.write_bytes((statefile._state_text(MUTATED_SOURCE, "x") + "\n")
+        path.write_bytes(statefile._state_text(MUTATED_SOURCE, "x")
                          .encode().replace(b'"x"', b'"\xe9"'))
         with pytest.raises(ParseError, match="not UTF-8"):
             statefile.load_state(path)
@@ -404,21 +580,34 @@ class TestMutatedCanonicalFiles:
 
 class TestDeclaredSize:
     @pytest.mark.parametrize("d", [2000, 2**40])
-    def test_huge_dims_in_a_tiny_file_is_a_parse_error(self, tmp_path, monkeypatch, capsys, d):
-        # a canonical shell: the scan must refuse the short text before it
-        # builds anything of size d^2
-        text = statefile._state_text(pl.DensityMatrix(np.ones((1, 1))), None) + "\n"
+    def test_huge_dims_in_a_tiny_file_is_a_parse_error(self, tmp_path, capsys, d):
+        # a legacy dense file: the row count is checked before anything is built
+        text = legacy_bytes(pl.DensityMatrix(np.ones((1, 1))), None)
         path = tmp_path / "huge.json"
         path.write_text(text.replace('"dims": [\n  1\n ]', f'"dims": [\n  {d}\n ]'))
-
-        def no_zero_text(n):
-            raise AssertionError(f"built the text of the {n} x {n} zero matrix")
-
-        monkeypatch.setattr(statefile, "_zero_text", no_zero_text)
         with pytest.raises(ParseError, match=f"matrix: expected {d} rows, got 1"):
             statefile.load_state(path)
         assert cli.main(["measure", str(path)]) == 2
         assert f"expected {d} rows, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [[2**40], [2**24], [2**12, 2**12]])
+    def test_a_size_no_allocator_grants_is_a_parse_error(self, tmp_path, capsys, dims):
+        # 2^24 x 2^24 complex entries are 4 PiB; 2^40 x 2^40 overflow numpy's size
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": dims, "entries": [[0, 0, 1.0, 0.0]]}))
+        d = math.prod(dims)
+        with pytest.raises(ParseError, match=f"^dims: no {d} x {d} matrix can be held") as err:
+            statefile.load_state(path)
+        assert err.value.location == "dims"
+        assert cli.main(["measure", str(path)]) == 2
+        assert f"dims: no {d} x {d} matrix can be held" in capsys.readouterr().err
+
+    def test_a_large_pure_state_in_a_tiny_file_loads(self, tmp_path):
+        path = tmp_path / "pure.json"
+        path.write_text(json.dumps({"dims": [2000], "entries": [[0, 0, 1.0, 0.0]]}))
+        state = statefile.load_state(path)
+        assert state.dim == 2000 and state.mat[0, 0] == 1.0
+        assert np.count_nonzero(state.mat) == 1
 
 
 def _constructed_files(tmp_path):
@@ -454,15 +643,17 @@ def _constructed_files(tmp_path):
 
 
 class TestFastPathGuard:
-    """Every file the package writes takes the scan: a change to the writer
-    that loses it fails here, not silently."""
+    """Every file the package writes is sparse and read by the vectorized
+    path: a change to the writer that loses it fails here, not silently."""
 
     def test_constructed_files_and_fixtures_are_scanned(self, tmp_path, monkeypatch, capsys):
         paths = _constructed_files(tmp_path) + sorted((REPO / "fixtures").glob("*.json"))
 
-        def no_fallback(doc):
-            raise AssertionError("took the json path")
+        def no_fallback(*args):
+            raise AssertionError("took a per-entry or dense path")
 
-        monkeypatch.setattr(statefile, "parse_state", no_fallback)
+        for name in ("_sparse_entries", "_parse_matrix", "_parse_entries"):
+            monkeypatch.setattr(statefile, name, no_fallback)
         for path in paths:
+            assert "matrix" not in json.loads(path.read_text())
             statefile.load_state(path)
