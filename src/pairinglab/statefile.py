@@ -174,14 +174,6 @@ def parse_state(doc: dict) -> DensityMatrix | BipartiteState:
     return _state(_parse_matrix(rows, d), dims)
 
 
-def _read(path) -> bytes:
-    """The bytes of the file ``path``; ParseError when it cannot be read."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
 def _write(path, data: bytes) -> None:
     """Write ``data`` to the file ``path``; ParseError when that fails."""
     try:
@@ -190,9 +182,13 @@ def _write(path, data: bytes) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _json(data: bytes, path):
-    """The JSON document in the bytes ``data`` of the file ``path``;
-    ParseError when they are not UTF-8 text or not JSON."""
+def _read_json(path):
+    """The decoded JSON document in the file ``path``; ParseError when the
+    file cannot be read, is not UTF-8 text or is not JSON."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -203,12 +199,6 @@ def _json(data: bytes, path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-
-
-def _read_json(path):
-    """The decoded JSON document in the file ``path``; ParseError when the
-    file cannot be read, is not UTF-8 text or is not JSON."""
-    return _json(_read(path), path)
 
 
 def load_state(path) -> DensityMatrix | BipartiteState:
