@@ -162,6 +162,7 @@ class TestWriter:
         text = statefile._state_text(pl.DensityMatrix(m, math.inf), None)
         assert json.loads(text)["entries"] == [[0, 0, 1.0, 0.0], [1, 2, -0.0, 0.0],
                                                [2, 1, 0.0, 0.25]]
+        assert "\n  [1, 2, -0.0, 0.0]," in text
 
 
 def number_rows(numbers, d):
@@ -390,17 +391,17 @@ class TestSparseEntries:
     @given(d=st.integers(1, 4), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_vectorized_path_matches_the_per_entry_loop(self, d, data):
-        index = st.integers(-1, d) | st.sampled_from([0.0, 1.0, True, False, "0"])
-        value = floats | st.integers(-2**70, 2**70) | st.sampled_from(
-            [10**400, float("nan"), float("inf"), True, None, "1"])
-        entry = st.lists(index, min_size=2, max_size=2).flatmap(
-            lambda ij: st.lists(value, min_size=2, max_size=2).map(lambda z: ij + z))
-        ordered = st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), unique=True,
-                           max_size=d * d).map(sorted).flatmap(lambda ijs: st.tuples(
-                               *[st.lists(floats | st.integers(-2**70, 2**70), min_size=2,
-                                          max_size=2).map(lambda z, ij=ij: [*ij, *z])
-                                 for ij in ijs]).map(list))
-        entries = data.draw(ordered | st.lists(entry | st.lists(index, max_size=5), max_size=6))
+        numbers = floats | st.integers(-2**70, 2**70)
+        at = data.draw(st.lists(st.integers(0, d * d - 1), unique=True, max_size=d * d).map(sorted))
+        entries = [[a // d, a % d, *data.draw(st.lists(numbers, min_size=2, max_size=2))]
+                   for a in at]
+        if entries and data.draw(st.booleans()):  # one entry replaced, most often by a bad one
+            index = st.integers(-1, d) | st.sampled_from([0.0, 1.0, True, False, "0", 2**64])
+            value = numbers | st.sampled_from([10**400, float("nan"), float("inf"), True, None,
+                                               "1", [0.5]])
+            entry = st.tuples(index, index, value, value).map(list)
+            odd = st.lists(index, max_size=5) | st.sampled_from([7, "abcd", None, {}])
+            entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(entry | odd)
         numbers = np.zeros((d * d, 2))
         try:
             statefile._sparse_entries(entries, numbers, d)
@@ -409,11 +410,10 @@ class TestSparseEntries:
             return
         columns = statefile._sparse_columns(entries, d)
         assert (columns is None) == (entries == [])  # the loop reads no entries at no cost
-        if columns is None:
-            return
-        fast = np.zeros((d * d, 2))
-        fast[columns[0]] = columns[1]
-        assert same_bits(fast, numbers)
+        if columns is not None:
+            fast = np.zeros((d * d, 2))
+            fast[columns[0]] = columns[1]
+            assert same_bits(fast, numbers)
 
 
 class TestFixtures:
@@ -589,6 +589,11 @@ class TestDeclaredSize:
             statefile.load_state(path)
         assert cli.main(["measure", str(path)]) == 2
         assert f"expected {d} rows, got 1" in capsys.readouterr().err
+
+    def test_the_row_count_is_the_exact_product_of_dims(self):
+        # 2^32 * 2^32 wraps to 0 in int64
+        with pytest.raises(ParseError, match=f"^matrix: expected {2**64} rows, got 1$"):
+            statefile.parse_state({"dims": [2**32, 2**32], "matrix": [[[1.0, 0.0]]]})
 
     @pytest.mark.parametrize("dims", [[2**40], [2**24], [2**12, 2**12]])
     def test_a_size_no_allocator_grants_is_a_parse_error(self, tmp_path, capsys, dims):
