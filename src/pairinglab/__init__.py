@@ -4,11 +4,9 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     binary_entropy,
-    dephase,
     entrywise_l1_norm,
     partial_transpose,
     singular_values,
-    tensor_product,
     trace_norm,
     von_neumann_entropy,
 )

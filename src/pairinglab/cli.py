@@ -25,7 +25,6 @@ from .errors import (
     NotQubit,
     PairingLabError,
     ParseError,
-    UnknownName,
     ValidationError,
 )
 from .linalg import BipartiteState
@@ -355,9 +354,6 @@ def main(argv=None) -> int:
     except (NotCanonicalPairing, NotQubit, NoTransposition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_PAIRING
-    except (Infeasible, UnknownName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except PairingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

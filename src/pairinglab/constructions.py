@@ -177,14 +177,12 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
     validated at ``tol``.  ``runs`` lists (blocks, copies): a (T, s, s)
     stack whose every block stands ``copies`` (at least 1) times in a row.
 
-    The checks are the dense constructor's, taken on the distinct blocks:
-    the Hermiticity defect is the largest of theirs, the trace the dense
-    matrix's, and the spectrum theirs, each block's repeated
-    (``linalg._spectra``: one batched eigvalsh per block size; a 1 x 1
-    block is its real entry, as the constructor reads a row of its own).
-    A matrix that fails is passed to the constructor, so the error and its
-    message are the ones ``DensityMatrix(m, tol)`` raises.  The nonzero
-    pattern is the placed blocks' nonzero entries.
+    The checks are the constructor's (``linalg._reject``), taken on the
+    distinct blocks: the Hermiticity defect is the largest of theirs, the
+    trace the dense matrix's, and the spectrum theirs, each block's
+    repeated (``linalg._spectra``: one batched eigvalsh per block size; a
+    1 x 1 block is its real entry, as the constructor reads a row of its
+    own).  The nonzero pattern is the placed blocks' nonzero entries.
     """
     n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
     m = np.zeros((n, n), dtype=complex)
@@ -203,12 +201,11 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
         group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
         stack = np.concatenate([blocks for blocks, _ in group])
         defect = max(defect, np.abs(stack - linalg._dagger(stack)).max())
-        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(stack, linalg._pattern(stack))
+        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(*linalg._Stack.of(stack))
         counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
         spectra.append(np.repeat(lam, counts, axis=0).ravel())
     lam = np.sort(np.concatenate(spectra))
-    if max(defect, abs(m.trace() - 1), -lam[0]) > tol:
-        return DensityMatrix(m, tol)  # raises what the dense constructor raises
+    linalg._reject([tol], [defect], [abs(m.trace() - 1)], lam[:1])
     return DensityMatrix._validated(m, tol, lam, np.concatenate(flat))
 
 

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: validated states, decompositions, norms,
-partial transpose, tensor products, and entropies.
+partial transpose, and entropies.
 
 All matrices are plain numpy arrays with complex dtype.  The product-basis
 index convention for a bipartite system is fixed globally: basis ket
@@ -59,54 +59,44 @@ def _scalar(a):
     return a.item() if a.ndim == 0 else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated Hermitian, PSD, unit-trace complex matrix.
 
-    Validation happens on construction; ``validation_tol`` bounds the
-    allowed Hermiticity defect, the most negative eigenvalue, and the
-    trace deviation from 1.  The spectrum validation computes is kept,
-    so ``eigenvalues`` and ``von_neumann_entropy`` never decompose again.
-    Unless a row is full, it is taken block by block over the connected
-    components of the nonzero pattern (``_component_spectrum``): the
-    matrix is a direct sum of its principal blocks on them, up to a
-    permutation of the basis.  The pattern validation found is kept too
-    (``_stack``), so detection and the measures read the nonzero entries
-    without a scan of the whole matrix.
+    Validation happens on construction (``_checked``, the routine
+    ``from_stack`` takes for a whole stack); ``validation_tol`` bounds the
+    allowed Hermiticity defect, the most negative eigenvalue, and the trace
+    deviation from 1.  The spectrum validation computes is kept, so
+    ``eigenvalues`` and ``von_neumann_entropy`` never decompose again, and
+    so is the nonzero pattern it scanned (``_stack``), so detection and the
+    measures read the nonzero entries without a scan of the whole matrix.
+    States compare and hash by identity.
     """
 
     mat: np.ndarray
     validation_tol: float = DEFAULT_TOL
-    # (matrix the spectrum belongs to, read-only ascending spectrum)
-    _spectrum: tuple = field(init=False, compare=False, repr=False)
-    # (matrix the pattern belongs to, its ``_pattern``)
-    _nonzero: tuple = field(init=False, compare=False, repr=False)
+    # the read-only ascending spectrum
+    _spectrum: np.ndarray = field(init=False, repr=False)
+    # ``mat`` as a one-matrix ``_Stack``, or None when no pattern is kept
+    _kept: _Stack | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         object.__setattr__(self, "mat", m)
-        present = m != 0
-        if present.all(axis=1).any():  # a full row: the pattern is one component
-            object.__setattr__(self, "_nonzero",
-                               (m, None if present.all() else np.flatnonzero(present)))
-            self._validate(np.max(np.abs(m - m.conj().T)), lambda: _hermitian_spectrum(m))
-            return
-        rows, cols = np.nonzero(present)
-        object.__setattr__(self, "_nonzero", (m, rows * m.shape[0] + cols))
-        # the dense max |M - M^dag|: every other entry pair is zero on both sides
-        defect = np.abs(m[rows, cols] - m[cols, rows].conj()).max(initial=0.0)
-        self._validate(defect, lambda: _component_spectrum(m, rows, cols))
+        stack = _Stack.of(m[None])
+        lam = _checked(stack, self.validation_tol)[0]
+        lam.flags.writeable = False
+        object.__setattr__(self, "_spectrum", lam)
+        object.__setattr__(self, "_kept", stack)
 
     @classmethod
     def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
         """Validate each matrix of a ``(T, d, d)`` stack, ``mats[t]`` at
-        ``validation_tols[t]`` (one tolerance or one per matrix).
-
-        The checks are the constructor's, taken for the whole stack at once,
-        and the spectra (``_spectra``) those it keeps; a matrix that fails is
-        passed to the constructor, so the error and its message are the ones
+        ``validation_tols[t]`` (one tolerance or one per matrix), by the
+        constructor's routine (``_checked``) taken once for the whole
+        stack: the first matrix that fails raises the error
         ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The states
         hold views of ``mats`` and keep their spectra, but not their
         patterns, which ``_stack`` scans for on each call.
@@ -117,14 +107,7 @@ class DensityMatrix:
         if not len(mats):
             return []
         tols = np.zeros(len(mats)) + validation_tols
-        defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
-        traces = mats.trace(axis1=1, axis2=2)
-        spectra = _spectra(mats, _pattern(mats))
-        # defects >= 0, so a negative tolerance is caught here as well
-        bad = np.maximum(np.maximum(defects, np.abs(traces - 1)), -spectra[:, 0]) > tols
-        for t in np.flatnonzero(bad):
-            cls(mats[t], float(tols[t]))  # raises what the dense constructor raises
-        # validated above, as a stack
+        spectra = _checked(_Stack.of(mats), tols)
         return [cls._validated(m, tol, lam) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
 
     @classmethod
@@ -138,60 +121,72 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "validation_tol", validation_tol)
         spectrum.flags.writeable = False
-        object.__setattr__(self, "_spectrum", (mat, spectrum))
-        if nonzero is None:
-            object.__setattr__(self, "_nonzero", (None, None))
-        else:
-            object.__setattr__(self, "_nonzero",
-                               (mat, None if nonzero.size == mat.size else nonzero))
+        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_kept", None if nonzero is None else _Stack(
+            mat[None], None if nonzero.size == mat.size else nonzero))
         return self
-
-    def _validate(self, herm_defect: float, spectrum) -> None:
-        """Check ``mat``, given its Hermiticity defect max |M - M^dag| and
-        ``spectrum()``, its ascending spectrum (taken only once the cheaper
-        checks pass), and keep that spectrum, read-only."""
-        tol = self.validation_tol
-        if tol < 0:
-            raise ValidationError("validation_tol must be nonnegative")
-        if herm_defect > tol:
-            raise ValidationError(
-                f"not Hermitian: max |M - M^dag| = {herm_defect:.3e} > {tol:.3e}"
-            )
-        gap = abs(self.mat.trace() - 1)
-        if gap > tol:
-            raise ValidationError(f"not unit trace: |tr - 1| = {gap:.3e} > {tol:.3e}")
-        lam = spectrum()
-        if lam[0] < -tol:
-            raise ValidationError(
-                f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
-            )
-        lam.flags.writeable = False
-        object.__setattr__(self, "_spectrum", (self.mat, lam))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def _ascending(self) -> np.ndarray:
-        source, lam = self._spectrum
-        if source is not self.mat:  # ``mat`` was swapped after validation
-            lam = _hermitian_spectrum(self.mat)
-            lam.flags.writeable = False
-            object.__setattr__(self, "_spectrum", (self.mat, lam))
-        return lam
+        return self._spectrum
 
     def _stack(self) -> _Stack:
-        """``mat`` as a one-matrix ``_Stack``, with the pattern validation
-        kept, or a new scan when none is kept for ``mat`` (it was swapped
-        after validation, or the state came from a stack); a scan is not
-        kept."""
-        source, flat = self._nonzero
-        m = self.mat
-        return _Stack(m[None], flat if source is m else _pattern(m))
+        """``mat`` as a one-matrix ``_Stack``: the one validation kept, or
+        a new scan, not kept, for a state that came from a stack."""
+        return _Stack.of(self.mat[None]) if self._kept is None else self._kept
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order (a copy of the cached one)."""
         return self._ascending()[::-1].copy()
+
+
+def _checked(stack: _Stack, tols) -> np.ndarray:
+    """The ascending spectra (``_spectra``) of the matrices of ``stack``,
+    each checked as a density matrix, matrix t at ``tols[t]`` (one
+    tolerance or one per matrix), by ``_reject``.  The Hermiticity defect
+    max |M - M^dag| is read off the nonzero entries when the stack has a
+    zero, as a pair of zero entries adds nothing to it.  No spectrum is
+    taken when the first matrix fails before its spectrum is needed, so a
+    single state that is not Hermitian or not of unit trace is rejected
+    without a decomposition."""
+    mats, flat = stack
+    tols = np.zeros(len(mats)) + tols
+    if flat is None:
+        defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
+    else:
+        n, v = mats.shape[-1], mats.reshape(-1)
+        rows, cols = np.divmod(flat, n)  # row r of matrix t is row t * n + r
+        partner = flat + (cols - rows % n) * (n - 1)  # the entry at (c, r)
+        defects = _segment_reduce(np.maximum, np.abs(v[flat] - v[partner].conj()),
+                                  np.bincount(rows // n, minlength=len(mats)))
+    gaps = np.abs(mats.trace(axis1=1, axis2=2) - 1)
+    _reject(tols[:1], defects[:1], gaps[:1])
+    spectra = _spectra(mats, flat)
+    _reject(tols, defects, gaps, spectra[:, 0])
+    return spectra
+
+
+def _reject(tols, defects, gaps, lowest=0.0) -> None:
+    """Raise the ValidationError of the first matrix t that is not a
+    density matrix at ``tols[t]``, given its Hermiticity defect
+    ``defects[t]``, ``gaps[t]`` = |tr - 1| and ``lowest[t]``, the smallest
+    eigenvalue of its Hermitian part (0.0 leaves the spectrum unchecked)."""
+    # defects >= 0, so a negative tolerance fails here as well
+    bad = np.maximum(np.maximum(defects, gaps), np.negative(lowest)) > tols
+    if not bad.any():
+        return
+    t = int(np.flatnonzero(bad)[0])
+    tol = tols[t]
+    if tol < 0:
+        raise ValidationError("validation_tol must be nonnegative")
+    if defects[t] > tol:
+        raise ValidationError(f"not Hermitian: max |M - M^dag| = {defects[t]:.3e} > {tol:.3e}")
+    if gaps[t] > tol:
+        raise ValidationError(f"not unit trace: |tr - 1| = {gaps[t]:.3e} > {tol:.3e}")
+    raise ValidationError(f"smallest eigenvalue {lowest[t]:.3e} below -{tol:.3e}")
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -205,18 +200,11 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + _dagger(m)) / 2)
 
 
-def _pattern(m: np.ndarray) -> np.ndarray | None:
-    """The flat indices of the nonzero entries of a matrix or stack, in
-    ascending order, or None when every entry is nonzero.  Entry (t, r, c)
-    of a ``(T, n, n)`` stack sits at flat index (t * n + r) * n + c."""
-    # m.all() makes no boolean temporary, so a stack with no zero costs one read
-    return None if m.all() else np.flatnonzero(m != 0)
-
-
 class _Stack(NamedTuple):
     """A ``(T, n, n)`` stack of matrices ``mat`` and ``flat``, the
-    ascending flat indices of its nonzero entries (or None when it has no
-    zero, as ``_pattern`` gives them).  The stack routines of ``measures``
+    ascending flat indices of its nonzero entries, or None when it has no
+    zero: entry (t, r, c) sits at flat index (t * n + r) * n + c, and
+    together they are its pattern.  The stack routines of ``measures``
     and ``pairing`` take one, so they read the nonzero entries without a
     scan of their own: a stack is scanned once (``of``), a part of it is
     read off its pattern (``take``) and a state's is the pattern
@@ -227,7 +215,8 @@ class _Stack(NamedTuple):
 
     @classmethod
     def of(cls, mats: np.ndarray) -> _Stack:
-        return cls(mats, _pattern(mats))
+        # mats.all() makes no boolean temporary, so a stack with no zero costs one read
+        return cls(mats, None if mats.all() else np.flatnonzero(mats != 0))
 
     def take(self, keep: np.ndarray) -> _Stack:
         """The matrices ``keep`` (ascending indices) and their pattern."""
@@ -287,49 +276,51 @@ def _per_entry(x, counts: np.ndarray):
 
 def _spectra(m: np.ndarray, flat: np.ndarray | None,
              dims: tuple[int, int] | None = None) -> np.ndarray:
-    """``_component_spectrum`` of ``m`` given ``flat``, the ``_pattern``
-    of the matrix taken; a stack whose every matrix has a full row takes
-    one eigvalsh, the bits the components give a connected matrix.  So a
-    matrix's spectrum is the same alone or in any stack."""
+    """Ascending spectrum of the Hermitian part of each matrix of the
+    ``(T, n, n)`` stack ``m``, or of its partial transpose on ``dims`` =
+    (d_A, d_B), given ``flat``, the pattern of the matrix taken.  This
+    is the one place that chooses how it is taken: a stack whose every
+    matrix is one connected component of its pattern (as a full row makes
+    it) takes one eigvalsh, any other stack ``_component_spectrum``, which
+    gives a connected matrix the same bits.  So a matrix's spectrum is the
+    same alone or in any stack."""
     n = m.shape[-1]
     if flat is not None:
         # entry (t, r, c) joins the nodes t * n + r and t * n + c
         rows, cols = np.divmod(flat, n)
         full = np.bincount(rows, minlength=m.size // n) == n
         if not full.reshape(-1, n).any(axis=1).all():
-            return _component_spectrum(m, rows, cols + (rows - rows % n), dims=dims)
+            cols += rows - rows % n
+            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+            # min-label propagation with pointer jumping: each label stays a
+            # node of its component and only falls, until every edge joins
+            # equal labels
+            label = np.arange(m.size // n)
+            while True:
+                np.minimum.at(label, rows, label[cols])
+                label = label[label]
+                if np.array_equal(label[rows], label[cols]):
+                    break
+            size = np.bincount(label)[label]  # of each node's component
+            if size.min() < n:
+                return _component_spectrum(m, label, size, dims)
     return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
 
 
-def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _component_spectrum(m: np.ndarray, label: np.ndarray, size: np.ndarray,
                         dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of the square matrix ``m``
-    (of each matrix of a ``(T, n, n)`` stack), or of its partial transpose
-    on ``dims`` = (d_A, d_B), from the connected components of the pattern
-    of the matrix taken, whose nonzero entries join the nodes ``rows`` and
-    ``cols`` (row r of matrix t is node t * n + r, and i ~ j when entry
-    (i, j) or (j, i) is not zero): its Hermitian part is the direct sum of
-    its principal blocks on them.
+    """Ascending spectrum of the Hermitian part of each matrix of the
+    ``(T, n, n)`` stack ``m``, or of its partial transpose on ``dims`` =
+    (d_A, d_B), from the connected components of the pattern of the matrix
+    taken: node t * n + r (row r of matrix t) lies in the component
+    ``label[t * n + r]``, of ``size[t * n + r]`` nodes (i ~ j when entry
+    (i, j) or (j, i) is not zero), and the Hermitian part is the direct sum
+    of its principal blocks on them.
     One batched eigvalsh per component size gives the spectrum, except
     that a component of one row and a hollow one of two rows are read off
-    their entries, and a pattern with one component per matrix takes one
-    eigvalsh of the whole matrix (the partial transpose is formed only
-    then).
+    their entries.
     """
     n = m.shape[-1]
-    stack = m.reshape(-1, n, n)
-    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    # min-label propagation with pointer jumping: each label stays a node
-    # of its component and only falls, until every edge joins equal labels
-    label = np.arange(stack.shape[0] * n)
-    while True:
-        np.minimum.at(label, rows, label[cols])
-        label = label[label]
-        if np.array_equal(label[rows], label[cols]):
-            break
-    size = np.bincount(label)[label]  # of each node's component
-    if size.min() == n:  # one component per matrix
-        return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
     order = np.lexsort((label, size))  # by component size, then component
     nodes_of_size = np.bincount(size)
     parts, owners, start = [], [], 0
@@ -340,7 +331,7 @@ def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         at = (owner[:, :1, None] * n + r[:, :, None]) * n + r[:, None, :]
         if dims is not None:  # the entry of the partial transpose, read off m
             at = _pt_flat(at, n, dims[1])
-        blocks = stack.reshape(-1)[at]
+        blocks = m.reshape(-1)[at]
         # a component of one row is its real diagonal entry, as eigvalsh gives it
         lam = blocks.diagonal(axis1=1, axis2=2).real
         if s == 2:  # a hollow pair [[0, x], [y, 0]]: -|h|, |h| with h = (x + y*) / 2
@@ -358,11 +349,12 @@ def _component_spectrum(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return lam[np.lexsort((lam, owner))].reshape(m.shape[:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A DensityMatrix together with subsystem dimensions (d_A, d_B).
 
     Index convention: ``|jk>`` lives at row/column ``j * d_B + k``.
+    States compare and hash by identity.
     """
 
     rho: DensityMatrix
@@ -433,11 +425,6 @@ def partial_transpose(state, dims: tuple[int, int] | None = None) -> np.ndarray:
     )
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product, consistent with the j*d_B + k index convention."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def entropy_of_spectrum(lams: np.ndarray, tol: float) -> float:
     """-sum l log2 l over a real spectrum or probability vector.
 
@@ -490,9 +477,3 @@ def binary_entropy(x):
         out = 0.0 - np.where(x > 0.0, x * np.log2(x), 0.0)
         out -= np.where(x < 1.0, (1 - x) * np.log2(1 - x), 0.0)
     return _scalar(out)
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Zero every off-diagonal entry, keeping the diagonal."""
-    d = np.diag(np.diag(rho.mat).real.astype(complex))
-    return DensityMatrix(d, rho.validation_tol)

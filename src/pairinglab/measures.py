@@ -23,8 +23,8 @@ def _relative_cutoff(top):
 
 
 class _Moduli(NamedTuple):
-    """The nonzero entries of a ``(T, d, d)`` stack whose ``linalg._pattern``
-    is ``flat``, in flat order."""
+    """The nonzero entries of a ``(T, d, d)`` stack whose pattern (see
+    ``linalg._Stack``) is ``flat``, in flat order."""
 
     mod: np.ndarray  # their moduli
     counts: np.ndarray  # (T,) nonzero entries of each matrix

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ FILE_TOL = 1e-8
 
 def _complex(re, im, loc: str, what: str) -> complex:
     """complex(re, im) of two decoded JSON numbers; ParseError at ``loc``
-    unless both are finite numbers."""
-    if not all(isinstance(x, (int, float)) for x in (re, im)):
+    unless both are finite numbers (a boolean is not one)."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
         raise ParseError(f"{loc}: {what} must be numbers", loc)
     try:
         z = complex(re, im)
@@ -62,13 +63,15 @@ def _parse_matrix(rows: list, d: int) -> np.ndarray:
     through ``_parse_entries``, which locates the first malformed entry.
 
     int64 -> float64 rounds as ``float(int)`` does, so both paths give
-    bit-identical matrices.
+    bit-identical matrices.  numpy reads a boolean beside numbers as one,
+    so the numbers' types are checked as well.
     """
     try:
         arr = np.array(rows)
     except (ValueError, OverflowError):  # ragged rows or out-of-range numbers
         return _parse_entries(rows, d)
-    if arr.shape != (d, d, 2) or arr.dtype.kind not in "fi" or not np.isfinite(arr).all():
+    if arr.shape != (d, d, 2) or arr.dtype.kind not in "fi" or not np.isfinite(arr).all() \
+            or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
         return _parse_entries(rows, d)
     return np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
 
@@ -103,7 +106,7 @@ def _sparse_columns(entries: list, d: int) -> tuple | None:
     except (TypeError, ValueError):  # an entry that is no array, or shorter than four
         return None
     if max(map(len, entries)) != 4 or set(map(type, i + j)) != {int} \
-            or not set(map(type, re + im)) <= {int, float, bool}:
+            or not set(map(type, re + im)) <= {int, float}:
         return None
     try:  # an index beyond int64, or a value beyond float range
         rows, cols = (np.fromiter(x, np.int64, len(x)) for x in (i, j))
@@ -140,7 +143,7 @@ def _checked_dims(doc) -> list:
         raise ParseError("top level must be a JSON object")
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) in (1, 2)
-            and all(isinstance(x, int) and x > 0 for x in dims)):
+            and all(type(x) is int and x > 0 for x in dims)):
         raise ParseError("dims: expected [d] or [d_A, d_B] of positive integers", "dims")
     return dims
 

@@ -210,7 +210,7 @@ class TestConstructCommand:
         assert cli.main(["construct", "mc", "--out", str(out), "--coeffs", json.dumps(coeffs),
                          "--a-labels", "0", "2", "1", "--b-labels", "2", "0", "1",
                          "--dims", "3", "3"]) == 0
-        assert decompositions == [(3, 3)]  # the coefficients' validation
+        assert decompositions == [(1, 3, 3)]  # the coefficients' validation
         # the file of the coefficients placed on |02>, |20>, |11> and the
         # whole matrix validated
         m = np.zeros((9, 9), dtype=complex)

@@ -42,11 +42,27 @@ class TestDensityMatrix:
 
     def test_spectrum_is_not_recomputed(self, decompositions):
         rho = random_density(22, 6)
-        assert decompositions == [(6, 6)]  # validation
+        assert decompositions == [(1, 6, 6)]  # validation
         rho.eigenvalues()
         pl.von_neumann_entropy(rho)
         pl.c_rel_entropy(rho)
-        assert decompositions == [(6, 6)]
+        assert decompositions == [(1, 6, 6)]
+
+    @pytest.mark.parametrize("m", [np.array([[0.5, 1e-3], [0.0, 0.5]]), np.eye(3)],
+                             ids=["not hermitian", "off trace"])
+    def test_a_cheap_failure_takes_no_spectrum(self, m, decompositions):
+        with pytest.raises(ValidationError, match="not Hermitian|not unit trace"):
+            pl.DensityMatrix(m)
+        with pytest.raises(ValidationError, match="not Hermitian|not unit trace"):
+            pl.DensityMatrix.from_stack([m, np.eye(len(m)) / len(m)])
+        assert decompositions == []
+
+    def test_states_compare_and_hash_by_identity(self):
+        a, b = pl.DensityMatrix(np.eye(2) / 2), pl.DensityMatrix(np.eye(2) / 2)
+        assert a == a and a != b and not (a == b)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+        sa, sb = pl.BipartiteState(a, 1, 2), pl.BipartiteState(a, 1, 2)
+        assert sa == sa and sa != sb and len({sa, sb, sa}) == 2
 
     def test_writes_to_eigenvalues_do_not_reach_the_cache(self):
         rho = random_density(23, 5)
@@ -155,8 +171,8 @@ def dense_validation(m, tol, monkeypatch):
     """The outcome of ``DensityMatrix(m, tol)`` with the spectrum taken by
     one eigvalsh of the whole matrix: the error message, or the state."""
     with monkeypatch.context() as patch:
-        patch.setattr(pl.linalg, "_component_spectrum",
-                      lambda m, rows, cols: pl.linalg._hermitian_spectrum(m))
+        patch.setattr(pl.linalg, "_spectra",
+                      lambda m, flat: pl.linalg._hermitian_spectrum(m))
         try:
             return pl.DensityMatrix(m, tol)
         except ValidationError as exc:
@@ -257,7 +273,7 @@ class TestComponentValidation:
             full = np.eye(rows) / rows
             full[0, 1:] = full[1:, 0] = 0.1 / rows  # row 0 full, the others not
             pl.DensityMatrix(full)
-        assert decompositions == [(12, 12), (12, 12), (40, 40), (40, 40)]
+        assert decompositions == [(1, 12, 12), (1, 12, 12), (1, 40, 40), (1, 40, 40)]
 
     def test_a_hollow_pair_is_rejected_with_the_dense_message(self, decompositions):
         # [[0, x], [x*, 0]] on rows (5, 2) has the eigenvalue -|x|
@@ -350,25 +366,184 @@ class TestOneScan:
             m[a, b] += g.choice([1e-10, 1e-6]) * phase
 
         defects = []
-        validate = pl.DensityMatrix._validate
+        reject = pl.linalg._reject
 
-        def spy(self, herm_defect, spectrum):
-            defects.append(herm_defect)
-            return validate(self, herm_defect, spectrum)
+        def spy(tols, herm_defects, *rest):
+            defects.append(herm_defects[0])
+            return reject(tols, herm_defects, *rest)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pl.DensityMatrix, "_validate", spy)
+            patch.setattr(pl.linalg, "_reject", spy)
             try:
                 got = pl.DensityMatrix(m, self.TOL)
             except ValidationError as exc:
                 got = str(exc)
         defect, want = one_eigvalsh_reference(m, self.TOL)
-        assert defects == [defect]
+        assert defects and all(d == defect for d in defects)
         if isinstance(want, str):
             assert got == want
         else:
             scale = max(1.0, float(np.max(np.abs(m))))
             assert np.max(np.abs(got._ascending() - want)) <= 1e-15 * scale
+
+
+def parent_component_spectrum(m, rows, cols):
+    """The component spectrum of the validation that ``_checked`` replaced,
+    frozen: ``m`` is one n x n matrix whose nonzero entries are at
+    (``rows``, ``cols``)."""
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(stack.shape[0] * n)
+    while True:
+        np.minimum.at(label, rows, label[cols])
+        label = label[label]
+        if np.array_equal(label[rows], label[cols]):
+            break
+    size = np.bincount(label)[label]
+    if size.min() == n:
+        return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2)
+    order = np.lexsort((label, size))
+    nodes_of_size = np.bincount(size)
+    parts, owners, start = [], [], 0
+    for s in np.flatnonzero(nodes_of_size).tolist():
+        idx = order[start:start + nodes_of_size[s]].reshape(-1, s)
+        start += idx.size
+        owner, r = np.divmod(idx, n)
+        at = (owner[:, :1, None] * n + r[:, :, None]) * n + r[:, None, :]
+        blocks = stack.reshape(-1)[at]
+        lam = blocks.diagonal(axis1=1, axis2=2).real
+        if s == 2:
+            hollow = ~lam.any(axis=1)
+            h = (blocks[hollow, 0, 1] + blocks[hollow, 1, 0].conj()) / 2
+            parts.append(np.abs(h)[:, None] * [-1.0, 1.0])
+            owners.append(owner[hollow])
+            blocks, owner = blocks[~hollow], owner[~hollow]
+        if s > 1:
+            lam = (np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(-1, -2)) / 2)
+                   if len(blocks) else lam[:0])
+        parts.append(lam)
+        owners.append(owner)
+    lam, owner = np.concatenate(parts, axis=None), np.concatenate(owners, axis=None)
+    return lam[np.lexsort((lam, owner))].reshape(m.shape[:-1])
+
+
+def parent_validation(m, tol):
+    """The constructor's validation before it became one routine, frozen:
+    its full-row fork, its Hermiticity defect and its checks in order.
+    The error message, or (ascending spectrum, kept nonzero pattern)."""
+    m = pl.linalg.as_complex_matrix(m)
+    present = m != 0
+    if present.all(axis=1).any():  # a full row: the pattern is one component
+        nonzero = None if present.all() else np.flatnonzero(present)
+        defect = np.max(np.abs(m - m.conj().T))
+
+        def spectrum():
+            return np.linalg.eigvalsh((m + m.conj().T) / 2)
+    else:
+        rows, cols = np.nonzero(present)
+        nonzero = rows * m.shape[0] + cols
+        defect = np.abs(m[rows, cols] - m[cols, rows].conj()).max(initial=0.0)
+
+        def spectrum():
+            return parent_component_spectrum(m, rows, cols)
+    if tol < 0:
+        return "validation_tol must be nonnegative"
+    if defect > tol:
+        return f"not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.3e}"
+    gap = abs(m.trace() - 1)
+    if gap > tol:
+        return f"not unit trace: |tr - 1| = {gap:.3e} > {tol:.3e}"
+    lam = spectrum()
+    if lam[0] < -tol:
+        return f"smallest eigenvalue {lam[0]:.3e} below -{tol:.3e}"
+    return lam, nonzero
+
+
+PARITY_TOL = 1e-8
+PARITY_KINDS = ["dense", "full row", "sparse", "hollow pair", "connected, no full row",
+                "lowest just above -tol", "lowest just below -tol", "defect near tol",
+                "not hermitian", "off trace", "negative tol"]
+
+
+def parity_input(kind, n, g):
+    """(matrix, tolerance) of ``kind`` on n rows."""
+    tol = -PARITY_TOL if kind == "negative tol" else PARITY_TOL
+    phase = np.exp(2j * np.pi * g.random())
+    if kind in ("dense", "not hermitian", "negative tol"):
+        x = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        m = x @ x.conj().T
+    elif kind == "full row":  # row 0 full, the others not
+        m = np.diag(g.random(n) + 0.5).astype(complex)
+        m[0, 1:] = 0.01 * phase
+        m[1:, 0] = 0.01 * np.conj(phase)
+    elif kind == "connected, no full row":  # tridiagonal
+        m = np.diag(g.random(n) + 1.0).astype(complex)
+        m[np.arange(n - 1), np.arange(1, n)] = g.uniform(-0.4, 0.4, n - 1) * phase
+        m = m + np.triu(m, 1).conj().T
+    else:
+        lowest = {"lowest just above -tol": -tol * (1 - 1e-3),
+                  "lowest just below -tol": -tol * (1 + 1e-3)}.get(kind)
+        m, _ = permuted_direct_sum(g, n, lowest)
+        if lowest is not None:
+            return m, tol
+    m = m / m.trace().real
+    i, j = g.choice(n, size=2, replace=False) if n > 1 else (0, 0)
+    if kind == "hollow pair" and n > 1:  # eigenvalues -|x|, |x| on rows i, j
+        m[[i, j], :] = m[:, [i, j]] = 0
+        m[i, i] = m[j, j] = 0
+        m[i, j] = g.choice([0.5, 0.999, 1.001, 1e6]) * tol * phase
+        m[j, i] = np.conj(m[i, j])
+        if n > 2:  # back to unit trace on another row
+            k = min(set(range(n)) - {i, j})
+            m[k, k] += 1 - m.trace().real
+    elif kind == "defect near tol" and n > 1:
+        m[i, j] += g.choice([0.999, 1.001]) * tol * phase
+    elif kind == "not hermitian" and n > 1:
+        m[i, j] += 1e-6 * phase
+    elif kind == "off trace":
+        m[i, i] += 1e-6
+    return m, tol
+
+
+def validation_outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestParentParity:
+    """The constructor and ``from_stack`` give the message, or the
+    spectrum bits and the kept pattern, of the constructor's validation
+    before it became one routine, for each matrix alone and in stacks."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+           kinds=st.lists(st.sampled_from(PARITY_KINDS), min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_same_message_or_spectrum_and_pattern(self, seed, n, kinds):
+        g = np.random.Generator(np.random.Philox(seed))
+        inputs = [parity_input(kind, n, g) for kind in kinds]
+        want = [parent_validation(m, tol) for m, tol in inputs]
+        for (m, tol), w in zip(inputs, want):
+            got = validation_outcome(lambda: pl.DensityMatrix(m, tol))
+            if isinstance(w, str):
+                assert got == w
+                continue
+            lam, nonzero = w
+            assert got._ascending().tobytes() == lam.tobytes()
+            assert (got._kept.flat is None) == (nonzero is None)
+            assert nonzero is None or np.array_equal(got._kept.flat, nonzero)
+        mats, tols = np.array([m for m, _ in inputs]), [tol for _, tol in inputs]
+        got = validation_outcome(lambda: pl.DensityMatrix.from_stack(mats, tols))
+        first = next((w for w in want if isinstance(w, str)), None)
+        if first is not None:
+            assert got == first
+            return
+        for state, (m, _), (lam, _) in zip(got, inputs, want):
+            assert state._ascending().tobytes() == lam.tobytes()
+            flat = state._stack().flat
+            assert np.array_equal(np.flatnonzero(m), np.arange(m.size) if flat is None else flat)
 
 
 class TestFromBlocks:
@@ -498,8 +673,9 @@ class TestKeptPattern:
 
     @staticmethod
     def assert_kept(rho):
-        source, flat = rho._nonzero
-        assert source is rho.mat  # kept, not scanned again
+        assert rho._kept is not None and rho._stack() is rho._kept  # kept, not scanned again
+        assert np.shares_memory(rho._kept.mat, rho.mat) and rho._kept.mat.shape == (1, *rho.mat.shape)
+        flat = rho._kept.flat
         want = np.flatnonzero(rho.mat)
         if flat is None:  # every entry is nonzero
             assert want.size == rho.mat.size
@@ -514,20 +690,15 @@ class TestKeptPattern:
         statefile.save_state(path, rho)
         self.assert_kept(statefile.load_state(path))
 
-    def test_stacked_states_and_swapped_matrices_are_scanned_on_each_call(self, rng):
-        bs = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3)
+    def test_stacked_states_are_scanned_on_each_call(self, rng):
         other = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.3)
         (stacked,) = pl.DensityMatrix.from_stack(other.mat[None])
-        assert stacked._nonzero == (None, None)
+        assert stacked._kept is None
         assert np.array_equal(stacked._stack().flat, np.flatnonzero(other.mat))
-        object.__setattr__(bs.rho, "mat", other.mat.copy())
-        assert np.array_equal(bs.rho._stack().flat, np.flatnonzero(other.mat))
-        assert bs.rho._nonzero[0] is not bs.rho.mat  # the scan is not kept
+        assert stacked._kept is None  # the scan is not kept
+        bs = pl.BipartiteState(stacked, 2, 6)
         assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(other)
-        got, want = pl.measure_report(bs).entries, pl.measure_report(other).entries
-        # the swapped matrix's spectrum is taken again, by one eigvalsh
-        assert got.pop("C_r") == pytest.approx(want.pop("C_r"), abs=1e-12)
-        assert got == want
+        assert pl.measure_report(bs).entries == pl.measure_report(other).entries
 
     def test_a_part_of_a_stack_reads_its_pattern_off_the_stack(self, rng):
         mats = np.array([pl.random_canonical_pairing(2, 6, 2, rng).mat,
@@ -549,7 +720,7 @@ class TestKeptPattern:
         flat = np.flatnonzero(bs.mat)
         i = flat[flat // 12 != flat % 12][0]  # a coherence and its conjugate
         stale = np.setdiff1d(flat, [i, (i % 12) * 12 + i // 12])
-        object.__setattr__(bs.rho, "_nonzero", (bs.mat, stale))
+        object.__setattr__(bs.rho, "_kept", pl.linalg._Stack(bs.mat[None], stale))
         got = pl.measure_report(bs).entries
         assert pl.detect_canonical_pairing(bs).pairing_number == cert.pairing_number - 1
         assert got["C_l0"] == entries["C_l0"] - 2
@@ -825,22 +996,14 @@ class TestMonomialSpectrum:
 
 
 class TestTensorProduct:
-    def test_identity_factor(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert np.array_equal(pl.tensor_product(a, np.eye(1)), a)
-
     def test_index_convention(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = pl.tensor_product(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # |0>|1> sits at index 0*2 + 1
-        assert np.array_equal(out, expected)
-
-    def test_trace_multiplicative(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[2, 0], [0, 5]], dtype=complex)
-        assert pl.tensor_product(a, b).trace() == pytest.approx(a.trace() * b.trace())
+        # |j>|k> = kron(|j>, |k>) sits at row/column j * d_B + k
+        bs = pl.BipartiteState(pl.DensityMatrix(np.eye(6) / 6), 2, 3)
+        for j in range(2):
+            for k in range(3):
+                ket = np.kron(np.eye(2)[j], np.eye(3)[k])
+                assert np.flatnonzero(ket).tolist() == [bs.index_of(j, k)]
+                assert bs.label_of(bs.index_of(j, k)) == (j, k)
 
 
 class TestEntropies:
@@ -856,10 +1019,8 @@ class TestEntropies:
         assert pl.von_neumann_entropy(rho) == pytest.approx(0.7219280948873623, abs=1e-12)
 
     def test_rejects_negative_spectrum(self):
-        rho = pl.DensityMatrix(np.diag([0.8, 0.2]).astype(complex))
-        object.__setattr__(rho, "mat", np.diag([1.2, -0.2]).astype(complex))
-        with pytest.raises(NegativeEigenvalue):
-            pl.von_neumann_entropy(rho)
+        with pytest.raises(NegativeEigenvalue, match=r"eigenvalue -2.000e-01 below -1.000e-09"):
+            pl.linalg.entropy_of_spectrum(np.array([1.2, -0.2]), 1e-9)
 
     def test_binary_entropy(self):
         assert pl.binary_entropy(0.5) == 1
@@ -908,18 +1069,7 @@ class TestEntropies:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_dephasing_never_decreases_entropy(self, seed):
+        # C_r = S(diag rho) - S(rho), the entropy dephasing adds
         g = np.random.Generator(np.random.Philox(seed))
         rho = random_density(seed + 1, int(g.integers(2, 9)))
-        assert pl.von_neumann_entropy(pl.dephase(rho)) >= pl.von_neumann_entropy(rho) - 1e-9
-
-
-class TestDephase:
-    def test_diagonal_unchanged(self):
-        rho = pl.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        assert np.array_equal(pl.dephase(rho).mat, rho.mat)
-
-    def test_plus_state(self, plus_rho):
-        assert np.allclose(pl.dephase(plus_rho).mat, np.eye(2) / 2)
-
-    def test_kills_coherence(self, plus_rho):
-        assert pl.c_l1(pl.dephase(plus_rho)) == 0
+        assert pl.c_rel_entropy(rho) >= -1e-9

@@ -194,13 +194,13 @@ def checked_dims(doc):
         raise ParseError("top level must be a JSON object")
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) in (1, 2)
-            and all(isinstance(x, int) and x > 0 for x in dims)):
+            and all(type(x) is int and x > 0 for x in dims)):
         raise ParseError("dims: expected [d] or [d_A, d_B] of positive integers", "dims")
     return dims
 
 
 def finite_numbers(re, im, loc, what):
-    if not all(isinstance(x, (int, float)) for x in (re, im)):
+    if not all(type(x) in (int, float) for x in (re, im)):
         raise ParseError(f"{loc}: {what} must be numbers", loc)
     if not all(abs(x) <= sys.float_info.max for x in (re, im)):
         raise ParseError(f"{loc}: {what} must be finite numbers", loc)
@@ -316,6 +316,8 @@ class TestMalformedDocuments:
     def test_messages_name_the_offending_entry(self):
         for name, message in [("ragged row", "matrix[1]: expected 2 entries"),
                               ("string number", "matrix[0][0]: entries must be numbers"),
+                              ("all bool", "matrix[0][0]: entries must be numbers"),
+                              ("bool and float", "matrix[0][0]: entries must be numbers"),
                               ("none entry", "matrix[0][0]: expected a [re, im] pair"),
                               ("one three-element entry", "matrix[0][1]: expected a [re, im] pair"),
                               ("int beyond float", "matrix[0][0]: entries must be finite numbers"),
@@ -346,6 +348,8 @@ MALFORMED_ENTRIES = {  # entries of a 2-dim file: (entries, message)
     "duplicate index": ([A, A, D], "entries[1]: index (0, 0) is repeated"),
     "out of order": ([D, A], "entries[1]: index (0, 0) is out of row-major order"),
     "string value": ([A, [1, 1, "0.5", 0.0]], "entries[1]: values must be numbers"),
+    "bool value": ([A, [1, 1, True, 0.0]], "entries[1]: values must be numbers"),
+    "bool values only": ([[0, 0, True, False], D], "entries[0]: values must be numbers"),
     "none value": ([A, [1, 1, 0.5, None]], "entries[1]: values must be numbers"),
     "list value": ([A, [1, 1, [0.5], 0.0]], "entries[1]: values must be numbers"),
     "nan value": ([A, [1, 1, float("nan"), 0.0]], "entries[1]: values must be finite numbers"),
@@ -353,6 +357,30 @@ MALFORMED_ENTRIES = {  # entries of a 2-dim file: (entries, message)
                        "entries[1]: values must be finite numbers"),
     "int beyond float": ([A, [1, 1, 10**400, 0]], "entries[1]: values must be finite numbers"),
 }
+
+
+class TestBooleans:
+    """A JSON true or false is not a number: not a dimension, an index or
+    a value, in either schema."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dims": [True, 2], "entries": [[0, 0, 1.0, 0.0]]}, "dims: expected [d] or [d_A"),
+        ({"dims": [True], "entries": [[0, 0, 1.0, 0.0]]}, "dims: expected [d] or [d_A"),
+        ({"dims": [2], "entries": [[0, 0, 1.0, 0.0], [1, 1, False, 0.0]]},
+         "entries[1]: values must be numbers"),
+        ({"dims": [2], "entries": [[0, 0, 1.0, False]]}, "entries[0]: values must be numbers"),
+        ({"dims": [2], "matrix": MALFORMED["bool and float"]}, "matrix[0][0]: entries must be numbers"),
+        ({"dims": [2], "matrix": MALFORMED["all bool"]}, "matrix[0][0]: entries must be numbers"),
+        ({"dims": [1], "matrix": [[[1.0, False]]]}, "matrix[0][0]: entries must be numbers"),
+    ])
+    def test_is_a_parse_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["measure", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(ParseError) as err:
+            statefile.load_state(path)
+        assert str(err.value).startswith(message)
 
 
 class TestSparseEntries:
@@ -375,6 +403,8 @@ class TestSparseEntries:
         ({"dims": [2], "entries": {"0": A}}, "entries: expected an array of [i, j, re, im]"),
         ({"dims": [2], "entries": None}, "entries: expected an array of [i, j, re, im]"),
         ({"dims": [2.0], "entries": [A, D]},
+         "dims: expected [d] or [d_A, d_B] of positive integers"),
+        ({"dims": [True, 2], "entries": [A, D]},
          "dims: expected [d] or [d_A, d_B] of positive integers"),
     ])
     def test_document_level_errors(self, doc, message):
