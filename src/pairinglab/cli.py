@@ -189,7 +189,9 @@ def _construct_state(args):
         rho = statefile.load_state(_option(args, "input"))
         if isinstance(rho, BipartiteState):
             rho = rho.rho
-        if rho.dim ** 2 > args.dim_cap:  # before the d^2 x d^2 output is allocated
+        # the embedding holds only rho's entries, but the file it writes must
+        # load, and load_state admits only dims whose dense matrix can be held
+        if rho.dim ** 2 > args.dim_cap:
             raise DimensionCapExceeded(
                 f"cnot-embed dimension {rho.dim ** 2} exceeds cap {args.dim_cap}")
         bs = constructions.cnot_embed(rho)
@@ -277,7 +279,7 @@ def cmd_witness(args) -> int:
                          f"transpositions, indices 0 to {n - 1}")
     indices = [args.index] if args.index is not None else range(n)
     block_n = pairing._witness_negativities(
-        state.mat[None], state.d_B, np.zeros(len(indices), dtype=np.intp),
+        state.rho._stack(), state.d_B, np.zeros(len(indices), dtype=np.intp),
         np.array([cert.transpositions[i] for i in indices]), state.rho.validation_tol)
     for i, value in zip(indices, block_n.tolist()):
         (j, k), (jp, kp) = cert.transpositions[i]

@@ -25,16 +25,16 @@ from .errors import (
 from .linalg import BipartiteState, DensityMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCSpec:
     """Coefficient matrix plus injective A/B label lists of a canonical
-    maximally correlated state."""
+    maximally correlated state.  Specs compare and hash by identity."""
 
     coeffs: np.ndarray
     a_labels: tuple[int, ...]
     b_labels: tuple[int, ...]
     # the coefficient matrix, validated as a state
-    _rho: DensityMatrix = field(init=False, compare=False, repr=False)
+    _rho: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         c = linalg.as_complex_matrix(self.coeffs)
@@ -83,9 +83,9 @@ def make_qubit_qudit_pairing(
     weights = [p for p, _, _ in blocks]
     if not (np.isfinite(diag).all() and np.isfinite([p0, *weights]).all()):
         raise WeightMismatch("p0, the block weights and diag must be finite numbers")
-    if abs(p0 + sum(weights) - 1.0) > 1e-9:
+    if abs(p0 + sum(weights) - 1.0) > linalg.DEFAULT_TOL:
         raise WeightMismatch(f"p0 + block weights = {p0 + sum(weights):.6g}, expected 1")
-    if p0 > 0 and abs(diag.sum() - 1.0) > 1e-9:
+    if p0 > 0 and abs(diag.sum() - 1.0) > linalg.DEFAULT_TOL:
         raise WeightMismatch("diag must be normalized when p0 > 0")
 
     used_cols: set[int] = set()
@@ -103,20 +103,70 @@ def make_qubit_qudit_pairing(
     if p0 > 0 and diag_cols & used_cols:
         raise SupportOverlap("diagonal support overlaps a block column pair")
 
-    m = np.zeros((2 * d_b, 2 * d_b), dtype=complex)
+    coeffs = _coeff_stack(blocks)
+    # p0 diag(diag) plus each weighted block on its rows (k0, d_B + k1),
+    # each summed onto zeros as a dense matrix sums them
+    on_diag = np.zeros(2 * d_b, dtype=complex)
     if p0 > 0:
-        m += p0 * np.diag(diag.astype(complex))
-    for p, coeffs, (k0, k1) in blocks:
-        c = linalg.as_complex_matrix(coeffs)
-        if c.shape != (2, 2):
-            raise InvalidCoeffs(f"block coefficients must be 2x2, got shape {c.shape}")
+        on_diag += p0 * diag.astype(complex)
+    rows = np.array([(k0, d_b + k1) for _, _, (k0, k1) in blocks], dtype=np.intp).reshape(-1, 2)
+    placed = np.zeros((len(blocks), 2, 2), dtype=complex)
+    placed[:, [0, 1], [0, 1]] = on_diag[rows]
+    placed += np.array(weights).reshape(-1, 1, 1) * coeffs
+    return BipartiteState(_pairing_state(on_diag, rows, placed), 2, d_b)
+
+
+def _pairing_state(on_diag: np.ndarray, rows: np.ndarray, placed: np.ndarray) -> DensityMatrix:
+    """The state whose principal 2 x 2 block on the rows ``rows[b]`` is
+    ``placed[b]``, and whose other entries are zero but the diagonal
+    ``on_diag`` off those rows, held by its entries and validated at
+    ``linalg.DEFAULT_TOL`` by the constructor's checks taken on the blocks
+    (``linalg._reject``): a block whose coherence is zero is two rows of
+    their own, as is every other row, so the spectrum is that of the
+    components ``linalg._component_spectrum`` reads."""
+    d = on_diag.size
+    alone = np.ones(d, dtype=bool)
+    alone[rows] = False
+    r = np.concatenate([np.flatnonzero(alone), rows[:, [0, 0, 1, 1]].ravel()])
+    c = np.concatenate([np.flatnonzero(alone), rows[:, [0, 1, 0, 1]].ravel()])
+    order = np.argsort(r * d + c)
+    stack = linalg._Stack.of_entries(
+        (1, d, d), (r * d + c)[order], np.concatenate([on_diag[alone], placed.ravel()])[order])
+    joined = (placed[:, 0, 1] != 0) | (placed[:, 1, 0] != 0)
+    label, size = np.arange(d), np.ones(d, dtype=np.intp)
+    label[rows[joined, 1]] = rows[joined, 0]
+    size[rows[joined]] = 2
+    lam = linalg._component_spectrum(stack, label, size)[0]
+    diagonal = on_diag.copy()
+    diagonal[rows] = placed.diagonal(axis1=1, axis2=2)
+    defect = np.abs(placed - linalg._dagger(placed)).max(initial=0.0)
+    linalg._reject([linalg.DEFAULT_TOL], [defect], [abs(diagonal.sum() - 1)], lam[:1])
+    return DensityMatrix._validated(linalg.DEFAULT_TOL, lam, stack)
+
+def _coeff_stack(blocks) -> np.ndarray:
+    """The ``(B, 2, 2)`` coefficient matrices of ``blocks``, validated as
+    one stack.  A fault is that of the first faulty block: a matrix that
+    is not 2x2 or not finite counts only after the blocks before it
+    pass."""
+    mats, fault = [], None
+    for _, coeffs, _ in blocks:
         try:
-            DensityMatrix(c, linalg.DEFAULT_TOL)
-        except ValidationError as exc:
-            raise InvalidCoeffs(str(exc)) from exc
-        idx = [int(k0), d_b + int(k1)]
-        m[np.ix_(idx, idx)] += p * c
-    return BipartiteState(DensityMatrix(m, linalg.DEFAULT_TOL), 2, d_b)
+            c = linalg.as_complex_matrix(coeffs)
+        except (TypeError, ValueError) as exc:
+            fault = exc
+            break
+        if c.shape != (2, 2):
+            fault = InvalidCoeffs(f"block coefficients must be 2x2, got shape {c.shape}")
+            break
+        mats.append(c)
+    mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
+    try:
+        DensityMatrix.from_stack(mats, linalg.DEFAULT_TOL)
+    except ValidationError as exc:
+        raise InvalidCoeffs(str(exc)) from exc
+    if fault is not None:
+        raise fault
+    return mats
 
 
 def cnot_embed(rho: DensityMatrix) -> BipartiteState:
@@ -132,25 +182,25 @@ def cnot_embed(rho: DensityMatrix) -> BipartiteState:
 
 def _embedded(rho: DensityMatrix, idx: list[int], n: int) -> DensityMatrix:
     """``rho`` placed on the distinct rows and columns ``idx`` of an n x n
-    zero matrix, validated without a decomposition or a scan."""
-    m = np.zeros((n, n), dtype=complex)
-    m[np.ix_(idx, idx)] = rho.mat
-    # an isometric embedding keeps rho's Hermiticity defect, trace and
-    # nonzero spectrum, so m passes rho's checks with rho's spectrum plus zeros
-    lam = np.sort(np.concatenate([rho._ascending(), np.zeros(n - rho.dim)]))
-    # and rho's nonzero entries, moved
-    flat = rho._stack().flat
-    rows, cols = np.divmod(np.arange(rho.dim ** 2) if flat is None else flat, rho.dim)
+    zero matrix, held by its entries (rho's, moved) and validated without
+    a decomposition or a scan of the n x n matrix."""
+    at, vals = rho._stack().entries()
+    rows, cols = np.divmod(at, rho.dim)
     idx = np.asarray(idx)
-    return DensityMatrix._validated(m, rho.validation_tol, lam,
-                                    np.sort(idx[rows] * n + idx[cols]))
+    moved = idx[rows] * n + idx[cols]
+    order = np.argsort(moved)
+    # an isometric embedding keeps rho's Hermiticity defect, trace and
+    # nonzero spectrum, so it passes rho's checks with rho's spectrum plus zeros
+    lam = np.sort(np.concatenate([rho._ascending(), np.zeros(n - rho.dim)]))
+    return DensityMatrix._validated(rho.validation_tol, lam,
+                                    linalg._Stack.of_entries((1, n, n), moved[order], vals[order]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AppendixAChain:
     """The dilation chain rho -> rho2 -> rho3 -> rho4 built from a group of
     diagonal root-of-unity unitaries; ``report`` carries the verified
-    structural checks."""
+    structural checks.  Chains compare and hash by identity."""
 
     K: int
     L: int
@@ -179,34 +229,37 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
 
     The checks are the constructor's (``linalg._reject``), taken on the
     distinct blocks: the Hermiticity defect is the largest of theirs, the
-    trace the dense matrix's, and the spectrum theirs, each block's
-    repeated (``linalg._spectra``: one batched eigvalsh per block size; a
-    1 x 1 block is its real entry, as the constructor reads a row of its
-    own).  The nonzero pattern is the placed blocks' nonzero entries.
+    trace that of the diagonal entries, and the spectrum theirs, each
+    block's repeated (``linalg._spectra``: one batched eigvalsh per block
+    size; a 1 x 1 block is its real entry, as the constructor reads a row
+    of its own).  The state holds the placed blocks' entries.
     """
     n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
-    m = np.zeros((n, n), dtype=complex)
-    flat, start = [], 0
+    at, start = [], 0
     for blocks, copies in runs:
         s = blocks.shape[-1]
         first = start + s * np.arange(len(blocks) * copies)[:, None, None]
-        rows, cols = first + np.arange(s)[:, None], first + np.arange(s)
-        placed = np.repeat(blocks, copies, axis=0)
-        m[rows, cols] = placed
         # block after block, each row-major: ascending flat indices
-        flat.append((rows * n + cols)[placed != 0])
+        at.append(((first + np.arange(s)[:, None]) * n + first + np.arange(s)).ravel())
         start += s * len(blocks) * copies
+    vals = _entries(runs, lambda blocks: blocks).astype(complex, copy=False)
     defect, spectra = 0.0, []
     for s in {blocks.shape[-1] for blocks, _ in runs}:
         group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
         stack = np.concatenate([blocks for blocks, _ in group])
         defect = max(defect, np.abs(stack - linalg._dagger(stack)).max())
-        lam = stack[:, :, 0].real if s == 1 else linalg._spectra(*linalg._Stack.of(stack))
+        if s == 1:
+            lam = stack[:, :, 0].real
+        else:
+            scanned = linalg._Stack.of(stack)
+            lam = linalg._spectra(scanned, scanned.flat)
         counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
         spectra.append(np.repeat(lam, counts, axis=0).ravel())
     lam = np.sort(np.concatenate(spectra))
-    linalg._reject([tol], [defect], [abs(m.trace() - 1)], lam[:1])
-    return DensityMatrix._validated(m, tol, lam, np.concatenate(flat))
+    trace = _entries(runs, lambda blocks: blocks.diagonal(axis1=1, axis2=2)).astype(complex).sum()
+    linalg._reject([tol], [defect], [abs(trace - 1)], lam[:1])
+    return DensityMatrix._validated(
+        tol, lam, linalg._Stack.of_entries((1, n, n), np.concatenate(at), vals))
 
 
 def _offdiag(blocks: np.ndarray) -> np.ndarray:
@@ -338,10 +391,11 @@ def appendix_a_chain(rho: DensityMatrix, L: int, dim_cap: int = 4096) -> Appendi
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counterexample:
     """A named state with an optional non-PSD companion matrix and the
-    numeric facts that make it a (non)example."""
+    numeric facts that make it a (non)example.  Counterexamples compare
+    and hash by identity."""
 
     name: str
     state: BipartiteState | DensityMatrix

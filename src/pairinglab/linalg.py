@@ -8,8 +8,9 @@ index convention for a bipartite system is fixed globally: basis ket
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,37 +60,46 @@ def _scalar(a):
     return a.item() if a.ndim == 0 else a
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated Hermitian, PSD, unit-trace complex matrix.
 
-    Validation happens on construction (``_checked``, the routine
-    ``from_stack`` takes for a whole stack); ``validation_tol`` bounds the
-    allowed Hermiticity defect, the most negative eigenvalue, and the trace
-    deviation from 1.  The spectrum validation computes is kept, so
-    ``eigenvalues`` and ``von_neumann_entropy`` never decompose again, and
-    so is the nonzero pattern it scanned (``_stack``), so detection and the
-    measures read the nonzero entries without a scan of the whole matrix.
-    States compare and hash by identity.
+    Validation happens on construction, by one routine (``_checked``):
+    ``DensityMatrix(mat, validation_tol)`` validates a dense matrix,
+    ``from_stack`` a whole stack and ``from_entries`` a matrix given by
+    its entries.  ``validation_tol`` bounds the allowed Hermiticity
+    defect, the most negative eigenvalue, and the trace deviation from 1.
+    The spectrum validation computes is kept, so ``eigenvalues`` and
+    ``von_neumann_entropy`` never decompose again, and so are the entries
+    it read (``_stack``), so detection and the measures read the nonzero
+    entries without a scan of the whole matrix.  A state built from its
+    entries holds only them: its dense ``mat`` is built on first access.
+    States are immutable, and compare and hash by identity.
     """
 
-    mat: np.ndarray
-    validation_tol: float = DEFAULT_TOL
-    # the read-only ascending spectrum
-    _spectrum: np.ndarray = field(init=False, repr=False)
-    # ``mat`` as a one-matrix ``_Stack``, or None when no pattern is kept
-    _kept: _Stack | None = field(init=False, repr=False)
+    def __init__(self, mat, validation_tol: float = DEFAULT_TOL):
+        self.__dict__.update(mat=mat, validation_tol=validation_tol)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the dense ``mat`` the constructor was given (its own
+        method, as ``benchmarks/tracing.py`` times it as the
+        ``linalg.validate`` layer)."""
         m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
-        object.__setattr__(self, "mat", m)
         stack = _Stack.of(m[None])
         lam = _checked(stack, self.validation_tol)[0]
         lam.flags.writeable = False
-        object.__setattr__(self, "_spectrum", lam)
-        object.__setattr__(self, "_kept", stack)
+        self.__dict__.update(mat=m, _spectrum=lam, _kept=stack)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a DensityMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a DensityMatrix is immutable")
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(dim={self.dim}, validation_tol={self.validation_tol!r})"
 
     @classmethod
     def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
@@ -108,34 +118,60 @@ class DensityMatrix:
             return []
         tols = np.zeros(len(mats)) + validation_tols
         spectra = _checked(_Stack.of(mats), tols)
-        return [cls._validated(m, tol, lam) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
+        return [cls._validated(tol, lam, mat=m) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
 
     @classmethod
-    def _validated(cls, mat: np.ndarray, validation_tol: float, spectrum: np.ndarray,
-                   nonzero: np.ndarray | None = None):
-        """A state whose checks the caller has already made, holding
-        ``mat`` and its ascending ``spectrum`` (which becomes read-only),
-        and keeping ``nonzero``, the ascending flat indices of the nonzero
-        entries of ``mat``, when the caller knows them."""
+    def from_entries(cls, dim: int, flat, values, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
+        """Validate the ``dim`` x ``dim`` matrix whose entry at each flat
+        index ``flat[i]`` (row-major: row ``flat[i] // dim``, column
+        ``flat[i] % dim``; strictly ascending) is ``values[i]``, and whose
+        every other entry is +0.0, by the constructor's routine, reading
+        only those entries.  It gives the spectrum, the pattern and the
+        error ``DensityMatrix`` gives the dense matrix; listed entries that
+        are zero stay out of the pattern, but the writer keeps a -0.0.
+        """
+        flat = np.asarray(flat, dtype=np.int64).reshape(-1)
+        values = np.asarray(values, dtype=complex).reshape(-1)
+        if dim < 0 or flat.size != values.size:
+            raise ValidationError(f"expected a dimension and one value per index, got {dim}, "
+                                  f"{flat.size} indices and {values.size} values")
+        if flat.size and not (0 <= flat[0] and flat[-1] < dim * dim
+                              and (np.diff(flat) > 0).all()):
+            raise ValidationError(f"flat indices must ascend strictly within [0, {dim * dim})")
+        if not np.isfinite(values).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        stack = _Stack.of_entries((1, dim, dim), flat, values)
+        return cls._validated(validation_tol, _checked(stack, validation_tol)[0], stack)
+
+    @classmethod
+    def _validated(cls, validation_tol: float, spectrum: np.ndarray, stack: _Stack | None = None,
+                   mat: np.ndarray | None = None):
+        """A state whose checks the caller has already made, holding its
+        ascending ``spectrum`` (which becomes read-only) and either the
+        one-matrix ``stack`` it was validated from, kept, or ``mat``."""
         self = object.__new__(cls)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "validation_tol", validation_tol)
         spectrum.flags.writeable = False
-        object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "_kept", None if nonzero is None else _Stack(
-            mat[None], None if nonzero.size == mat.size else nonzero))
+        self.__dict__.update(validation_tol=validation_tol, _spectrum=spectrum, _kept=stack)
+        if mat is not None:
+            self.__dict__["mat"] = mat
         return self
+
+    @functools.cached_property
+    def mat(self) -> np.ndarray:
+        """The dense matrix: held by a state built from a dense one, and
+        built from the kept entries on first access otherwise."""
+        return self._kept.mat[0]
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self._spectrum.size
 
     def _ascending(self) -> np.ndarray:
         return self._spectrum
 
     def _stack(self) -> _Stack:
-        """``mat`` as a one-matrix ``_Stack``: the one validation kept, or
-        a new scan, not kept, for a state that came from a stack."""
+        """The state as a one-matrix ``_Stack``: the one validation kept,
+        or a new scan, not kept, for a state that came from a stack."""
         return _Stack.of(self.mat[None]) if self._kept is None else self._kept
 
     def eigenvalues(self) -> np.ndarray:
@@ -148,23 +184,25 @@ def _checked(stack: _Stack, tols) -> np.ndarray:
     each checked as a density matrix, matrix t at ``tols[t]`` (one
     tolerance or one per matrix), by ``_reject``.  The Hermiticity defect
     max |M - M^dag| is read off the nonzero entries when the stack has a
-    zero, as a pair of zero entries adds nothing to it.  No spectrum is
-    taken when the first matrix fails before its spectrum is needed, so a
-    single state that is not Hermitian or not of unit trace is rejected
-    without a decomposition."""
-    mats, flat = stack
-    tols = np.zeros(len(mats)) + tols
+    zero, as a pair of zero entries adds nothing to it, and the trace off
+    the diagonals.  No spectrum is taken when the first matrix fails
+    before its spectrum is needed, so a single state that is not Hermitian
+    or not of unit trace is rejected without a decomposition."""
+    t, n = stack.shape[:2]
+    if not n:
+        raise ValidationError("density matrix must be at least 1 x 1, got 0 x 0")
+    tols = np.zeros(t) + tols
+    flat = stack.flat
     if flat is None:
-        defects = np.abs(mats - _dagger(mats)).max(axis=(1, 2), initial=0.0)
+        defects = np.abs(stack.mat - _dagger(stack.mat)).max(axis=(1, 2), initial=0.0)
     else:
-        n, v = mats.shape[-1], mats.reshape(-1)
         rows, cols = np.divmod(flat, n)  # row r of matrix t is row t * n + r
         partner = flat + (cols - rows % n) * (n - 1)  # the entry at (c, r)
-        defects = _segment_reduce(np.maximum, np.abs(v[flat] - v[partner].conj()),
-                                  np.bincount(rows // n, minlength=len(mats)))
-    gaps = np.abs(mats.trace(axis1=1, axis2=2) - 1)
+        defects = _segment_reduce(np.maximum, np.abs(stack.values - stack.gather(partner).conj()),
+                                  np.bincount(rows // n, minlength=t))
+    gaps = np.abs(stack.diagonal.sum(axis=1) - 1)
     _reject(tols[:1], defects[:1], gaps[:1])
-    spectra = _spectra(mats, flat)
+    spectra = _spectra(stack, flat)
     _reject(tols, defects, gaps, spectra[:, 0])
     return spectra
 
@@ -200,35 +238,116 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((m + _dagger(m)) / 2)
 
 
-class _Stack(NamedTuple):
-    """A ``(T, n, n)`` stack of matrices ``mat`` and ``flat``, the
-    ascending flat indices of its nonzero entries, or None when it has no
-    zero: entry (t, r, c) sits at flat index (t * n + r) * n + c, and
-    together they are its pattern.  The stack routines of ``measures``
-    and ``pairing`` take one, so they read the nonzero entries without a
-    scan of their own: a stack is scanned once (``of``), a part of it is
-    read off its pattern (``take``) and a state's is the pattern
-    validation kept (``DensityMatrix._stack``)."""
+class _Stack:
+    """A ``(T, n, n)`` stack of matrices and ``flat``, the ascending flat
+    indices of its nonzero entries, or None when it has no zero: entry
+    (t, r, c) sits at flat index (t * n + r) * n + c, and together they
+    are its pattern.  It holds either the dense ``mat`` (``of``) or its
+    entries (``of_entries``): ``listed``, ascending flat indices, a
+    superset of the pattern, and their values, every other entry being
+    +0.0.  ``values`` are the entries at the pattern (every entry,
+    row-major, when it is None) and ``diagonal`` the ``(T, n)``
+    diagonals, shared by every reader (not to be written); the ``mat``
+    of listed entries is built on first use.
 
-    mat: np.ndarray
-    flat: np.ndarray | None
+    The stack routines of ``measures`` and ``pairing`` take one, so they
+    read the nonzero entries without a scan of their own: a stack is
+    scanned once (``of``), a part of it is read off its pattern
+    (``take``) and a state's is the one validation kept
+    (``DensityMatrix._stack``)."""
+
+    def __init__(self, mat: np.ndarray | None, flat: np.ndarray | None,
+                 listed: tuple[np.ndarray, np.ndarray] | None = None, shape=None):
+        self.flat, self.listed = flat, listed
+        if mat is None:
+            self.shape = tuple(shape)
+        else:
+            self.shape, self.mat = mat.shape, mat
+            v = mat.reshape(-1)
+            self.values = v if flat is None else v[flat]
+            self.diagonal = mat.diagonal(axis1=-2, axis2=-1)
+
+    def __len__(self) -> int:
+        return self.shape[0]
 
     @classmethod
     def of(cls, mats: np.ndarray) -> _Stack:
         # mats.all() makes no boolean temporary, so a stack with no zero costs one read
         return cls(mats, None if mats.all() else np.flatnonzero(mats != 0))
 
+    @classmethod
+    def of_entries(cls, shape, at: np.ndarray, vals: np.ndarray) -> _Stack:
+        """The stack of ``shape`` whose entries at the ascending flat
+        indices ``at`` are ``vals``: its pattern is the nonzero ones.
+        When they fill a quarter of it or more, its ``mat`` is built at
+        once, as one scatter then costs less than the sparse reads."""
+        nonzero = vals != 0
+        flat, values = (at, vals) if nonzero.all() else (at[nonzero], vals[nonzero])
+        size = math.prod(shape)
+        stack = cls(None, None if flat.size == size else flat, (at, vals), shape)
+        stack.values = values
+        if 4 * at.size >= size:
+            stack.mat = stack._scattered()
+            stack.diagonal = stack.mat.diagonal(axis1=-2, axis2=-1)
+        else:
+            node = np.arange(math.prod(shape[:-1]))  # row t * n + r
+            stack.diagonal = stack.gather(node * shape[-1] + node % shape[-1]).reshape(shape[:-1])
+        return stack
+
+    @functools.cached_property
+    def mat(self) -> np.ndarray:
+        return self._scattered()
+
+    def _scattered(self) -> np.ndarray:
+        """The dense stack of the listed entries."""
+        at, vals = self.listed
+        m = np.zeros(math.prod(self.shape), dtype=complex)
+        m[at] = vals
+        return m.reshape(self.shape)
+
+    def gather(self, at) -> np.ndarray:
+        """The entries at the flat indices ``at`` (an array of any shape)."""
+        if "mat" in vars(self):  # held, or built
+            return self.mat.reshape(-1)[at]
+        keys, vals = self.listed
+        if not keys.size:
+            return np.zeros(np.shape(at), dtype=complex)
+        pos = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+        return np.where(keys[pos] == at, vals[pos], 0)
+
+    def blocks(self, owner: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The ``(B, s, s)`` principal blocks: block b of matrix
+        ``owner[b]`` on its rows ``idx[b]``."""
+        if "mat" in vars(self):
+            return self.mat[owner[:, None, None], idx[:, :, None], idx[:, None, :]]
+        n = self.shape[-1]
+        return self.gather((owner[:, None, None] * n + idx[:, :, None]) * n + idx[:, None, :])
+
     def take(self, keep: np.ndarray) -> _Stack:
         """The matrices ``keep`` (ascending indices) and their pattern."""
-        if self.flat is None:
-            return _Stack(self.mat[keep], None)
-        size = self.mat.shape[-1] ** 2
-        slot = np.full(len(self.mat), -1)
+        size = self.shape[-1] ** 2
+        slot = np.full(len(self), -1)
         slot[keep] = np.arange(len(keep))
-        owner, at = np.divmod(self.flat, size)
-        new = slot[owner]
-        sel = new >= 0
-        return _Stack(self.mat[keep], new[sel] * size + at[sel])
+
+        def moved(flat):  # the indices of the kept matrices, renumbered
+            owner, at = np.divmod(flat, size)
+            new = slot[owner]
+            sel = new >= 0
+            return sel, new[sel] * size + at[sel]
+
+        if self.listed is not None:
+            sel, at = moved(self.listed[0])
+            return _Stack.of_entries((len(keep), *self.shape[1:]), at, self.listed[1][sel])
+        return _Stack(self.mat[keep], None if self.flat is None else moved(self.flat)[1])
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat indices, values) of every entry that is not +0.0, in
+        row-major order: each listed one, or each of a dense stack, whose
+        real or imaginary part is not +0.0 (so a -0.0 is kept)."""
+        at, vals = self.listed or (np.arange(math.prod(self.shape)), self.mat.reshape(-1))
+        bits = np.ascontiguousarray(vals).view(np.uint64).reshape(-1, 2)
+        kept = np.flatnonzero(bits[:, 0] | bits[:, 1])
+        return at[kept], vals[kept]
 
 
 def _pt_flat(flat, n: int, d_b: int):
@@ -274,28 +393,28 @@ def _per_entry(x, counts: np.ndarray):
     return x if x.size == 1 else np.repeat(x, counts)
 
 
-def _spectra(m: np.ndarray, flat: np.ndarray | None,
+def _spectra(stack: _Stack, flat: np.ndarray | None,
              dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of each matrix of the
-    ``(T, n, n)`` stack ``m``, or of its partial transpose on ``dims`` =
-    (d_A, d_B), given ``flat``, the pattern of the matrix taken.  This
-    is the one place that chooses how it is taken: a stack whose every
-    matrix is one connected component of its pattern (as a full row makes
-    it) takes one eigvalsh, any other stack ``_component_spectrum``, which
-    gives a connected matrix the same bits.  So a matrix's spectrum is the
-    same alone or in any stack."""
-    n = m.shape[-1]
+    """Ascending spectrum of the Hermitian part of each matrix of
+    ``stack``, or of its partial transpose on ``dims`` = (d_A, d_B), given
+    ``flat``, the pattern of the matrix taken.  This is the one place
+    that chooses how it is taken: a stack whose every matrix is one
+    connected component of its pattern (as a full row makes it) takes one
+    eigvalsh of the dense stack, any other stack ``_component_spectrum``,
+    which gives a connected matrix the same bits.  So a matrix's spectrum
+    is the same alone or in any stack."""
+    n, nodes = stack.shape[-1], math.prod(stack.shape[:-1])
     if flat is not None:
         # entry (t, r, c) joins the nodes t * n + r and t * n + c
         rows, cols = np.divmod(flat, n)
-        full = np.bincount(rows, minlength=m.size // n) == n
+        full = np.bincount(rows, minlength=nodes) == n
         if not full.reshape(-1, n).any(axis=1).all():
             cols += rows - rows % n
             rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
             # min-label propagation with pointer jumping: each label stays a
             # node of its component and only falls, until every edge joins
             # equal labels
-            label = np.arange(m.size // n)
+            label = np.arange(nodes)
             while True:
                 np.minimum.at(label, rows, label[cols])
                 label = label[label]
@@ -303,14 +422,15 @@ def _spectra(m: np.ndarray, flat: np.ndarray | None,
                     break
             size = np.bincount(label)[label]  # of each node's component
             if size.min() < n:
-                return _component_spectrum(m, label, size, dims)
+                return _component_spectrum(stack, label, size, dims)
+    m = stack.mat
     return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
 
 
-def _component_spectrum(m: np.ndarray, label: np.ndarray, size: np.ndarray,
+def _component_spectrum(stack: _Stack, label: np.ndarray, size: np.ndarray,
                         dims: tuple[int, int] | None = None) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of each matrix of the
-    ``(T, n, n)`` stack ``m``, or of its partial transpose on ``dims`` =
+    ``(T, n, n)`` ``stack``, or of its partial transpose on ``dims`` =
     (d_A, d_B), from the connected components of the pattern of the matrix
     taken: node t * n + r (row r of matrix t) lies in the component
     ``label[t * n + r]``, of ``size[t * n + r]`` nodes (i ~ j when entry
@@ -320,7 +440,7 @@ def _component_spectrum(m: np.ndarray, label: np.ndarray, size: np.ndarray,
     that a component of one row and a hollow one of two rows are read off
     their entries.
     """
-    n = m.shape[-1]
+    n = stack.shape[-1]
     order = np.lexsort((label, size))  # by component size, then component
     nodes_of_size = np.bincount(size)
     parts, owners, start = [], [], 0
@@ -329,9 +449,9 @@ def _component_spectrum(m: np.ndarray, label: np.ndarray, size: np.ndarray,
         start += idx.size
         owner, r = np.divmod(idx, n)  # each component's rows, ascending
         at = (owner[:, :1, None] * n + r[:, :, None]) * n + r[:, None, :]
-        if dims is not None:  # the entry of the partial transpose, read off m
+        if dims is not None:  # the entry of the partial transpose, read off the stack
             at = _pt_flat(at, n, dims[1])
-        blocks = m.reshape(-1)[at]
+        blocks = stack.gather(at)
         # a component of one row is its real diagonal entry, as eigvalsh gives it
         lam = blocks.diagonal(axis1=1, axis2=2).real
         if s == 2:  # a hollow pair [[0, x], [y, 0]]: -|h|, |h| with h = (x + y*) / 2
@@ -346,7 +466,7 @@ def _component_spectrum(m: np.ndarray, label: np.ndarray, size: np.ndarray,
         owners.append(owner)
     lam, owner = np.concatenate(parts, axis=None), np.concatenate(owners, axis=None)
     # each matrix's eigenvalues into its own row, ascending
-    return lam[np.lexsort((lam, owner))].reshape(m.shape[:-1])
+    return lam[np.lexsort((lam, owner))].reshape(stack.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,12 +35,12 @@ def majorizes(y, x, tol: float = 1e-9):
     return linalg._scalar(totals_agree & np.all(cx <= cy + tol, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MajorizationTriple:
     """u = squared entry moduli, v = diag(X^dag X), w = eig(X^dag X).
 
     All three share the same total (the squared Frobenius norm) and
-    satisfy u < v < w.
+    satisfy u < v < w.  Triples compare and hash by identity.
     """
 
     u: np.ndarray

@@ -44,11 +44,9 @@ class _Moduli(NamedTuple):
 
 def _moduli(stack: linalg._Stack) -> _Moduli:
     """The nonzero entries of a stack (of ``rho._stack()`` for a state)."""
-    mats, flat = stack
-    t, d = len(mats), mats.shape[-1]
-    if flat is None:
-        return _Moduli(np.abs(mats).ravel(), np.full(t, d * d), flat, d)
-    return _Moduli(np.abs(mats.ravel()[flat]), np.bincount(flat // (d * d), minlength=t), flat, d)
+    (t, d, _), flat = stack.shape, stack.flat
+    counts = np.full(t, d * d) if flat is None else np.bincount(flat // (d * d), minlength=t)
+    return _Moduli(np.abs(stack.values), counts, flat, d)
 
 
 def _c_l1_of(ent: _Moduli) -> np.ndarray:
@@ -85,7 +83,7 @@ def c_rel_entropy(rho: DensityMatrix) -> float:
     S(diag(rho)) is the entropy of the diagonal entries; S(rho) comes from
     the spectrum validation already computed.
     """
-    s_diag = linalg.entropy_of_spectrum(np.diag(rho.mat).real, rho.validation_tol)
+    s_diag = linalg.entropy_of_spectrum(rho._stack().diagonal[0].real, rho.validation_tol)
     return s_diag - linalg.von_neumann_entropy(rho)
 
 
@@ -97,10 +95,10 @@ def _pt_spectrum(stack: linalg._Stack, dims: tuple[int, int]) -> np.ndarray:
     A matrix's spectrum is the same alone or in any stack (``linalg._spectra``).
     The pattern of rho^T_A is read off the stack's.
     """
-    mats, flat = stack
+    flat = stack.flat
     if flat is not None:  # the pattern of rho^T_A: rho's, moved
-        flat = linalg._pt_flat(flat, mats.shape[-1], dims[1])
-    return linalg._spectra(mats, flat, dims)
+        flat = linalg._pt_flat(flat, stack.shape[-1], dims[1])
+    return linalg._spectra(stack, flat, dims)
 
 
 def _negativity_of(pt_spectrum: np.ndarray):

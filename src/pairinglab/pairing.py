@@ -85,9 +85,8 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
     rho^T_A is never formed: its entries are those of rho, moved, so its
     pattern is read off rho's present entries.
     """
-    mats, flat = stack
-    certs: list[PairingCertificate | None] = [None] * len(mats)
-    d, d_b = mats.shape[-1], dims[1]
+    (count, d, _), flat, d_b = stack.shape, stack.flat, dims[1]
+    certs: list[PairingCertificate | None] = [None] * count
     ent = measures._moduli(stack)
     top = linalg._segment_reduce(np.maximum, ent.mod, ent.counts)
     present = ent.mod > linalg._per_entry(zero_tol * top, ent.counts)
@@ -103,7 +102,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
     s, r = np.divmod(line, d)
     # monomial: at most one present entry in each row and in each column
     for key in (line, s * d + c):
-        ok &= np.bincount(key, minlength=len(mats) * d).reshape(-1, d).max(axis=1) <= 1
+        ok &= np.bincount(key, minlength=count * d).reshape(-1, d).max(axis=1) <= 1
     if not ok.any():
         return certs
 
@@ -113,7 +112,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
     # j != j', k != k' and the companion fixed points (j,k') and (j',k)
     order = np.argsort(line)
     s, r, c = s[order], r[order], c[order]
-    partner = np.full((len(mats), d), -1)
+    partner = np.full((count, d), -1)
     partner[s, r] = c
     j, k = np.divmod(r, d_b)
     jp, kp = np.divmod(c, d_b)
@@ -127,7 +126,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
 
     # soundness: certified states must actually saturate N = C_l1
     slack = 10 * zero_tol * d * np.maximum(1.0, top)
-    trace_defect = np.abs(np.abs(np.diagonal(mats, axis1=1, axis2=2)).sum(axis=1) - 1.0)
+    trace_defect = np.abs(np.abs(stack.diagonal).sum(axis=1) - 1.0)
     # ||R||_l1: the moduli of the nonzero entries that are not present
     remainder = linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts)
     unsure = np.flatnonzero(ok & (trace_defect + 2.0 * remainder > slack))
@@ -145,7 +144,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
     transpositions = list(zip(zip(j[trans].tolist(), k[trans].tolist()),
                               zip(jp[trans].tolist(), kp[trans].tolist())))
     # matrix t's are fixed_points[f[t]:f[t + 1]] and transpositions[p[t]:p[t + 1]]
-    f, p = ([0, *np.cumsum(np.bincount(s[sel], minlength=len(mats))).tolist()]
+    f, p = ([0, *np.cumsum(np.bincount(s[sel], minlength=count)).tolist()]
             for sel in (fixed, trans))
     for t in np.flatnonzero(ok).tolist():
         certs[t] = PairingCertificate(
@@ -224,12 +223,13 @@ class MCBlock:
         return 2.0 * float(np.abs(self.coeffs.mat[0, 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitQuditDecomposition:
     """Block data of a canonical qubit-qudit pairing state: one diagonal
     part plus disjoint 2x2 maximally correlated blocks.
 
-    ``validation_tol`` is that of the state the blocks came from."""
+    ``validation_tol`` is that of the state the blocks came from.
+    Decompositions compare and hash by identity."""
 
     d_B: int
     p0: float
@@ -327,8 +327,8 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     state), from its certificate: the block stack, and each state's
     reassembly gap max |assembled - rho|.  Every block is validated in one
     stack.  Raises NotCanonicalPairing if a block has no weight."""
-    mats, flat = stack
-    tols = np.zeros(len(mats)) + tols
+    (t, d, _), flat = stack.shape, stack.flat
+    tols = np.zeros(t) + tols
     trans = _transpositions(certs)
     owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
     # orient so the first label sits on A-level 0: the rho-support of
@@ -338,15 +338,14 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     order = np.lexsort((columns[:, 1], columns[:, 0], owner))
     owner, columns = owner[order], columns[order]
     idx = columns + [0, d_b]
-    support = owner[:, None, None], idx[:, :, None], idx[:, None, :]
-    subs = mats[support]
+    subs = stack.blocks(owner, idx)
     # only a certificate of another state can put a block where rho is zero
     if not np.all(np.trace(subs, axis1=1, axis2=2).real > 0):
         raise NotCanonicalPairing("reassembly gap: a block of the certificate holds no weight; "
                                   "state is not block-structured")
     weights, coeffs = _renormalized(subs, tols[owner])
 
-    diag = np.diagonal(mats, axis1=1, axis2=2).real.copy()
+    diag = stack.diagonal.real.copy()
     diag[owner[:, None], idx] = 0.0
     diag[np.abs(diag) < zero_tol] = 0.0
     blocks = _Blocks(diag, tols, owner, columns, weights, coeffs)
@@ -356,14 +355,13 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     # or mate[t, r] = -1.
     mate = np.full(diag.shape, -1)
     mate[owner[:, None], idx] = idx[:, ::-1]
-    d = mats.shape[-1]
-    at = np.arange(mats.size) if flat is None else flat
+    at = np.arange(t * d * d) if flat is None else flat
     line, col = np.divmod(at, d)
-    at = at[(line % d != col) & (mate.ravel()[line] != col)]
-    on_diag = np.abs(diag - np.diagonal(mats, axis1=1, axis2=2))
+    off = (line % d != col) & (mate.ravel()[line] != col)
+    on_diag = np.abs(diag - stack.diagonal)
     on_diag[owner[:, None], idx] = 0.0
     gap = on_diag.max(axis=1, initial=0.0)
-    np.maximum.at(gap, at // (d * d), np.abs(mats.ravel()[at]))
+    np.maximum.at(gap, at[off] // (d * d), np.abs(stack.values[off]))
     np.maximum.at(gap, owner, np.abs(weights[:, None, None] * _coeff_mats(blocks)
                                      - subs).max(axis=(1, 2)))
     return blocks, gap
@@ -439,20 +437,19 @@ def distill_witness(
     trans = np.array([cert.transpositions[which]])
     mask = np.zeros(bs.dim)
     mask[_witness_supports(trans, bs.d_B)] = 1.0
-    (n,) = _witness_negativities(bs.mat[None], bs.d_B, np.zeros(1, dtype=np.intp), trans,
+    (n,) = _witness_negativities(bs.rho._stack(), bs.d_B, np.zeros(1, dtype=np.intp), trans,
                                  bs.rho.validation_tol)
     # P is a diagonal 0/1 projector, so P rho P is rho masked entrywise
     return np.diag(mask).astype(complex), bs.mat * np.outer(mask, mask), float(n)
 
 
-def _witness_negativities(mats: np.ndarray, d_b: int, owner: np.ndarray, trans: np.ndarray,
-                          tol: float) -> np.ndarray:
+def _witness_negativities(stack: linalg._Stack, d_b: int, owner: np.ndarray,
+                          trans: np.ndarray, tol: float) -> np.ndarray:
     """``distill_witness`` N of each transposition ``trans[i]`` (of a ``(B,
-    2, 2)`` array) of ``mats[owner[i]]`` (of a stack of states on d_A x
+    2, 2)`` array) of matrix ``owner[i]`` of ``stack`` (of states on d_A x
     ``d_b`` validated at ``tol``), from one stack of renormalized blocks and
     one stacked spectrum of their partial transposes."""
-    idx = _witness_supports(trans, d_b)
-    _, blocks = _renormalized(mats[owner[:, None, None], idx[:, :, None], idx[:, None, :]], tol)
+    _, blocks = _renormalized(stack.blocks(owner, _witness_supports(trans, d_b)), tol)
     subs = np.array([b.mat for b in blocks]).reshape(-1, 4, 4)
     return measures._negativity_of(measures._pt_spectrum(linalg._Stack.of(subs), (2, 2)))[0]
 
@@ -488,7 +485,7 @@ def distillable_lower_bound(
 
     a = np.sort(np.array(a_pairs, dtype=np.intp).reshape(-1, 2), axis=1)
     idx = (a[:, :, None] * bs.d_B + np.arange(bs.d_B)).reshape(len(a), -1)
-    subs = bs.mat[idx[:, :, None], idx[:, None, :]]
+    subs = bs.rho._stack().blocks(np.zeros(len(idx), dtype=np.intp), idx)
     p = np.trace(subs, axis1=1, axis2=2).real
     subs, p, tol = subs[p > zero_tol], p[p > zero_tol], bs.rho.validation_tol
     if bs.d_A == 2:  # the one pair projects onto rho itself: its spectrum over p

@@ -76,10 +76,10 @@ def _parse_matrix(rows: list, d: int) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
 
 
-def _sparse_entries(entries: list, numbers: np.ndarray, d: int) -> None:
-    """Write the [re, im] of each of ``entries`` into row i d + j of
-    ``numbers``, one checked entry at a time."""
-    last = -1
+def _sparse_entries(entries: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat indices i d + j, values) of ``entries``, one checked entry at
+    a time."""
+    at, values, last = [], [], -1
     for k, entry in enumerate(entries):
         loc = f"entries[{k}]"
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -93,14 +93,15 @@ def _sparse_entries(entries: list, numbers: np.ndarray, d: int) -> None:
             fault = "is repeated" if i * d + j == last else "is out of row-major order"
             raise ParseError(f"{loc}: index ({i}, {j}) {fault}", loc)
         last = i * d + j
-        z = _complex(re, im, loc, "values")
-        numbers[last] = z.real, z.imag
+        at.append(last)
+        values.append(_complex(re, im, loc, "values"))
+    return np.array(at, dtype=np.int64), np.array(values, dtype=complex)
 
 
 def _sparse_columns(entries: list, d: int) -> tuple | None:
-    """(flat indices i d + j, [re, im] rows) of ``entries`` in a few numpy
-    calls, with the numbers ``_sparse_entries`` would write; None when it
-    would raise, and for an empty list."""
+    """(flat indices i d + j, values) of ``entries`` in a few numpy calls,
+    with the numbers ``_sparse_entries`` would give; None when it would
+    raise, and for an empty list."""
     try:
         i, j, re, im = zip(*entries)
     except (TypeError, ValueError):  # an entry that is no array, or shorter than four
@@ -117,23 +118,25 @@ def _sparse_columns(entries: list, d: int) -> tuple | None:
     if not (np.all((0 <= rows) & (rows < d) & (0 <= cols) & (cols < d))
             and np.isfinite(values).all() and (np.diff(at) > 0).all()):
         return None
-    return at, values
+    return at, np.ascontiguousarray(values).view(complex).reshape(-1)
 
 
-def _parse_sparse(entries: list, d: int) -> np.ndarray:
-    """The d x d matrix of a sparse entry list, filled by flat index in one
-    numpy call when ``_sparse_columns`` accepts it; anything else goes
-    through ``_sparse_entries``, which locates the first malformed entry."""
+def _parse_sparse(entries: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending flat indices, values) of a sparse entry list on a d x d
+    matrix, in a few numpy calls when ``_sparse_columns`` accepts it;
+    anything else goes through ``_sparse_entries``, which locates the
+    first malformed entry.
+
+    The state holds only these entries, but builds its dense ``mat`` on
+    first access, so dims whose d x d matrix no allocator grants are a
+    parse error: the allocation is asked for and dropped untouched, so
+    it costs no pass over the matrix."""
     try:
-        numbers = np.zeros((d * d, 2))
+        np.empty((d, d), dtype=complex)
     except (ValueError, MemoryError) as exc:  # a size no allocator grants
         raise ParseError(f"dims: no {d} x {d} matrix can be held ({exc})", "dims") from exc
     columns = _sparse_columns(entries, d)
-    if columns is None:
-        _sparse_entries(entries, numbers, d)
-    else:
-        numbers[columns[0]] = columns[1]
-    return numbers.view(complex).reshape(d, d)
+    return _sparse_entries(entries, d) if columns is None else columns
 
 
 def _checked_dims(doc) -> list:
@@ -148,9 +151,8 @@ def _checked_dims(doc) -> list:
     return dims
 
 
-def _state(m: np.ndarray, dims: list) -> DensityMatrix | BipartiteState:
-    """The state file's matrix ``m`` on ``dims``, validated."""
-    rho = DensityMatrix(m, FILE_TOL)
+def _state(rho: DensityMatrix, dims: list) -> DensityMatrix | BipartiteState:
+    """The state file's validated state ``rho`` on ``dims``."""
     if len(dims) == 2:
         return BipartiteState(rho, dims[0], dims[1])
     return rho
@@ -168,13 +170,13 @@ def parse_state(doc: dict) -> DensityMatrix | BipartiteState:
         entries = doc["entries"]
         if not isinstance(entries, list):
             raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
-        return _state(_parse_sparse(entries, d), dims)
+        return _state(DensityMatrix.from_entries(d, *_parse_sparse(entries, d), FILE_TOL), dims)
     rows = doc.get("matrix")
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix: expected a nonempty nested array", "matrix")
     if len(rows) != d:
         raise ParseError(f"matrix: expected {d} rows, got {len(rows)}", "matrix")
-    return _state(_parse_matrix(rows, d), dims)
+    return _state(DensityMatrix(_parse_matrix(rows, d), FILE_TOL), dims)
 
 
 def _write(path, data: bytes) -> None:
@@ -217,19 +219,18 @@ def _dims(state) -> list:
     return [state.d_A, state.d_B] if isinstance(state, BipartiteState) else [state.dim]
 
 
-def _kept(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat indices, [re, im] bit patterns) of the entries of ``m`` whose
-    real or imaginary part is not +0.0, in row-major order."""
-    bits = np.ascontiguousarray(m).view(np.uint64).reshape(-1, 2)
-    at = np.flatnonzero(bits[:, 0] | bits[:, 1])
-    return at, bits[at]
+def _written(state) -> tuple[np.ndarray, np.ndarray]:
+    """(flat indices, values) of the entries of ``state`` the writer keeps:
+    read off the state's own entries (``linalg._Stack.entries``)."""
+    rho = state.rho if isinstance(state, BipartiteState) else state
+    return rho._stack().entries()
 
 
 def state_document(state: DensityMatrix | BipartiteState, label: str | None = None) -> dict:
     """The document ``save_state`` writes, as ``json.loads`` reads it back."""
-    at, bits = _kept(state.mat)
-    i, j = np.divmod(at, state.mat.shape[0])
-    rows = zip(i.tolist(), j.tolist(), *bits.view(np.float64).T.tolist())
+    at, vals = _written(state)
+    i, j = np.divmod(at, state.dim)
+    rows = zip(i.tolist(), j.tolist(), vals.real.tolist(), vals.imag.tolist())
     doc = {"dims": _dims(state), "entries": [list(row) for row in rows]}
     if label is not None:
         doc["label"] = label
@@ -240,11 +241,11 @@ def _state_text(state, label: str | None) -> str:
     """The text of ``state_document(state, label)`` with one entry per
     line; each distinct float (by bit pattern) is formatted once by
     ``float.__repr__``, as json.dumps formats it."""
-    at, bits = _kept(state.mat)
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    at, vals = _written(state)
+    distinct, inverse = np.unique(vals.view(np.uint64), return_inverse=True)
     reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     re, im = reprs[inverse.reshape(-1, 2)].T.tolist()
-    d = state.mat.shape[0]
+    d = state.dim
     i, j = np.divmod(at, d)
     index = list(map(str, range(d)))
     lines = [f"\n  [{index[a]}, {index[b]}, {x}, {y}]"

@@ -183,12 +183,13 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
     mats, _ = _random_pairings(rep, rng, entangled=True)
     DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, linalg._Stack.of(mats), rep.dims)
+    stack = linalg._Stack.of(mats)
+    ok, certs = _certified(rep, stack, rep.dims)
     # every certified trial's witness blocks: block `which` of trial `trial`
     counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
     trial = np.repeat(ok, counts)
     which = np.arange(trial.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    block_n = pairing._witness_negativities(mats, rep.dims[1], trial,
+    block_n = pairing._witness_negativities(stack, rep.dims[1], trial,
                                             pairing._transpositions(certs), randgen.GENERATED_TOL)
     for i in range(int(which.max(initial=-1)) + 1):
         sel = which == i

@@ -172,7 +172,7 @@ def dense_validation(m, tol, monkeypatch):
     one eigvalsh of the whole matrix: the error message, or the state."""
     with monkeypatch.context() as patch:
         patch.setattr(pl.linalg, "_spectra",
-                      lambda m, flat: pl.linalg._hermitian_spectrum(m))
+                      lambda stack, flat: pl.linalg._hermitian_spectrum(stack.mat))
         try:
             return pl.DensityMatrix(m, tol)
         except ValidationError as exc:

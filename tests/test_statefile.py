@@ -83,10 +83,19 @@ def legacy_bytes(state, label):
     return json.dumps(doc, indent=1) + "\n"
 
 
+def dense_of(at, values, d: int) -> np.ndarray:
+    """The d x d matrix whose entries at the flat indices ``at`` are
+    ``values`` and every other +0.0."""
+    m = np.zeros(d * d, dtype=complex)
+    m[at] = values
+    return m.reshape(d, d)
+
+
 def unvalidated(text: str):
     """(matrix, dims) of a sparse file's text, read without validation."""
     doc = json.loads(text)
-    return statefile._parse_sparse(doc["entries"], math.prod(doc["dims"])), doc["dims"]
+    d = math.prod(doc["dims"])
+    return dense_of(*statefile._parse_sparse(doc["entries"], d), d), doc["dims"]
 
 
 def same_bits(a, b) -> bool:
@@ -414,7 +423,7 @@ class TestSparseEntries:
         assert outcome(statefile.parse_state, doc) == outcome(sparse_reference, doc)
 
     def test_an_empty_list_is_the_zero_matrix(self):
-        assert same_bits(statefile._parse_sparse([], 3), np.zeros((3, 3), dtype=complex))
+        assert same_bits(dense_of(*statefile._parse_sparse([], 3), 3), np.zeros((3, 3), dtype=complex))
         with pytest.raises(ValidationError):
             statefile.parse_state({"dims": [3], "entries": []})
 
@@ -432,18 +441,15 @@ class TestSparseEntries:
             entry = st.tuples(index, index, value, value).map(list)
             odd = st.lists(index, max_size=5) | st.sampled_from([7, "abcd", None, {}])
             entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(entry | odd)
-        numbers = np.zeros((d * d, 2))
         try:
-            statefile._sparse_entries(entries, numbers, d)
+            at, values = statefile._sparse_entries(entries, d)
         except ParseError:
             assert statefile._sparse_columns(entries, d) is None
             return
         columns = statefile._sparse_columns(entries, d)
         assert (columns is None) == (entries == [])  # the loop reads no entries at no cost
         if columns is not None:
-            fast = np.zeros((d * d, 2))
-            fast[columns[0]] = columns[1]
-            assert same_bits(fast, numbers)
+            assert np.array_equal(columns[0], at) and same_bits(columns[1], values)
 
 
 class TestFixtures:
