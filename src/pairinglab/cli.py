@@ -256,7 +256,8 @@ def cmd_verify(args) -> int:
                   f"dims={rep.dims} worst_gap={rep.worst_gap:.3e}{margin} "
                   f"elapsed={rep.elapsed_ms:.1f}ms -> {status}")
             for v in rep.violations[:20]:
-                print(f"  trial {v.trial}: {v.quantity} lhs={_fmt(v.lhs)} "
+                block = "" if v.block is None else f" (block {v.block})"
+                print(f"  trial {v.trial}: {v.quantity}{block} lhs={_fmt(v.lhs)} "
                       f"rhs={_fmt(v.rhs)} gap={v.gap:.3e}")
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 

@@ -161,7 +161,7 @@ def _coeff_stack(blocks) -> np.ndarray:
         mats.append(c)
     mats = np.array(mats, dtype=complex).reshape(-1, 2, 2)
     try:
-        DensityMatrix.from_stack(mats, linalg.DEFAULT_TOL)
+        linalg._validated_stack(mats, linalg.DEFAULT_TOL)
     except ValidationError as exc:
         raise InvalidCoeffs(str(exc)) from exc
     if fault is not None:

@@ -105,20 +105,16 @@ class DensityMatrix:
     def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
         """Validate each matrix of a ``(T, d, d)`` stack, ``mats[t]`` at
         ``validation_tols[t]`` (one tolerance or one per matrix), by the
-        constructor's routine (``_checked``) taken once for the whole
-        stack: the first matrix that fails raises the error
-        ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The states
-        hold views of ``mats`` and keep their spectra, but not their
+        constructor's routine taken once for the whole stack
+        (``_validated_stack``): the first matrix that fails raises the
+        error ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The
+        states hold views of ``mats`` and keep their spectra, but not their
         patterns, which ``_stack`` scans for on each call.
         """
-        mats = as_complex_stack(mats)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValidationError(f"expected a stack of square matrices, got {mats.shape}")
-        if not len(mats):
-            return []
-        tols = np.zeros(len(mats)) + validation_tols
-        spectra = _checked(_Stack.of(mats), tols)
-        return [cls._validated(tol, lam, mat=m) for m, tol, lam in zip(mats, tols.tolist(), spectra)]
+        stack, spectra = _validated_stack(mats, validation_tols)
+        tols = np.zeros(len(stack)) + validation_tols
+        return [cls._validated(tol, lam, mat=m)
+                for m, tol, lam in zip(stack.mat, tols.tolist(), spectra)]
 
     @classmethod
     def from_entries(cls, dim: int, flat, values, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -177,6 +173,23 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order (a copy of the cached one)."""
         return self._ascending()[::-1].copy()
+
+
+def _validated_stack(mats, tols) -> tuple[_Stack, np.ndarray]:
+    """The scanned ``_Stack`` of a ``(T, d, d)`` stack of matrices and
+    their ascending ``(T, d)`` spectra, each matrix t checked as a density
+    matrix at ``tols[t]`` (one tolerance or one per matrix) by
+    ``_checked``: one scan and one validation for the whole stack, with
+    the errors of ``DensityMatrix.from_stack``, which wraps it.  The
+    stack routines take what it gives, so they build no state per
+    matrix and scan nothing again."""
+    mats = as_complex_stack(mats)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValidationError(f"expected a stack of square matrices, got {mats.shape}")
+    stack = _Stack.of(mats)
+    if not len(mats):
+        return stack, np.zeros(mats.shape[:2])
+    return stack, _checked(stack, tols)
 
 
 def _checked(stack: _Stack, tols) -> np.ndarray:

@@ -197,13 +197,14 @@ def _block_tol(tol, p: np.ndarray) -> np.ndarray:
     return np.maximum(tol, linalg.DEFAULT_TOL) / p
 
 
-def _renormalized(subs: np.ndarray, tol):
+def _renormalized(subs: np.ndarray, tol) -> tuple[np.ndarray, linalg._Stack, np.ndarray]:
     """Weights p = tr(sub) of a ``(T, n, n)`` stack of principal blocks of
     states validated at ``tol`` (one tolerance or one per block), and the
     blocks renormalized to unit trace, validated as one stack at
-    ``_block_tol``."""
+    ``_block_tol`` (``linalg._validated_stack``): their scanned stack,
+    whose ``mat`` they are, and their ascending ``(T, n)`` spectra."""
     p = np.trace(subs, axis1=1, axis2=2).real
-    return p, DensityMatrix.from_stack(subs / p[:, None, None], _block_tol(tol, p))
+    return p, *linalg._validated_stack(subs / p[:, None, None], _block_tol(tol, p))
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,8 @@ class _Blocks(NamedTuple):
     owner: np.ndarray  # (B,) state of each block
     columns: np.ndarray  # (B, 2) B-columns of each block
     weights: np.ndarray  # (B,)
-    coeffs: list[DensityMatrix]  # (B,) unit-trace coefficient matrices
+    coeffs: np.ndarray  # (B, 2, 2) unit-trace coefficient matrices
+    spectra: np.ndarray  # (B, 2) their validated spectra, ascending
 
     @classmethod
     def of(cls, dec: QubitQuditDecomposition) -> _Blocks:
@@ -271,12 +273,8 @@ class _Blocks(NamedTuple):
                    np.zeros(len(dec.blocks), dtype=np.intp),
                    np.array([blk.b_columns for blk in dec.blocks], dtype=np.intp).reshape(-1, 2),
                    np.array([blk.weight for blk in dec.blocks]),
-                   [blk.coeffs for blk in dec.blocks])
-
-
-def _coeff_mats(stack: _Blocks) -> np.ndarray:
-    """The ``(B, 2, 2)`` coefficient matrices of a block stack."""
-    return np.array([c.mat for c in stack.coeffs]).reshape(-1, 2, 2)
+                   np.array([blk.coeffs.mat for blk in dec.blocks]).reshape(-1, 2, 2),
+                   np.array([blk.coeffs._ascending() for blk in dec.blocks]).reshape(-1, 2))
 
 
 def _transpositions(certs: list[PairingCertificate]) -> np.ndarray:
@@ -309,12 +307,15 @@ def qubit_qudit_decompose(
     if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
     diag = blocks.diag[0]
+    # the public blocks are states, each held to its validation's tolerance
+    coeffs = [DensityMatrix._validated(block_tol, lam, mat=m) for m, block_tol, lam in
+              zip(blocks.coeffs, _block_tol(tol, blocks.weights).tolist(), blocks.spectra)]
     return QubitQuditDecomposition(
         d_B=bs.d_B,
         p0=float(diag.sum()),
         diag_probs=diag,
         blocks=tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
-                     for p, c, cols in zip(blocks.weights.tolist(), blocks.coeffs,
+                     for p, c, cols in zip(blocks.weights.tolist(), coeffs,
                                            blocks.columns.tolist())),
         validation_tol=tol,
     )
@@ -343,12 +344,12 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     if not np.all(np.trace(subs, axis1=1, axis2=2).real > 0):
         raise NotCanonicalPairing("reassembly gap: a block of the certificate holds no weight; "
                                   "state is not block-structured")
-    weights, coeffs = _renormalized(subs, tols[owner])
+    weights, coeffs, spectra = _renormalized(subs, tols[owner])
 
     diag = stack.diagonal.real.copy()
     diag[owner[:, None], idx] = 0.0
     diag[np.abs(diag) < zero_tol] = 0.0
-    blocks = _Blocks(diag, tols, owner, columns, weights, coeffs)
+    blocks = _Blocks(diag, tols, owner, columns, weights, coeffs.mat, spectra)
     # the block supports are disjoint: |assembled - rho| is |rho| but on the
     # diagonal and on each block's support, so off them it is read off the
     # nonzero entries.  Row r of state t is in a block with row mate[t, r],
@@ -362,7 +363,7 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     on_diag[owner[:, None], idx] = 0.0
     gap = on_diag.max(axis=1, initial=0.0)
     np.maximum.at(gap, at[off] // (d * d), np.abs(stack.values[off]))
-    np.maximum.at(gap, owner, np.abs(weights[:, None, None] * _coeff_mats(blocks)
+    np.maximum.at(gap, owner, np.abs(weights[:, None, None] * coeffs.mat
                                      - subs).max(axis=(1, 2)))
     return blocks, gap
 
@@ -399,9 +400,7 @@ def _closed_forms(stack: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     each block's diagonal and validated spectrum times its weight, and its
     partial transpose is monomial.
     """
-    t = len(stack.diag)
-    coeffs = _coeff_mats(stack)
-    spectra = np.array([c._ascending()[::-1] for c in stack.coeffs]).reshape(-1, 2)
+    t, coeffs = len(stack.diag), stack.coeffs
     counts = np.bincount(stack.owner, minlength=t)
     slot = np.arange(len(stack.owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     cols = 2 * slot[:, None] + [0, 1]
@@ -412,7 +411,7 @@ def _closed_forms(stack: _Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows[stack.owner[:, None], cols] = stack.weights[:, None] * block_values
         return linalg._entropies(np.concatenate([stack.diag, rows], axis=1), stack.tols)
 
-    e_d = entropies(coeffs.diagonal(axis1=1, axis2=2).real) - entropies(spectra)
+    e_d = entropies(coeffs.diagonal(axis1=1, axis2=2).real) - entropies(stack.spectra[:, ::-1])
     n = 2.0 * np.abs(coeffs[:, 0, 1])  # each block's negativity
     h = linalg.binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - n**2))) / 2.0)
     # bincount adds each state's blocks in order, as a running sum does
@@ -449,9 +448,8 @@ def _witness_negativities(stack: linalg._Stack, d_b: int, owner: np.ndarray,
     2, 2)`` array) of matrix ``owner[i]`` of ``stack`` (of states on d_A x
     ``d_b`` validated at ``tol``), from one stack of renormalized blocks and
     one stacked spectrum of their partial transposes."""
-    _, blocks = _renormalized(stack.blocks(owner, _witness_supports(trans, d_b)), tol)
-    subs = np.array([b.mat for b in blocks]).reshape(-1, 4, 4)
-    return measures._negativity_of(measures._pt_spectrum(linalg._Stack.of(subs), (2, 2)))[0]
+    _, blocks, _ = _renormalized(stack.blocks(owner, _witness_supports(trans, d_b)), tol)
+    return measures._negativity_of(measures._pt_spectrum(blocks, (2, 2)))[0]
 
 
 def _witness_supports(trans: np.ndarray, d_b: int) -> np.ndarray:
@@ -491,7 +489,7 @@ def distillable_lower_bound(
     if bs.d_A == 2:  # the one pair projects onto rho itself: its spectrum over p
         spectra = bs.rho._ascending() / p[:, None]
     else:
-        spectra = np.array([b._ascending() for b in _renormalized(subs, tol)[1]])
+        spectra = _renormalized(subs, tol)[2]
     total = 0.0
     for bound in _projected_bounds(subs, spectra.reshape(subs.shape[:2]), tol).tolist():
         total += bound  # in pair order, as a running sum

@@ -25,18 +25,28 @@ import numpy as np
 
 from . import linalg, measures, pairing, randgen
 from .errors import Infeasible
-from .linalg import DensityMatrix
 from .majorization import majorizes, trace_vs_l1, uvw_triple
 from .randgen import RngState
 
 
 @dataclass
 class Violation:
+    """A failed check of one trial; ``block`` names the part of the trial
+    that failed, for a quantity checked per block (the witness blocks)."""
+
     trial: int
     quantity: str
     lhs: float
     rhs: float
     gap: float
+    block: int | None = None
+
+    def to_dict(self) -> dict:
+        """The violation's fields, ``block`` only when it is set."""
+        doc = vars(self).copy()
+        if self.block is None:
+            del doc["block"]
+        return doc
 
 
 @dataclass
@@ -60,9 +70,10 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def check(self, trials, quantity: str, lhs, rhs, tol: float = 0.0) -> None:
+    def check(self, trials, quantity: str, lhs, rhs, tol: float = 0.0, blocks=None) -> None:
         """Check lhs <= rhs + tol for one trial, or for each trial of an
-        array of trials with matching arrays ``lhs`` and ``rhs``; record a
+        array of trials with matching arrays ``lhs`` and ``rhs`` (and
+        ``blocks``, the block each check is of, when given); record a
         violation for each that fails."""
         trials, lhs, rhs = np.broadcast_arrays(np.atleast_1d(trials), lhs, rhs)
         if not trials.size:
@@ -75,7 +86,8 @@ class VerifyReport:
         # a NaN gap fails the check: it is not <= tol
         for i in np.flatnonzero(~(gap <= tol)):
             self.violations.append(Violation(int(trials[i]), quantity, lhs[i].item(),
-                                             rhs[i].item(), gap[i].item()))
+                                             rhs[i].item(), gap[i].item(),
+                                             None if blocks is None else int(blocks[i])))
 
     def to_dict(self) -> dict:
         return {
@@ -84,7 +96,7 @@ class VerifyReport:
             "seed": self.seed,
             "dims": list(self.dims),
             "algorithm": self.algorithm,
-            "violations": [vars(v) for v in self.violations],
+            "violations": [v.to_dict() for v in self.violations],
             "worst_gap": self.worst_gap,
             "margins": self.margins,
             "elapsed_ms": self.elapsed_ms,
@@ -112,11 +124,11 @@ def _random_pairings(rep: VerifyReport, rng: RngState, entangled: bool = False):
     return randgen._pairing_stack(d_a, d_b, n_pairs, rng), n_pairs
 
 
-def _bipartite_stack(rep: VerifyReport, rng: RngState) -> np.ndarray:
-    """Validated ``random_bipartite_state`` matrices, one per trial."""
+def _bipartite_stack(rep: VerifyReport, rng: RngState) -> linalg._Stack:
+    """The scanned stack of validated ``random_bipartite_state`` matrices,
+    one per trial."""
     mats = randgen._bipartite_stack(*rep.dims, rep.trials, rng)
-    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    return mats
+    return linalg._validated_stack(mats, randgen.GENERATED_TOL)[0]
 
 
 def _certified(rep: VerifyReport, stack: linalg._Stack, dims: tuple[int, int]):
@@ -130,14 +142,14 @@ def _certified(rep: VerifyReport, stack: linalg._Stack, dims: tuple[int, int]):
 
 
 def suite_negativity_bound(rep: VerifyReport, rng: RngState) -> None:
-    stack = linalg._Stack.of(_bipartite_stack(rep, rng))
+    stack = _bipartite_stack(rep, rng)
     n, _ = measures._negativity_of(measures._pt_spectrum(stack, rep.dims))
     rep.check(np.arange(rep.trials), "N <= C_l1", n,
               measures._c_l1_of(measures._moduli(stack)), 1e-9)
 
 
 def suite_l0_bound(rep: VerifyReport, rng: RngState) -> None:
-    stack = linalg._Stack.of(_bipartite_stack(rep, rng))
+    stack = _bipartite_stack(rep, rng)
     n0 = measures._n0_of(measures._pt_spectrum(stack, rep.dims), None)
     rep.check(np.arange(rep.trials), "2*N0 <= C_l0", 2 * n0,
               measures._c_l0_of(measures._moduli(stack), None))
@@ -151,12 +163,12 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     # rho (x) sigma per trial: entry (i k, j l) = rho_ij sigma_kl
     prods = (rhos[:, :, None, :, None] * sigs[:, None, :, None, :]).reshape(
         rep.trials, d_a * d_b, d_a * d_b)
-    DensityMatrix.from_stack(rhos, randgen.GENERATED_TOL)
-    DensityMatrix.from_stack(sigs, randgen.GENERATED_TOL)
-    DensityMatrix.from_stack(prods, 1e-8)
+    rhos, _ = linalg._validated_stack(rhos, randgen.GENERATED_TOL)
+    sigs, _ = linalg._validated_stack(sigs, randgen.GENERATED_TOL)
+    prods, _ = linalg._validated_stack(prods, 1e-8)
 
-    def c_log(mats):
-        return np.log2(1.0 + measures._c_l1_of(measures._moduli(linalg._Stack.of(mats))))
+    def c_log(stack):
+        return np.log2(1.0 + measures._c_l1_of(measures._moduli(stack)))
 
     gap = np.abs(c_log(prods) - c_log(rhos) - c_log(sigs))
     rep.check(np.arange(rep.trials), "C_L additivity", gap, 0.0, 1e-9)
@@ -165,8 +177,7 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
 def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
     mats, n_pairs = _random_pairings(rep, rng)
-    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    stack = linalg._Stack.of(mats)
+    stack, _ = linalg._validated_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, stack, rep.dims)
     rep.check(ok, "pairing number matches generator",
               np.abs([c.pairing_number for c in certs] - n_pairs[ok]), 0.0)
@@ -182,8 +193,7 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
     mats, _ = _random_pairings(rep, rng, entangled=True)
-    DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)
-    stack = linalg._Stack.of(mats)
+    stack, _ = linalg._validated_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, stack, rep.dims)
     # every certified trial's witness blocks: block `which` of trial `trial`
     counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
@@ -191,9 +201,7 @@ def suite_witness(rep: VerifyReport, rng: RngState) -> None:
     which = np.arange(trial.size) - np.repeat(np.cumsum(counts) - counts, counts)
     block_n = pairing._witness_negativities(stack, rep.dims[1], trial,
                                             pairing._transpositions(certs), randgen.GENERATED_TOL)
-    for i in range(int(which.max(initial=-1)) + 1):
-        sel = which == i
-        rep.check(trial[sel], f"witness block {i} negativity > 1e-6", 1e-6, block_n[sel])
+    rep.check(trial, "witness block negativity > 1e-6", 1e-6, block_n, blocks=which)
 
 
 # every X of the majorization suite fits in the top-left corner of an 8x8
@@ -223,9 +231,7 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
         raise Infeasible(f"cannot host a transposition on a 2 x {d_b} system")
     n_pairs = rng.generator.integers(1, d_b // 2 + 1, size=rep.trials)
     mats = randgen._pairing_stack(2, d_b, n_pairs, rng, diag_weight=0.0)
-    spectra = np.array([rho._ascending()
-                        for rho in DensityMatrix.from_stack(mats, randgen.GENERATED_TOL)])
-    stack = linalg._Stack.of(mats)
+    stack, spectra = linalg._validated_stack(mats, randgen.GENERATED_TOL)
     ok, certs = _certified(rep, stack, (2, d_b))
     # two independent routes: the projected-block bound from each whole
     # state's spectrum and diagonal, E_D from its block decomposition

@@ -268,6 +268,71 @@ class TestQubitQuditDecompose:
             pl.qubit_qudit_decompose(ex.state)
 
 
+class TestDecompositionParity:
+    """The public decomposition's blocks are the states the constructor
+    gives the renormalized blocks, though the stack routines behind it
+    build none, and its measures keep their values."""
+
+    @given(st.data(), st.integers(2, 9), st.sampled_from([None, 0.0, 0.3]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_are_the_constructor_states(self, data, d_b, diag_weight, seed):
+        n_pairs = data.draw(st.integers(0, d_b // 2))
+        bs = pl.random_canonical_pairing(2, d_b, n_pairs, pl.RngState(seed), diag_weight)
+        tol = bs.rho.validation_tol
+        dec = pl.qubit_qudit_decompose(bs)
+        assert len(dec.blocks) == n_pairs
+        for blk in dec.blocks:
+            idx = [blk.b_columns[0], d_b + blk.b_columns[1]]
+            sub = bs.mat[np.ix_(idx, idx)]
+            p = sub.trace().real
+            want = pl.DensityMatrix(sub / p, pairing._block_tol(tol, p))
+            assert blk.weight == p
+            assert blk.coeffs.mat.tobytes() == want.mat.tobytes()
+            assert blk.coeffs._ascending().tobytes() == want._ascending().tobytes()
+            assert blk.coeffs.validation_tol == want.validation_tol
+            assert type(blk.coeffs.validation_tol) is float
+
+    # E_D, E_C, E_PPT and the [(0, 1)] lower bound of qubit-qudit pairing
+    # states, and the lower bound of qutrit-qudit ones, as float.hex
+    QUBIT = {
+        (3, 1, None, 11): ("0x1.f79ffae772130p-2", "0x1.2a64b2394c8adp-1",
+                           "0x1.5fe5d6f9db97cp-1", "0x1.f79ffae772134p-2"),
+        (4, 2, 0.0, 12): ("0x1.95d87015680d0p-1", "0x1.95d87015680d2p-1",
+                          "0x1.c6ea5cd6083c6p-1", "0x1.95d87015680d0p-1"),
+        (5, 2, 0.3, 13): ("0x1.631b21521b364p-2", "0x1.ec014f5748409p-2",
+                          "0x1.56682c87e6038p-1", "0x1.631b21521b361p-2"),
+        (6, 3, None, 14): ("0x1.b608b663f4320p-1", "0x1.b608b663f431ep-1",
+                           "0x1.d897a6803d99bp-1", "0x1.b608b663f431cp-1"),
+        (6, 3, 0.3, 15): ("0x1.19ddeddc44730p-2", "0x1.bb6391b4c9274p-2",
+                          "0x1.4b679c6539affp-1", "0x1.19ddeddc4472fp-2"),
+        (8, 4, 0.0, 16): ("0x1.bdd60a4c8a5d2p-1", "0x1.bdd60a4c8a5cep-1",
+                          "0x1.dc45a3ce81c88p-1", "0x1.bdd60a4c8a5cep-1"),
+    }
+    QUTRIT = {
+        (3, 2, None, 21, (0, 1)): "0x1.eb0c7df0a7fdbp-3",
+        (3, 3, 0.3, 22, (0, 2)): "0x1.d8330601a18e2p-7",
+        (4, 3, 0.0, 23, (1, 2)): "0x1.32497ad5e3073p-3",
+        (5, 4, 0.3, 24, (0, 1)): "0x1.b37a95cee226cp-6",
+    }
+
+    @pytest.mark.parametrize("case", list(QUBIT))
+    def test_qubit_measures_and_bound_are_frozen(self, case):
+        d_b, n_pairs, diag_weight, seed = case
+        bs = pl.random_canonical_pairing(2, d_b, n_pairs, pl.RngState(seed), diag_weight)
+        cert = pl.detect_canonical_pairing(bs)
+        pm = pl.pairing_measures(pl.qubit_qudit_decompose(bs, cert=cert))
+        bound = pl.distillable_lower_bound(bs, cert, [(0, 1)])
+        assert (pm.E_D.hex(), pm.E_C.hex(), pm.E_PPT.hex(), bound.hex()) == self.QUBIT[case]
+
+    @pytest.mark.parametrize("case", list(QUTRIT))
+    def test_qutrit_bound_is_frozen(self, case):
+        d_b, n_pairs, diag_weight, seed, pair = case
+        bs = pl.random_canonical_pairing(3, d_b, n_pairs, pl.RngState(seed), diag_weight)
+        cert = pl.detect_canonical_pairing(bs)
+        assert pl.distillable_lower_bound(bs, cert, [pair]).hex() == self.QUTRIT[case]
+
+
 class TestPairingMeasures:
     def test_bell(self, bell_state):
         pm = pl.pairing_measures(pl.qubit_qudit_decompose(bell_state))

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from pairinglab import cli, measures, pairing, randgen, verify
+from pairinglab import cli, linalg, measures, pairing, randgen, verify
 from pairinglab.linalg import BipartiteState, DensityMatrix
 from pairinglab.majorization import majorizes, trace_vs_l1, uvw_triple
 from pairinglab.randgen import RngState
@@ -26,11 +26,11 @@ class ReferenceReport:
         self.violations = []
         self.worst_gap = 0.0
 
-    def check(self, trial, quantity, lhs, rhs, tol=0.0):
+    def check(self, trial, quantity, lhs, rhs, tol=0.0, block=None):
         gap = lhs - rhs
         self.worst_gap = max(self.worst_gap, gap)
         if gap > tol:
-            self.violations.append((trial, quantity, lhs, rhs, gap))
+            self.violations.append((trial, quantity, lhs, rhs, gap, block))
 
 
 def states(mats, dims):
@@ -111,7 +111,7 @@ def ref_witness(rep, rng):
             continue
         for i in range(cert.pairing_number):
             _, _, block_n = pairing.distill_witness(bs, cert, i)
-            rep.check(t, f"witness block {i} negativity > 1e-6", 1e-6, block_n)
+            rep.check(t, "witness block negativity > 1e-6", 1e-6, block_n, block=i)
 
 
 def ref_majorization(rep, rng):
@@ -160,7 +160,7 @@ def reference_run(suite, trials, seed, dims):
 
 def assert_same_report(batched, ref):
     assert batched.worst_gap == ref.worst_gap
-    got = [(v.trial, v.quantity, v.lhs, v.rhs, v.gap) for v in batched.violations]
+    got = [(v.trial, v.quantity, v.lhs, v.rhs, v.gap, v.block) for v in batched.violations]
     assert got == ref.violations
 
 
@@ -196,13 +196,13 @@ def reference_draws(suite, trials, seed, dims):
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "majorization"])
 def test_suites_validate_the_states_the_generators_give(suite, monkeypatch):
     validated = []
-    real = DensityMatrix.from_stack.__func__
+    real = linalg._validated_stack
 
-    def recording(cls, mats, validation_tols=1e-9):
+    def recording(mats, tols):
         validated.append(np.array(mats))
-        return real(cls, mats, validation_tols)
+        return real(mats, tols)
 
-    monkeypatch.setattr(DensityMatrix, "from_stack", classmethod(recording))
+    monkeypatch.setattr(linalg, "_validated_stack", recording)
     for dims in [(3, 3), (2, 5)]:
         validated.clear()
         verify.run_suite(suite, 12, 8, dims)
@@ -251,7 +251,7 @@ def test_a_nan_measure_is_reported_at_its_trial(monkeypatch):
 
 def test_violations_are_listed_in_trial_order(monkeypatch):
     # break witness block 1 of an early trial and block 0 of a later one:
-    # the suite checks block 0 of every trial before block 1 of any
+    # both are violations of the one witness quantity, each naming its block
     drawn, _ = draw_pairings(ReferenceReport(30, (3, 3)), RngState(6), entangled=True)
     certs = [pairing.detect_canonical_pairing(bs) for bs in drawn]
     early = next(t for t, c in enumerate(certs) if c.pairing_number >= 2)
@@ -266,9 +266,11 @@ def test_violations_are_listed_in_trial_order(monkeypatch):
     _patch_spectra(monkeypatch, [block(early, 1), block(late, 0)], lambda w: np.full_like(w, 0.25))
     (got,) = verify.run_suite("witness", 30, 6, (3, 3))
     ref = reference_run("witness", 30, 6, (3, 3))
-    assert [v[:2] for v in ref.violations] == [
-        (early, "witness block 1 negativity > 1e-6"), (late, "witness block 0 negativity > 1e-6")]
+    assert [(v[0], v[1], v[5]) for v in ref.violations] == [
+        (early, "witness block negativity > 1e-6", 1), (late, "witness block negativity > 1e-6", 0)]
     assert_same_report(got, ref)
+    assert list(got.margins) == ["witness block negativity > 1e-6"]
+    assert [v["block"] for v in got.to_dict()["violations"]] == [1, 0]
 
 
 @pytest.mark.parametrize("suite, dims", [
@@ -281,6 +283,44 @@ def test_decompositions_do_not_grow_with_trials(suite, dims, decompositions):
     decompositions.clear()
     verify.run_suite(suite, 200, 1, dims)
     assert len(decompositions) == calls_at_50 <= 3
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6)])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suites_build_no_states_and_scan_each_stack_once(suite, dims, monkeypatch):
+    # the suites validate, measure and decompose stacks: no DensityMatrix
+    # per trial or per block, and no stack scanned for its pattern twice
+    drawn = [] if suite == "majorization" else reference_draws(suite, 50, 3, dims)
+    if suite == "witness":  # every certified trial's 4x4 blocks, as one stack
+        blocks = [(sum(pairing.detect_canonical_pairing(bs).pairing_number
+                       for bs in states(np.array(drawn[0]), dims)), 4, 4)]
+    built, scanned = [], []
+    real_init, real_validated = DensityMatrix.__init__, DensityMatrix._validated.__func__
+    real_of = linalg._Stack.of.__func__
+
+    def init(self, *args, **kwargs):
+        built.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    def validated(cls, *args, **kwargs):
+        built.append("_validated")
+        return real_validated(cls, *args, **kwargs)
+
+    def of(cls, mats):
+        scanned.append((mats.shape, mats.tobytes()))
+        return real_of(cls, mats)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", init)
+    monkeypatch.setattr(DensityMatrix, "_validated", classmethod(validated))
+    monkeypatch.setattr(linalg._Stack, "of", classmethod(of))
+    verify.run_suite(suite, 50, 3, dims)
+    assert built == []
+    assert len(set(scanned)) == len(scanned)
+    for group in drawn:
+        mats = np.array(group)
+        assert scanned.count((mats.shape, mats.tobytes())) == 1
+    if suite == "witness":
+        assert [shape for shape, _ in scanned if shape[1:] == (4, 4)] == blocks
 
 
 class CountingGenerator:
@@ -325,6 +365,14 @@ class TestReport:
         assert rep.worst_gap == 1.0
         assert [(v.trial, v.quantity) for v in rep.violations] == [(1, "c <= d")]
         assert rep.to_dict()["margins"] == rep.margins
+
+    def test_block_is_written_only_when_set(self):
+        rep = verify.VerifyReport("x", 2, 0, (2, 2))
+        rep.check(np.arange(2), "a", np.array([2.0, 0.0]), 1.0)
+        rep.check(np.arange(2), "b", np.array([0.0, 2.0]), 1.0, blocks=np.array([4, 5]))
+        assert rep.to_dict()["violations"] == [
+            {"trial": 0, "quantity": "a", "lhs": 2.0, "rhs": 1.0, "gap": 1.0},
+            {"trial": 1, "quantity": "b", "lhs": 2.0, "rhs": 1.0, "gap": 1.0, "block": 5}]
 
     def test_json_margins(self, capsys):
         assert cli.main(["verify", "--suite", "negativity-bound", "--trials", "20",
