@@ -42,10 +42,14 @@ def _fmt(x: float) -> str:
 
 
 def _default_seed(args) -> int:
+    """--seed, else $PAIRINGLAB_SEED, else 0; ParseError when the
+    environment value is not a nonnegative integer in decimal digits."""
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("PAIRINGLAB_SEED")
-    return int(env) if env else 0
+    env = os.environ.get("PAIRINGLAB_SEED") or "0"
+    if not env.isdecimal():  # digits alone: no sign, space or underscore
+        raise ParseError(f"PAIRINGLAB_SEED must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 def _check_tol(tol: float | None) -> None:
@@ -234,6 +238,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _default_seed(args)
+    if seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {seed}")
     if args.trials < 0:
         raise ParseError(f"--trials must be nonnegative, got {args.trials}")
     if min(args.dims) < 1:

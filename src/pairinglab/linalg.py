@@ -65,9 +65,10 @@ class DensityMatrix:
 
     Validation happens on construction, by one routine (``_checked``):
     ``DensityMatrix(mat, validation_tol)`` validates a dense matrix,
-    ``from_stack`` a whole stack and ``from_entries`` a matrix given by
-    its entries.  ``validation_tol`` bounds the allowed Hermiticity
-    defect, the most negative eigenvalue, and the trace deviation from 1.
+    ``from_entries`` a matrix given by its entries and ``_validated_stack``
+    a whole stack, building no states.  ``validation_tol`` bounds the
+    allowed Hermiticity defect, the most negative eigenvalue, and the
+    trace deviation from 1.
     The spectrum validation computes is kept, so ``eigenvalues`` and
     ``von_neumann_entropy`` never decompose again, and so are the entries
     it read (``_stack``), so detection and the measures read the nonzero
@@ -102,21 +103,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, validation_tol={self.validation_tol!r})"
 
     @classmethod
-    def from_stack(cls, mats, validation_tols=DEFAULT_TOL) -> list[DensityMatrix]:
-        """Validate each matrix of a ``(T, d, d)`` stack, ``mats[t]`` at
-        ``validation_tols[t]`` (one tolerance or one per matrix), by the
-        constructor's routine taken once for the whole stack
-        (``_validated_stack``): the first matrix that fails raises the
-        error ``DensityMatrix(mats[t], validation_tols[t])`` raises.  The
-        states hold views of ``mats`` and keep their spectra, but not their
-        patterns, which ``_stack`` scans for on each call.
-        """
-        stack, spectra = _validated_stack(mats, validation_tols)
-        tols = np.zeros(len(stack)) + validation_tols
-        return [cls._validated(tol, lam, mat=m)
-                for m, tol, lam in zip(stack.mat, tols.tolist(), spectra)]
-
-    @classmethod
     def from_entries(cls, dim: int, flat, values, validation_tol: float = DEFAULT_TOL) -> DensityMatrix:
         """Validate the ``dim`` x ``dim`` matrix whose entry at each flat
         index ``flat[i]`` (row-major: row ``flat[i] // dim``, column
@@ -144,11 +130,14 @@ class DensityMatrix:
                    mat: np.ndarray | None = None):
         """A state whose checks the caller has already made, holding its
         ascending ``spectrum`` (which becomes read-only) and either the
-        one-matrix ``stack`` it was validated from, kept, or ``mat``."""
+        one-matrix ``stack`` it was validated from, kept, or ``mat``,
+        scanned on the first ``_stack`` call."""
         self = object.__new__(cls)
         spectrum.flags.writeable = False
-        self.__dict__.update(validation_tol=validation_tol, _spectrum=spectrum, _kept=stack)
-        if mat is not None:
+        self.__dict__.update(validation_tol=validation_tol, _spectrum=spectrum)
+        if mat is None:
+            self.__dict__["_kept"] = stack
+        else:
             self.__dict__["mat"] = mat
         return self
 
@@ -158,6 +147,12 @@ class DensityMatrix:
         built from the kept entries on first access otherwise."""
         return self._kept.mat[0]
 
+    @functools.cached_property
+    def _kept(self) -> _Stack:
+        """The one-matrix ``_Stack`` of a state given its ``mat`` alone
+        (``_validated``): scanned once, on first use."""
+        return _Stack.of(self.mat[None])
+
     @property
     def dim(self) -> int:
         return self._spectrum.size
@@ -166,9 +161,8 @@ class DensityMatrix:
         return self._spectrum
 
     def _stack(self) -> _Stack:
-        """The state as a one-matrix ``_Stack``: the one validation kept,
-        or a new scan, not kept, for a state that came from a stack."""
-        return _Stack.of(self.mat[None]) if self._kept is None else self._kept
+        """The state as the one-matrix ``_Stack`` it keeps."""
+        return self._kept
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in descending order (a copy of the cached one)."""
@@ -179,10 +173,10 @@ def _validated_stack(mats, tols) -> tuple[_Stack, np.ndarray]:
     """The scanned ``_Stack`` of a ``(T, d, d)`` stack of matrices and
     their ascending ``(T, d)`` spectra, each matrix t checked as a density
     matrix at ``tols[t]`` (one tolerance or one per matrix) by
-    ``_checked``: one scan and one validation for the whole stack, with
-    the errors of ``DensityMatrix.from_stack``, which wraps it.  The
-    stack routines take what it gives, so they build no state per
-    matrix and scan nothing again."""
+    ``_checked``: one scan and one validation for the whole stack.  The
+    first matrix that fails raises the error ``DensityMatrix(mats[t],
+    tols[t])`` raises.  The stack routines take what it gives, so they
+    build no state per matrix and scan nothing again."""
     mats = as_complex_stack(mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got {mats.shape}")

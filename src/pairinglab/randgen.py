@@ -123,6 +123,18 @@ def random_monomial_unitary(d: int, rng: RngState) -> np.ndarray:
     return u
 
 
+def _feasible_pairs(d_a: int, d_b: int) -> int:
+    """The most transpositions ``_component_plan`` can host on a d_A x d_B
+    system: greedy components of min(d_A, columns left) levels."""
+    cap = 0
+    cols = d_b
+    while cols >= 2:
+        m = min(d_a, cols)
+        cap += m * (m - 1) // 2
+        cols -= m
+    return cap
+
+
 def _component_plan(d_a: int, d_b: int, n_pairs: int) -> list[tuple[int, int]]:
     """Split n_pairs into components (levels m_i, coherence edges e_i) with
     m_i <= d_A, edges e_i <= m_i(m_i-1)/2, and sum m_i <= d_B."""

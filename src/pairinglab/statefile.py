@@ -4,8 +4,8 @@ bit-exact on round trip.
 Schema: {"dims": [d_A, d_B] or [d], "entries": [[i, j, re, im], ...],
 "label": optional string}.  ``save_state`` writes one entry per line, in
 ascending row-major order, for each entry whose real or imaginary part is
-not +0.0 (so -0.0 is kept); every other entry is zero.  The older dense
-schema {"dims": ..., "matrix": [[[re, im], ...], ...]} is still read.
+not +0.0 (so -0.0 is kept); every other entry is zero.  A document of the
+older dense schema, with a "matrix" key, is a parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,55 +24,18 @@ from .linalg import BipartiteState, DensityMatrix
 FILE_TOL = 1e-8
 
 
-def _complex(re, im, loc: str, what: str) -> complex:
+def _complex(re, im, loc: str) -> complex:
     """complex(re, im) of two decoded JSON numbers; ParseError at ``loc``
     unless both are finite numbers (a boolean is not one)."""
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-        raise ParseError(f"{loc}: {what} must be numbers", loc)
+        raise ParseError(f"{loc}: values must be numbers", loc)
     try:
         z = complex(re, im)
         if cmath.isfinite(z):
             return z
     except OverflowError:  # an integer beyond float range
         pass
-    raise ParseError(f"{loc}: {what} must be finite numbers", loc)
-
-
-def _entry(value, row: int, col: int) -> complex:
-    loc = f"matrix[{row}][{col}]"
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ParseError(f"{loc}: expected a [re, im] pair", loc)
-    return _complex(*value, loc, "entries")
-
-
-def _parse_entries(rows: list, d: int) -> np.ndarray:
-    """The d x d matrix of ``rows``, one checked entry at a time."""
-    m = np.zeros((d, d), dtype=complex)
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == d):
-            raise ParseError(f"matrix[{i}]: expected {d} entries", f"matrix[{i}]")
-        for j, val in enumerate(row):
-            m[i, j] = _entry(val, i, j)
-    return m
-
-
-def _parse_matrix(rows: list, d: int) -> np.ndarray:
-    """The d x d matrix of ``rows``, converted in one numpy call when every
-    entry is a [re, im] pair of finite JSON numbers; anything else goes
-    through ``_parse_entries``, which locates the first malformed entry.
-
-    int64 -> float64 rounds as ``float(int)`` does, so both paths give
-    bit-identical matrices.  numpy reads a boolean beside numbers as one,
-    so the numbers' types are checked as well.
-    """
-    try:
-        arr = np.array(rows)
-    except (ValueError, OverflowError):  # ragged rows or out-of-range numbers
-        return _parse_entries(rows, d)
-    if arr.shape != (d, d, 2) or arr.dtype.kind not in "fi" or not np.isfinite(arr).all() \
-            or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
-        return _parse_entries(rows, d)
-    return np.ascontiguousarray(arr, dtype=np.float64).view(complex)[..., 0]
+    raise ParseError(f"{loc}: values must be finite numbers", loc)
 
 
 def _sparse_entries(entries: list, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +56,7 @@ def _sparse_entries(entries: list, d: int) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"{loc}: index ({i}, {j}) {fault}", loc)
         last = i * d + j
         at.append(last)
-        values.append(_complex(re, im, loc, "values"))
+        values.append(_complex(re, im, loc))
     return np.array(at, dtype=np.int64), np.array(values, dtype=complex)
 
 
@@ -151,32 +113,19 @@ def _checked_dims(doc) -> list:
     return dims
 
 
-def _state(rho: DensityMatrix, dims: list) -> DensityMatrix | BipartiteState:
-    """The state file's validated state ``rho`` on ``dims``."""
-    if len(dims) == 2:
-        return BipartiteState(rho, dims[0], dims[1])
-    return rho
-
-
 def parse_state(doc: dict) -> DensityMatrix | BipartiteState:
     """Build a validated state from a decoded state-file document (as
-    ``json.loads`` returns it: lists, not tuples or arrays), sparse
-    ("entries") or dense ("matrix")."""
+    ``json.loads`` returns it: lists, not tuples or arrays)."""
+    if isinstance(doc, dict) and "matrix" in doc:
+        raise ParseError('matrix: the dense schema is no longer read; list the nonzero '
+                         'entries as "entries": [[i, j, re, im], ...]', "matrix")
     dims = _checked_dims(doc)
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
     d = math.prod(dims)
-    if "entries" in doc:
-        if "matrix" in doc:
-            raise ParseError('expected "entries" or "matrix", not both')
-        entries = doc["entries"]
-        if not isinstance(entries, list):
-            raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
-        return _state(DensityMatrix.from_entries(d, *_parse_sparse(entries, d), FILE_TOL), dims)
-    rows = doc.get("matrix")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix: expected a nonempty nested array", "matrix")
-    if len(rows) != d:
-        raise ParseError(f"matrix: expected {d} rows, got {len(rows)}", "matrix")
-    return _state(DensityMatrix(_parse_matrix(rows, d), FILE_TOL), dims)
+    rho = DensityMatrix.from_entries(d, *_parse_sparse(entries, d), FILE_TOL)
+    return BipartiteState(rho, *dims) if len(dims) == 2 else rho
 
 
 def _write(path, data: bytes) -> None:

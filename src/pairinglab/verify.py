@@ -103,22 +103,11 @@ class VerifyReport:
         }
 
 
-def _feasible_pairs(d_a: int, d_b: int) -> int:
-    """Transposition capacity of the generator on a d_A x d_B system."""
-    cap = 0
-    cols = d_b
-    while cols >= 2:
-        m = min(d_a, cols)
-        cap += m * (m - 1) // 2
-        cols -= m
-    return cap
-
-
 def _random_pairings(rep: VerifyReport, rng: RngState, entangled: bool = False):
     """The unvalidated matrices of one random pairing state per trial, and
     their pairing numbers."""
     d_a, d_b = rep.dims
-    cap = _feasible_pairs(d_a, d_b)
+    cap = randgen._feasible_pairs(d_a, d_b)
     low = 1 if entangled else 0
     n_pairs = rng.generator.integers(low, max(cap, low) + 1, size=rep.trials)
     return randgen._pairing_stack(d_a, d_b, n_pairs, rng), n_pairs

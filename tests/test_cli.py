@@ -55,14 +55,14 @@ class TestStateFile:
             statefile.load_state(path)
 
     def test_malformed_entry_location(self, tmp_path):
-        doc = {"dims": [2], "matrix": [[[0.5, 0], [0.5]], [[0.5, 0], [0.5, 0]]]}
+        doc = {"dims": [2], "entries": [[0, 0, 0.5, 0], [0, 1, 0.5], [1, 1, 0.5, 0]]}
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=r"matrix\[0\]\[1\]"):
+        with pytest.raises(ParseError, match=r"entries\[1\]"):
             statefile.load_state(path)
 
     def test_non_density_matrix(self, tmp_path):
-        doc = {"dims": [2], "matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}
+        doc = {"dims": [2], "entries": [[0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
         path = tmp_path / "trace2.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
@@ -86,7 +86,7 @@ class TestMeasureCommand:
         assert cli.main(["measure", str(bad)]) == 2
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
-        doc = {"dims": [2], "matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}
+        doc = {"dims": [2], "entries": [[0, 0, 1.0, 0], [1, 1, 1.0, 0]]}
         path = tmp_path / "trace2.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["measure", str(path)]) == 3
@@ -113,9 +113,10 @@ class TestDetectCommand:
 
 
 def _write_state(path, m, dims):
-    doc = {"dims": list(dims),
-           "matrix": [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]}
-    path.write_text(json.dumps(doc))
+    """A state file listing each nonzero entry of the matrix ``m``."""
+    m = np.asarray(m, dtype=complex)
+    entries = [[i, j, m[i, j].real, m[i, j].imag] for i, j in np.argwhere(m).tolist()]
+    path.write_text(json.dumps({"dims": list(dims), "entries": entries}))
     return path
 
 
@@ -466,6 +467,18 @@ class TestVerifyCommand:
         assert cli.main(["verify", *argv]) == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_seed_is_a_parse_error(self, capsys):
+        assert cli.main(["verify", "--seed", "-5"]) == 2
+        assert "--seed must be nonnegative, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_env_seed_that_is_no_nonnegative_integer_is_a_parse_error(self, monkeypatch,
+                                                                      capsys, value):
+        monkeypatch.setenv("PAIRINGLAB_SEED", value)
+        assert cli.main(["verify", "--suite", "negativity-bound", "--trials", "5"]) == 2
+        assert f"PAIRINGLAB_SEED must be a nonnegative integer, got {value!r}" \
+            in capsys.readouterr().err
+
     def test_lowerbound_without_room_for_a_transposition_is_infeasible(self, capsys):
         assert cli.main(["verify", "--suite", "lowerbound", "--dims", "3", "1"]) == 5
         assert "cannot host a transposition on a 2 x 1 system" in capsys.readouterr().err
@@ -551,7 +564,7 @@ class TestUnreadableFiles:
 
     def test_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_bytes(b'{"dims": [1], "matrix": [[[1.0, 0.0]]], "label": "\xff"}')
+        path.write_bytes(b'{"dims": [1], "entries": [[0, 0, 1.0, 0.0]], "label": "\xff"}')
         assert cli.main(["measure", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 

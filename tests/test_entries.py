@@ -159,7 +159,7 @@ class TestEmptyMatrix:
         message = "density matrix must be at least 1 x 1, got 0 x 0"
         for build in (lambda: pl.DensityMatrix(np.zeros((0, 0)), tol),
                       lambda: pl.DensityMatrix.from_entries(0, [], [], tol),
-                      lambda: pl.DensityMatrix.from_stack(np.zeros((2, 0, 0)), tol)):
+                      lambda: pl.linalg._validated_stack(np.zeros((2, 0, 0)), tol)):
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 build()
 

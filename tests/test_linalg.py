@@ -54,7 +54,7 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="not Hermitian|not unit trace"):
             pl.DensityMatrix(m)
         with pytest.raises(ValidationError, match="not Hermitian|not unit trace"):
-            pl.DensityMatrix.from_stack([m, np.eye(len(m)) / len(m)])
+            pl.linalg._validated_stack([m, np.eye(len(m)) / len(m)], pl.linalg.DEFAULT_TOL)
         assert decompositions == []
 
     def test_states_compare_and_hash_by_identity(self):
@@ -81,24 +81,23 @@ def dense_outcome(mats, tols):
         return str(exc)
 
 
-class TestFromStack:
+class TestValidatedStack:
+    """``linalg._validated_stack`` checks each matrix of a stack as the
+    dense constructor checks it alone."""
+
     @staticmethod
     def stack(seed=3, n=6, d=4):
         return np.array([random_density(seed + i, d).mat for i in range(n)])
 
-    def test_states_match_dense_validation(self, decompositions):
+    def test_spectra_match_dense_validation(self, decompositions):
         mats = self.stack()
         tols = np.linspace(1e-9, 1e-6, len(mats))
         decompositions.clear()
-        states = pl.DensityMatrix.from_stack(mats, tols)
+        stack, spectra = pl.linalg._validated_stack(mats, tols)
         assert decompositions == [mats.shape]
-        for got, want in zip(states, dense_outcome(mats, tols)):
-            assert got.mat.tobytes() == want.mat.tobytes()
-            assert got.validation_tol == want.validation_tol
-            assert got.eigenvalues().tobytes() == want.eigenvalues().tobytes()
-        decompositions.clear()
-        pl.von_neumann_entropy(states[2])
-        assert decompositions == []
+        for m, lam, want in zip(stack.mat, spectra, dense_outcome(mats, tols)):
+            assert m.tobytes() == want.mat.tobytes()
+            assert lam[::-1].tobytes() == want.eigenvalues().tobytes()
 
     @pytest.mark.parametrize("case", ["non-psd", "off-trace", "non-hermitian", "negative tol"])
     def test_first_failure_raises_the_dense_message(self, case):
@@ -113,24 +112,26 @@ class TestFromStack:
             else:
                 tols[t] = -1.0
         with pytest.raises(ValidationError) as err:
-            pl.DensityMatrix.from_stack(mats, tols)
+            pl.linalg._validated_stack(mats, tols)
         assert str(err.value) == dense_outcome(mats, tols)
 
     def test_each_matrix_at_its_own_tolerance(self):
         mats = self.stack(n=2)
         mats[1, 0, 1] += 1e-7  # a Hermiticity defect of 1e-7
         with pytest.raises(ValidationError, match="not Hermitian"):
-            pl.DensityMatrix.from_stack(mats, [1e-6, 1e-8])
-        assert len(pl.DensityMatrix.from_stack(mats, [1e-8, 1e-6])) == 2
+            pl.linalg._validated_stack(mats, [1e-6, 1e-8])
+        assert len(pl.linalg._validated_stack(mats, [1e-8, 1e-6])[0]) == 2
 
     def test_empty_and_malformed_stacks(self):
-        assert pl.DensityMatrix.from_stack(np.zeros((0, 3, 3))) == []
+        tol = pl.linalg.DEFAULT_TOL
+        stack, spectra = pl.linalg._validated_stack(np.zeros((0, 3, 3)), tol)
+        assert len(stack) == 0 and spectra.shape == (0, 3)
         with pytest.raises(ValidationError):
-            pl.DensityMatrix.from_stack(np.zeros((2, 2, 3)))
+            pl.linalg._validated_stack(np.zeros((2, 2, 3)), tol)
         with pytest.raises(ValidationError):
-            pl.DensityMatrix.from_stack(np.eye(2) / 2)
+            pl.linalg._validated_stack(np.eye(2) / 2, tol)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            pl.DensityMatrix.from_stack(np.full((1, 2, 2), np.nan))
+            pl.linalg._validated_stack(np.full((1, 2, 2), np.nan), tol)
 
 
 def stack_of(kind, dims, count=24):
@@ -158,11 +159,11 @@ def test_spectra_are_the_same_alone_or_stacked(kind, dims):
     # the validated spectrum and that of rho^T_A of each matrix of a stack,
     # bit for bit those the matrix gets on its own
     mats = stack_of(kind, dims)
-    states = pl.DensityMatrix.from_stack(mats)
+    _, spectra = pl.linalg._validated_stack(mats, pl.linalg.DEFAULT_TOL)
     pt = pt_spectrum(mats, dims)
     for t, m in enumerate(mats):
         alone = pl.BipartiteState(pl.DensityMatrix(m), *dims)
-        assert states[t].eigenvalues().tobytes() == alone.rho.eigenvalues().tobytes()
+        assert spectra[t].tobytes() == alone.rho._ascending().tobytes()
         assert pt[t].tobytes() == pl.measures._pt_spectrum(alone.rho._stack(), dims)[0].tobytes()
         assert pt[t].tobytes() == pt_spectrum(m[None], dims)[0].tobytes()
 
@@ -514,9 +515,9 @@ def validation_outcome(build):
 
 
 class TestParentParity:
-    """The constructor and ``from_stack`` give the message, or the
-    spectrum bits and the kept pattern, of the constructor's validation
-    before it became one routine, for each matrix alone and in stacks."""
+    """The constructor and ``_validated_stack`` give the message, or the
+    spectrum bits and the pattern, of the constructor's validation before
+    it became one routine, for each matrix alone and in stacks."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
            kinds=st.lists(st.sampled_from(PARITY_KINDS), min_size=1, max_size=4))
@@ -535,15 +536,16 @@ class TestParentParity:
             assert (got._kept.flat is None) == (nonzero is None)
             assert nonzero is None or np.array_equal(got._kept.flat, nonzero)
         mats, tols = np.array([m for m, _ in inputs]), [tol for _, tol in inputs]
-        got = validation_outcome(lambda: pl.DensityMatrix.from_stack(mats, tols))
+        got = validation_outcome(lambda: pl.linalg._validated_stack(mats, tols))
         first = next((w for w in want if isinstance(w, str)), None)
         if first is not None:
             assert got == first
             return
-        for state, (m, _), (lam, _) in zip(got, inputs, want):
-            assert state._ascending().tobytes() == lam.tobytes()
-            flat = state._stack().flat
-            assert np.array_equal(np.flatnonzero(m), np.arange(m.size) if flat is None else flat)
+        stack, spectra = got
+        for lam, (want_lam, _) in zip(spectra, want):
+            assert lam.tobytes() == want_lam.tobytes()
+        flat = stack.flat
+        assert np.array_equal(np.flatnonzero(mats), np.arange(mats.size) if flat is None else flat)
 
 
 class TestFromBlocks:
@@ -690,15 +692,13 @@ class TestKeptPattern:
         statefile.save_state(path, rho)
         self.assert_kept(statefile.load_state(path))
 
-    def test_stacked_states_are_scanned_on_each_call(self, rng):
-        other = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.3)
-        (stacked,) = pl.DensityMatrix.from_stack(other.mat[None])
-        assert stacked._kept is None
-        assert np.array_equal(stacked._stack().flat, np.flatnonzero(other.mat))
-        assert stacked._kept is None  # the scan is not kept
-        bs = pl.BipartiteState(stacked, 2, 6)
-        assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(other)
-        assert pl.measure_report(bs).entries == pl.measure_report(other).entries
+    def test_decomposition_blocks_keep_their_first_scan(self):
+        qq = pl.make_qubit_qudit_pairing(0.5, QQ_DIAG, [(0.25, COEFFS, (0, 1)), (0.25, COEFFS, (2, 3))])
+        for block in pl.qubit_qudit_decompose(qq).blocks:
+            rho = block.coeffs
+            assert "_kept" not in vars(rho)  # scanned on first use, not before
+            assert rho._stack() is rho._stack()
+            self.assert_kept(rho)
 
     def test_a_part_of_a_stack_reads_its_pattern_off_the_stack(self, rng):
         mats = np.array([pl.random_canonical_pairing(2, 6, 2, rng).mat,

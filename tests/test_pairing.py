@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
-from pairinglab import pairing, verify
+from pairinglab import pairing, randgen
 from pairinglab.errors import (
     ConditionViolated,
     InvalidPartition,
@@ -139,7 +139,7 @@ def detection_input(kind, d_a, d_b, zero_tol, g):
     if kind in ("involution", "chain", "permutation"):
         return monomial_pt_matrix(d_a, d_b, g, kind)
     rng = pl.RngState(int(g.integers(2**32)))
-    n_pairs = int(g.integers(0, verify._feasible_pairs(d_a, d_b) + 1))
+    n_pairs = int(g.integers(0, randgen._feasible_pairs(d_a, d_b) + 1))
     m = pl.random_canonical_pairing(d_a, d_b, n_pairs, rng).mat.copy()
     top = float(np.max(np.abs(m)))
     d = m.shape[0]

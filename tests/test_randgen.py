@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
-from pairinglab import verify
+from pairinglab import randgen
 from pairinglab.errors import Infeasible, InvalidRank
 
 
@@ -164,7 +164,7 @@ def per_edge_pairing_matrices(d_a, d_b, trials, edges, diag):
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 7), (3, 3), (3, 8), (5, 4)])
 @pytest.mark.parametrize("diag_weight", [None, 0.0, 0.3])
 def test_pairing_matrix_bit_identical_to_the_per_edge_build(d_a, d_b, diag_weight):
-    n_pairs = np.arange(15) % (verify._feasible_pairs(d_a, d_b) + 1)
+    n_pairs = np.arange(15) % (randgen._feasible_pairs(d_a, d_b) + 1)
     for seed in range(5):
         fast, slow = pl.RngState(seed), pl.RngState(seed)
         got = pl.randgen._pairing_stack(d_a, d_b, n_pairs, fast, diag_weight)
@@ -181,7 +181,6 @@ def test_public_generators_are_the_one_trial_stacks(seed):
         assert stack.shape[0] == 1
         assert state.mat.tobytes() == stack[0].tobytes()
 
-    randgen = pl.randgen
     same(pl.ginibre_density(5, 3, pl.RngState(seed)),
          randgen._ginibre_stack(5, [3], pl.RngState(seed)))
     same(pl.random_bipartite_state(2, 3, pl.RngState(seed)),
@@ -206,7 +205,7 @@ def test_a_ginibre_stack_draws_each_trial_at_its_rank():
        st.sampled_from([None, 0.0, 0.3]))
 @settings(max_examples=60, deadline=None)
 def test_every_stacked_pairing_draw_is_certified(d_a, d_b, seed, diag_weight):
-    cap = verify._feasible_pairs(d_a, d_b)
+    cap = randgen._feasible_pairs(d_a, d_b)
     rng = pl.RngState(seed)
     # every feasible pairing number, the capacity included, twice, shuffled
     n_pairs = rng.generator.permutation(np.arange(cap + 1).repeat(2))

@@ -1,7 +1,7 @@
 """The state-file format is locked: the writer gives the reference text
-assembled from json.dumps of each entry, the sparse reader the matrix and
-the errors of a per-entry reader, a legacy dense file the matrix of its
-sparse copy, and the fixtures regenerate byte for byte."""
+assembled from json.dumps of each entry, the reader the matrix and the
+errors of a per-entry reader, a file of the older dense schema one parse
+error, and the fixtures regenerate byte for byte."""
 
 import json
 import math
@@ -76,7 +76,8 @@ def json_bytes(state, label):
 
 
 def legacy_bytes(state, label):
-    """The dense file an older writer wrote for ``state``."""
+    """The dense file an older writer wrote for ``state``, which is no
+    longer read."""
     doc = {"dims": dims_of(state), "matrix": [[[z.real, z.imag] for z in row] for row in state.mat]}
     if label is not None:
         doc["label"] = label
@@ -174,30 +175,6 @@ class TestWriter:
         assert "\n  [1, 2, -0.0, 0.0]," in text
 
 
-def number_rows(numbers, d):
-    return [[numbers[2 * (i * d + j):2 * (i * d + j) + 2] for j in range(d)]
-            for i in range(d)]
-
-
-class TestFastReader:
-    @given(d=st.integers(1, 5), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_the_per_entry_path_bit_for_bit(self, d, data):
-        numbers = data.draw(st.lists(floats | st.integers(-2**62, 2**62),
-                                     min_size=2 * d * d, max_size=2 * d * d))
-        rows = number_rows(numbers, d)
-        fast = statefile._parse_matrix(rows, d)
-        slow = statefile._parse_entries(rows, d)
-        assert fast.dtype == slow.dtype and fast.shape == slow.shape
-        assert fast.tobytes() == slow.tobytes()
-
-    def test_json_round_trip_keeps_signed_zeros(self):
-        rows = json.loads(json.dumps([[[-0.0, 0.0], [0.0, -0.0]], [[1, -0.0], [-0.0, 2]]]))
-        fast = statefile._parse_matrix(rows, 2)
-        assert fast.tobytes() == statefile._parse_entries(rows, 2).tobytes()
-        assert np.signbit(fast.real[0, 0]) and np.signbit(fast.imag[0, 1])
-
-
 def checked_dims(doc):
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -208,11 +185,11 @@ def checked_dims(doc):
     return dims
 
 
-def finite_numbers(re, im, loc, what):
+def finite_numbers(re, im, loc):
     if not all(type(x) in (int, float) for x in (re, im)):
-        raise ParseError(f"{loc}: {what} must be numbers", loc)
+        raise ParseError(f"{loc}: values must be numbers", loc)
     if not all(abs(x) <= sys.float_info.max for x in (re, im)):
-        raise ParseError(f"{loc}: {what} must be finite numbers", loc)
+        raise ParseError(f"{loc}: values must be finite numbers", loc)
     return complex(re, im)
 
 
@@ -221,38 +198,17 @@ def validated(m, dims):
     return pl.BipartiteState(rho, dims[0], dims[1]) if len(dims) == 2 else rho
 
 
-def per_entry_reference(doc):
-    """``parse_state`` of a dense document as it was before the vectorized
-    reader: every entry is checked and converted on its own.  A non-finite
-    number, or an integer beyond float range, is a parse error at its entry."""
-    dims = checked_dims(doc)
-    rows = doc.get("matrix")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix: expected a nonempty nested array", "matrix")
-    d = int(np.prod(dims))
-    if len(rows) != d:
-        raise ParseError(f"matrix: expected {d} rows, got {len(rows)}", "matrix")
-    m = np.zeros((d, d), dtype=complex)
-    for i, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == d):
-            raise ParseError(f"matrix[{i}]: expected {d} entries", f"matrix[{i}]")
-        for j, val in enumerate(row):
-            loc = f"matrix[{i}][{j}]"
-            if not (isinstance(val, list) and len(val) == 2):
-                raise ParseError(f"{loc}: expected a [re, im] pair", loc)
-            m[i, j] = finite_numbers(*val, loc, "entries")
-    return validated(m, dims)
+DENSE_SCHEMA = ('matrix: the dense schema is no longer read; list the nonzero entries as '
+                '"entries": [[i, j, re, im], ...]')
 
 
 def sparse_reference(doc):
-    """``parse_state`` as a plain loop: each sparse entry is checked and
-    placed on its own; a dense document goes to ``per_entry_reference``."""
+    """``parse_state`` as a plain loop: each entry is checked and placed on
+    its own; a document with a "matrix" key is one parse error."""
+    if isinstance(doc, dict) and "matrix" in doc:
+        raise ParseError(DENSE_SCHEMA, "matrix")
     dims = checked_dims(doc)
-    if "entries" not in doc:
-        return per_entry_reference(doc)
-    if "matrix" in doc:
-        raise ParseError('expected "entries" or "matrix", not both')
-    entries = doc["entries"]
+    entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
     d = math.prod(dims)
@@ -272,7 +228,7 @@ def sparse_reference(doc):
         if seen and seen[-1] > (i, j):
             raise ParseError(f"{loc}: index ({i}, {j}) is out of row-major order", loc)
         seen.append((i, j))
-        m[i, j] = finite_numbers(re, im, loc, "values")
+        m[i, j] = finite_numbers(re, im, loc)
     return validated(m, dims)
 
 
@@ -286,59 +242,77 @@ def outcome(parse, doc):
 
 HALF = [0.5, 0]
 ZERO = [0, 0]
-MALFORMED = {
+A = [0, 0, 0.5, 0.0]
+D = [1, 1, 0.5, 0.0]
+DENSE_ROWS = {  # "matrix" values of a 2-dim file of the older dense schema
+    "a density matrix": [[HALF, ZERO], [ZERO, HALF]],
     "ragged row": [[HALF, ZERO], [ZERO]],
     "ragged entry": [[HALF, [0]], [ZERO, HALF]],
     "row not a list": [[HALF, ZERO], 7],
     "string number": [[[0.5, "0"], ZERO], [ZERO, HALF]],
-    "string entry": [[HALF, "ab"], [ZERO, HALF]],
     "none entry": [[None, ZERO], [ZERO, HALF]],
-    "none number": [[[0.5, None], ZERO], [ZERO, HALF]],
-    "dict entry": [[HALF, {}], [ZERO, HALF]],
     "all bool": [[[True, False], [False, False]], [[False, False], [False, False]]],
     "bool and float": [[[True, 0.0], ZERO], [ZERO, [0.0, 0.0]]],
-    "three-element entries": [[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]],
-    "one three-element entry": [[HALF, [0, 0, 0]], [ZERO, HALF]],
     "nested deeper": [[[[0.5], [0]], [[0], [0]]], [[[0], [0]], [[0.5], [0]]]],
-    "uint64": [[[2**63, 2**63], [2**63, 2**63]], [[2**63, 2**63], [2**63, 2**63]]],
-    "int beyond uint64": [[[2**70, 0], ZERO], [ZERO, HALF]],
     "int beyond float": [[[10**400, 0], ZERO], [ZERO, HALF]],
     "not a density matrix": [[[1.0, 0], ZERO], [ZERO, [1.0, 0]]],
     "non-finite": [[[float("nan"), 0], ZERO], [ZERO, HALF]],
+    "empty": [],
+    "not a list": 0,
 }
 
 
 class TestMalformedDocuments:
-    @pytest.mark.parametrize("name", sorted(MALFORMED))
-    def test_same_outcome_as_the_per_entry_reader(self, name):
-        doc = {"dims": [2], "matrix": MALFORMED[name]}
-        assert outcome(statefile.parse_state, doc) == outcome(per_entry_reference, doc)
-
     @pytest.mark.parametrize("doc", [
         [], {"dims": [0], "matrix": [[ZERO]]}, {"dims": [2, 2]}, {"dims": [2], "matrix": []},
         {"dims": [1, 2], "matrix": [[ZERO, ZERO]]}, {"dims": [2], "matrix": [[HALF, ZERO]]},
+        {"dims": [0], "entries": [A]}, {"dims": [1, 2], "entries": 7}, 7,
     ])
     def test_document_level_errors_unchanged(self, doc):
-        assert outcome(statefile.parse_state, doc) == outcome(per_entry_reference, doc)
+        assert outcome(statefile.parse_state, doc) == outcome(sparse_reference, doc)
         assert outcome(statefile.parse_state, doc)[0] is ParseError
 
-    def test_messages_name_the_offending_entry(self):
-        for name, message in [("ragged row", "matrix[1]: expected 2 entries"),
-                              ("string number", "matrix[0][0]: entries must be numbers"),
-                              ("all bool", "matrix[0][0]: entries must be numbers"),
-                              ("bool and float", "matrix[0][0]: entries must be numbers"),
-                              ("none entry", "matrix[0][0]: expected a [re, im] pair"),
-                              ("one three-element entry", "matrix[0][1]: expected a [re, im] pair"),
-                              ("int beyond float", "matrix[0][0]: entries must be finite numbers"),
-                              ("non-finite", "matrix[0][0]: entries must be finite numbers")]:
-            with pytest.raises(ParseError) as err:
-                statefile.parse_state({"dims": [2], "matrix": MALFORMED[name]})
-            assert str(err.value) == message
-            assert err.value.location == message.split(":")[0]
+
+class TestDenseSchema:
+    """A document with a "matrix" key, of the older dense schema, is one
+    parse error at "matrix", whatever the matrix, the dims or the entries
+    beside it hold."""
+
+    @pytest.mark.parametrize("dims, entries", [([2], None), ([2], [A, D]), ([0], None),
+                                               ([1, 2], "x")])
+    @pytest.mark.parametrize("name", sorted(DENSE_ROWS))
+    def test_is_a_parse_error_at_matrix(self, name, dims, entries):
+        doc = {"dims": dims, "matrix": DENSE_ROWS[name]}
+        if entries is not None:
+            doc["entries"] = entries
+        with pytest.raises(ParseError) as err:
+            statefile.parse_state(doc)
+        assert str(err.value) == DENSE_SCHEMA and err.value.location == "matrix"
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3),
+        lambda rng: pl.cnot_embed(pl.ginibre_density(4, 4, rng)),
+        lambda rng: pl.appendix_a_chain(pl.DensityMatrix(np.ones((2, 2)) / 2), 1).rho3,
+        lambda rng: pl.ginibre_density(6, 6, rng),
+    ], ids=["pairing", "cnot-embed", "appendix-a", "ginibre"])
+    @pytest.mark.parametrize("with_entries", [False, True], ids=["alone", "entries"])
+    def test_an_old_file_exits_2_from_every_reader(self, tmp_path, capsys, rng, make,
+                                                   with_entries):
+        # a file as the older writer wrote it, or with the entries beside its matrix
+        state = make(rng)
+        doc = json.loads(legacy_bytes(state, "old"))
+        if with_entries:
+            doc["entries"] = statefile.state_document(state)["entries"]
+        path, out = tmp_path / "old.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["measure", str(path)], ["detect", str(path)], ["witness", str(path)],
+                     ["construct", "cnot-embed", "--input", str(path), "--out", str(out)]):
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"parse error: {DENSE_SCHEMA}\n" and captured.out == ""
+        assert not out.exists()
 
 
-A = [0, 0, 0.5, 0.0]
-D = [1, 1, 0.5, 0.0]
 MALFORMED_ENTRIES = {  # entries of a 2-dim file: (entries, message)
     "three numbers": ([A, [1, 1, 0.5]], "entries[1]: expected [i, j, re, im]"),
     "five numbers": ([A, [1, 1, 0.5, 0.0, 0.0]], "entries[1]: expected [i, j, re, im]"),
@@ -370,7 +344,7 @@ MALFORMED_ENTRIES = {  # entries of a 2-dim file: (entries, message)
 
 class TestBooleans:
     """A JSON true or false is not a number: not a dimension, an index or
-    a value, in either schema."""
+    a value."""
 
     @pytest.mark.parametrize("doc, message", [
         ({"dims": [True, 2], "entries": [[0, 0, 1.0, 0.0]]}, "dims: expected [d] or [d_A"),
@@ -378,9 +352,6 @@ class TestBooleans:
         ({"dims": [2], "entries": [[0, 0, 1.0, 0.0], [1, 1, False, 0.0]]},
          "entries[1]: values must be numbers"),
         ({"dims": [2], "entries": [[0, 0, 1.0, False]]}, "entries[0]: values must be numbers"),
-        ({"dims": [2], "matrix": MALFORMED["bool and float"]}, "matrix[0][0]: entries must be numbers"),
-        ({"dims": [2], "matrix": MALFORMED["all bool"]}, "matrix[0][0]: entries must be numbers"),
-        ({"dims": [1], "matrix": [[[1.0, False]]]}, "matrix[0][0]: entries must be numbers"),
     ])
     def test_is_a_parse_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bool.json"
@@ -407,8 +378,7 @@ class TestSparseEntries:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, message", [
-        ({"dims": [2], "entries": [A, D], "matrix": [[HALF, ZERO], [ZERO, HALF]]},
-         'expected "entries" or "matrix", not both'),
+        ({"dims": [2], "entries": [A, D], "matrix": [[HALF, ZERO], [ZERO, HALF]]}, DENSE_SCHEMA),
         ({"dims": [2], "entries": {"0": A}}, "entries: expected an array of [i, j, re, im]"),
         ({"dims": [2], "entries": None}, "entries: expected an array of [i, j, re, im]"),
         ({"dims": [2.0], "entries": [A, D]},
@@ -486,7 +456,7 @@ def reference_matrix(text: str):
 
 class TestCanonicalReader:
     """A file that ``save_state`` wrote reads back to the bit of what
-    json.loads reads, and a legacy dense file to the bit of its sparse copy."""
+    json.loads reads."""
 
     @given(state=states() | sparse_states(), label=CANONICAL_LABELS)
     @settings(max_examples=150, deadline=None)
@@ -495,36 +465,6 @@ class TestCanonicalReader:
         got, want = unvalidated(text), reference_matrix(text)
         assert got[0].dtype == want[0].dtype and same_bits(got[0], want[0])
         assert got[1] == want[1]
-
-    @pytest.mark.parametrize("make", [
-        lambda rng: pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3),
-        lambda rng: pl.cnot_embed(pl.ginibre_density(4, 4, rng)),
-        lambda rng: pl.appendix_a_chain(pl.DensityMatrix(np.ones((2, 2)) / 2), 1).rho3,
-        lambda rng: pl.ginibre_density(6, 6, rng),
-    ])
-    def test_load_state_gives_the_json_paths_state(self, tmp_path, rng, make):
-        # a legacy dense file, as the older writer wrote it, and its sparse copy
-        state = make(rng)
-        dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
-        dense.write_text(legacy_bytes(state, '"matrix": [] ]\n'))
-        statefile.save_state(sparse, state, label='"matrix": [] ]\n')
-        got, want = statefile.load_state(sparse), statefile.load_state(dense)
-        assert type(got) is type(want) and got.dim == want.dim
-        assert getattr(got, "d_B", None) == getattr(want, "d_B", None)
-        assert same_bits(got.mat, want.mat) and same_bits(got.mat, state.mat)
-
-    def test_a_dense_file_takes_the_json_path(self, tmp_path, rng, monkeypatch):
-        # a legacy file of a state with no zero entry is read by the dense path
-        state = pl.ginibre_density(16, 16, rng)
-        path = tmp_path / "dense.json"
-        path.write_text(legacy_bytes(state, None))
-
-        def no_sparse(*args):
-            raise AssertionError("took the sparse path")
-
-        monkeypatch.setattr(statefile, "_parse_sparse", no_sparse)
-        assert same_bits(statefile.load_state(path).mat, state.mat)
-        assert len(json.loads(statefile._state_text(state, None))["entries"]) == 16 * 16
 
     @pytest.mark.parametrize("value", [0.5, 0.05, -0.0, 5e-324, 0.0001, 1.0, -5e-324, 0.0009,
                                        -0.0001, 1e-05, 1.0000000000000002,
@@ -615,25 +555,10 @@ class TestMutatedCanonicalFiles:
 
 
 class TestDeclaredSize:
-    @pytest.mark.parametrize("d", [2000, 2**40])
-    def test_huge_dims_in_a_tiny_file_is_a_parse_error(self, tmp_path, capsys, d):
-        # a legacy dense file: the row count is checked before anything is built
-        text = legacy_bytes(pl.DensityMatrix(np.ones((1, 1))), None)
-        path = tmp_path / "huge.json"
-        path.write_text(text.replace('"dims": [\n  1\n ]', f'"dims": [\n  {d}\n ]'))
-        with pytest.raises(ParseError, match=f"matrix: expected {d} rows, got 1"):
-            statefile.load_state(path)
-        assert cli.main(["measure", str(path)]) == 2
-        assert f"expected {d} rows, got 1" in capsys.readouterr().err
-
-    def test_the_row_count_is_the_exact_product_of_dims(self):
-        # 2^32 * 2^32 wraps to 0 in int64
-        with pytest.raises(ParseError, match=f"^matrix: expected {2**64} rows, got 1$"):
-            statefile.parse_state({"dims": [2**32, 2**32], "matrix": [[[1.0, 0.0]]]})
-
-    @pytest.mark.parametrize("dims", [[2**40], [2**24], [2**12, 2**12]])
+    @pytest.mark.parametrize("dims", [[2**40], [2**24], [2**12, 2**12], [2**32, 2**32]])
     def test_a_size_no_allocator_grants_is_a_parse_error(self, tmp_path, capsys, dims):
-        # 2^24 x 2^24 complex entries are 4 PiB; 2^40 x 2^40 overflow numpy's size
+        # 2^24 x 2^24 complex entries are 4 PiB; 2^40 x 2^40 overflow numpy's
+        # size; d = 2^32 * 2^32 would wrap to 0 in int64
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"dims": dims, "entries": [[0, 0, 1.0, 0.0]]}))
         d = math.prod(dims)
@@ -684,17 +609,16 @@ def _constructed_files(tmp_path):
 
 
 class TestFastPathGuard:
-    """Every file the package writes is sparse and read by the vectorized
-    path: a change to the writer that loses it fails here, not silently."""
+    """Every file the package writes is read by the vectorized path: a
+    change to the writer that loses it fails here, not silently."""
 
     def test_constructed_files_and_fixtures_are_scanned(self, tmp_path, monkeypatch, capsys):
         paths = _constructed_files(tmp_path) + sorted((REPO / "fixtures").glob("*.json"))
 
         def no_fallback(*args):
-            raise AssertionError("took a per-entry or dense path")
+            raise AssertionError("took the per-entry path")
 
-        for name in ("_sparse_entries", "_parse_matrix", "_parse_entries"):
-            monkeypatch.setattr(statefile, name, no_fallback)
+        monkeypatch.setattr(statefile, "_sparse_entries", no_fallback)
         for path in paths:
             assert "matrix" not in json.loads(path.read_text())
             statefile.load_state(path)

@@ -41,7 +41,7 @@ def states(mats, dims):
 def draw_pairings(rep, rng, entangled=False):
     """A stack of random pairing states and their pairing numbers."""
     d_a, d_b = rep.dims
-    cap = verify._feasible_pairs(d_a, d_b)
+    cap = randgen._feasible_pairs(d_a, d_b)
     low = 1 if entangled else 0
     n_pairs = rng.generator.integers(low, max(cap, low) + 1, size=rep.trials)
     return states(randgen._pairing_stack(d_a, d_b, n_pairs, rng), rep.dims), n_pairs
