@@ -14,10 +14,12 @@ than under version 1, which drew trial by trial.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import Infeasible, InvalidRank
-from .linalg import BipartiteState, DensityMatrix, _dagger
+from .linalg import BipartiteState, DensityMatrix, _dagger, _segment_reduce
 
 #: the bit generator and the stream version, the way the draws consume it
 ALGORITHM = "philox4x64/stream-2"
@@ -174,6 +176,38 @@ def random_canonical_pairing(
     return BipartiteState(DensityMatrix(m, GENERATED_TOL), d_a, d_b)
 
 
+@functools.lru_cache(maxsize=128)
+def _plan_table(d_a: int, d_b: int, present: tuple[int, ...]):
+    """The component plans of the ascending pairing numbers ``present``,
+    zero-padded to C components of m_max level slots, as read-only arrays:
+    ``sizes`` and ``counts`` (G, C), each component's levels and edges;
+    ``col`` (G, C, m_max), the place in the B order of each slot's
+    column; ``pairs``, the slot pairs (j, k) of a component; ``diag_at``
+    (G, K) and ``k`` (G,), the k places of each plan's diagonal mass in a
+    trial's row of targets: its C * m_max levels, then the level
+    a * d_B + (B order)[j] of each (a, j) in turn."""
+    plans = [_component_plan(d_a, d_b, n) for n in present]  # raises for the least
+    n_comp = max(map(len, plans), default=0)
+    m_max = max((m for plan in plans for m, _ in plan), default=0)
+    sizes, counts = np.zeros((2, len(plans), n_comp), dtype=np.intp)
+    for g, plan in enumerate(plans):
+        sizes[g, :len(plan)], counts[g, :len(plan)] = np.reshape(plan, (-1, 2)).T
+    slot, lead = np.arange(m_max), n_comp * m_max
+    col = np.minimum(np.cumsum(sizes, axis=1)[:, :, None] - sizes[:, :, None] + slot, d_b - 1)
+    # diagonal mass may sit on fixed points and on columns no component
+    # touches, never on a transposition label
+    targets = [np.concatenate([np.flatnonzero(slot < row[:, None]), lead + (
+        d_b * np.arange(d_a)[:, None] + np.arange(row.sum(), d_b)).ravel()]) for row in sizes]
+    k = np.array([len(at) for at in targets], dtype=np.intp)
+    diag_at = np.zeros((len(plans), k.max(initial=0)), dtype=np.intp)
+    for g, at in enumerate(targets):
+        diag_at[g, :len(at)] = at
+    pairs = np.triu_indices(m_max, 1)
+    for a in (sizes, counts, col, *pairs, diag_at, k):
+        a.flags.writeable = False
+    return sizes, counts, col, pairs, diag_at, k
+
+
 def _pairing_entries(d_a: int, d_b: int, n_pairs, rng: RngState,
                      diag_weight: float | None = None):
     """The drawn parameters of one pairing state per entry of ``n_pairs``.
@@ -183,20 +217,22 @@ def _pairing_entries(d_a: int, d_b: int, n_pairs, rng: RngState,
     ``cos(theta)|r> + phase sin(theta)|s>`` enters with ``weight`` (the
     diagonal part's share already taken off); and ``diag = (trial,
     index, value)``, the diagonal mass added after them.  Each field is
-    one RNG call for the whole stack, and the trials that share an
-    ``n_pairs`` share a component plan and are built together.
+    one RNG call for the whole stack, and each trial takes its component
+    plan from the table of the pairing numbers present.
     """
     n_pairs = np.asarray(n_pairs)
+    if n_pairs.size == 0:  # np.asarray([]) is a float array
+        n_pairs = n_pairs.astype(np.intp)
     if n_pairs.dtype.kind not in "iu" or np.any(n_pairs < 0):
         raise Infeasible(f"n_pairs must be nonnegative integers, got {n_pairs.tolist()}")
     if diag_weight is not None and not 0.0 <= diag_weight < 1.0:
         raise Infeasible("diag_weight must lie in [0, 1)")
-    plans = {n: _component_plan(d_a, d_b, n) for n in np.unique(n_pairs).tolist()}
-    n_comp = max(map(len, plans.values()), default=0)
-    m_max = max((m for plan in plans.values() for m, _ in plan), default=0)
-    slot = np.arange(m_max)
-    slot_j, slot_k = np.triu_indices(m_max, 1)  # the level pairs of a component
-    trials, dim = len(n_pairs), d_a * d_b
+    present, group = np.unique(n_pairs, return_inverse=True)
+    sizes, counts, col, (slot_j, slot_k), diag_at, k = _plan_table(
+        d_a, d_b, tuple(present.tolist()))
+    n_pairs = n_pairs.astype(np.intp)  # feasible, so small
+    trials, n_comp, m_max = len(n_pairs), *col.shape[1:]
+    n_max, dim = int(n_pairs.max(initial=0)), d_a * d_b
 
     g = rng.generator
     # a random order is the argsort of uniform keys; a random subset of
@@ -204,8 +240,8 @@ def _pairing_entries(d_a: int, d_b: int, n_pairs, rng: RngState,
     b_order = np.argsort(g.random((trials, d_b)), axis=1)
     a_order = np.argsort(g.random((trials, n_comp, d_a)), axis=2)[:, :, :m_max]
     edge_keys = g.random((trials, n_comp, len(slot_j)))
-    spread = _exponentials(g, (trials, int(n_pairs.max(initial=0))))
-    u = g.random((trials, int(n_pairs.max(initial=0)), 2))  # each edge's angle and phase
+    spread = _exponentials(g, (trials, n_max))
+    u = g.random((trials, n_max, 2))  # each edge's angle and phase
     mass = _exponentials(g, (trials, dim))
     if diag_weight is None:
         coin = g.random((trials, 2))
@@ -213,49 +249,40 @@ def _pairing_entries(d_a: int, d_b: int, n_pairs, rng: RngState,
     else:
         share = np.full(trials, float(diag_weight))
 
-    # typed empty fields, so that a stack without edges still concatenates
-    none = np.zeros(0, dtype=np.intp)
-    edges = [(none, none, none, none * 0.0, none * 0.0, none * 0j)]
-    diag = [(none, none, none * 0.0)]
-    for n, plan in plans.items():
-        t = np.flatnonzero(n_pairs == n)
-        if n == 0:  # a flat-Dirichlet diagonal
-            diag.append((np.repeat(t, dim), np.tile(np.arange(dim), len(t)),
-                         (mass[t] / mass[t].sum(axis=1, keepdims=True)).ravel()))
-            continue
-        sizes, counts = np.array(plan).T
-        # component i holds the levels (a, b) of its first sizes[i] slots:
-        # a from its own order of A, b the next columns of the B order
-        col = np.minimum(np.cumsum(sizes)[:, None] - sizes[:, None] + slot, d_b - 1)
-        levels = a_order[t, :len(plan)] * d_b + b_order[t][:, col]
-        # its edges: the counts[i] first of its level pairs by key; a key
-        # above every uniform puts the pairs it lacks last
-        keys = np.where(slot_k < sizes[:, None], edge_keys[t, :len(plan)], 2.0)
-        taken = np.arange(counts.max()) < counts[:, None]
-        chosen = np.argsort(keys, axis=2)[:, :, :counts.max()][:, taken]
-        first = np.nonzero(taken)[0] * m_max  # of each edge's component
-        flat = levels.reshape(len(t), -1)
-        r = np.take_along_axis(flat, first + slot_j[chosen], axis=1)
-        s = np.take_along_axis(flat, first + slot_k[chosen], axis=1)
-        # floored simplex weights keep every coherence entry well above
-        # the detection threshold
-        w = 0.4 / n + 0.6 * spread[t, :n] / spread[t, :n].sum(axis=1, keepdims=True)
-        theta = 0.3 + u[t, :n, 0] * (np.pi / 2 - 0.6)
-        phase = np.exp(2j * np.pi * u[t, :n, 1])
-        edges.append((np.repeat(t, n), r.ravel(), s.ravel(),
-                      ((1.0 - share[t])[:, None] * w).ravel(), theta.ravel(), phase.ravel()))
-        # diagonal mass may sit on fixed points and on columns no component
-        # touches, never on a transposition label
-        keep = share[t] > 0.0
-        t, levels = t[keep], levels[keep]
-        used = int(sizes.sum())
-        free = b_order[t][:, None, used:] + d_b * np.arange(d_a)[:, None]
-        targets = np.concatenate([levels[:, slot < sizes[:, None]],
-                                  free.reshape(len(t), d_a * (d_b - used))], axis=1)
-        p = mass[t, :targets.shape[1]]
-        diag.append((np.repeat(t, targets.shape[1]), targets.ravel(),
-                     (share[t][:, None] * (p / p.sum(axis=1, keepdims=True))).ravel()))
-    return tuple(map(np.concatenate, zip(*edges))), tuple(map(np.concatenate, zip(*diag)))
+    sizes, counts = sizes[group], counts[group]
+    # component i holds the levels (a, b) of its first sizes[i] slots:
+    # a from its own order of A, b the next columns of the B order
+    levels = a_order * d_b + np.take_along_axis(
+        b_order, col[group].reshape(trials, n_comp * m_max), axis=1).reshape(a_order.shape)
+    # its edges: the counts[i] first of its level pairs by key; a key
+    # above every uniform puts the pairs it lacks last
+    keys = np.where(slot_k < sizes[:, :, None], edge_keys, 2.0)
+    taken = np.arange(counts.max(initial=0)) < counts[:, :, None]
+    chosen = np.argsort(keys, axis=2)[:, :, :taken.shape[2]][taken]
+    trial, comp, _ = np.nonzero(taken)
+    first = (trial * n_comp + comp) * m_max  # of each edge's component
+    r, s = levels.ravel()[first + slot_j[chosen]], levels.ravel()[first + slot_k[chosen]]
+    # floored simplex weights keep every coherence entry well above the
+    # detection threshold
+    edge = np.arange(n_max) < n_pairs[:, None]
+    spread, u = spread[edge], u[edge]
+    w = 0.4 / n_pairs[trial] + 0.6 * spread / _segment_reduce(np.add, spread, n_pairs)[trial]
+    edges = (trial, r, s, (1.0 - share)[trial] * w,
+             0.3 + u[:, 0] * (np.pi / 2 - 0.6), np.exp(2j * np.pi * u[:, 1]))
+
+    # with no pairs, a flat-Dirichlet diagonal in the plain order; else
+    # the share of mass, if any
+    plain = n_pairs == 0
+    b_order[plain] = np.arange(d_b)
+    k = np.where(plain | (share > 0.0), k[group], 0)
+    held = np.arange(diag_at.shape[1]) < k[:, None]
+    d_trial = np.nonzero(held)[0]
+    rows = np.concatenate([levels.reshape(trials, n_comp * m_max), (
+        b_order[:, None, :] + d_b * np.arange(d_a)[:, None]).reshape(trials, dim)], axis=1)
+    p = mass[:, :diag_at.shape[1]][held]
+    value = p / _segment_reduce(np.add, p, k)[d_trial]
+    value *= np.where(plain, 1.0, share)[d_trial]
+    return edges, (d_trial, rows[d_trial, diag_at[group][held]], value)
 
 
 def _pairing_stack(d_a: int, d_b: int, n_pairs, rng: RngState,
@@ -269,8 +296,9 @@ def _pairing_stack(d_a: int, d_b: int, n_pairs, rng: RngState,
     outer = v[:, :, None] * v.conj()[:, None, :]
     idx = np.stack([r, s], axis=1)
     m = np.zeros((len(n_pairs), dim, dim), dtype=complex)
+    flat = m.reshape(-1)
     # components sharing a level add up on its diagonal entry in edge order
-    np.add.at(m, (trial[:, None, None], idx[:, :, None], idx[:, None, :]),
-              weight[:, None, None] * outer)
-    m[d_trial, index, index] += value
+    np.add.at(flat, (((trial * dim)[:, None, None] + idx[:, :, None]) * dim
+                     + idx[:, None, :]).ravel(), (weight[:, None, None] * outer).ravel())
+    flat[(d_trial * dim + index) * dim + index] += value
     return m
