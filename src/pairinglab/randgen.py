@@ -186,7 +186,8 @@ def _plan_table(d_a: int, d_b: int, present: tuple[int, ...]):
     (G, K) and ``k`` (G,), the k places of each plan's diagonal mass in a
     trial's row of targets: its C * m_max levels, then the level
     a * d_B + (B order)[j] of each (a, j) in turn."""
-    plans = [_component_plan(d_a, d_b, n) for n in present]  # raises for the least
+    # in ascending order, so the least infeasible n is the one that raises
+    plans = [_component_plan(d_a, d_b, n) for n in present]
     n_comp = max(map(len, plans), default=0)
     m_max = max((m for plan in plans for m, _ in plan), default=0)
     sizes, counts = np.zeros((2, len(plans), n_comp), dtype=np.intp)

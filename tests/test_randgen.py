@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +219,285 @@ def test_every_stacked_pairing_draw_is_certified(d_a, d_b, seed, diag_weight):
         assert cert is not None and cert.pairing_number == n
     with pytest.raises(Infeasible):
         pl.randgen._pairing_stack(d_a, d_b, [cap + 1], rng, diag_weight)
+
+
+def grouped_pairing_entries(d_a, d_b, n_pairs, rng, diag_weight=None):
+    """Reference: the stream-2 pairing draw that built each group of
+    trials with one pairing number in its own Python pass."""
+    n_pairs = np.asarray(n_pairs)
+    plans = {n: randgen._component_plan(d_a, d_b, n) for n in np.unique(n_pairs).tolist()}
+    n_comp = max(map(len, plans.values()), default=0)
+    m_max = max((m for plan in plans.values() for m, _ in plan), default=0)
+    slot = np.arange(m_max)
+    slot_j, slot_k = np.triu_indices(m_max, 1)
+    trials, dim = len(n_pairs), d_a * d_b
+
+    g = rng.generator
+    b_order = np.argsort(g.random((trials, d_b)), axis=1)
+    a_order = np.argsort(g.random((trials, n_comp, d_a)), axis=2)[:, :, :m_max]
+    edge_keys = g.random((trials, n_comp, len(slot_j)))
+    spread = randgen._exponentials(g, (trials, int(n_pairs.max(initial=0))))
+    u = g.random((trials, int(n_pairs.max(initial=0)), 2))
+    mass = randgen._exponentials(g, (trials, dim))
+    if diag_weight is None:
+        coin = g.random((trials, 2))
+        share = np.where(coin[:, 0] < 0.5, coin[:, 1] * 0.4, 0.0)
+    else:
+        share = np.full(trials, float(diag_weight))
+
+    none = np.zeros(0, dtype=np.intp)
+    edges = [(none, none, none, none * 0.0, none * 0.0, none * 0j)]
+    diag = [(none, none, none * 0.0)]
+    for n, plan in plans.items():
+        t = np.flatnonzero(n_pairs == n)
+        if n == 0:
+            diag.append((np.repeat(t, dim), np.tile(np.arange(dim), len(t)),
+                         (mass[t] / mass[t].sum(axis=1, keepdims=True)).ravel()))
+            continue
+        sizes, counts = np.array(plan).T
+        col = np.minimum(np.cumsum(sizes)[:, None] - sizes[:, None] + slot, d_b - 1)
+        levels = a_order[t, :len(plan)] * d_b + b_order[t][:, col]
+        keys = np.where(slot_k < sizes[:, None], edge_keys[t, :len(plan)], 2.0)
+        taken = np.arange(counts.max()) < counts[:, None]
+        chosen = np.argsort(keys, axis=2)[:, :, :counts.max()][:, taken]
+        first = np.nonzero(taken)[0] * m_max
+        flat = levels.reshape(len(t), -1)
+        r = np.take_along_axis(flat, first + slot_j[chosen], axis=1)
+        s = np.take_along_axis(flat, first + slot_k[chosen], axis=1)
+        w = 0.4 / n + 0.6 * spread[t, :n] / spread[t, :n].sum(axis=1, keepdims=True)
+        theta = 0.3 + u[t, :n, 0] * (np.pi / 2 - 0.6)
+        phase = np.exp(2j * np.pi * u[t, :n, 1])
+        edges.append((np.repeat(t, n), r.ravel(), s.ravel(),
+                      ((1.0 - share[t])[:, None] * w).ravel(), theta.ravel(), phase.ravel()))
+        keep = share[t] > 0.0
+        t, levels = t[keep], levels[keep]
+        used = int(sizes.sum())
+        free = b_order[t][:, None, used:] + d_b * np.arange(d_a)[:, None]
+        targets = np.concatenate([levels[:, slot < sizes[:, None]],
+                                  free.reshape(len(t), d_a * (d_b - used))], axis=1)
+        p = mass[t, :targets.shape[1]]
+        diag.append((np.repeat(t, targets.shape[1]), targets.ravel(),
+                     (share[t][:, None] * (p / p.sum(axis=1, keepdims=True))).ravel()))
+    return tuple(map(np.concatenate, zip(*edges))), tuple(map(np.concatenate, zip(*diag)))
+
+
+def grouped_pairing_stack(d_a, d_b, trials, edges, diag):
+    """Reference: the matrices of ``grouped_pairing_entries``, scattered
+    with 3-D indices."""
+    (trial, r, s, weight, theta, phase), (d_trial, index, value) = edges, diag
+    dim = d_a * d_b
+    v = np.stack([np.cos(theta), phase * np.sin(theta)], axis=1)
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    idx = np.stack([r, s], axis=1)
+    m = np.zeros((trials, dim, dim), dtype=complex)
+    np.add.at(m, (trial[:, None, None], idx[:, :, None], idx[:, None, :]),
+              weight[:, None, None] * outer)
+    m[d_trial, index, index] += value
+    return m
+
+
+def per_trial(fields, trials):
+    """Each trial's entries of ``(trial, ...)`` fields, in their order, as bytes."""
+    return [tuple(f[fields[0] == t].tobytes() for f in fields[1:]) for t in range(trials)]
+
+
+def philox_state(rng):
+    s = rng.generator.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0.0, 0.3, 0.75]))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_draw_matches_the_grouped_reference(data, d_a, d_b, seed, diag_weight):
+    cap = randgen._feasible_pairs(d_a, d_b)
+    n_pairs = np.array(data.draw(st.lists(st.integers(0, cap), min_size=1, max_size=30)))
+    fast, slow = pl.RngState(seed), pl.RngState(seed)
+    edges, diag = randgen._pairing_entries(d_a, d_b, n_pairs, fast, diag_weight)
+    want_edges, want_diag = grouped_pairing_entries(d_a, d_b, n_pairs, slow, diag_weight)
+    # edges come in trial order now, not grouped by pairing number; only
+    # the order within a trial reaches the bits
+    assert per_trial(edges, len(n_pairs)) == per_trial(want_edges, len(n_pairs))
+    assert per_trial(diag, len(n_pairs)) == per_trial(want_diag, len(n_pairs))
+    assert philox_state(fast) == philox_state(slow)
+    fast, slow = pl.RngState(seed), pl.RngState(seed)
+    got = randgen._pairing_stack(d_a, d_b, n_pairs, fast, diag_weight)
+    want = grouped_pairing_stack(d_a, d_b, len(n_pairs),
+                                 *grouped_pairing_entries(d_a, d_b, n_pairs, slow, diag_weight))
+    assert got.tobytes() == want.tobytes()
+    assert philox_state(fast) == philox_state(slow)
+
+
+# shuffled stacks of every feasible pairing number, 0 and the capacity
+# included, some twice
+MIXED_N_PAIRS = {
+    (2, 2): [0, 0, 0, 0, 1, 1],
+    (2, 6): [3, 2, 1, 0, 1, 0, 2, 3, 0, 0],
+    (3, 3): [2, 0, 2, 1, 3, 3, 2, 0, 0, 0],
+    (3, 5): [4, 4, 1, 0, 3, 2, 3, 2, 4, 0, 2, 0],
+    (3, 8): [3, 7, 3, 2, 2, 6, 1, 6, 5, 4, 0, 2, 1, 3, 0, 5, 5, 4],
+    (4, 6): [7, 4, 6, 2, 3, 2, 7, 0, 2, 0, 5, 7, 2, 0, 3, 2, 6, 1],
+    (5, 4): [6, 1, 2, 6, 1, 5, 3, 5, 3, 4, 4, 3, 4, 6, 0, 6],
+    (1, 3): [0, 0, 0, 0],
+}
+
+# SHA-256 of the stack's bytes and the generator's next random(), drawn
+# from RngState(10 d_A + d_B) when the draw ran one pass per pairing
+# number; a "uniform" stack is five trials of (capacity + 1) // 2
+FROZEN_PAIRING_STACKS = {
+    (2, 2, None, 'mixed'): (
+        "861c25c616eecf5ec2150f6653a091fa599d4aaa401a1d55acdb725555dd58de", 0.16028565860599187),
+    (2, 2, None, 'uniform'): (
+        "a66a3bb5c5198f619959d45e42f638edd5dce3c4d74d21899008d5cab8f39358", 0.14263244526868457),
+    (2, 2, 0.0, 'mixed'): (
+        "861c25c616eecf5ec2150f6653a091fa599d4aaa401a1d55acdb725555dd58de", 0.08400762436521492),
+    (2, 2, 0.0, 'uniform'): (
+        "b7b895b917dde162186f4e68ed287d50e9ebecb354462a0feea0a6f215297506", 0.07449237162718991),
+    (2, 2, 0.3, 'mixed'): (
+        "a35fc63c9e385b7c6578c526f7e7ccadad7a569149ec7b9220bc08541f56ca7d", 0.08400762436521492),
+    (2, 2, 0.3, 'uniform'): (
+        "72557ad46d825d1265f9756e40d63704d2818de7ff85624183032d8b46b1f13e", 0.07449237162718991),
+    (2, 6, None, 'mixed'): (
+        "c95bc376e735b294addd5a206b64136e98eab6ad8267769ffe47fc2fb37f37df", 0.28538208696582834),
+    (2, 6, None, 'uniform'): (
+        "f0cec6e992aab9d9ba8eb09e1882aaa42b0ca004f3a04d4beff2e82b2034c780", 0.5825409405069516),
+    (2, 6, 0.0, 'mixed'): (
+        "9862205c785815f661a3e6f2a3f73c1ef2ebb2d9cddb27972018f6948c76f1dc", 0.47282570113822064),
+    (2, 6, 0.0, 'uniform'): (
+        "96232ad2af16e054c153494e1d659843ce2d144b2320e0d05bf9f5be3c226e8d", 0.8466452683281397),
+    (2, 6, 0.3, 'mixed'): (
+        "859afc3fbb2a9fe6804f8658b410617f6fedcbc2aae61f536fe0c47d3829d41f", 0.47282570113822064),
+    (2, 6, 0.3, 'uniform'): (
+        "1d34d88c41f388c071765077d53bfcc95e92567111e07816db95323cc06807cd", 0.8466452683281397),
+    (3, 3, None, 'mixed'): (
+        "7958770d5cdf67cd3b390ebd87e28b0d55aa6273ff18891c020b2137bb5bbf33", 0.7789952945041745),
+    (3, 3, None, 'uniform'): (
+        "1a4b6dd189904d3a47d07b2e4615288437eaf98acf6eff1b041eb3f6e1a9a9bc", 0.8112199407649737),
+    (3, 3, 0.0, 'mixed'): (
+        "a1e9102911043f37914a229ad0ea06d2893620e58777f79bb5c723a4faeaa907", 0.021270270296431026),
+    (3, 3, 0.0, 'uniform'): (
+        "2615dceebb30ab4c6478a887cc99e06a2e77e2ff486f16c52431ab731007558c", 0.31970800233988506),
+    (3, 3, 0.3, 'mixed'): (
+        "710815d243306928b9a92e8d5861bd93c708b7a2a9072c3b72b1f886542547f1", 0.021270270296431026),
+    (3, 3, 0.3, 'uniform'): (
+        "b217e6a3681747adc47e4d23f275c6cae7724b565fdf7434ea1cbffcdd59cb8e", 0.31970800233988506),
+    (3, 5, None, 'mixed'): (
+        "40b3825c97847bf7ea2339b700e944b765fd4372913f7be50adbdc82feacb404", 0.4786486905000171),
+    (3, 5, None, 'uniform'): (
+        "d1f4905af444a70892776de3ff5340b24ab29fc47e0a01895c47b672c245c25e", 0.4521085509145242),
+    (3, 5, 0.0, 'mixed'): (
+        "356d59101ac5ea9776483ccb000c160df74e06cd6679a464dedf964a89130321", 0.9992225166200229),
+    (3, 5, 0.0, 'uniform'): (
+        "25a7591434d8660fd79435ed4cc260fa6fb1ba05113ba2989c44eaf4670488fb", 0.7906449198108433),
+    (3, 5, 0.3, 'mixed'): (
+        "db3c6e22273437447f8717a89c9e484658067dc49c147ee2472138ea97db363f", 0.9992225166200229),
+    (3, 5, 0.3, 'uniform'): (
+        "a316696fb31bfdfd07514c18be27b6fa543b572bc45c727863426f3b2f7af038", 0.7906449198108433),
+    (3, 8, None, 'mixed'): (
+        "e11b888bdb0c7bf31884eb87dbbeca0052998404ff50ac91ed8fd247a6574434", 0.5039652922426695),
+    (3, 8, None, 'uniform'): (
+        "f3acb59cfd1d3c909ef66e95954c2ff35f4729967f1947c23a47b7d3e841b5d1", 0.07825278828156046),
+    (3, 8, 0.0, 'mixed'): (
+        "4314d4a4e6239d8dc73f8baf3c4cffc0980c22f2b289080a14c01ee580cb09d8", 0.7754860248391435),
+    (3, 8, 0.0, 'uniform'): (
+        "7ee0cc5e4976858f495f7a9720b88559df6de8a0a77f91b5553368b47da16ec6", 0.09582463293697407),
+    (3, 8, 0.3, 'mixed'): (
+        "199ba49ebbf30664eddd1439c3ba69e4dc4555325f94cdcf2992516f2aff0549", 0.7754860248391435),
+    (3, 8, 0.3, 'uniform'): (
+        "ef51667c07d71417289c2115b7aa8df196e19c21b1e7ab25a081593a041a7f4a", 0.09582463293697407),
+    (4, 6, None, 'mixed'): (
+        "8e6deed8a04789cf419fae9f1c29a5e846b5d4e57febf89e655d34d826505f26", 0.51946403654224),
+    (4, 6, None, 'uniform'): (
+        "6ce4c4d27ee14c087157d6d4b2a05c1d07ea65789ed7a35f00db506f3e3c03f8", 0.26730543627726844),
+    (4, 6, 0.0, 'mixed'): (
+        "49e77c87afceefb6a1955109f6c9072f48c54184884fc408986f2355e342051a", 0.12396730268950473),
+    (4, 6, 0.0, 'uniform'): (
+        "7bf781b5d43b54df4859c470c735c9a71b9d83b87fab507df22836ef1d88a9eb", 0.2090167900439086),
+    (4, 6, 0.3, 'mixed'): (
+        "d6dfa184cb8bf72aa9002be71c7d23859199e837b87ac179311de56c013b5b6c", 0.12396730268950473),
+    (4, 6, 0.3, 'uniform'): (
+        "497474b1bb769a25c6c24d14a5a3538a49bc816aa6f94a2d6720ebe92eb73657", 0.2090167900439086),
+    (5, 4, None, 'mixed'): (
+        "210fbbe9a561c4f1a65b441241ec4648c29d24fe331bfe1f448b69cd85ff9ea8", 0.739407135784304),
+    (5, 4, None, 'uniform'): (
+        "56f1451786ed8889203cacdaa54b0847b525a194124d6583c13b3212f34c57ad", 0.826998136717585),
+    (5, 4, 0.0, 'mixed'): (
+        "0c9a48c0099c8121ae75fbb294e07c900f867346b08c3089fcfbd883cef00408", 0.22534421038855945),
+    (5, 4, 0.0, 'uniform'): (
+        "1cc3ffc3a802c648c0847927c911c201b09f71fad5aa9802b2db3fbb81e54e52", 0.02110481826874888),
+    (5, 4, 0.3, 'mixed'): (
+        "5c4586ef5013d88334b31d3f9fb2695a25fa159caf9ba3071dcdf8643e0b22bc", 0.22534421038855945),
+    (5, 4, 0.3, 'uniform'): (
+        "8f270b02fb51f16c78a53bce7a25baa8e17cb75dfaf6fc8cdbe9d7a18e9ab9a1", 0.02110481826874888),
+    (1, 3, None, 'mixed'): (
+        "77dbe3ab86ad7b5ede3def35b5ef3d6c75f5b59aa839ea55d24f6c4b52f9588e", 0.16074234661218634),
+    (1, 3, None, 'uniform'): (
+        "805a65b2bacb825b45b31e59cd49df24036f337a6a6e192b40b3aa34251c3742", 0.07959194775415457),
+    (1, 3, 0.0, 'mixed'): (
+        "77dbe3ab86ad7b5ede3def35b5ef3d6c75f5b59aa839ea55d24f6c4b52f9588e", 0.2805466344999451),
+    (1, 3, 0.0, 'uniform'): (
+        "805a65b2bacb825b45b31e59cd49df24036f337a6a6e192b40b3aa34251c3742", 0.6883237679503337),
+    (1, 3, 0.3, 'mixed'): (
+        "77dbe3ab86ad7b5ede3def35b5ef3d6c75f5b59aa839ea55d24f6c4b52f9588e", 0.2805466344999451),
+    (1, 3, 0.3, 'uniform'): (
+        "805a65b2bacb825b45b31e59cd49df24036f337a6a6e192b40b3aa34251c3742", 0.6883237679503337),
+}
+
+
+@pytest.mark.parametrize("d_a, d_b, diag_weight, kind", list(FROZEN_PAIRING_STACKS))
+def test_pairing_stacks_keep_their_stream_2_bits(d_a, d_b, diag_weight, kind):
+    cap = randgen._feasible_pairs(d_a, d_b)
+    n_pairs = MIXED_N_PAIRS[d_a, d_b] if kind == "mixed" else [(cap + 1) // 2] * 5
+    rng = pl.RngState(10 * d_a + d_b)
+    mats = randgen._pairing_stack(d_a, d_b, n_pairs, rng, diag_weight)
+    assert (hashlib.sha256(mats.tobytes()).hexdigest(), rng.generator.random()) \
+        == FROZEN_PAIRING_STACKS[d_a, d_b, diag_weight, kind]
+
+
+# the certify-dense set-up draw, by seed, frozen the same way
+FROZEN_DENSE_PAIRINGS = {
+    0: (
+        "84196894bc4448a923b215d054e8d7472e9b458f4b709fe9275bd36a6e9b9631", 0.16775959811685304),
+    1: (
+        "cbdf17be8284f2700414c9f2ea441b2665f5b41480109fb2e1e53b99b924053d", 0.15001696407250165),
+}
+
+
+@pytest.mark.parametrize("seed", list(FROZEN_DENSE_PAIRINGS))
+def test_dense_pairing_draw_keeps_its_stream_2_bits(seed):
+    rng = pl.RngState(seed)
+    bs = pl.random_canonical_pairing(2, 256, 124, rng, diag_weight=0.3)
+    assert (hashlib.sha256(bs.mat.tobytes()).hexdigest(), rng.generator.random()) \
+        == FROZEN_DENSE_PAIRINGS[seed]
+
+
+@pytest.mark.parametrize("n_pairs", [[], np.array([], dtype=int)], ids=["list", "int array"])
+def test_an_empty_stack_draws_nothing(n_pairs):
+    rng = pl.RngState(4)
+    mats = randgen._pairing_stack(3, 3, n_pairs, rng)
+    assert mats.shape == (0, 9, 9) and mats.dtype == complex
+    assert rng.generator.random() == pl.RngState(4).generator.random()
+
+
+@pytest.mark.parametrize("n_pairs, diag_weight, message", [
+    ([1, 5, 4], None, "cannot host 4 transpositions on a 3 x 3 system"),
+    ([0, 9, 3], 0.3, "cannot host 9 transpositions on a 3 x 3 system"),
+    ([2, -1], None, "nonnegative integers"),
+    ([1.5, 2], None, "nonnegative integers"),
+    ([1, 5], 1.0, "diag_weight"),
+])
+def test_infeasible_stacks_raise_before_any_draw(n_pairs, diag_weight, message):
+    rng = pl.RngState(6)
+    with pytest.raises(Infeasible, match=message):
+        randgen._pairing_stack(3, 3, n_pairs, rng, diag_weight)
+    assert rng.generator.random() == pl.RngState(6).generator.random()
+
+
+def test_the_plan_table_is_bounded_and_read_only():
+    assert randgen._plan_table.cache_info().maxsize is not None
+    sizes, counts, col, pairs, diag_at, k = randgen._plan_table(3, 5, (0, 2, 4))
+    for a in (sizes, counts, col, *pairs, diag_at, k):
+        assert not a.flags.writeable
+    assert sizes.tolist() == [[0, 0], [3, 0], [3, 2]]
+    assert counts.tolist() == [[0, 0], [2, 0], [3, 1]]
