@@ -271,18 +271,18 @@ def _pairing_entries(d_a: int, d_b: int, n_pairs, rng: RngState,
     edges = (trial, r, s, (1.0 - share)[trial] * w,
              0.3 + u[:, 0] * (np.pi / 2 - 0.6), np.exp(2j * np.pi * u[:, 1]))
 
-    # with no pairs, a flat-Dirichlet diagonal in the plain order; else
-    # the share of mass, if any
+    # with no pairs the diagonal takes all the mass, a flat Dirichlet in
+    # the plain order
     plain = n_pairs == 0
-    b_order[plain] = np.arange(d_b)
-    k = np.where(plain | (share > 0.0), k[group], 0)
+    b_order[plain], share[plain] = np.arange(d_b), 1.0
+    k = np.where(share > 0.0, k[group], 0)
     held = np.arange(diag_at.shape[1]) < k[:, None]
     d_trial = np.nonzero(held)[0]
     rows = np.concatenate([levels.reshape(trials, n_comp * m_max), (
         b_order[:, None, :] + d_b * np.arange(d_a)[:, None]).reshape(trials, dim)], axis=1)
     p = mass[:, :diag_at.shape[1]][held]
     value = p / _segment_reduce(np.add, p, k)[d_trial]
-    value *= np.where(plain, 1.0, share)[d_trial]
+    value *= share[d_trial]
     return edges, (d_trial, rows[d_trial, diag_at[group][held]], value)
 
 
