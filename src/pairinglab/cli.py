@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification violation, 2 parse error,
 3 validation failure, 4 not a canonical pairing state, 5 infeasible
-parameters / unknown suite.
+parameters / unknown suite; 141 (128 + SIGPIPE) when standard output is
+closed early, set by the ``pairinglab`` command and ``python -m
+pairinglab`` (``__main__``), not by ``main``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_PAIRING = 4
 EXIT_INFEASIBLE = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x: float) -> str:

@@ -186,10 +186,12 @@ def _validated_stack(mats, tols) -> tuple[_Stack, np.ndarray]:
     return stack, _checked(stack, tols)
 
 
-def _checked(stack: _Stack, tols) -> np.ndarray:
+def _checked(stack: _Stack, tols, spectra: np.ndarray | None = None) -> np.ndarray:
     """The ascending spectra (``_spectra``) of the matrices of ``stack``,
     each checked as a density matrix, matrix t at ``tols[t]`` (one
-    tolerance or one per matrix), by ``_reject``.  The Hermiticity defect
+    tolerance or one per matrix), by ``_reject``.  A caller that already
+    holds the ascending spectra (of a product, from its factors') passes
+    them as ``spectra`` and none is taken.  The Hermiticity defect
     max |M - M^dag| is read off the nonzero entries when the stack has a
     zero, as a pair of zero entries adds nothing to it, and the trace off
     the diagonals.  No spectrum is taken when the first matrix fails
@@ -209,7 +211,8 @@ def _checked(stack: _Stack, tols) -> np.ndarray:
                                   np.bincount(rows // n, minlength=t))
     gaps = np.abs(stack.diagonal.sum(axis=1) - 1)
     _reject(tols[:1], defects[:1], gaps[:1])
-    spectra = _spectra(stack, flat)
+    if spectra is None:
+        spectra = _spectra(stack, flat)
     _reject(tols, defects, gaps, spectra[:, 0])
     return spectra
 

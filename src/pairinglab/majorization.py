@@ -17,7 +17,14 @@ def _descending(x) -> np.ndarray:
 
 
 def _zero_padded(a: np.ndarray, n: int) -> np.ndarray:
-    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, n - a.shape[-1])])
+    """``a`` with zeros appended along its last axis up to length n (a
+    itself at length n); a slice assignment, as ``np.pad`` costs tens of
+    microseconds a call."""
+    if a.shape[-1] == n:
+        return a
+    out = np.zeros(a.shape[:-1] + (n,))
+    out[..., :a.shape[-1]] = a
+    return out
 
 
 def majorizes(y, x, tol: float = 1e-9):
@@ -37,7 +44,9 @@ def majorizes(y, x, tol: float = 1e-9):
 
 @dataclass(frozen=True, eq=False)
 class MajorizationTriple:
-    """u = squared entry moduli, v = diag(X^dag X), w = eig(X^dag X).
+    """u = squared entry moduli, v = diag(X^dag X), w = eig(X^dag X),
+    descending: the squared singular values of X, then zeros up to the
+    column count.
 
     All three share the same total (the squared Frobenius norm) and
     satisfy u < v < w.  Triples compare and hash by identity.
@@ -52,11 +61,17 @@ def uvw_triple(x) -> MajorizationTriple:
     """The majorization chain of a matrix, per-component (of each matrix
     of a stack, along the last axis)."""
     x = linalg.as_complex_stack(x)
-    u = (np.abs(x) ** 2).reshape(*x.shape[:-2], -1)
-    gram = linalg._dagger(x) @ x
-    v = np.diagonal(gram, axis1=-2, axis2=-1).real.copy()
-    w = np.flip(np.linalg.eigvalsh((gram + linalg._dagger(gram)) / 2), axis=-1).copy()
-    return MajorizationTriple(u=u, v=v, w=w)
+    return _uvw_triple(x, linalg.singular_values(x))
+
+
+def _uvw_triple(x: np.ndarray, s: np.ndarray) -> MajorizationTriple:
+    """``uvw_triple`` of the stack ``x`` given its singular values ``s``:
+    v is the column sums of the squared moduli (the Gram diagonal, with
+    no Gram matrix formed) and w is s**2, zero-padded (the spectrum of
+    X^dag X, with no decomposition of its own)."""
+    mod2 = np.abs(x) ** 2
+    return MajorizationTriple(u=mod2.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]),
+                              v=mod2.sum(axis=-2), w=_zero_padded(s**2, x.shape[-1]))
 
 
 class TraceVsL1(NamedTuple):
@@ -84,6 +99,11 @@ def trace_vs_l1(x, zero_tol: float = 1e-10) -> TraceVsL1:
     """Compare ||X||_1 against ||X||_l1 and flag the monomial equality
     case (fields are arrays over a stack)."""
     x = linalg.as_complex_stack(x)
-    tn = linalg.trace_norm(x)
+    return _trace_vs_l1(x, linalg.singular_values(x), zero_tol)
+
+
+def _trace_vs_l1(x: np.ndarray, s: np.ndarray, zero_tol: float = 1e-10) -> TraceVsL1:
+    """``trace_vs_l1`` of the stack ``x`` given its singular values ``s``."""
+    tn = linalg._scalar(np.sum(s, axis=-1))
     l1 = linalg.entrywise_l1_norm(x)
     return TraceVsL1(tn, l1, is_monomial(x, zero_tol), l1 - tn)

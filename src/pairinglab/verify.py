@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, measures, pairing, randgen
+from . import linalg, majorization, measures, pairing, randgen
 from .errors import Infeasible
-from .majorization import majorizes, trace_vs_l1, uvw_triple
+from .majorization import majorizes
 from .randgen import RngState
 
 
@@ -152,9 +152,13 @@ def suite_additivity(rep: VerifyReport, rng: RngState) -> None:
     # rho (x) sigma per trial: entry (i k, j l) = rho_ij sigma_kl
     prods = (rhos[:, :, None, :, None] * sigs[:, None, :, None, :]).reshape(
         rep.trials, d_a * d_b, d_a * d_b)
-    rhos, _ = linalg._validated_stack(rhos, randgen.GENERATED_TOL)
-    sigs, _ = linalg._validated_stack(sigs, randgen.GENERATED_TOL)
-    prods, _ = linalg._validated_stack(prods, 1e-8)
+    rhos, lams = linalg._validated_stack(rhos, randgen.GENERATED_TOL)
+    sigs, mus = linalg._validated_stack(sigs, randgen.GENERATED_TOL)
+    # spec(rho (x) sigma) = {lam_i mu_j}: the product is checked without
+    # a decomposition of its own
+    prods = linalg._Stack.of(prods)
+    linalg._checked(prods, 1e-8, np.sort((lams[:, :, None] * mus[:, None, :]).reshape(
+        rep.trials, -1), axis=1))
 
     def c_log(stack):
         return np.log2(1.0 + measures._c_l1_of(measures._moduli(stack)))
@@ -207,10 +211,11 @@ def suite_majorization(rep: VerifyReport, rng: RngState) -> None:
     span = np.arange(MAJORIZATION_SIZE)
     x *= (span < n[:, None])[:, :, None] & (span < m[:, None])[:, None, :]
     trials = np.arange(rep.trials)
-    triple = uvw_triple(x)
+    s = linalg.singular_values(x)  # w and the trace norm both read them
+    triple = majorization._uvw_triple(x, s)
     rep.check(trials, "u < v", np.where(majorizes(triple.v, triple.u), 0.0, 1.0), 0.0)
     rep.check(trials, "v < w", np.where(majorizes(triple.w, triple.v), 0.0, 1.0), 0.0)
-    cmp = trace_vs_l1(x)
+    cmp = majorization._trace_vs_l1(x, s)
     rep.check(trials, "trace norm <= l1 norm", cmp.trace_norm, cmp.l1_norm, 1e-9)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,43 @@ class TestVerifyCommand:
         cli.main(args)
         second = json.loads(capsys.readouterr().out)
         assert first[0]["worst_gap"] == second[0]["worst_gap"]
+
+
+class TestClosedOutput:
+    """A reader that is gone before the command's first write: the command
+    exits 141 (128 + SIGPIPE, as a shell reports a command the signal
+    killed) with no traceback, never 1, the code of a verification
+    violation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "all", "--trials", "20", "--json"],
+        ["verify", "--suite", "l0-bound", "--trials", "5"],
+        ["measure", "fixtures/bell.json"],
+    ], ids=["verify-json", "verify-text", "measure"])
+    def test_a_closed_pipe_exits_141_without_a_traceback(self, argv):
+        repo = Path(__file__).resolve().parent.parent
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so before its first write
+        try:
+            done = subprocess.run([sys.executable, "-m", "pairinglab", *argv], cwd=repo,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env={"PYTHONPATH": str(repo / "src"), "PATH": ""})
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, "")
+        assert cli.EXIT_BROKEN_PIPE == 141
+
+    def test_main_lets_the_error_through_in_process(self, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["verify", "--suite", "l0-bound", "--trials", "5"])
 
 
 class TestWitnessCommand:

@@ -55,6 +55,28 @@ class TestUVWTriple:
         assert pl.majorizes(t.w, t.v, tol=1e-8)
         assert pl.majorizes(t.w, t.u, tol=1e-8)
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_w_and_v_are_the_gram_spectrum_and_diagonal(self, seed):
+        # w is read off the singular values and v off the squared moduli,
+        # with no Gram matrix: they match eigvalsh and the diagonal of X^dag X
+        g = np.random.Generator(np.random.Philox(seed))
+        n, m = int(g.integers(1, 9)), int(g.integers(1, 9))
+        x = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+        t = pl.uvw_triple(x)
+        gram, fro2 = x.conj().T @ x, np.sum(np.abs(x) ** 2)
+        assert t.w.shape == (m,) and (t.w >= 0).all()
+        assert np.count_nonzero(t.w == 0) == m - min(n, m)
+        assert np.abs(t.w - np.linalg.eigvalsh(gram)[::-1]).max() <= 1e-12 * fro2
+        assert np.abs(t.v - np.diagonal(gram).real).max() <= 1e-12 * fro2
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (0, 3, 5)])
+    def test_empty_stack_gives_empty_arrays(self, shape):
+        t = pl.uvw_triple(np.ones(shape))
+        n, m = shape[1:]
+        assert (t.u.shape, t.v.shape, t.w.shape) == ((0, n * m), (0, m), (0, m))
+        assert pl.majorizes(t.w, t.v).shape == pl.trace_vs_l1(np.ones(shape)).gap.shape == (0,)
+
 
 class TestIsMonomial:
     def test_examples(self):

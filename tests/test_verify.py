@@ -7,15 +7,21 @@ in the form the suites had before they were batched.  So every seed must
 give the same violations and the same worst gap, bit for bit.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairinglab import cli, linalg, measures, pairing, randgen, verify
 from pairinglab.linalg import BipartiteState, DensityMatrix
 from pairinglab.majorization import majorizes, trace_vs_l1, uvw_triple
+from pairinglab.errors import ValidationError
 from pairinglab.randgen import RngState
+
+from conftest import random_density
 
 
 class ReferenceReport:
@@ -283,6 +289,134 @@ def test_decompositions_do_not_grow_with_trials(suite, dims, decompositions):
     decompositions.clear()
     verify.run_suite(suite, 200, 1, dims)
     assert len(decompositions) == calls_at_50 <= 3
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6)])
+def test_additivity_decomposes_only_its_factors(dims, decompositions):
+    verify.run_suite("additivity", 50, 1, dims)
+    d_a, d_b = dims
+    assert decompositions == [(50, d_a, d_a), (50, d_b, d_b)]
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6)])
+def test_majorization_takes_one_svd(dims, decompositions, monkeypatch):
+    svds, counted = [], np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return counted(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    verify.run_suite("majorization", 50, 1, dims)
+    assert decompositions == svds == [(50, 8, 8)]
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6), (4, 3)])
+def test_additivity_checks_the_kron_with_its_factors_spectra(dims, monkeypatch):
+    checked, real = [], linalg._checked
+
+    def recording(stack, tols, spectra=None):
+        checked.append((stack.mat.copy(), tols, spectra))
+        return real(stack, tols, spectra)
+
+    monkeypatch.setattr(linalg, "_checked", recording)
+    verify.run_suite("additivity", 20, 5, dims)
+    (_, _, given_a), (_, _, given_b), (prods, tol, spectra) = checked
+    rhos, sigs = draw_products(ReferenceReport(20, dims), RngState(5))
+    assert given_a is None and given_b is None and tol == 1e-8
+    assert [p.tobytes() for p in prods] == \
+        [np.kron(rho.mat, sig.mat).tobytes() for rho, sig in zip(rhos, sigs)]
+    outer = [np.multiply.outer(rho._ascending(), sig._ascending()).ravel()
+             for rho, sig in zip(rhos, sigs)]
+    assert spectra.tobytes() == np.sort(outer, axis=1).tobytes()
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_product_spectrum_is_the_sorted_outer_product(d_a, d_b, seed):
+    rng = RngState(seed)
+    ranks = rng.generator.integers(1, [d_a + 1, d_b + 1])
+    rho = randgen.ginibre_density(d_a, int(ranks[0]), rng)
+    sig = randgen.ginibre_density(d_b, int(ranks[1]), rng)
+    outer = np.sort(np.multiply.outer(rho._ascending(), sig._ascending()).ravel())
+    assert np.abs(outer - np.linalg.eigvalsh(np.kron(rho.mat, sig.mat))).max() <= 1e-14
+
+
+class TestGivenSpectra:
+    """``linalg._checked`` given a product's spectra from its factors still
+    rejects what ``DensityMatrix`` rejects, with its message."""
+
+    @staticmethod
+    def assert_rejects(prod, spectrum, phrase):
+        with pytest.raises(ValidationError, match=phrase) as given_spectra:
+            linalg._checked(linalg._Stack.of(prod[None]), 1e-8, spectrum[None])
+        with pytest.raises(ValidationError) as dense:
+            DensityMatrix(prod, 1e-8)
+        assert str(given_spectra.value) == str(dense.value)
+
+    @staticmethod
+    def factors():
+        rho, sig = random_density(3, 2), random_density(4, 3)
+        return rho.mat, sig.mat, np.sort(np.multiply.outer(
+            rho._ascending(), sig._ascending()).ravel())
+
+    def test_valid_product_passes(self):
+        rho, sig, spectrum = self.factors()
+        got = linalg._checked(linalg._Stack.of(np.kron(rho, sig)[None]), 1e-8, spectrum[None])
+        assert got.tobytes() == spectrum[None].tobytes()
+
+    def test_non_hermitian(self):
+        rho, sig, spectrum = self.factors()
+        prod = np.kron(rho, sig)
+        prod[0, 1] += 1e-6
+        self.assert_rejects(prod, spectrum, "not Hermitian")
+
+    def test_off_trace(self):
+        rho, sig, spectrum = self.factors()
+        prod = np.kron(rho, sig)
+        prod[2, 2] += 1e-6
+        self.assert_rejects(prod, spectrum, "not unit trace")
+
+    def test_negative_eigenvalue(self):
+        rho = random_density(3, 2)
+        q, _ = np.linalg.qr(random_density(5, 3).mat)
+        mu = np.array([-1e-6, 0.5, 0.5 + 1e-6])
+        sig = (q * mu) @ q.conj().T
+        spectrum = np.sort(np.multiply.outer(rho._ascending(), mu).ravel())
+        assert spectrum[0] < -1e-8
+        self.assert_rejects(np.kron(rho.mat, sig), spectrum, "smallest eigenvalue")
+
+
+# SHA-256 of the reports of `verify --suite S --seed N --dims D --json` at
+# the default 200 trials, each report without its elapsed_ms, written back
+# as the command writes them.  Computed when the product took its own
+# eigvalsh and w came from eigvalsh of X^dag X, so they pin that taking
+# both from other spectra moves no bit of a report.
+FROZEN_REPORTS = {
+    ("additivity", (3, 3), 0): "061f85aa809f53c3202b4ed159e2ac1500b98eb34ba0a417298bce80a5603e5f",
+    ("additivity", (3, 3), 1): "263527325de308e87a1094be2d9c0768902a1db60475d842b218ec0dae030175",
+    ("additivity", (3, 3), 2): "8aaa1a71d3f3ca8f0ec50cadf2a1e467ba99c2a72f080eeb1ef59391323fe59a",
+    ("additivity", (2, 6), 0): "9f72f31eaf3aa6025760227649f37e7ecf02e525e3313f111287f9ac61ff644f",
+    ("additivity", (2, 6), 1): "df07fa8fc6c8cc6e5a2361975a94020140d972de31fc906beac975f3cba63873",
+    ("additivity", (2, 6), 2): "10bd052a2f7965e19038e1d3fb8a6082a1743b67a06fea7c8ddef74c106df70d",
+    ("majorization", (3, 3), 0): "a34bc54e0b805dcb7a8dcfaa674e7650de7c62406b073afc1dac64bb816f1389",
+    ("majorization", (3, 3), 1): "85fb519eb4ed136efba98d898aca0ebb6d85dbea5609b7c08eeed91965b4bd0b",
+    ("majorization", (3, 3), 2): "f60953aab1acf08ad63d41e97c4a835122620db690916954da72b9706ce54784",
+    ("majorization", (2, 6), 0): "a6670e7a6eed90a3baf1a4f41cbc4904137de0d7031b201393d98d49f300cedc",
+    ("majorization", (2, 6), 1): "78d3d27dae62f3a32e851bfe72e18736b76f38659f35de5c83795d650ed92d12",
+    ("majorization", (2, 6), 2): "828bf62336b84db871ab4b4dc937ea356bb349c5e51c4d61786d4882ad024dc1",
+}
+
+
+@pytest.mark.parametrize("suite, dims, seed", list(FROZEN_REPORTS))
+def test_reports_are_frozen(suite, dims, seed, capsys):
+    assert cli.main(["verify", "--suite", suite, "--seed", str(seed),
+                     "--dims", *map(str, dims), "--json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    for doc in docs:
+        del doc["elapsed_ms"]
+    digest = hashlib.sha256(json.dumps(docs, indent=1).encode()).hexdigest()
+    assert digest == FROZEN_REPORTS[suite, dims, seed]
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (2, 6)])
