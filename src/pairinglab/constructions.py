@@ -459,9 +459,9 @@ def bell_vector() -> np.ndarray:
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def named_counterexample(name: str, p: float | None = None, psi=None,
-                         dims: tuple[int, int] = (2, 2)) -> Counterexample:
-    """Dispatch on {tau-remark, appendix-f, isotropic}."""
+def named_counterexample(name: str, p: float | None = None) -> Counterexample:
+    """Dispatch on {tau-remark, appendix-f, isotropic}; the isotropic state
+    mixes the Bell vector with weight ``p``."""
     if name == "tau-remark":
         return _tau_remark()
     if name == "appendix-f":
@@ -469,9 +469,7 @@ def named_counterexample(name: str, p: float | None = None, psi=None,
     if name == "isotropic":
         if p is None:
             raise ValueError("isotropic requires the mixing parameter p")
-        if psi is None:
-            psi, dims = bell_vector(), (2, 2)
-        bs = isotropic_mixture(p, psi, *dims)
+        bs = isotropic_mixture(p, bell_vector(), 2, 2)
         n, _ = measures.negativity(bs)
         details = {"p": p, "N": n, "C_l1": measures.c_l1(bs.rho)}
         return Counterexample("isotropic", bs, None, details)

@@ -21,7 +21,6 @@ from . import linalg, measures
 from .errors import (
     ConditionViolated,
     InvalidPartition,
-    NoConvergence,
     NoTransposition,
     NotCanonicalPairing,
     NotQubit,
@@ -70,8 +69,9 @@ def detect_canonical_pairing(
     ||M||_1 = ||M||_l1 and ||R||_1 <= ||R||_l1 give
     |N - C_l1| <= |sum_i |rho_ii| - 1| + 2 ||R||_l1.  Only when that bound
     exceeds the tolerance is N computed, from the spectrum of rho^T_A that
-    ``measures.negativity`` takes.  Every check reads the nonzero entries
-    that validation kept.
+    ``measures.negativity`` takes, and ||rho^T_A||_1 = ||rho^T_A||_l1,
+    that is N - C_l1 = sum_i |rho_ii| - 1, is tested.  Every check reads
+    the nonzero entries that validation kept.
     """
     return _certify_stack(bs.rho._stack(), (bs.d_A, bs.d_B), zero_tol)[0]
 
@@ -126,15 +126,15 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
 
     # soundness: certified states must actually saturate N = C_l1
     slack = 10 * zero_tol * d * np.maximum(1.0, top)
-    trace_defect = np.abs(np.abs(stack.diagonal).sum(axis=1) - 1.0)
+    excess = np.abs(stack.diagonal).sum(axis=1) - 1.0  # sum_i |rho_ii| - 1
     # ||R||_l1: the moduli of the nonzero entries that are not present
     remainder = linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts)
-    unsure = np.flatnonzero(ok & (trace_defect + 2.0 * remainder > slack))
-    if unsure.size:
+    unsure = np.flatnonzero(ok & (np.abs(excess) + 2.0 * remainder > slack))
+    if unsure.size:  # N - C_l1 - excess = ||rho^T_A||_1 - ||rho^T_A||_l1
         sub = stack.take(unsure)
         n, _ = measures._negativity_of(measures._pt_spectrum(sub, dims))
         c_l1 = measures._c_l1_of(measures._moduli(sub))
-        ok[unsure] = np.abs(n - c_l1) <= slack[unsure]
+        ok[unsure] = np.abs(n - c_l1 - excess[unsure]) <= slack[unsure]
 
     # each certificate off the sorted entries: its fixed points and its
     # transpositions (r, c), r < c, in row order
@@ -160,29 +160,23 @@ def pairing_number_bound_check(cert: PairingCertificate, d_a: int) -> bool:
     return cert.pairing_number <= d_a * (d_a - 1) // 2
 
 
-def ppt_cost_condition(
-    bs: BipartiteState, cert: PairingCertificate, diag_tol: float = 1e-8
-) -> float:
-    """Exact PPT entanglement cost E_PPT = N_L, after verifying that
-    |rho^T_A| is diagonal (hence its partial transpose is PSD).
+def _own_certificate(bs: BipartiteState, cert: PairingCertificate | None) -> None:
+    """Raise ConditionViolated unless ``cert`` is the state's certificate:
+    the one ``detect_canonical_pairing`` gives at the default cutoff."""
+    if cert is None or cert != detect_canonical_pairing(bs):
+        raise ConditionViolated("the certificate is not that of this state")
 
-    Raises ConditionViolated when |rho^T_A| has significant off-diagonal
-    weight, which signals a certificate/state mismatch.
+
+def ppt_cost_condition(bs: BipartiteState, cert: PairingCertificate) -> float:
+    """Exact PPT entanglement cost E_PPT = N_L of a canonical pairing state,
+    whose certificate ``cert`` must be (else ConditionViolated).
+
+    rho^T_A is a Hermitian monomial involution, so |rho^T_A| is diagonal and
+    its partial transpose PSD (binegativity): E_PPT = N_L (Audenaert-Plenio-
+    Eisert, PRL 90, 027901 (2003); Ishizaka, PRA 69, 020301 (2004)).
     """
-    pt = linalg.partial_transpose(bs)
-    try:  # rho^T_A of a validated state is Hermitian
-        w, v = np.linalg.eigh((pt + pt.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NoConvergence(str(exc)) from exc
-    abs_pt = (v * np.abs(w)) @ v.conj().T
-    off = abs_pt - np.diag(np.diag(abs_pt))
-    if np.max(np.abs(off)) > diag_tol * max(1.0, float(np.max(np.abs(abs_pt)))):
-        raise ConditionViolated("|rho^T_A| is not diagonal; state does not match certificate")
-    if float(np.min(np.diag(abs_pt).real)) < -1e-9:
-        raise ConditionViolated("|rho^T_A|^T_A has a negative diagonal entry")
-    # N_L from the same spectrum (ascending, as measures.negativity sums it)
-    _, n_log = measures._negativity_of(w)
-    return float(n_log)
+    _own_certificate(bs, cert)
+    return measures.negativity(bs)[1]
 
 
 def _block_tol(tol, p: np.ndarray) -> np.ndarray:
@@ -427,8 +421,10 @@ def distill_witness(
 
     Returns the local projector P, the subnormalized block P rho P, and
     the negativity of the renormalized block viewed as a two-qubit state.
-    The block is always NPT for a certified entangled state.
+    The block is always NPT for a certified entangled state.  ``cert``
+    must be the state's certificate, else ConditionViolated.
     """
+    _own_certificate(bs, cert)
     if not cert.transpositions:
         raise NoTransposition("certificate has no transpositions; state is separable")
     if not 0 <= which < len(cert.transpositions):
@@ -461,18 +457,20 @@ def _witness_supports(trans: np.ndarray, d_b: int) -> np.ndarray:
     return (a[:, :, None] * d_b + b[:, None, :]).reshape(-1, 4)
 
 
+_BLOCK_CUTOFF = 1e-12  # projected blocks of no more weight are dropped
+
+
 def distillable_lower_bound(
-    bs: BipartiteState,
-    cert: PairingCertificate,
-    a_pairs: list[tuple[int, int]],
-    zero_tol: float = 1e-12,
+    bs: BipartiteState, cert: PairingCertificate, a_pairs: list[tuple[int, int]]
 ) -> float:
     """Projective lower bound on E_D: sum over disjoint A-level pairs of
     p_j [S(diag(rho_j)) - S(rho_j)] for the renormalized projected blocks.
 
-    Blocks with probability below ``zero_tol`` are dropped.  With d_A = 2
-    and no diagonal part the single-pair bound equals the closed-form E_D.
+    ``cert`` must be the state's certificate, else ConditionViolated.
+    Blocks of weight at most 1e-12 are dropped.  With d_A = 2 and no
+    diagonal part the single-pair bound equals the closed-form E_D.
     """
+    _own_certificate(bs, cert)
     seen: set[int] = set()
     for pair in a_pairs:
         if len(pair) != 2 or len(set(pair)) != 2 or seen & set(pair):
@@ -485,7 +483,7 @@ def distillable_lower_bound(
     idx = (a[:, :, None] * bs.d_B + np.arange(bs.d_B)).reshape(len(a), -1)
     subs = bs.rho._stack().blocks(np.zeros(len(idx), dtype=np.intp), idx)
     p = np.trace(subs, axis1=1, axis2=2).real
-    subs, p, tol = subs[p > zero_tol], p[p > zero_tol], bs.rho.validation_tol
+    subs, p, tol = subs[p > _BLOCK_CUTOFF], p[p > _BLOCK_CUTOFF], bs.rho.validation_tol
     if bs.d_A == 2:  # the one pair projects onto rho itself: its spectrum over p
         spectra = bs.rho._ascending() / p[:, None]
     else:

@@ -32,7 +32,8 @@ def svd_detect(bs, zero_tol):
             return None
         transpositions.append(((j, k), (jp, kp)))
     n = float(np.linalg.svd(pt, compute_uv=False).sum()) - 1.0
-    if abs(n - pl.c_l1(bs.rho)) > 10 * zero_tol * d * max(1.0, top):
+    excess = float(np.abs(np.diag(pt)).sum()) - 1.0
+    if abs(n - pl.c_l1(bs.rho) - excess) > 10 * zero_tol * d * max(1.0, top):
         return None
     return tuple(transpositions), tuple(sorted(bs.label_of(r) for r in fixed))
 
@@ -146,13 +147,13 @@ class TestDecompositionBudget:
         with pytest.raises(pl.errors.NotCanonicalPairing, match="reassembly gap"):
             pl.qubit_qudit_decompose(bs, cert=pl.detect_canonical_pairing(other))
 
-    def test_ppt_cost_condition_makes_one_decomposition(self, decompositions, rng):
+    def test_ppt_cost_condition_makes_no_decomposition(self, decompositions, rng):
         bs = pl.random_canonical_pairing(2, 8, 3, rng, diag_weight=0.3)
         cert = pl.detect_canonical_pairing(bs)
         decompositions.clear()
         n_log = pl.ppt_cost_condition(bs, cert)
-        assert decompositions == [(16, 16)]
-        assert n_log == pytest.approx(pl.negativity(bs)[1], abs=1e-12)
+        assert decompositions == []
+        assert n_log == pl.negativity(bs)[1]
 
 
 def dilation_input():
@@ -232,6 +233,30 @@ class TestRemainderBound:
         assert pl.detect_canonical_pairing(bs, 1e-8) is not None
         # the spectrum of rho^T_A, taken for a stack of the undecided states
         assert decompositions == [(1, 36, 36)]
+
+    def test_a_trace_excess_alone_is_certified(self, monkeypatch, bell_state):
+        # the Bell pair scaled by 1 + 8e-9, within the file tolerance: the
+        # excess 8e-9 of sum |rho_ii| over 1 exceeds the slack 4e-9, so the
+        # spectrum decides, and N - C_l1 is that excess
+        bs = pl.BipartiteState(pl.DensityMatrix(bell_state.mat * (1 + 8e-9), 1e-8), 2, 2)
+        taken, real = [], pl.linalg._Stack.take
+        monkeypatch.setattr(pl.linalg._Stack, "take",
+                            lambda self, keep: taken.append(keep.tolist()) or real(self, keep))
+        assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(bell_state)
+        assert taken == [[0]]
+
+    def test_a_trace_excess_does_not_hide_a_true_gap(self):
+        # negative control: C_l1 - N of the noisy Bell pair is 1.5x the
+        # slack, and scaling it by 1 + 5.4e-6 adds about as much to N - C_l1
+        # through the trace; ||rho^T_A||_1 - ||rho^T_A||_l1 stays 1.5x the slack
+        g = np.random.Generator(np.random.Philox(1))
+        bs = noisy_bell(6, np.full(630, 0.495e-8), g)
+        scaled = pl.BipartiteState(pl.DensityMatrix(bs.mat * (1 + 5.4e-6), 1e-3), 6, 6)
+        slack = 10 * 1e-8 * 36
+        n, _ = pl.negativity(scaled)
+        assert abs(n - pl.c_l1(scaled.rho)) < 0.1 * slack
+        assert pl.detect_canonical_pairing(scaled, 1e-8) is None
+        assert svd_detect(scaled, 1e-8) is None
 
     def test_svd_rejects_a_true_gap_above_the_slack(self, decompositions):
         # every dropped entry just below the threshold: C_l1 - N is 1.5x the slack

@@ -139,6 +139,22 @@ class TestTolerances:
         assert cli.main(["detect", "--tol", "0", str(bell)]) == 0
         assert "pairing number: 1" in capsys.readouterr().out
 
+    def test_detect_accepts_a_trace_within_the_file_tolerance(self, tmp_path, capsys):
+        # the Bell fixture scaled by 1 + 8e-9: measure accepts it at the file
+        # tolerance 1e-8, and detect gives the exact Bell certificate
+        bell = Path(__file__).resolve().parent.parent / "fixtures" / "bell.json"
+        doc = json.loads(bell.read_text())
+        for entry in doc["entries"]:
+            entry[2] *= 1 + 8e-9
+        path = tmp_path / "bell_scaled.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["measure", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["detect", str(path)]) == 0
+        scaled = capsys.readouterr().out
+        assert cli.main(["detect", str(bell)]) == 0
+        assert scaled == capsys.readouterr().out
+
     @pytest.mark.parametrize("weight", [1.0, 0.5])
     def test_derived_blocks_keep_the_file_tolerance(self, tmp_path, weight, capsys):
         # a Bell block of the given weight whose coherence exceeds its

@@ -153,6 +153,22 @@ class TestDenseOnDemand:
         assert proc.returncode == 0, proc.stderr
 
 
+def test_detection_of_an_entry_list_agrees_with_the_dense_state(rng, monkeypatch):
+    # a trace of 1 + 5e-7 sends detection to its spectrum check, which takes
+    # the undecided matrix off the entry list
+    m = pl.random_canonical_pairing(2, 6, 2, rng, diag_weight=0.3).mat * (1 + 5e-7)
+    flat = np.flatnonzero(m)
+    sparse = pl.BipartiteState(pl.DensityMatrix.from_entries(12, flat, m.reshape(-1)[flat], 1e-6),
+                               2, 6)
+    dense = pl.BipartiteState(pl.DensityMatrix(m, 1e-6), 2, 6)
+    taken, real = [], pl.linalg._Stack.take
+    monkeypatch.setattr(pl.linalg._Stack, "take",
+                        lambda self, keep: taken.append(self.listed is not None) or real(self, keep))
+    cert = pl.detect_canonical_pairing(sparse)
+    assert taken == [True]
+    assert cert is not None and cert == pl.detect_canonical_pairing(dense)
+
+
 class TestEmptyMatrix:
     @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 10.0, math.inf])
     def test_is_a_validation_error_at_every_tolerance(self, tol):

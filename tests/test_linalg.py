@@ -704,11 +704,16 @@ class TestKeptPattern:
         mats = np.array([pl.random_canonical_pairing(2, 6, 2, rng).mat,
                          pl.random_bipartite_state(2, 6, rng).mat,
                          pl.random_canonical_pairing(2, 6, 1, rng).mat])
-        stack = pl.linalg._Stack.of(mats)
-        for keep in ([], [0], [1], [0, 2], [1, 2], [0, 1, 2]):
-            part = stack.take(np.array(keep, dtype=np.intp))
-            assert np.array_equal(part.mat, mats[keep])
-            assert np.array_equal(part.flat, np.flatnonzero(mats[keep]))
+        flat = np.flatnonzero(mats)
+        listed = pl.linalg._Stack.of_entries(mats.shape, flat, mats.reshape(-1)[flat])
+        for stack in (pl.linalg._Stack.of(mats), listed):
+            for keep in ([], [0], [1], [0, 2], [1, 2], [0, 1, 2]):
+                part = stack.take(np.array(keep, dtype=np.intp))
+                assert (part.listed is None) == (stack.listed is None)
+                assert np.array_equal(part.mat, mats[keep])
+                # an entry list that fills its stack has no pattern (flat None)
+                pattern = np.arange(mats[keep].size) if part.flat is None else part.flat
+                assert np.array_equal(pattern, np.flatnonzero(mats[keep]))
         dense = pl.linalg._Stack.of(mats[[1, 1]])
         assert dense.flat is None and dense.take(np.array([1])).flat is None
 

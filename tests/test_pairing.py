@@ -98,13 +98,13 @@ def per_state_detect(m, d_a, d_b, zero_tol):
         pairing_number=len(transpositions),
     )
     slack = 10 * zero_tol * d * max(1.0, top)
-    trace_defect = abs(float(np.sum(np.diag(mod))) - 1.0)
-    if trace_defect + 2.0 * float(np.sum(mod, where=~present)) <= slack:
+    excess = float(np.sum(np.diag(mod))) - 1.0
+    if abs(excess) + 2.0 * float(np.sum(mod, where=~present)) <= slack:
         return cert
     n = pl.linalg.trace_norm(pt) - 1.0
     off = np.abs(m)
     np.fill_diagonal(off, 0.0)
-    if abs(n - float(off.sum())) > slack:
+    if abs(n - float(off.sum()) - excess) > slack:
         return None
     return cert
 
@@ -224,6 +224,36 @@ class TestPPTCost:
         iso = pl.named_counterexample("isotropic", p=0.5)
         with pytest.raises(ConditionViolated):
             pl.ppt_cost_condition(iso.state, cert)
+
+    @pytest.mark.parametrize("d_a, d_b, n_pairs, seed", [
+        (2, 2, 1, 1), (2, 8, 3, 2), (3, 3, 3, 3), (3, 4, 2, 4), (4, 4, 5, 5), (2, 64, 20, 6)])
+    def test_is_the_logarithmic_negativity(self, d_a, d_b, n_pairs, seed):
+        bs = pl.random_canonical_pairing(d_a, d_b, n_pairs, pl.RngState(seed), diag_weight=0.2)
+        assert pl.ppt_cost_condition(bs, pl.detect_canonical_pairing(bs)) == pl.negativity(bs)[1]
+
+
+# each public function that takes a state's certificate, called with it
+CERTIFIED = {
+    "ppt_cost_condition": lambda bs, cert: pl.ppt_cost_condition(bs, cert),
+    "distillable_lower_bound": lambda bs, cert: pl.distillable_lower_bound(bs, cert, [(0, 1)]),
+    "distill_witness": lambda bs, cert: pl.distill_witness(bs, cert, 0),
+}
+
+
+class TestCertificateContract:
+    @pytest.mark.parametrize("call", list(CERTIFIED))
+    @pytest.mark.parametrize("given_cert", ["foreign", "none"])
+    def test_only_the_states_own_certificate_is_taken(self, call, given_cert, rng):
+        bs = pl.random_canonical_pairing(3, 4, 3, rng, diag_weight=0.2)
+        own = pl.detect_canonical_pairing(bs)
+        other = pl.random_canonical_pairing(3, 4, 2, rng, diag_weight=0.2)
+        cert = pl.detect_canonical_pairing(other) if given_cert == "foreign" else None
+        assert cert != own
+        with pytest.raises(ConditionViolated, match="not that of this state"):
+            CERTIFIED[call](bs, cert)
+        # the state's own certificate is any that equals it
+        CERTIFIED[call](bs, pl.PairingCertificate(own.transpositions, own.fixed_points,
+                                                  own.pairing_number))
 
 
 class TestQubitQuditDecompose:
