@@ -194,16 +194,21 @@ def _checked(stack: _Stack, tols, spectra: np.ndarray | None = None) -> np.ndarr
     them as ``spectra`` and none is taken.  The Hermiticity defect
     max |M - M^dag| is read off the nonzero entries when the stack has a
     zero, as a pair of zero entries adds nothing to it, and the trace off
-    the diagonals.  No spectrum is taken when the first matrix fails
-    before its spectrum is needed, so a single state that is not Hermitian
-    or not of unit trace is rejected without a decomposition."""
+    the diagonals.  A stack with no zero takes M^dag once, for the defect
+    and for the Hermitian part its spectra are taken of; the dense route
+    records on the stack whether each matrix is its own Hermitian part
+    (``_dense_spectra``).
+    No spectrum is taken when the first matrix fails before its spectrum
+    is needed, so a single state that is not Hermitian or not of unit
+    trace is rejected without a decomposition."""
     t, n = stack.shape[:2]
     if not n:
         raise ValidationError("density matrix must be at least 1 x 1, got 0 x 0")
     tols = np.zeros(t) + tols
-    flat = stack.flat
+    flat, dag = stack.flat, None
     if flat is None:
-        defects = np.abs(stack.mat - _dagger(stack.mat)).max(axis=(1, 2), initial=0.0)
+        dag = _dagger(stack.mat)
+        defects = np.abs(stack.mat - dag).max(axis=(1, 2), initial=0.0)
     else:
         rows, cols = np.divmod(flat, n)  # row r of matrix t is row t * n + r
         partner = flat + (cols - rows % n) * (n - 1)  # the entry at (c, r)
@@ -211,8 +216,8 @@ def _checked(stack: _Stack, tols, spectra: np.ndarray | None = None) -> np.ndarr
                                   np.bincount(rows // n, minlength=t))
     gaps = np.abs(stack.diagonal.sum(axis=1) - 1)
     _reject(tols[:1], defects[:1], gaps[:1])
-    if spectra is None:
-        spectra = _spectra(stack, flat)
+    if spectra is None:  # a stack with no zero is one component: _spectra's dense route
+        spectra = _spectra(stack, flat) if dag is None else _dense_spectra(stack, dag)
     _reject(tols, defects, gaps, spectra[:, 0])
     return spectra
 
@@ -242,10 +247,16 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(m: np.ndarray, dag: np.ndarray | None = None) -> np.ndarray:
+    """(M + M^dag) / 2 of a matrix or of each matrix in a stack, given
+    ``dag`` = M^dag when the caller holds it: the one place it is formed."""
+    return (m + (_dagger(m) if dag is None else dag)) / 2
+
+
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of ``m`` (of each matrix,
-    for a stack)."""
-    return np.linalg.eigvalsh((m + _dagger(m)) / 2)
+    for a stack), formed by ``_hermitian_part``."""
+    return np.linalg.eigvalsh(_hermitian_part(m))
 
 
 class _Stack:
@@ -264,11 +275,17 @@ class _Stack:
     read the nonzero entries without a scan of their own: a stack is
     scanned once (``of``), a part of it is read off its pattern
     (``take``) and a state's is the one validation kept
-    (``DensityMatrix._stack``)."""
+    (``DensityMatrix._stack``).
+
+    ``own_part`` is a ``(T,)`` boolean array once validation formed the
+    Hermitian part (M + M^dag) / 2 of the dense stack
+    (``_dense_spectra``): whether each matrix equals it bit for bit, so
+    that its partial transpose does too and is decomposed as it is.  It
+    is None on a stack no validation formed it for; ``take`` keeps it."""
 
     def __init__(self, mat: np.ndarray | None, flat: np.ndarray | None,
                  listed: tuple[np.ndarray, np.ndarray] | None = None, shape=None):
-        self.flat, self.listed = flat, listed
+        self.flat, self.listed, self.own_part = flat, listed, None
         if mat is None:
             self.shape = tuple(shape)
         else:
@@ -347,8 +364,12 @@ class _Stack:
 
         if self.listed is not None:
             sel, at = moved(self.listed[0])
-            return _Stack.of_entries((len(keep), *self.shape[1:]), at, self.listed[1][sel])
-        return _Stack(self.mat[keep], None if self.flat is None else moved(self.flat)[1])
+            part = _Stack.of_entries((len(keep), *self.shape[1:]), at, self.listed[1][sel])
+        else:
+            part = _Stack(self.mat[keep], None if self.flat is None else moved(self.flat)[1])
+        if self.own_part is not None:
+            part.own_part = self.own_part[keep]
+        return part
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat indices, values) of every entry that is not +0.0, in
@@ -412,7 +433,14 @@ def _spectra(stack: _Stack, flat: np.ndarray | None,
     connected component of its pattern (as a full row makes it) takes one
     eigvalsh of the dense stack, any other stack ``_component_spectrum``,
     which gives a connected matrix the same bits.  So a matrix's spectrum
-    is the same alone or in any stack."""
+    is the same alone or in any stack.
+
+    The dense route of the matrices themselves records
+    ``stack.own_part`` (``_dense_spectra``).  The partial transpose moves
+    each entry together with the one its conjugate is added to, so it is
+    its own Hermitian part wherever the matrix is: the dense route takes
+    eigvalsh of those as they are, the same bits, and forms the Hermitian
+    part of the rest alone."""
     n, nodes = stack.shape[-1], math.prod(stack.shape[:-1])
     if flat is not None:
         # entry (t, r, c) joins the nodes t * n + r and t * n + c
@@ -433,8 +461,27 @@ def _spectra(stack: _Stack, flat: np.ndarray | None,
             size = np.bincount(label)[label]  # of each node's component
             if size.min() < n:
                 return _component_spectrum(stack, label, size, dims)
-    m = stack.mat
-    return _hermitian_spectrum(m if dims is None else partial_transpose(m, dims))
+    if dims is None:
+        return _dense_spectra(stack)
+    pt, own = partial_transpose(stack.mat, dims), stack.own_part
+    if own is None or not own.any():
+        return _hermitian_spectrum(pt)
+    if not own.all():  # pt may be a view of m: write a copy
+        pt = pt.copy()
+        pt[~own] = _hermitian_part(pt[~own])
+    return np.linalg.eigvalsh(pt)
+
+
+def _dense_spectra(stack: _Stack, dag: np.ndarray | None = None) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of each matrix of the
+    dense ``stack``, by one eigvalsh, given ``dag`` = M^dag when the caller
+    holds it; records in ``stack.own_part`` which matrices equal their
+    Hermitian part bit for bit (a value test would miss a -0.0 that the
+    sum or the halving turns into +0.0)."""
+    part = _hermitian_part(stack.mat, dag)
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (part, stack.mat)]
+    stack.own_part = np.equal(*bits).all(axis=(-2, -1))
+    return np.linalg.eigvalsh(part)
 
 
 def _component_spectrum(stack: _Stack, label: np.ndarray, size: np.ndarray,

@@ -12,7 +12,7 @@ distillable entanglement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +29,10 @@ from .linalg import BipartiteState, DensityMatrix
 
 Label = tuple[int, int]
 
+#: default cutoff of detection: an entry of rho^T_A counts as present when
+#: its modulus exceeds this times the largest entry modulus
+ZERO_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PairingCertificate:
@@ -36,21 +40,19 @@ class PairingCertificate:
 
     ``transpositions`` holds pairs of product-basis labels ((j,k), (j',k'));
     ``fixed_points`` the labels with positive diagonal weight; the pairing
-    number equals the number of transpositions.
+    number equals the number of transpositions.  ``zero_tol`` is the
+    cutoff the structure was detected at; certificates compare by their
+    structure alone.
     """
 
     transpositions: tuple[tuple[Label, Label], ...]
     fixed_points: tuple[Label, ...]
     pairing_number: int
+    zero_tol: float = field(default=ZERO_TOL, compare=False)
 
     def __post_init__(self):
         if self.pairing_number != len(self.transpositions):
             raise ValueError("pairing_number must equal the transposition count")
-
-
-#: default cutoff of detection: an entry of rho^T_A counts as present when
-#: its modulus exceeds this times the largest entry modulus
-ZERO_TOL = 1e-10
 
 
 def detect_canonical_pairing(
@@ -151,6 +153,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
             transpositions=tuple(transpositions[p[t]:p[t + 1]]),
             fixed_points=tuple(fixed_points[f[t]:f[t + 1]]),
             pairing_number=p[t + 1] - p[t],
+            zero_tol=zero_tol,
         )
     return certs
 
@@ -162,8 +165,9 @@ def pairing_number_bound_check(cert: PairingCertificate, d_a: int) -> bool:
 
 def _own_certificate(bs: BipartiteState, cert: PairingCertificate | None) -> None:
     """Raise ConditionViolated unless ``cert`` is the state's certificate:
-    the one ``detect_canonical_pairing`` gives at the default cutoff."""
-    if cert is None or cert != detect_canonical_pairing(bs):
+    the one ``detect_canonical_pairing`` gives at the cutoff ``cert`` was
+    detected at."""
+    if cert is None or cert != detect_canonical_pairing(bs, cert.zero_tol):
         raise ConditionViolated("the certificate is not that of this state")
 
 

@@ -13,6 +13,17 @@ def random_hermitian(seed, d):
     return (x + x.conj().T) / 2
 
 
+def own_part(x):
+    """x's Hermitian part (x + x^dag) / 2, taken again until it is its own
+    Hermitian part bit for bit."""
+    for _ in range(4):
+        h = (x + x.conj().swapaxes(-1, -2)) / 2
+        if h.tobytes() == x.tobytes():
+            return h
+        x = h
+    raise AssertionError("the Hermitian part did not settle")
+
+
 def random_density(seed, d):
     """Full-rank random density matrix from an independent Philox stream."""
     g = np.random.Generator(np.random.Philox(seed))

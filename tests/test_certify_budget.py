@@ -1,6 +1,8 @@
 """Decomposition budget of the certify path, and soundness of the
 remainder bound that lets detection certify N = C_l1 without an SVD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 
 import pairinglab as pl
 from pairinglab import statefile
+from pairinglab.errors import ConditionViolated
+from conftest import own_part
+from test_pairing import CERTIFIED
 
 
 def svd_detect(bs, zero_tol):
@@ -60,6 +65,77 @@ def noisy_bell(d, size, g):
     m = np.zeros((d * d, d * d), dtype=complex)
     m[np.ix_([0, d + 1], [0, d + 1])] = 0.5
     return with_noise(pl.BipartiteState(pl.DensityMatrix(m), d, d), size, None, g)
+
+
+@pytest.fixture
+def hermitian_parts(monkeypatch):
+    """Shapes of the stacks whose Hermitian part (M + M^dag) / 2 is formed
+    while the test runs."""
+    shapes, real = [], pl.linalg._hermitian_part
+    monkeypatch.setattr(pl.linalg, "_hermitian_part",
+                        lambda m, dag=None: shapes.append(np.shape(m)) or real(m, dag))
+    return shapes
+
+
+def revalidated(bs, change):
+    """``bs`` with ``change`` applied to a copy of its matrix, validated
+    at its tolerance."""
+    m = bs.mat.copy()
+    change(m)
+    return pl.BipartiteState(pl.DensityMatrix(m, bs.rho.validation_tol), bs.d_A, bs.d_B)
+
+
+def signed_zero(m):  # Hermitian by value, not its own Hermitian part
+    m.imag[0, 0] = -0.0
+
+
+def defect(m):  # a Hermiticity defect far within the tolerance
+    m[0, 1] += 1e-13
+
+
+class TestHermitianPartRoute:
+    """rho^T_A of a state that validation found to be its own Hermitian
+    part, bit for bit, is decomposed as it is."""
+
+    def test_measure_report_forms_none_for_a_state_that_is_its_own_part(
+            self, hermitian_parts, decompositions, rng):
+        ginibre = pl.random_bipartite_state(3, 4, rng)
+        for bs, formed in ((ginibre, 0), (revalidated(ginibre, signed_zero), 1),
+                           (revalidated(ginibre, defect), 1)):
+            assert bs.rho._stack().own_part.tolist() == [formed == 0]
+            hermitian_parts.clear()
+            decompositions.clear()
+            pl.measure_report(bs)
+            assert hermitian_parts == [(1, 12, 12)] * formed
+            assert decompositions == [(1, 12, 12)]
+
+    def test_the_fallback_keeps_the_flag(self, hermitian_parts, decompositions, monkeypatch):
+        # the noisy Bell pair the remainder bound cannot decide
+        g = np.random.Generator(np.random.Philox(1))
+        noisy = noisy_bell(6, 0.45e-8 * g.random(630), g)
+        own = pl.BipartiteState(pl.DensityMatrix(own_part(noisy.mat), 1e-3), 6, 6)
+        parts, real = [], pl.linalg._Stack.take
+        monkeypatch.setattr(pl.linalg._Stack, "take",
+                            lambda self, keep: parts.append(real(self, keep)) or parts[-1])
+        for bs, formed in ((own, 0), (revalidated(own, signed_zero), 1)):
+            parts.clear()
+            hermitian_parts.clear()
+            decompositions.clear()
+            assert pl.detect_canonical_pairing(bs, 1e-8) is not None
+            assert [part.own_part.tolist() for part in parts] == [[formed == 0]]
+            assert hermitian_parts == [(1, 36, 36)] * formed
+            assert decompositions == [(1, 36, 36)]
+
+    def test_a_stack_no_validation_scanned_forms_the_part(self, hermitian_parts, rng):
+        mat = pl.random_bipartite_state(3, 4, rng).mat
+        stack = pl.linalg._Stack.of(mat[None])
+        assert stack.own_part is None
+        hermitian_parts.clear()
+        want = pl.measures._pt_spectrum(stack, (3, 4))
+        assert hermitian_parts == [(1, 12, 12)]
+        pl.linalg._checked(stack, 1e-9)
+        assert pl.measures._pt_spectrum(stack, (3, 4)).tobytes() == want.tobytes()
+        assert hermitian_parts == [(1, 12, 12)] * 2  # validation's, and no more
 
 
 class TestDecompositionBudget:
@@ -215,6 +291,44 @@ class TestNonzeroBudget:
             with pytest.raises(pl.errors.NotQubit):
                 pl.qubit_qudit_decompose(bs)
         assert abs_sizes and max(abs_sizes) <= nonzero
+
+
+class TestCertificateCutoff:
+    """A certificate is held to the cutoff it was detected at."""
+
+    @staticmethod
+    def noisy():
+        # canonical at 1e-8 but not at the default 1e-10
+        g = np.random.Generator(np.random.Philox(1))
+        return noisy_bell(4, 0.25e-8 * g.random(120), g)
+
+    def test_a_certificate_at_its_own_cutoff_is_taken(self):
+        bs = self.noisy()
+        cert = pl.detect_canonical_pairing(bs, 1e-8)
+        assert cert.zero_tol == 1e-8 and pl.detect_canonical_pairing(bs) is None
+        assert pl.ppt_cost_condition(bs, cert) == pl.negativity(bs)[1]
+        assert pl.distillable_lower_bound(bs, cert, [(0, 1)]) == pytest.approx(1.0, abs=1e-6)
+        assert pl.distill_witness(bs, cert, 0)[2] == pytest.approx(0.99999999901, abs=1e-11)
+
+    @pytest.mark.parametrize("call", list(CERTIFIED))
+    def test_a_cutoff_where_detection_fails_is_refused(self, call):
+        bs = self.noisy()
+        cert = dataclasses.replace(pl.detect_canonical_pairing(bs, 1e-8), zero_tol=1e-10)
+        with pytest.raises(ConditionViolated, match="not that of this state"):
+            CERTIFIED[call](bs, cert)
+
+    @pytest.mark.parametrize("call", list(CERTIFIED))
+    def test_another_states_certificate_at_the_cutoff_is_refused(self, call, rng):
+        other = pl.random_canonical_pairing(4, 4, 2, rng, diag_weight=0.2)
+        cert = pl.detect_canonical_pairing(other, 1e-8)
+        assert cert.zero_tol == 1e-8 and cert.pairing_number == 2
+        with pytest.raises(ConditionViolated, match="not that of this state"):
+            CERTIFIED[call](self.noisy(), cert)
+
+    def test_the_cutoff_is_no_part_of_the_structure(self, bell_state):
+        at_default = pl.detect_canonical_pairing(bell_state)
+        assert at_default.zero_tol == pl.pairing.ZERO_TOL
+        assert pl.detect_canonical_pairing(bell_state, 1e-6) == at_default
 
 
 class TestRemainderBound:

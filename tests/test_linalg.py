@@ -10,7 +10,7 @@ from pairinglab.errors import (
     OutOfRange,
     ValidationError,
 )
-from conftest import random_density
+from conftest import own_part, random_density
 
 
 def pt_spectrum(x, dims):
@@ -546,6 +546,71 @@ class TestParentParity:
             assert lam.tobytes() == want_lam.tobytes()
         flat = stack.flat
         assert np.array_equal(np.flatnonzero(mats), np.arange(mats.size) if flat is None else flat)
+
+
+OWN_PART_KINDS = ["own part", "signed zeros", "defect"]
+
+
+def own_part_input(kind, n, g):
+    """A valid n x n state of ``kind``: its own Hermitian part bit for bit;
+    Hermitian by value, but with +-0.0 real or imaginary parts (a -0.0 on
+    the diagonal at least, and a zero entry pair when ``n`` > 2 and a coin
+    says so); or with a nonzero Hermiticity defect far below
+    ``PARITY_TOL``."""
+    x = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    m = n * np.eye(n) + 0.1 * hermitian_part(x)
+    m = own_part(m / m.trace().real)
+    if kind == "signed zeros":
+        # the sign of a zero real part below the diagonal can move the
+        # bits of eigvalsh: a value test would miss it
+        rows, cols = np.triu_indices(n, 1)
+        part = g.integers(3, size=rows.size)  # 0: real, 1: imaginary, 2: neither
+        for at in ((rows, cols), (cols, rows)):
+            zeros = g.choice([0.0, -0.0], size=rows.size)
+            m.real[at] = np.where(part == 0, zeros, m.real[at])
+            m.imag[at] = np.where(part == 1, zeros, m.imag[at])
+        m.imag[np.diag_indices(n)] = g.choice([0.0, -0.0], size=n)
+        i = g.integers(n)
+        m.imag[i, i] = -0.0
+        j, k = g.integers(2, max(n, 3)), g.integers(n)
+        if j < n and j != k and g.random() < 0.5:  # row 0 or row 1 stays full
+            m[j, k] = m[k, j] = complex(*g.choice([0.0, -0.0], size=2))
+    elif kind == "defect":
+        m = m + 1e-12 * (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    return m
+
+
+class TestOwnPartParity:
+    """A stack that validation found to be its own Hermitian part takes the
+    spectrum of its partial transpose as it is: every spectrum keeps the
+    bits of one eigvalsh of the Hermitian part of the matrix alone."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           kinds=st.lists(st.sampled_from(OWN_PART_KINDS), min_size=1, max_size=6),
+           entries=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_spectra_keep_the_bits_of_the_hermitian_part(self, seed, n, kinds, entries):
+        g = np.random.Generator(np.random.Philox(seed))
+        mats = np.array([own_part_input(kind, n, g) for kind in kinds])
+        stack = pl.linalg._Stack.of(mats)
+        if entries:  # the same matrices as an entry list
+            stack = pl.linalg._Stack.of_entries(mats.shape, *stack.entries())
+        spectra = pl.linalg._checked(stack, PARITY_TOL)
+        assert stack.own_part.tolist() == [kind == "own part" for kind in kinds]
+        keep = np.flatnonzero(g.random(len(kinds)) < 0.5)
+        part = stack.take(keep)
+        assert part.own_part.tolist() == stack.own_part[keep].tolist()
+        for t, m in enumerate(mats):
+            want = np.linalg.eigvalsh(hermitian_part(m))
+            assert spectra[t].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        for d_a in (d for d in range(1, n + 1) if n % d == 0):
+            dims = (d_a, n // d_a)
+            want = [np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(m, dims)))
+                    for m in mats]
+            for sub, at in ((stack, range(len(mats))), (part, keep)):
+                got = pl.measures._pt_spectrum(sub, dims)
+                for lam, t in zip(got, at):
+                    assert lam.view(np.uint64).tolist() == want[t].view(np.uint64).tolist()
 
 
 class TestFromBlocks:
