@@ -44,6 +44,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _json(doc: dict | list) -> str:
+    """``doc`` as JSON text, one top-level member to a line.  Each member is
+    ``json.dumps`` with the default separators, so the C encoder writes it
+    (``indent`` would select the pure-Python one)."""
+    if isinstance(doc, dict):  # a one-member dict each, so keys convert as in one dict
+        members, (start, end) = [json.dumps({k: v})[1:-1] for k, v in doc.items()], "{}"
+    else:
+        members, (start, end) = [json.dumps(v) for v in doc], "[]"
+    if not members:
+        return start + end
+    return f"{start}\n " + ",\n ".join(members) + f"\n{end}"
+
+
 def _default_seed(args) -> int:
     """--seed, else $PAIRINGLAB_SEED, else 0; ParseError when the
     environment value is not a nonnegative integer in decimal digits."""
@@ -66,7 +79,7 @@ def cmd_measure(args) -> int:
     state = statefile.load_state(args.path)
     rep = measures.measure_report(state, zero_tol=args.tol)
     if args.json:
-        print(json.dumps({"entries": rep.entries, "formulas": rep.formulas}, indent=1))
+        print(_json({"entries": rep.entries, "formulas": rep.formulas}))
     else:
         for name, value in rep.entries.items():
             print(f"{name:5s} = {_fmt(value)}   [{rep.formulas[name]}]")
@@ -94,17 +107,17 @@ def cmd_detect(args) -> int:
            "fixed_points": [list(p) for p in cert.fixed_points]}
     if args.decompose:
         dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol, cert=cert)
-        pm = pairing.pairing_measures(dec)
+        pm, blocks = pairing.pairing_measures(dec), dec._stack
         out["p0"] = dec.p0
-        out["blocks"] = [
-            {"weight": b.weight, "b_columns": list(b.b_columns),
-             "negativity": b.block_negativity}
-            for b in dec.blocks
-        ]
+        # MCBlock.block_negativity of each block, read off the stack
+        negativities = 2.0 * np.abs(blocks.coeffs[:, 0, 1])
+        out["blocks"] = [{"weight": p, "b_columns": cols, "negativity": n} for p, cols, n in
+                         zip(blocks.weights.tolist(), blocks.columns.tolist(),
+                             negativities.tolist())]
         out["measures"] = {"E_D": pm.E_D, "C_D": pm.C_D, "E_C": pm.E_C,
                            "C_C": pm.C_C, "E_PPT": pm.E_PPT}
     if args.json:
-        print(json.dumps(out, indent=1))
+        print(_json(out))
     else:
         _print_cert(cert)
         if args.decompose:
@@ -229,7 +242,7 @@ def cmd_construct(args) -> int:
     statefile.save_state(args.out, state, label=args.kind)
     sidecar = os.fspath(args.out) + ".report.json"
     try:
-        statefile._write(sidecar, json.dumps({"kind": args.kind, "report": report}, indent=1).encode())
+        statefile._write(sidecar, _json({"kind": args.kind, "report": report}).encode())
     except ParseError:
         os.remove(args.out)  # no state file without its report
         raise
@@ -254,7 +267,7 @@ def cmd_verify(args) -> int:
               + ", ".join([*verify.SUITES, "all"]), file=sys.stderr)
         return EXIT_INFEASIBLE
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=1))
+        print(_json([r.to_dict() for r in reports]))
     else:
         for rep in reports:
             status = "ok" if rep.ok else f"{len(rep.violations)} violations"

@@ -12,6 +12,7 @@ distillable entanglement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -222,39 +223,12 @@ class MCBlock:
         return 2.0 * float(np.abs(self.coeffs.mat[0, 1]))
 
 
-@dataclass(frozen=True, eq=False)
-class QubitQuditDecomposition:
-    """Block data of a canonical qubit-qudit pairing state: one diagonal
-    part plus disjoint 2x2 maximally correlated blocks.
-
-    ``validation_tol`` is that of the state the blocks came from.
-    Decompositions compare and hash by identity."""
-
-    d_B: int
-    p0: float
-    diag_probs: np.ndarray  # length 2*d_B, sums to p0, zero on block support
-    blocks: tuple[MCBlock, ...]
-    validation_tol: float = linalg.DEFAULT_TOL
-
-    @property
-    def d_A(self) -> int:
-        return 2
-
-    def _matrix(self) -> np.ndarray:
-        m = np.diag(self.diag_probs).astype(complex)
-        for blk in self.blocks:  # block after block, even where supports overlap
-            idx = np.add(blk.b_columns, [0, self.d_B])
-            m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
-        return m
-
-    def reassemble(self) -> BipartiteState:
-        """The dense state, validated at ``validation_tol``."""
-        return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
-
-
 class _Blocks(NamedTuple):
     """Block data of the qubit-qudit decompositions of a stack of T
-    states: the blocks of each state in B-column order, state by state."""
+    states: the blocks of each state in B-column order, state by state.
+    A ``QubitQuditDecomposition`` keeps its one-state stack, and the
+    closed forms, ``_matrix`` and ``detect --decompose`` read its arrays;
+    only reading ``blocks`` makes each block a state."""
 
     diag: np.ndarray  # (T, 2 d_B) diagonal parts
     tols: np.ndarray  # (T,) validation tolerance of each state
@@ -264,15 +238,47 @@ class _Blocks(NamedTuple):
     coeffs: np.ndarray  # (B, 2, 2) unit-trace coefficient matrices
     spectra: np.ndarray  # (B, 2) their validated spectra, ascending
 
-    @classmethod
-    def of(cls, dec: QubitQuditDecomposition) -> _Blocks:
-        """The one-state stack of a decomposition."""
-        return cls(dec.diag_probs[None], np.array([dec.validation_tol]),
-                   np.zeros(len(dec.blocks), dtype=np.intp),
-                   np.array([blk.b_columns for blk in dec.blocks], dtype=np.intp).reshape(-1, 2),
-                   np.array([blk.weight for blk in dec.blocks]),
-                   np.array([blk.coeffs.mat for blk in dec.blocks]).reshape(-1, 2, 2),
-                   np.array([blk.coeffs._ascending() for blk in dec.blocks]).reshape(-1, 2))
+
+@dataclass(frozen=True, eq=False)
+class QubitQuditDecomposition:
+    """Block data of a canonical qubit-qudit pairing state: one diagonal
+    part plus disjoint 2x2 maximally correlated blocks.
+
+    It holds the one-state block stack ``_stack`` that
+    ``qubit_qudit_decompose`` validated; ``blocks`` makes each block an
+    ``MCBlock`` on first access.  ``validation_tol`` is that of the state
+    the blocks came from.  Decompositions compare and hash by identity."""
+
+    d_B: int
+    p0: float
+    diag_probs: np.ndarray  # length 2*d_B, sums to p0, zero on block support
+    _stack: _Blocks
+    validation_tol: float = linalg.DEFAULT_TOL
+
+    @property
+    def d_A(self) -> int:
+        return 2
+
+    @functools.cached_property
+    def blocks(self) -> tuple[MCBlock, ...]:
+        """The blocks as states, each held to its validation's tolerance
+        and holding its validated spectrum."""
+        s = self._stack
+        coeffs = [DensityMatrix._validated(block_tol, lam, mat=m) for m, block_tol, lam in
+                  zip(s.coeffs, _block_tol(self.validation_tol, s.weights).tolist(), s.spectra)]
+        return tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
+                     for p, c, cols in zip(s.weights.tolist(), coeffs, s.columns.tolist()))
+
+    def _matrix(self) -> np.ndarray:
+        s, m = self._stack, np.diag(self.diag_probs).astype(complex)
+        idx = s.columns + [0, self.d_B]
+        # one add per entry, block after block, even where supports overlap
+        np.add.at(m, (idx[:, :, None], idx[:, None, :]), s.weights[:, None, None] * s.coeffs)
+        return m
+
+    def reassemble(self) -> BipartiteState:
+        """The dense state, validated at ``validation_tol``."""
+        return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
 
 
 def _transpositions(certs: list[PairingCertificate]) -> np.ndarray:
@@ -290,8 +296,10 @@ def qubit_qudit_decompose(
 
     ``cert`` is the state's certificate when the caller already has it;
     otherwise the state is detected here.  The blocks are validated as one
-    stack.  Raises NotQubit if d_A != 2 and NotCanonicalPairing if
-    detection fails or the blocks do not reassemble the state.
+    stack, which the decomposition keeps: no block is made a state until
+    ``blocks`` is read.  Raises NotQubit if d_A != 2 and
+    NotCanonicalPairing if detection fails or the blocks do not reassemble
+    the state.
     """
     if bs.d_A != 2:
         raise NotQubit(f"d_A = {bs.d_A}; decomposition requires a qubit on A")
@@ -305,18 +313,8 @@ def qubit_qudit_decompose(
     if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
     diag = blocks.diag[0]
-    # the public blocks are states, each held to its validation's tolerance
-    coeffs = [DensityMatrix._validated(block_tol, lam, mat=m) for m, block_tol, lam in
-              zip(blocks.coeffs, _block_tol(tol, blocks.weights).tolist(), blocks.spectra)]
-    return QubitQuditDecomposition(
-        d_B=bs.d_B,
-        p0=float(diag.sum()),
-        diag_probs=diag,
-        blocks=tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
-                     for p, c, cols in zip(blocks.weights.tolist(), coeffs,
-                                           blocks.columns.tolist())),
-        validation_tol=tol,
-    )
+    return QubitQuditDecomposition(d_B=bs.d_B, p0=float(diag.sum()), diag_probs=diag,
+                                   _stack=blocks, validation_tol=tol)
 
 
 def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertificate], tols,
@@ -384,9 +382,10 @@ def pairing_measures(dec: QubitQuditDecomposition) -> PairingMeasures:
     E_C = C_C = sum_j p_j H((1 + sqrt(1 - N_j^2)) / 2);
     E_PPT = N_L = log2(1 + sum_j p_j N_j).
 
-    Everything is read from the block data (``_closed_forms``).
+    Everything is read from the decomposition's block stack
+    (``_closed_forms``); no block is made a state.
     """
-    e_d, e_c, e_ppt = (float(x[0]) for x in _closed_forms(_Blocks.of(dec)))
+    e_d, e_c, e_ppt = (float(x[0]) for x in _closed_forms(dec._stack))
     return PairingMeasures(E_D=e_d, C_D=e_d, E_C=e_c, C_C=e_c, E_PPT=e_ppt)
 
 

@@ -2,6 +2,7 @@
 remainder bound that lets detection certify N = C_l1 without an SVD."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
-from pairinglab import statefile
+from pairinglab import cli, statefile
 from pairinglab.errors import ConditionViolated
 from conftest import own_part
 from test_pairing import CERTIFIED
@@ -255,6 +256,74 @@ class TestLoadBudget:
         state = statefile.load_state(path)
         assert decompositions and max(shape[-1] for shape in decompositions) == largest
         assert state.dim > largest
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the states (``DensityMatrix``, by the constructor or by
+    ``_validated``) and of the ``MCBlock``s built while the test runs."""
+    counts = {"state": 0, "block": 0}
+
+    def counted(kind, real):
+        def call(*args, **kwargs):
+            counts[kind] += 1
+            return real(*args, **kwargs)
+        return call
+
+    dm = pl.DensityMatrix
+    monkeypatch.setattr(dm, "_validated", classmethod(counted("state", dm._validated.__func__)))
+    monkeypatch.setattr(dm, "__post_init__", counted("state", dm.__post_init__))
+    monkeypatch.setattr(pl.pairing.MCBlock, "__init__", counted("block", pl.pairing.MCBlock.__init__))
+    return counts
+
+
+class TestLazyBlocks:
+    """A decomposition keeps its block stack: decomposing, the closed forms,
+    ``_matrix`` and ``detect --decompose`` make no block a state; reading
+    ``blocks`` makes each one once."""
+
+    B = 12
+
+    @pytest.fixture
+    def bs(self, rng):
+        return pl.random_canonical_pairing(2, 32, self.B, rng, diag_weight=0.3)
+
+    def test_decompose_and_measures_build_no_block_state(self, bs, built, decompositions):
+        cert = pl.detect_canonical_pairing(bs)
+        built.update(state=0, block=0)
+        decompositions.clear()
+        for dec in (pl.qubit_qudit_decompose(bs, cert=cert), pl.qubit_qudit_decompose(bs)):
+            pl.pairing_measures(dec)
+            dec._matrix()
+        assert built == {"state": 0, "block": 0}
+        assert decompositions == [(self.B, 2, 2)] * 2
+
+    def test_reading_blocks_builds_each_once(self, bs, built, decompositions):
+        dec = pl.qubit_qudit_decompose(bs)
+        pm = pl.pairing_measures(dec)
+        built.update(state=0, block=0)
+        decompositions.clear()
+        blocks = dec.blocks
+        assert built == {"state": self.B, "block": self.B}
+        assert dec.blocks is blocks
+        assert built == {"state": self.B, "block": self.B}
+        # the blocks hold their validated spectra: no decomposition
+        assert decompositions == []
+        assert pl.pairing_measures(dec) == pm
+
+    def test_reassemble_builds_the_state_alone(self, bs, built):
+        dec = pl.qubit_qudit_decompose(bs)
+        built.update(state=0, block=0)
+        dec.reassemble()
+        assert built == {"state": 1, "block": 0}
+
+    def test_detect_decompose_builds_no_block_state(self, bs, built, tmp_path, capsys):
+        path = tmp_path / "qq.json"
+        statefile.save_state(path, bs)
+        built.update(state=0, block=0)
+        assert cli.main(["detect", "--decompose", "--json", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["blocks"]) == self.B
+        assert built == {"state": 1, "block": 0}  # the state the file holds
 
 
 @pytest.fixture

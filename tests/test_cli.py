@@ -521,6 +521,38 @@ class TestVerifyCommand:
         assert first[0]["worst_gap"] == second[0]["worst_gap"]
 
 
+class TestJsonLayout:
+    """``--json`` prints the top-level object or array one member to a
+    line, each member as ``json.dumps`` writes it: the document is the
+    one ``indent=1`` gave."""
+
+    @pytest.mark.parametrize("doc, text", [
+        ({}, "{}"),
+        ([], "[]"),
+        ({"a": 1.5, "b": {"c": [1, None]}, 3: "x"},
+         '{\n "a": 1.5,\n "b": {"c": [1, null]},\n "3": "x"\n}'),
+        ([{"p": 0.25}, [0, 1], "s"], '[\n {"p": 0.25},\n [0, 1],\n "s"\n]'),
+    ])
+    def test_one_member_to_a_line(self, doc, text):
+        assert cli._json(doc) == text
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=1))
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--json", "fixtures/mc_example.json"],
+        ["detect", "--decompose", "--json", "fixtures/mc_example.json"],
+        ["verify", "--suite", "all", "--trials", "5", "--json"],
+    ], ids=["measure", "detect-decompose", "verify"])
+    def test_each_command_prints_the_layout(self, argv, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads("\n".join(lines))
+        assert len(lines) == len(doc) + 2
+        assert [json.loads(line.rstrip(",").partition(": ")[2] if isinstance(doc, dict)
+                           else line.rstrip(",")) for line in lines[1:-1]] == \
+            list(doc.values() if isinstance(doc, dict) else doc)
+
+
 class TestClosedOutput:
     """A reader that is gone before the command's first write: the command
     exits 141 (128 + SIGPIPE, as a shell reports a command the signal

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairinglab as pl
-from pairinglab import pairing, randgen
+from pairinglab import cli, pairing, randgen, statefile
 from pairinglab.errors import (
     ConditionViolated,
     InvalidPartition,
@@ -322,6 +325,43 @@ class TestDecompositionParity:
             assert blk.coeffs._ascending().tobytes() == want._ascending().tobytes()
             assert blk.coeffs.validation_tol == want.validation_tol
             assert type(blk.coeffs.validation_tol) is float
+
+    @given(st.data(), st.integers(2, 9), st.sampled_from([None, 0.0, 0.3]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_stack_route_keeps_the_bits_of_the_blocks(self, tmp_path_factory, data, d_b,
+                                                      diag_weight, seed):
+        n_pairs = data.draw(st.integers(0, d_b // 2))
+        bs = pl.random_canonical_pairing(2, d_b, n_pairs, pl.RngState(seed), diag_weight)
+        dec = pl.qubit_qudit_decompose(bs)
+        pm = pl.pairing_measures(dec)  # read off the stack, before any block is built
+        m = dec._matrix()
+        # the one-state block stack rebuilt from the public blocks
+        blocks = dec.blocks
+        ref = pairing._Blocks(
+            dec.diag_probs[None], np.array([dec.validation_tol]),
+            np.zeros(len(blocks), dtype=np.intp),
+            np.array([b.b_columns for b in blocks], dtype=np.intp).reshape(-1, 2),
+            np.array([b.weight for b in blocks]),
+            np.array([b.coeffs.mat for b in blocks]).reshape(-1, 2, 2),
+            np.array([b.coeffs._ascending() for b in blocks]).reshape(-1, 2))
+        e_d, e_c, e_ppt = (float(x[0]).hex() for x in pairing._closed_forms(ref))
+        assert (pm.E_D.hex(), pm.C_D.hex(), pm.E_C.hex(), pm.C_C.hex(), pm.E_PPT.hex()) == \
+            (e_d, e_d, e_c, e_c, e_ppt)
+        want = np.diag(dec.diag_probs.astype(complex))
+        for blk in blocks:
+            idx = [blk.b_columns[0], d_b + blk.b_columns[1]]
+            want[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
+        assert m.tobytes() == want.tobytes()
+        # detect --decompose --json reads the same blocks off the stack
+        path = tmp_path_factory.mktemp("qq") / "qq.json"
+        statefile.save_state(path, bs)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["detect", "--decompose", "--json", str(path)]) == 0
+        assert [(b["weight"], tuple(b["b_columns"]), b["negativity"])
+                for b in json.loads(out.getvalue())["blocks"]] == \
+            [(b.weight, b.b_columns, b.block_negativity) for b in blocks]
 
     # E_D, E_C, E_PPT and the [(0, 1)] lower bound of qubit-qudit pairing
     # states, and the lower bound of qutrit-qudit ones, as float.hex
