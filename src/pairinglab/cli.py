@@ -106,7 +106,7 @@ def cmd_detect(args) -> int:
            "transpositions": [list(map(list, t)) for t in cert.transpositions],
            "fixed_points": [list(p) for p in cert.fixed_points]}
     if args.decompose:
-        dec = pairing.qubit_qudit_decompose(state, zero_tol=args.tol, cert=cert)
+        dec = pairing.qubit_qudit_decompose(state, cert=cert)
         pm, blocks = pairing.pairing_measures(dec), dec._stack
         out["p0"] = dec.p0
         # MCBlock.block_negativity of each block, read off the stack

@@ -74,7 +74,10 @@ def make_qubit_qudit_pairing(
     ``diag`` is a probability vector over the 2*d_B product basis (its
     support must avoid the block columns); each block is
     (weight, 2x2 unit-trace coefficient matrix, (k0, k1)) supported on
-    |0 k0> and |1 k1>, with integer columns k0 and k1.
+    |0 k0> and |1 k1>, with integer columns k0 and k1.  The state holds
+    its entries, validated at ``linalg.DEFAULT_TOL`` by the route of
+    ``DensityMatrix.from_entries``: a sum that is not a state raises the
+    error ``DensityMatrix`` raises for the dense matrix.
     """
     diag = np.asarray(diag, dtype=float)
     if diag.ndim != 1 or diag.size % 2:
@@ -106,42 +109,25 @@ def make_qubit_qudit_pairing(
     coeffs = _coeff_stack(blocks)
     # p0 diag(diag) plus each weighted block on its rows (k0, d_B + k1),
     # each summed onto zeros as a dense matrix sums them
-    on_diag = np.zeros(2 * d_b, dtype=complex)
+    d = 2 * d_b
+    on_diag = np.zeros(d, dtype=complex)
     if p0 > 0:
         on_diag += p0 * diag.astype(complex)
     rows = np.array([(k0, d_b + k1) for _, _, (k0, k1) in blocks], dtype=np.intp).reshape(-1, 2)
     placed = np.zeros((len(blocks), 2, 2), dtype=complex)
     placed[:, [0, 1], [0, 1]] = on_diag[rows]
     placed += np.array(weights).reshape(-1, 1, 1) * coeffs
-    return BipartiteState(_pairing_state(on_diag, rows, placed), 2, d_b)
+    # the entries: the diagonal off the blocks' rows, then each block's four
+    single = np.ones(d, dtype=bool)
+    single[rows] = False
+    alone = np.flatnonzero(single)
+    in_blocks = rows[:, [0, 0, 1, 1]] * d + rows[:, [0, 1, 0, 1]]
+    flat = np.concatenate([alone * (d + 1), in_blocks.ravel()])
+    order = np.argsort(flat)
+    values = np.concatenate([on_diag[alone], placed.ravel()])
+    rho = DensityMatrix._of_entries(d, flat[order], values[order], linalg.DEFAULT_TOL)
+    return BipartiteState(rho, 2, d_b)
 
-
-def _pairing_state(on_diag: np.ndarray, rows: np.ndarray, placed: np.ndarray) -> DensityMatrix:
-    """The state whose principal 2 x 2 block on the rows ``rows[b]`` is
-    ``placed[b]``, and whose other entries are zero but the diagonal
-    ``on_diag`` off those rows, held by its entries and validated at
-    ``linalg.DEFAULT_TOL`` by the constructor's checks taken on the blocks
-    (``linalg._reject``): a block whose coherence is zero is two rows of
-    their own, as is every other row, so the spectrum is that of the
-    components ``linalg._component_spectrum`` reads."""
-    d = on_diag.size
-    alone = np.ones(d, dtype=bool)
-    alone[rows] = False
-    r = np.concatenate([np.flatnonzero(alone), rows[:, [0, 0, 1, 1]].ravel()])
-    c = np.concatenate([np.flatnonzero(alone), rows[:, [0, 1, 0, 1]].ravel()])
-    order = np.argsort(r * d + c)
-    stack = linalg._Stack.of_entries(
-        (1, d, d), (r * d + c)[order], np.concatenate([on_diag[alone], placed.ravel()])[order])
-    joined = (placed[:, 0, 1] != 0) | (placed[:, 1, 0] != 0)
-    label, size = np.arange(d), np.ones(d, dtype=np.intp)
-    label[rows[joined, 1]] = rows[joined, 0]
-    size[rows[joined]] = 2
-    lam = linalg._component_spectrum(stack, label, size)[0]
-    diagonal = on_diag.copy()
-    diagonal[rows] = placed.diagonal(axis1=1, axis2=2)
-    defect = np.abs(placed - linalg._dagger(placed)).max(initial=0.0)
-    linalg._reject([linalg.DEFAULT_TOL], [defect], [abs(diagonal.sum() - 1)], lam[:1])
-    return DensityMatrix._validated(linalg.DEFAULT_TOL, lam, stack)
 
 def _coeff_stack(blocks) -> np.ndarray:
     """The ``(B, 2, 2)`` coefficient matrices of ``blocks``, validated as
@@ -227,12 +213,11 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
     validated at ``tol``.  ``runs`` lists (blocks, copies): a (T, s, s)
     stack whose every block stands ``copies`` (at least 1) times in a row.
 
-    The checks are the constructor's (``linalg._reject``), taken on the
-    distinct blocks: the Hermiticity defect is the largest of theirs, the
-    trace that of the diagonal entries, and the spectrum theirs, each
-    block's repeated (``linalg._spectra``: one batched eigvalsh per block
-    size; a 1 x 1 block is its real entry, as the constructor reads a row
-    of its own).  The state holds the placed blocks' entries.
+    The state holds the placed blocks' entries and is validated by the
+    route of ``DensityMatrix.from_entries``, given its spectrum: that of
+    the distinct blocks, each block's repeated (``linalg._spectra``: one
+    batched eigvalsh per block size; a 1 x 1 block is its real entry, as
+    the constructor reads a row of its own).
     """
     n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
     at, start = [], 0
@@ -243,11 +228,10 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
         at.append(((first + np.arange(s)[:, None]) * n + first + np.arange(s)).ravel())
         start += s * len(blocks) * copies
     vals = _entries(runs, lambda blocks: blocks).astype(complex, copy=False)
-    defect, spectra = 0.0, []
+    spectra = []
     for s in {blocks.shape[-1] for blocks, _ in runs}:
         group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
         stack = np.concatenate([blocks for blocks, _ in group])
-        defect = max(defect, np.abs(stack - linalg._dagger(stack)).max())
         if s == 1:
             lam = stack[:, :, 0].real
         else:
@@ -255,11 +239,8 @@ def _block_diagonal(runs, tol: float) -> DensityMatrix:
             lam = linalg._spectra(scanned, scanned.flat)
         counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
         spectra.append(np.repeat(lam, counts, axis=0).ravel())
-    lam = np.sort(np.concatenate(spectra))
-    trace = _entries(runs, lambda blocks: blocks.diagonal(axis1=1, axis2=2)).astype(complex).sum()
-    linalg._reject([tol], [defect], [abs(trace - 1)], lam[:1])
-    return DensityMatrix._validated(
-        tol, lam, linalg._Stack.of_entries((1, n, n), np.concatenate(at), vals))
+    return DensityMatrix._of_entries(n, np.concatenate(at), vals, tol,
+                                     np.sort(np.concatenate(spectra))[None])
 
 
 def _offdiag(blocks: np.ndarray) -> np.ndarray:

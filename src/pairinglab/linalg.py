@@ -65,10 +65,10 @@ class DensityMatrix:
 
     Validation happens on construction, by one routine (``_checked``):
     ``DensityMatrix(mat, validation_tol)`` validates a dense matrix,
-    ``from_entries`` a matrix given by its entries and ``_validated_stack``
-    a whole stack, building no states.  ``validation_tol`` bounds the
-    allowed Hermiticity defect, the most negative eigenvalue, and the
-    trace deviation from 1.
+    ``from_entries`` (or ``_of_entries``, given entries already checked) a
+    matrix given by its entries and ``_validated_stack`` a whole stack,
+    building no states.  ``validation_tol`` bounds the allowed Hermiticity
+    defect, the most negative eigenvalue, and the trace deviation from 1.
     The spectrum validation computes is kept, so ``eigenvalues`` and
     ``von_neumann_entropy`` never decompose again, and so are the entries
     it read (``_stack``), so detection and the measures read the nonzero
@@ -122,8 +122,17 @@ class DensityMatrix:
             raise ValidationError(f"flat indices must ascend strictly within [0, {dim * dim})")
         if not np.isfinite(values).all():
             raise ValueError("matrix contains NaN or Inf entries")
+        return cls._of_entries(dim, flat, values, validation_tol)
+
+    @classmethod
+    def _of_entries(cls, dim: int, flat: np.ndarray, values: np.ndarray, validation_tol: float,
+                    spectra: np.ndarray | None = None) -> DensityMatrix:
+        """``from_entries`` of entries already checked (int64 flat indices
+        ascending strictly within range, finite complex values): the route
+        of every state built from its entries.  A caller holding the
+        ascending spectrum passes it as the ``(1, dim)`` ``spectra``."""
         stack = _Stack.of_entries((1, dim, dim), flat, values)
-        return cls._validated(validation_tol, _checked(stack, validation_tol)[0], stack)
+        return cls._validated(validation_tol, _checked(stack, validation_tol, spectra)[0], stack)
 
     @classmethod
     def _validated(cls, validation_tol: float, spectrum: np.ndarray, stack: _Stack | None = None,
@@ -190,14 +199,14 @@ def _checked(stack: _Stack, tols, spectra: np.ndarray | None = None) -> np.ndarr
     """The ascending spectra (``_spectra``) of the matrices of ``stack``,
     each checked as a density matrix, matrix t at ``tols[t]`` (one
     tolerance or one per matrix), by ``_reject``.  A caller that already
-    holds the ascending spectra (of a product, from its factors') passes
-    them as ``spectra`` and none is taken.  The Hermiticity defect
-    max |M - M^dag| is read off the nonzero entries when the stack has a
-    zero, as a pair of zero entries adds nothing to it, and the trace off
-    the diagonals.  A stack with no zero takes M^dag once, for the defect
-    and for the Hermitian part its spectra are taken of; the dense route
-    records on the stack whether each matrix is its own Hermitian part
-    (``_dense_spectra``).
+    holds the ascending spectra (of a product, from its factors'; of a
+    direct sum, from its blocks') passes them as ``spectra`` and none is
+    taken.  The Hermiticity defect max |M - M^dag| is read off the nonzero
+    entries when the stack has a zero, as a pair of zero entries adds
+    nothing to it, and the trace off the diagonals.  A stack with no zero
+    takes M^dag once, for the defect and for the Hermitian part its
+    spectra are taken of; the dense route records on the stack whether
+    each matrix is its own Hermitian part (``_dense_spectra``).
     No spectrum is taken when the first matrix fails before its spectrum
     is needed, so a single state that is not Hermitian or not of unit
     trace is rejected without a decomposition."""

@@ -289,26 +289,27 @@ def _transpositions(certs: list[PairingCertificate]) -> np.ndarray:
 
 
 def qubit_qudit_decompose(
-    bs: BipartiteState, zero_tol: float = ZERO_TOL, cert: PairingCertificate | None = None
+    bs: BipartiteState, cert: PairingCertificate | None = None
 ) -> QubitQuditDecomposition:
     """Split a canonical 2 x d_B pairing state into its diagonal part and
     2x2 maximally correlated blocks on disjoint B-column pairs.
 
     ``cert`` is the state's certificate when the caller already has it;
-    otherwise the state is detected here.  The blocks are validated as one
-    stack, which the decomposition keeps: no block is made a state until
-    ``blocks`` is read.  Raises NotQubit if d_A != 2 and
-    NotCanonicalPairing if detection fails or the blocks do not reassemble
-    the state.
+    otherwise the state is detected here, at ``ZERO_TOL``.  Diagonal
+    entries below the certificate's ``zero_tol`` are dropped.  The blocks
+    are validated as one stack, which the decomposition keeps: no block
+    is made a state until ``blocks`` is read.  Raises NotQubit if d_A != 2
+    and NotCanonicalPairing if detection fails, the certificate's blocks
+    overlap or the blocks do not reassemble the state.
     """
     if bs.d_A != 2:
         raise NotQubit(f"d_A = {bs.d_A}; decomposition requires a qubit on A")
     if cert is None:
-        cert = detect_canonical_pairing(bs, zero_tol)
+        cert = detect_canonical_pairing(bs)
     if cert is None:
         raise NotCanonicalPairing("state is not a canonical pairing state")
     tol, stack = bs.rho.validation_tol, bs.rho._stack()
-    blocks, gaps = _decompose_stack(stack, bs.d_B, [cert], tol, zero_tol)
+    blocks, gaps = _decompose_stack(stack, bs.d_B, [cert], tol, cert.zero_tol)
     # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
     if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
@@ -323,7 +324,8 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
     state), from its certificate: the block stack, and each state's
     reassembly gap max |assembled - rho|.  Every block is validated in one
-    stack.  Raises NotCanonicalPairing if a block has no weight."""
+    stack.  Raises NotCanonicalPairing if two blocks of a state share a
+    row or a block has no weight."""
     (t, d, _), flat = stack.shape, stack.flat
     tols = np.zeros(t) + tols
     trans = _transpositions(certs)
@@ -335,6 +337,10 @@ def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertific
     order = np.lexsort((columns[:, 1], columns[:, 0], owner))
     owner, columns = owner[order], columns[order]
     idx = columns + [0, d_b]
+    # the reassembly gap below assumes disjoint supports: no row twice
+    if np.bincount((owner[:, None] * d + idx).ravel(), minlength=1).max() > 1:
+        raise NotCanonicalPairing("the blocks of a certificate overlap; "
+                                  "state is not block-structured")
     subs = stack.blocks(owner, idx)
     # only a certificate of another state can put a block where rho is zero
     if not np.all(np.trace(subs, axis1=1, axis2=2).real > 0):

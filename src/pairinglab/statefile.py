@@ -124,7 +124,8 @@ def parse_state(doc: dict) -> DensityMatrix | BipartiteState:
     if not isinstance(entries, list):
         raise ParseError("entries: expected an array of [i, j, re, im]", "entries")
     d = math.prod(dims)
-    rho = DensityMatrix.from_entries(d, *_parse_sparse(entries, d), FILE_TOL)
+    # the entries are checked as parsed: only the matrix is left to validate
+    rho = DensityMatrix._of_entries(d, *_parse_sparse(entries, d), FILE_TOL)
     return BipartiteState(rho, *dims) if len(dims) == 2 else rho
 
 

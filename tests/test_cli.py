@@ -254,6 +254,18 @@ class TestConstructCommand:
         report = json.loads((tmp_path / "qq.json.report.json").read_text())
         assert report["report"]["pairing_number"] == 2
 
+    def test_qubit_qudit_sum_not_psd_writes_nothing(self, tmp_path, capsys):
+        spec = {"p0": 1.5, "diag": [0, 0, 0.5, 0, 0, 0, 0, 0.5], "blocks": [
+            {"p": -0.5, "coeffs": [[0.5, 0.3], [0.3, 0.5]], "columns": [0, 1]}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "qq.json"
+        assert cli.main(["construct", "qubit-qudit", "--spec", str(spec_path),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "validation error: smallest eigenvalue -4.000e-01 below -1.000e-09\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_cnot_embed(self, tmp_path, plus_rho, capsys):
         inp = tmp_path / "plus.json"
         statefile.save_state(inp, plus_rho)

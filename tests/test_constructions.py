@@ -290,6 +290,38 @@ class TestAppendixAChainBlockwise:
         assert sum(np.prod(s) * s[-1] for s in decompositions) <= 1e4
 
 
+class TestQubitQuditValidation:
+    """make_qubit_qudit_pairing validates its entries as the dense
+    constructor validates the matrix they fill."""
+
+    MC = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+
+    def test_a_sum_that_is_not_psd_raises_the_constructors_error(self):
+        diag = np.zeros(8)
+        diag[2] = diag[7] = 0.5
+        spec = (1.5, diag, [(-0.5, self.MC, (0, 1))])
+        dense = 1.5 * np.diag(diag).astype(complex)
+        dense[np.ix_([0, 5], [0, 5])] = -0.5 * self.MC
+        with pytest.raises(ValidationError) as want:
+            pl.DensityMatrix(dense)
+        with pytest.raises(ValidationError) as got:
+            pl.make_qubit_qudit_pairing(*spec)
+        assert str(got.value) == str(want.value) \
+            == "smallest eigenvalue -4.000e-01 below -1.000e-09"
+
+    @pytest.mark.parametrize("p0, blocks", [
+        (0.2, [(0.5, MC, (0, 1)), (0.3, np.diag([0.25, 0.75]).astype(complex), (4, 2))]),
+        (0.0, [(0.6, MC, (3, 0)), (0.4, np.array([[0.5, 0.5j], [-0.5j, 0.5]]), (1, 4))]),
+    ], ids=["a block of no coherence", "complex coherence"])
+    def test_keeps_the_dense_constructors_spectrum(self, p0, blocks):
+        diag = np.zeros(10)
+        diag[3] = diag[8] = 0.5  # |0 3> and |1 3>
+        bs = pl.make_qubit_qudit_pairing(p0, diag, blocks)
+        dense = pl.DensityMatrix(bs.mat)
+        assert bs.rho.eigenvalues().tobytes() == dense.eigenvalues().tobytes()
+        assert bs.rho.validation_tol == dense.validation_tol
+
+
 class TestCounterexamples:
     def test_tau_remark(self):
         ex = pl.named_counterexample("tau-remark")

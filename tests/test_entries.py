@@ -169,6 +169,41 @@ def test_detection_of_an_entry_list_agrees_with_the_dense_state(rng, monkeypatch
     assert cert is not None and cert == pl.detect_canonical_pairing(dense)
 
 
+class TestOneRoute:
+    """The constructions and the state files validate what they build by
+    ``linalg._checked``, through ``DensityMatrix._of_entries``."""
+
+    QQ = (0.2, [0.5, 0, 0, 0, 0.5, 0, 0, 0], [(0.8, np.array([[0.6, 0.3], [0.3, 0.4]]), (1, 2))])
+
+    def test_the_constructions_validate_by_checked(self, monkeypatch):
+        rho = pl.DensityMatrix(np.ones((3, 3)) / 3)
+        seen, real = [], pl.linalg._checked
+
+        def spy(stack, tols, spectra=None):
+            seen.append((stack.shape, spectra is not None))
+            return real(stack, tols, spectra)
+
+        monkeypatch.setattr(pl.linalg, "_checked", spy)
+        pl.make_qubit_qudit_pairing(*self.QQ)
+        # the coefficient stack, then the state: its spectrum taken by _checked
+        assert seen == [((1, 2, 2), False), ((1, 8, 8), False)]
+        seen.clear()
+        chain = pl.appendix_a_chain(rho, 1)
+        # each direct sum handing over the spectrum of its distinct blocks
+        assert seen == [((1, r.dim, r.dim), True) for r in (chain.rho2, chain.rho3, chain.rho4)]
+
+    def test_loading_checks_the_entries_once(self, tmp_path, monkeypatch):
+        qq = pl.make_qubit_qudit_pairing(*self.QQ)
+        statefile.save_state(tmp_path / "qq.json", qq)
+
+        def twice(*args):
+            raise AssertionError("the parsed entries were checked again")
+
+        monkeypatch.setattr(pl.DensityMatrix, "from_entries", classmethod(twice))
+        assert_same_state(statefile.load_state(tmp_path / "qq.json").rho,
+                          pl.DensityMatrix(qq.mat, statefile.FILE_TOL))
+
+
 class TestEmptyMatrix:
     @pytest.mark.parametrize("tol", [1e-9, 0.5, 1.0, 10.0, math.inf])
     def test_is_a_validation_error_at_every_tolerance(self, tol):

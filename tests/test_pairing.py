@@ -300,6 +300,39 @@ class TestQubitQuditDecompose:
         with pytest.raises(NotQubit):
             pl.qubit_qudit_decompose(ex.state)
 
+    def test_a_transposition_listed_twice_is_refused(self):
+        bs = pl.random_canonical_pairing(2, 4, 1, pl.RngState(1), diag_weight=0.3)
+        cert = pl.detect_canonical_pairing(bs)
+        twice = pl.PairingCertificate(cert.transpositions * 2, cert.fixed_points, 2)
+        # the block counted twice would double E_D (0.980 against 0.490)
+        with pytest.raises(NotCanonicalPairing, match="blocks of a certificate overlap"):
+            pl.qubit_qudit_decompose(bs, cert=twice)
+        assert pl.pairing_measures(pl.qubit_qudit_decompose(bs, cert=cert)).E_D \
+            == pytest.approx(0.49, abs=1e-3)
+
+    def test_transpositions_sharing_a_label_are_refused(self):
+        diag = np.zeros(8)
+        diag[2] = diag[5] = 0.5
+        mc = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+        bs = pl.make_qubit_qudit_pairing(0.4, diag, [(0.6, mc, (3, 0))])
+        cert = pl.detect_canonical_pairing(bs)
+        assert cert.transpositions == (((0, 0), (1, 3)),)
+        # ((0, 0), (1, 2)) shares (0, 0): its block, on |0 2> and |1 0>, has
+        # weight but no coherence, and overlaps the true block on |1 0>
+        shared = pl.PairingCertificate((((0, 0), (1, 2)), *cert.transpositions),
+                                       cert.fixed_points, 2)
+        with pytest.raises(NotCanonicalPairing, match="blocks of a certificate overlap"):
+            pl.qubit_qudit_decompose(bs, cert=shared)
+
+    def test_the_diagonal_cutoff_is_the_certificates(self):
+        # a diagonal entry of 1e-12 stays at a cutoff of 0 and is dropped at ZERO_TOL
+        diag = np.array([1.0 - 1e-12, 1e-12, 0.0, 0.0])
+        bs = pl.BipartiteState(pl.DensityMatrix(np.diag(diag).astype(complex)), 2, 2)
+        kept = pl.qubit_qudit_decompose(bs, cert=pl.detect_canonical_pairing(bs, 0.0))
+        dropped = pl.qubit_qudit_decompose(bs)
+        assert kept.diag_probs.tolist() == diag.tolist()
+        assert dropped.diag_probs.tolist() == [1.0 - 1e-12, 0.0, 0.0, 0.0]
+
 
 class TestDecompositionParity:
     """The public decomposition's blocks are the states the constructor
