@@ -303,7 +303,7 @@ def cmd_witness(args) -> int:
     indices = [args.index] if args.index is not None else range(n)
     block_n = pairing._witness_negativities(
         state.rho._stack(), state.d_B, np.zeros(len(indices), dtype=np.intp),
-        np.array([cert.transpositions[i] for i in indices]), state.rho.validation_tol)
+        pairing._transpositions(cert)[indices], state.rho.validation_tol)
     for i, value in zip(indices, block_n.tolist()):
         (j, k), (jp, kp) = cert.transpositions[i]
         print(f"transposition {i}: ({j},{k})<->({jp},{kp})  "

@@ -76,27 +76,58 @@ def detect_canonical_pairing(
     that is N - C_l1 = sum_i |rho_ii| - 1, is tested.  Every check reads
     the nonzero entries that validation kept.
     """
-    return _certify_stack(bs.rho._stack(), (bs.d_A, bs.d_B), zero_tol)[0]
+    return _certify_stack(bs.rho._stack(), (bs.d_A, bs.d_B), zero_tol).certificate(0)
 
 
-def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
-                   zero_tol: float) -> list[PairingCertificate | None]:
+class _Detection(NamedTuple):
+    """Detection of each matrix of a stack of T, as arrays: the structure
+    of every certified matrix, matrix after matrix, each in row order.
+    ``certificate`` makes one matrix's a ``PairingCertificate``; the
+    stacked routines read the arrays."""
+
+    ok: np.ndarray  # (T,) certified
+    owner: np.ndarray  # (B,) matrix of each transposition
+    transpositions: np.ndarray  # (B, 2, 2) label pairs ((j, k), (j', k'))
+    fixed_owner: np.ndarray  # (F,) matrix of each fixed point
+    fixed_points: np.ndarray  # (F, 2) labels (j, k)
+    zero_tol: float  # the cutoff
+
+    @classmethod
+    def refused(cls, ok: np.ndarray, zero_tol: float) -> "_Detection":
+        """The detection of a stack that has no certified matrix."""
+        none = np.zeros(0, dtype=np.intp)
+        return cls(ok, none, none.reshape(0, 2, 2), none, none.reshape(0, 2), zero_tol)
+
+    def certificate(self, t: int) -> PairingCertificate | None:
+        """Matrix t's certificate, or None if it is not certified."""
+        if not self.ok[t]:
+            return None
+        j, k, jp, kp = self.transpositions[self.owner == t].reshape(-1, 4).T.tolist()
+        return PairingCertificate(
+            transpositions=tuple(zip(zip(j, k), zip(jp, kp))),
+            fixed_points=tuple(zip(*self.fixed_points[self.fixed_owner == t].T.tolist())),
+            pairing_number=len(j),
+            zero_tol=self.zero_tol,
+        )
+
+
+def _certify_stack(stack: linalg._Stack, dims: tuple[int, int], zero_tol: float) -> _Detection:
     """``detect_canonical_pairing`` of each matrix of a ``(T, d, d)`` stack
-    on ``dims`` = (d_A, d_B): each check is one pass over the nonzero
-    entries of the stack, and the checks stop once no matrix passes.
+    on ``dims`` = (d_A, d_B), as one ``_Detection``: each check is one pass
+    over the nonzero entries of the stack, and the checks stop once no
+    matrix passes.
 
     rho^T_A is never formed: its entries are those of rho, moved, so its
     pattern is read off rho's present entries.
     """
     (count, d, _), flat, d_b = stack.shape, stack.flat, dims[1]
-    certs: list[PairingCertificate | None] = [None] * count
     ent = measures._moduli(stack)
     top = linalg._segment_reduce(np.maximum, ent.mod, ent.counts)
     present = ent.mod > linalg._per_entry(zero_tol * top, ent.counts)
     # a monomial matrix has at most d present entries
     ok = linalg._segment_reduce(np.add, present, ent.counts, 0) <= d
     if not ok.any():
-        return certs
+        return _Detection.refused(ok, zero_tol)
 
     # each present entry of rho sits at (r, c) of the rho^T_A of matrix s,
     # in row line = s * d + r of the stack's
@@ -107,7 +138,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
     for key in (line, s * d + c):
         ok &= np.bincount(key, minlength=count * d).reshape(-1, d).max(axis=1) <= 1
     if not ok.any():
-        return certs
+        return _Detection.refused(ok, zero_tol)
 
     # the permutation, one entry per nonempty row, in row order; empty rows
     # carry zero weight.  It must be an involution (else it is not
@@ -125,7 +156,7 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
                        | (partner[s, jp * d_b + k] != jp * d_b + k))
     ok[s[bad]] = False
     if not ok.any():
-        return certs
+        return _Detection.refused(ok, zero_tol)
 
     # soundness: certified states must actually saturate N = C_l1
     slack = 10 * zero_tol * d * np.maximum(1.0, top)
@@ -139,24 +170,12 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int],
         c_l1 = measures._c_l1_of(measures._moduli(sub))
         ok[unsure] = np.abs(n - c_l1 - excess[unsure]) <= slack[unsure]
 
-    # each certificate off the sorted entries: its fixed points and its
-    # transpositions (r, c), r < c, in row order
+    # the certified matrices' fixed points and transpositions (r, c), r < c,
+    # off the sorted entries
     keep = ok[s]
     fixed, trans = keep & (r == c), keep & (r < c)
-    fixed_points = list(zip(j[fixed].tolist(), k[fixed].tolist()))
-    transpositions = list(zip(zip(j[trans].tolist(), k[trans].tolist()),
-                              zip(jp[trans].tolist(), kp[trans].tolist())))
-    # matrix t's are fixed_points[f[t]:f[t + 1]] and transpositions[p[t]:p[t + 1]]
-    f, p = ([0, *np.cumsum(np.bincount(s[sel], minlength=count)).tolist()]
-            for sel in (fixed, trans))
-    for t in np.flatnonzero(ok).tolist():
-        certs[t] = PairingCertificate(
-            transpositions=tuple(transpositions[p[t]:p[t + 1]]),
-            fixed_points=tuple(fixed_points[f[t]:f[t + 1]]),
-            pairing_number=p[t + 1] - p[t],
-            zero_tol=zero_tol,
-        )
-    return certs
+    return _Detection(ok, s[trans], np.array([[j, k], [jp, kp]])[..., trans].transpose(2, 0, 1),
+                      s[fixed], np.array([j, k])[:, fixed].T, zero_tol)
 
 
 def pairing_number_bound_check(cert: PairingCertificate, d_a: int) -> bool:
@@ -281,11 +300,10 @@ class QubitQuditDecomposition:
         return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
 
 
-def _transpositions(certs: list[PairingCertificate]) -> np.ndarray:
-    """The transpositions of certificates, one after another, as a
-    ``(B, 2, 2)`` array of label pairs ((j, k), (j', k'))."""
-    return np.array([t for cert in certs for t in cert.transpositions],
-                    dtype=np.intp).reshape(-1, 2, 2)
+def _transpositions(cert: PairingCertificate) -> np.ndarray:
+    """The transpositions of a certificate as a ``(B, 2, 2)`` array of label
+    pairs ((j, k), (j', k'))."""
+    return np.array(cert.transpositions, dtype=np.intp).reshape(-1, 2, 2)
 
 
 def qubit_qudit_decompose(
@@ -304,12 +322,16 @@ def qubit_qudit_decompose(
     """
     if bs.d_A != 2:
         raise NotQubit(f"d_A = {bs.d_A}; decomposition requires a qubit on A")
-    if cert is None:
-        cert = detect_canonical_pairing(bs)
-    if cert is None:
-        raise NotCanonicalPairing("state is not a canonical pairing state")
     tol, stack = bs.rho.validation_tol, bs.rho._stack()
-    blocks, gaps = _decompose_stack(stack, bs.d_B, [cert], tol, cert.zero_tol)
+    if cert is None:  # the detection's arrays: no certificate is built
+        det = _certify_stack(stack, (2, bs.d_B), ZERO_TOL)
+        if not det.ok[0]:
+            raise NotCanonicalPairing("state is not a canonical pairing state")
+        trans, zero_tol = det.transpositions, det.zero_tol
+    else:
+        trans, zero_tol = _transpositions(cert), cert.zero_tol
+    blocks, gaps = _decompose_stack(stack, bs.d_B, np.zeros(len(trans), dtype=np.intp), trans,
+                                    tol, zero_tol)
     # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
     if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
@@ -318,18 +340,17 @@ def qubit_qudit_decompose(
                                    _stack=blocks, validation_tol=tol)
 
 
-def _decompose_stack(stack: linalg._Stack, d_b: int, certs: list[PairingCertificate], tols,
-                     zero_tol: float) -> tuple[_Blocks, np.ndarray]:
+def _decompose_stack(stack: linalg._Stack, d_b: int, owner: np.ndarray, trans: np.ndarray,
+                     tols, zero_tol: float) -> tuple[_Blocks, np.ndarray]:
     """``qubit_qudit_decompose`` of each canonical 2 x d_B pairing state of
     a ``(T, d, d)`` stack, validated at ``tols`` (one tolerance or one per
-    state), from its certificate: the block stack, and each state's
+    state), from its transpositions ``trans[i]`` (a ``(B, 2, 2)`` array),
+    that of state ``owner[i]``: the block stack, and each state's
     reassembly gap max |assembled - rho|.  Every block is validated in one
     stack.  Raises NotCanonicalPairing if two blocks of a state share a
     row or a block has no weight."""
     (t, d, _), flat = stack.shape, stack.flat
     tols = np.zeros(t) + tols
-    trans = _transpositions(certs)
-    owner = np.repeat(np.arange(len(certs)), [cert.pairing_number for cert in certs])
     # orient so the first label sits on A-level 0: the rho-support of
     # ((0,k), (1,k')) is the fixed-point pair (0, k') and (1, k)
     (j, k), kp = trans[:, 0].T, trans[:, 1, 1]
@@ -438,7 +459,7 @@ def distill_witness(
         raise NoTransposition("certificate has no transpositions; state is separable")
     if not 0 <= which < len(cert.transpositions):
         raise IndexError(f"transposition index {which} out of range")
-    trans = np.array([cert.transpositions[which]])
+    trans = _transpositions(cert)[[which]]
     mask = np.zeros(bs.dim)
     mask[_witness_supports(trans, bs.d_B)] = 1.0
     (n,) = _witness_negativities(bs.rho._stack(), bs.d_B, np.zeros(1, dtype=np.intp), trans,

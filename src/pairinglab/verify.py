@@ -11,7 +11,9 @@ for all trials at once, on ``(T, d, d)`` stacks: validation, spectra
 (each that of its matrix alone), detection, the qubit-qudit
 decomposition, the closed forms, the witness blocks and the lower bound
 all run through the routines whose one-state case the public functions
-are.  So a report is bit for bit that of a loop that measures the drawn
+are.  Detection hands back arrays (the certified trials, and each
+transposition's trial and labels), which the decomposition and the
+witness blocks read: no suite builds a certificate per trial.  So a report is bit for bit that of a loop that measures the drawn
 states one at a time, and no suite's decomposition count grows with the
 trials.
 """
@@ -122,12 +124,12 @@ def _bipartite_stack(rep: VerifyReport, rng: RngState) -> linalg._Stack:
 
 def _certified(rep: VerifyReport, stack: linalg._Stack, dims: tuple[int, int]):
     """Detect each state of a stack; record the states detection refuses.
-    Returns the certified trials and their certificates."""
-    certs = pairing._certify_stack(stack, dims, pairing.ZERO_TOL)
-    refused = [t for t, cert in enumerate(certs) if cert is None]
-    rep.check(refused, "detector certifies generated state", 1.0, 0.0)
-    ok = np.array([t for t, cert in enumerate(certs) if cert is not None], dtype=np.intp)
-    return ok, [certs[t] for t in ok]
+    Returns the certified trials, and the transpositions of their states
+    (a ``(B, 2, 2)`` array, trial after trial, each in row order) with the
+    position of each one's trial in the certified trials."""
+    det = pairing._certify_stack(stack, dims, pairing.ZERO_TOL)
+    rep.check(np.flatnonzero(~det.ok), "detector certifies generated state", 1.0, 0.0)
+    return np.flatnonzero(det.ok), (np.cumsum(det.ok) - 1)[det.owner], det.transpositions
 
 
 def suite_negativity_bound(rep: VerifyReport, rng: RngState) -> None:
@@ -171,15 +173,15 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
     d_a, d_b = rep.dims
     mats, n_pairs = _random_pairings(rep, rng)
     stack, _ = linalg._validated_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, stack, rep.dims)
+    ok, owner, trans = _certified(rep, stack, rep.dims)
     rep.check(ok, "pairing number matches generator",
-              np.abs([c.pairing_number for c in certs] - n_pairs[ok]), 0.0)
+              np.abs(np.bincount(owner, minlength=ok.size) - n_pairs[ok]), 0.0)
     stack = stack.take(ok)
     n, _ = measures._negativity_of(measures._pt_spectrum(stack, rep.dims))
     rep.check(ok, "|N - C_l1| on pairing state",
               np.abs(n - measures._c_l1_of(measures._moduli(stack))), 0.0, 1e-8)
     if d_a == 2:
-        _, gaps = pairing._decompose_stack(stack, d_b, certs, randgen.GENERATED_TOL,
+        _, gaps = pairing._decompose_stack(stack, d_b, owner, trans, randgen.GENERATED_TOL,
                                            pairing.ZERO_TOL)
         rep.check(ok, "decompose/reassemble round trip", gaps, 0.0, 1e-9)
 
@@ -187,13 +189,12 @@ def suite_pairing_roundtrip(rep: VerifyReport, rng: RngState) -> None:
 def suite_witness(rep: VerifyReport, rng: RngState) -> None:
     mats, _ = _random_pairings(rep, rng, entangled=True)
     stack, _ = linalg._validated_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, stack, rep.dims)
+    ok, owner, trans = _certified(rep, stack, rep.dims)
     # every certified trial's witness blocks: block `which` of trial `trial`
-    counts = np.array([c.pairing_number for c in certs], dtype=np.intp)
-    trial = np.repeat(ok, counts)
-    which = np.arange(trial.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    block_n = pairing._witness_negativities(stack, rep.dims[1], trial,
-                                            pairing._transpositions(certs), randgen.GENERATED_TOL)
+    trial = ok[owner]
+    which = np.arange(owner.size) - np.searchsorted(owner, owner)
+    block_n = pairing._witness_negativities(stack, rep.dims[1], trial, trans,
+                                            randgen.GENERATED_TOL)
     rep.check(trial, "witness block negativity > 1e-6", 1e-6, block_n, blocks=which)
 
 
@@ -226,7 +227,7 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     n_pairs = rng.generator.integers(1, d_b // 2 + 1, size=rep.trials)
     mats = randgen._pairing_stack(2, d_b, n_pairs, rng, diag_weight=0.0)
     stack, spectra = linalg._validated_stack(mats, randgen.GENERATED_TOL)
-    ok, certs = _certified(rep, stack, (2, d_b))
+    ok, owner, trans = _certified(rep, stack, (2, d_b))
     # two independent routes: the projected-block bound from each whole
     # state's spectrum and diagonal, E_D from its block decomposition
     stack, spectra = stack.take(ok), spectra[ok]
@@ -234,7 +235,7 @@ def suite_lowerbound(rep: VerifyReport, rng: RngState) -> None:
     bounds = pairing._projected_bounds(stack.mat, spectra / p[:, None], randgen.GENERATED_TOL)
     _, n_log = measures._negativity_of(measures._pt_spectrum(stack, (2, d_b)))
     rep.check(ok, "lower bound <= N_L", bounds, n_log, 1e-9)
-    blocks, _ = pairing._decompose_stack(stack, d_b, certs, randgen.GENERATED_TOL,
+    blocks, _ = pairing._decompose_stack(stack, d_b, owner, trans, randgen.GENERATED_TOL,
                                          pairing.ZERO_TOL)
     e_d, _, _ = pairing._closed_forms(blocks)
     rep.check(ok, "p0=0 bound equals E_D", np.abs(bounds - e_d), 0.0, 1e-8)

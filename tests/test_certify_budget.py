@@ -139,6 +139,15 @@ class TestHermitianPartRoute:
         assert hermitian_parts == [(1, 12, 12)] * 2  # validation's, and no more
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """The ``PairingCertificate``s built while the test runs."""
+    made, real = [], pl.PairingCertificate.__post_init__
+    monkeypatch.setattr(pl.PairingCertificate, "__post_init__",
+                        lambda self: made.append(self) or real(self))
+    return made
+
+
 class TestDecompositionBudget:
     def test_measure_report_makes_one_eigvalsh(self, decompositions, rng):
         # a monomial rho^T_A gives its spectrum without a decomposition; a
@@ -189,8 +198,8 @@ class TestDecompositionBudget:
         bs = pl.random_canonical_pairing(2, 12, 5, rng, diag_weight=0.3)
         cert = pl.detect_canonical_pairing(bs)
         detections = []
-        real = pl.pairing.detect_canonical_pairing
-        monkeypatch.setattr(pl.pairing, "detect_canonical_pairing",
+        real = pl.pairing._certify_stack
+        monkeypatch.setattr(pl.pairing, "_certify_stack",
                             lambda *a, **k: detections.append(1) or real(*a, **k))
         decompositions.clear()
         with_cert = pl.qubit_qudit_decompose(bs, cert=cert)
@@ -199,6 +208,15 @@ class TestDecompositionBudget:
         assert len(detections) == 1
         assert [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in detected.blocks] == \
             [(b.weight, b.b_columns, b.coeffs.mat.tobytes()) for b in with_cert.blocks]
+
+    def test_decompose_without_a_certificate_builds_none(self, rng, certificates):
+        bs = pl.random_canonical_pairing(2, 12, 5, rng, diag_weight=0.3)
+        dec = pl.qubit_qudit_decompose(bs)
+        assert certificates == []
+        cert = pl.detect_canonical_pairing(bs)
+        assert certificates == [cert]
+        assert [b.b_columns for b in dec.blocks] == \
+            [b.b_columns for b in pl.qubit_qudit_decompose(bs, cert=cert).blocks]
 
     def test_lower_bound_on_a_qubit_qudit_state_makes_none(self, decompositions, rng):
         bs = pl.random_canonical_pairing(2, 6, 3, rng, diag_weight=0.0)

@@ -834,7 +834,7 @@ def test_measures_and_certificates_are_the_same_alone_or_stacked(seed, d, kinds)
     c_l0 = pl.measures._c_l0_of(pl.measures._moduli(stack), None)
     w = pl.measures._pt_spectrum(stack, dims)
     n, n0 = pl.measures._negativity_of(w)[0], pl.measures._n0_of(w, None)
-    certs = pl.pairing._certify_stack(stack, dims, pl.pairing.ZERO_TOL)
+    det = pl.pairing._certify_stack(stack, dims, pl.pairing.ZERO_TOL)
     for t, m in enumerate(mats):
         # a loose tolerance: an exact zero may cost a Ginibre state its PSD
         bs = pl.BipartiteState(pl.DensityMatrix(m, 1.0), *dims)
@@ -842,7 +842,7 @@ def test_measures_and_certificates_are_the_same_alone_or_stacked(seed, d, kinds)
         assert pl.c_l0_count(bs.rho) == c_l0[t]
         assert pl.negativity(bs)[0].hex() == float(n[t]).hex()
         assert pl.n0_count(bs) == n0[t]
-        assert pl.detect_canonical_pairing(bs) == certs[t]
+        assert pl.detect_canonical_pairing(bs) == det.certificate(t)
 
 
 @given(seed=st.integers(0, 2**32 - 1),

@@ -61,6 +61,31 @@ class TestDetect:
         assert cert.pairing_number == 2
 
 
+class TestLocalMonomialCovariance:
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.sampled_from([(3, 3), (2, 6), (3, 4), (4, 4)]))
+    @settings(max_examples=100, deadline=None)
+    def test_certificate_is_relabelled_by_the_permutations(self, seed, dims):
+        # (U_A (x) U_B) |j k> is |pi_A(j) pi_B(k)> up to a phase
+        d_a, d_b = dims
+        rng = pl.RngState(seed)
+        n_pairs = int(rng.generator.integers(0, randgen._feasible_pairs(d_a, d_b) + 1))
+        bs = pl.random_canonical_pairing(d_a, d_b, n_pairs, rng)
+        u_a, u_b = pl.random_monomial_unitary(d_a, rng), pl.random_monomial_unitary(d_b, rng)
+        u = np.kron(u_a, u_b)
+        rotated = pl.BipartiteState(pl.DensityMatrix(u @ bs.mat @ u.conj().T), d_a, d_b)
+        pi_a, pi_b = np.argmax(np.abs(u_a), axis=0), np.argmax(np.abs(u_b), axis=0)
+
+        def moved(label):
+            return int(pi_a[label[0]]), int(pi_b[label[1]])
+
+        cert, got = pl.detect_canonical_pairing(bs), pl.detect_canonical_pairing(rotated)
+        assert got is not None and got.pairing_number == cert.pairing_number == n_pairs
+        assert {frozenset(t) for t in got.transpositions} == \
+            {frozenset(map(moved, t)) for t in cert.transpositions}
+        assert set(got.fixed_points) == set(map(moved, cert.fixed_points))
+
+
 def per_state_detect(m, d_a, d_b, zero_tol):
     """Reference detector: ``detect_canonical_pairing`` as it ran on one
     state at a time, before detection ran on stacks (a dict of partners
@@ -172,14 +197,16 @@ class TestStackedDetection:
         g = np.random.Generator(np.random.Philox(seed))
         mats = np.array([detection_input(kind, *dims, zero_tol, g) for kind in kinds])
         want = [per_state_detect(m, *dims, zero_tol) for m in mats]
-        assert pairing._certify_stack(pl.linalg._Stack.of(mats), dims, zero_tol) == want
+        det = pairing._certify_stack(pl.linalg._Stack.of(mats), dims, zero_tol)
+        assert [det.certificate(t) for t in range(len(mats))] == want
 
     def test_a_stack_of_rejected_states_stops_at_the_monomial_check(self, rng, monkeypatch):
         mats = np.array([pl.random_bipartite_state(3, 3, rng).mat for _ in range(4)])
         stack = pl.linalg._Stack.of(mats)
         # the present entries are never moved to their place in rho^T_A
         monkeypatch.setattr(pl.linalg, "_pt_flat", None)
-        assert pairing._certify_stack(stack, (3, 3), 1e-10) == [None] * 4
+        det = pairing._certify_stack(stack, (3, 3), 1e-10)
+        assert [det.certificate(t) for t in range(4)] == [None] * 4
 
 
 class TestPairingNumberBound:

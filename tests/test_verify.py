@@ -174,13 +174,15 @@ def test_reference_covers_every_suite():
     assert list(REFERENCE) == list(verify.SUITES)
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (2, 6), (2, 4), (4, 3)])
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6), (2, 4), (4, 3), (2, 2)])
 @pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_batched_suite_matches_per_trial_reference(suite, dims):
+    # (2, 2) draws trials with no transposition; one trial is a T = 1 stack
     for seed in range(10):
-        (rep,) = verify.run_suite(suite, 50, seed, dims)
-        assert rep.algorithm == "philox4x64/stream-2"
-        assert_same_report(rep, reference_run(suite, 50, seed, dims))
+        for trials in (50, 1):
+            (rep,) = verify.run_suite(suite, trials, seed, dims)
+            assert rep.algorithm == "philox4x64/stream-2"
+            assert_same_report(rep, reference_run(suite, trials, seed, dims))
 
 
 def reference_draws(suite, trials, seed, dims):
@@ -423,7 +425,8 @@ def test_reports_are_frozen(suite, dims, seed, capsys):
 @pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_suites_build_no_states_and_scan_each_stack_once(suite, dims, monkeypatch):
     # the suites validate, measure and decompose stacks: no DensityMatrix
-    # per trial or per block, and no stack scanned for its pattern twice
+    # per trial or per block, no PairingCertificate, and no stack scanned
+    # for its pattern twice
     drawn = [] if suite == "majorization" else reference_draws(suite, 50, 3, dims)
     if suite == "witness":  # every certified trial's 4x4 blocks, as one stack
         blocks = [(sum(pairing.detect_canonical_pairing(bs).pairing_number
@@ -431,6 +434,7 @@ def test_suites_build_no_states_and_scan_each_stack_once(suite, dims, monkeypatc
     built, scanned = [], []
     real_init, real_validated = DensityMatrix.__init__, DensityMatrix._validated.__func__
     real_of = linalg._Stack.of.__func__
+    real_certified = pairing.PairingCertificate.__post_init__
 
     def init(self, *args, **kwargs):
         built.append("__init__")
@@ -444,9 +448,14 @@ def test_suites_build_no_states_and_scan_each_stack_once(suite, dims, monkeypatc
         scanned.append((mats.shape, mats.tobytes()))
         return real_of(cls, mats)
 
+    def certified(self):
+        built.append("PairingCertificate")
+        real_certified(self)
+
     monkeypatch.setattr(DensityMatrix, "__init__", init)
     monkeypatch.setattr(DensityMatrix, "_validated", classmethod(validated))
     monkeypatch.setattr(linalg._Stack, "of", classmethod(of))
+    monkeypatch.setattr(pairing.PairingCertificate, "__post_init__", certified)
     verify.run_suite(suite, 50, 3, dims)
     assert built == []
     assert len(set(scanned)) == len(scanned)
