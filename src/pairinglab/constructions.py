@@ -74,10 +74,12 @@ def make_qubit_qudit_pairing(
     ``diag`` is a probability vector over the 2*d_B product basis (its
     support must avoid the block columns); each block is
     (weight, 2x2 unit-trace coefficient matrix, (k0, k1)) supported on
-    |0 k0> and |1 k1>, with integer columns k0 and k1.  The state holds
-    its entries, validated at ``linalg.DEFAULT_TOL`` by the route of
-    ``DensityMatrix.from_entries``: a sum that is not a state raises the
-    error ``DensityMatrix`` raises for the dense matrix.
+    |0 k0> and |1 k1>, with integer columns k0 and k1.  The state is the
+    direct sum of the weighted blocks and the diagonal's 1 x 1 blocks
+    (``DensityMatrix._of_blocks``): it holds their entries and is
+    validated at ``linalg.DEFAULT_TOL`` given their spectra.  A sum that
+    is not a state raises the error ``DensityMatrix`` raises for the
+    dense matrix.
     """
     diag = np.asarray(diag, dtype=float)
     if diag.ndim != 1 or diag.size % 2:
@@ -117,15 +119,10 @@ def make_qubit_qudit_pairing(
     placed = np.zeros((len(blocks), 2, 2), dtype=complex)
     placed[:, [0, 1], [0, 1]] = on_diag[rows]
     placed += np.array(weights).reshape(-1, 1, 1) * coeffs
-    # the entries: the diagonal off the blocks' rows, then each block's four
-    single = np.ones(d, dtype=bool)
-    single[rows] = False
-    alone = np.flatnonzero(single)
-    in_blocks = rows[:, [0, 0, 1, 1]] * d + rows[:, [0, 1, 0, 1]]
-    flat = np.concatenate([alone * (d + 1), in_blocks.ravel()])
-    order = np.argsort(flat)
-    values = np.concatenate([on_diag[alone], placed.ravel()])
-    rho = DensityMatrix._of_entries(d, flat[order], values[order], linalg.DEFAULT_TOL)
+    # the diagonal off the blocks' rows, one 1 x 1 block per row
+    alone = np.flatnonzero(np.bincount(rows.ravel(), minlength=d) == 0)
+    rho = DensityMatrix._of_blocks([(on_diag[alone, None, None], alone[:, None, None]),
+                                    (placed, rows[:, None])], linalg.DEFAULT_TOL)
     return BipartiteState(rho, 2, d_b)
 
 
@@ -210,37 +207,16 @@ def _entries(runs, part) -> np.ndarray:
 
 def _block_diagonal(runs, tol: float) -> DensityMatrix:
     """The direct sum of the blocks of ``runs`` along the diagonal,
-    validated at ``tol``.  ``runs`` lists (blocks, copies): a (T, s, s)
-    stack whose every block stands ``copies`` (at least 1) times in a row.
-
-    The state holds the placed blocks' entries and is validated by the
-    route of ``DensityMatrix.from_entries``, given its spectrum: that of
-    the distinct blocks, each block's repeated (``linalg._spectra``: one
-    batched eigvalsh per block size; a 1 x 1 block is its real entry, as
-    the constructor reads a row of its own).
-    """
-    n = sum(len(blocks) * blocks.shape[-1] * copies for blocks, copies in runs)
-    at, start = [], 0
+    validated at ``tol`` by ``DensityMatrix._of_blocks``.  ``runs`` lists
+    (blocks, copies): a (T, s, s) stack whose every block stands
+    ``copies`` (at least 1) times in a row."""
+    parts, start = [], 0
     for blocks, copies in runs:
-        s = blocks.shape[-1]
-        first = start + s * np.arange(len(blocks) * copies)[:, None, None]
-        # block after block, each row-major: ascending flat indices
-        at.append(((first + np.arange(s)[:, None]) * n + first + np.arange(s)).ravel())
-        start += s * len(blocks) * copies
-    vals = _entries(runs, lambda blocks: blocks).astype(complex, copy=False)
-    spectra = []
-    for s in {blocks.shape[-1] for blocks, _ in runs}:
-        group = [(blocks, copies) for blocks, copies in runs if blocks.shape[-1] == s]
-        stack = np.concatenate([blocks for blocks, _ in group])
-        if s == 1:
-            lam = stack[:, :, 0].real
-        else:
-            scanned = linalg._Stack.of(stack)
-            lam = linalg._spectra(scanned, scanned.flat)
-        counts = np.repeat([copies for _, copies in group], [len(blocks) for blocks, _ in group])
-        spectra.append(np.repeat(lam, counts, axis=0).ravel())
-    return DensityMatrix._of_entries(n, np.concatenate(at), vals, tol,
-                                     np.sort(np.concatenate(spectra))[None])
+        t, s = len(blocks), blocks.shape[-1]
+        first = start + s * np.arange(t * copies).reshape(t, copies, 1)
+        parts.append((blocks, first + np.arange(s)))
+        start += s * t * copies
+    return DensityMatrix._of_blocks(parts, tol)
 
 
 def _offdiag(blocks: np.ndarray) -> np.ndarray:

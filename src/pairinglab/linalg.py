@@ -66,9 +66,10 @@ class DensityMatrix:
     Validation happens on construction, by one routine (``_checked``):
     ``DensityMatrix(mat, validation_tol)`` validates a dense matrix,
     ``from_entries`` (or ``_of_entries``, given entries already checked) a
-    matrix given by its entries and ``_validated_stack`` a whole stack,
-    building no states.  ``validation_tol`` bounds the allowed Hermiticity
-    defect, the most negative eigenvalue, and the trace deviation from 1.
+    matrix given by its entries, ``_of_blocks`` a direct sum of blocks and
+    ``_validated_stack`` a whole stack, building no states.
+    ``validation_tol`` bounds the allowed Hermiticity defect, the most
+    negative eigenvalue, and the trace deviation from 1.
     The spectrum validation computes is kept, so ``eigenvalues`` and
     ``von_neumann_entropy`` never decompose again, and so are the entries
     it read (``_stack``), so detection and the measures read the nonzero
@@ -125,29 +126,49 @@ class DensityMatrix:
         return cls._of_entries(dim, flat, values, validation_tol)
 
     @classmethod
-    def _of_entries(cls, dim: int, flat: np.ndarray, values: np.ndarray, validation_tol: float,
-                    spectra: np.ndarray | None = None) -> DensityMatrix:
+    def _of_entries(cls, dim: int, flat: np.ndarray, values: np.ndarray,
+                    validation_tol: float) -> DensityMatrix:
         """``from_entries`` of entries already checked (int64 flat indices
         ascending strictly within range, finite complex values): the route
-        of every state built from its entries.  A caller holding the
-        ascending spectrum passes it as the ``(1, dim)`` ``spectra``."""
+        of every state read from its entries."""
         stack = _Stack.of_entries((1, dim, dim), flat, values)
-        return cls._validated(validation_tol, _checked(stack, validation_tol, spectra)[0], stack)
+        return cls._validated(validation_tol, _checked(stack, validation_tol)[0], stack)
 
     @classmethod
-    def _validated(cls, validation_tol: float, spectrum: np.ndarray, stack: _Stack | None = None,
-                   mat: np.ndarray | None = None):
+    def _of_blocks(cls, parts, validation_tol: float) -> DensityMatrix:
+        """The direct sum of ``parts``, validated at ``validation_tol``: the
+        route of every state built as one.  Each part is (blocks, rows): a
+        ``(T, s, s)`` stack and the ``(T, c, s)`` rows of each block's c
+        copies, every row of the sum in one copy.  The state holds the
+        placed entries, and ``_checked`` is given the spectrum of each
+        distinct block (one ``_spectra`` per block size; a 1 x 1 block is
+        its real entry)."""
+        parts = [(np.asarray(blocks, dtype=complex), rows) for blocks, rows in parts if len(blocks)]
+        n = sum(rows.size for _, rows in parts)
+        at = np.concatenate([(rows[..., :, None] * n + rows[..., None, :]).ravel()
+                             for _, rows in parts])
+        vals = np.concatenate([np.repeat(blocks, rows.shape[1], axis=0).ravel()
+                               for blocks, rows in parts])
+        spectra = []
+        for s in {blocks.shape[-1] for blocks, _ in parts}:
+            group = [(blocks, rows) for blocks, rows in parts if blocks.shape[-1] == s]
+            distinct = _Stack.of(np.concatenate([blocks for blocks, _ in group]))
+            lam = distinct.diagonal.real if s == 1 else _spectra(distinct, distinct.flat)
+            copies = np.repeat([rows.shape[1] for _, rows in group], [len(rows) for _, rows in group])
+            spectra.append(np.repeat(lam, copies, axis=0).ravel())
+        order = np.argsort(at)
+        stack = _Stack.of_entries((1, n, n), at[order], vals[order])
+        spectrum = np.sort(np.concatenate(spectra))[None]
+        return cls._validated(validation_tol, _checked(stack, validation_tol, spectrum)[0], stack)
+
+    @classmethod
+    def _validated(cls, validation_tol: float, spectrum: np.ndarray, stack: _Stack):
         """A state whose checks the caller has already made, holding its
-        ascending ``spectrum`` (which becomes read-only) and either the
-        one-matrix ``stack`` it was validated from, kept, or ``mat``,
-        scanned on the first ``_stack`` call."""
+        ascending ``spectrum`` (which becomes read-only) and the one-matrix
+        ``stack`` it was validated from."""
         self = object.__new__(cls)
         spectrum.flags.writeable = False
-        self.__dict__.update(validation_tol=validation_tol, _spectrum=spectrum)
-        if mat is None:
-            self.__dict__["_kept"] = stack
-        else:
-            self.__dict__["mat"] = mat
+        self.__dict__.update(validation_tol=validation_tol, _spectrum=spectrum, _kept=stack)
         return self
 
     @functools.cached_property
@@ -155,12 +176,6 @@ class DensityMatrix:
         """The dense matrix: held by a state built from a dense one, and
         built from the kept entries on first access otherwise."""
         return self._kept.mat[0]
-
-    @functools.cached_property
-    def _kept(self) -> _Stack:
-        """The one-matrix ``_Stack`` of a state given its ``mat`` alone
-        (``_validated``): scanned once, on first use."""
-        return _Stack.of(self.mat[None])
 
     @property
     def dim(self) -> int:

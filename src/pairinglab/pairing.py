@@ -246,8 +246,8 @@ class _Blocks(NamedTuple):
     """Block data of the qubit-qudit decompositions of a stack of T
     states: the blocks of each state in B-column order, state by state.
     A ``QubitQuditDecomposition`` keeps its one-state stack, and the
-    closed forms, ``_matrix`` and ``detect --decompose`` read its arrays;
-    only reading ``blocks`` makes each block a state."""
+    closed forms, ``reassemble`` and ``detect --decompose`` read its
+    arrays; only reading ``blocks`` makes each block a state."""
 
     diag: np.ndarray  # (T, 2 d_B) diagonal parts
     tols: np.ndarray  # (T,) validation tolerance of each state
@@ -281,23 +281,24 @@ class QubitQuditDecomposition:
     @functools.cached_property
     def blocks(self) -> tuple[MCBlock, ...]:
         """The blocks as states, each held to its validation's tolerance
-        and holding its validated spectrum."""
+        and holding its validated spectrum and its one-matrix stack."""
         s = self._stack
-        coeffs = [DensityMatrix._validated(block_tol, lam, mat=m) for m, block_tol, lam in
+        coeffs = [DensityMatrix._validated(block_tol, lam, linalg._Stack.of(m[None]))
+                  for m, block_tol, lam in
                   zip(s.coeffs, _block_tol(self.validation_tol, s.weights).tolist(), s.spectra)]
         return tuple(MCBlock(weight=p, coeffs=c, b_columns=tuple(cols))
                      for p, c, cols in zip(s.weights.tolist(), coeffs, s.columns.tolist()))
 
-    def _matrix(self) -> np.ndarray:
-        s, m = self._stack, np.diag(self.diag_probs).astype(complex)
-        idx = s.columns + [0, self.d_B]
-        # one add per entry, block after block, even where supports overlap
-        np.add.at(m, (idx[:, :, None], idx[:, None, :]), s.weights[:, None, None] * s.coeffs)
-        return m
-
     def reassemble(self) -> BipartiteState:
-        """The dense state, validated at ``validation_tol``."""
-        return BipartiteState(DensityMatrix(self._matrix(), self.validation_tol), 2, self.d_B)
+        """The direct sum of the diagonal part and the weighted blocks
+        (``DensityMatrix._of_blocks``), validated at ``validation_tol``: a
+        decomposition at a looser cutoff than the default may fail it."""
+        s, rows = self._stack, self._stack.columns + [0, self.d_B]
+        alone = np.flatnonzero(np.bincount(rows.ravel(), minlength=2 * self.d_B) == 0)
+        # + 0.0: each block summed onto zeros, as a dense sum adds it
+        parts = [(self.diag_probs[alone, None, None], alone[:, None, None]),
+                 (s.weights[:, None, None] * s.coeffs + 0.0, rows[:, None])]
+        return BipartiteState(DensityMatrix._of_blocks(parts, self.validation_tol), 2, self.d_B)
 
 
 def _transpositions(cert: PairingCertificate) -> np.ndarray:
@@ -318,7 +319,9 @@ def qubit_qudit_decompose(
     are validated as one stack, which the decomposition keeps: no block
     is made a state until ``blocks`` is read.  Raises NotQubit if d_A != 2
     and NotCanonicalPairing if detection fails, the certificate's blocks
-    overlap or the blocks do not reassemble the state.
+    overlap or the blocks do not reassemble the state: if the reassembly
+    gap exceeds the certificate's cutoff (at least 1e-9) times max(1,
+    largest entry modulus), as the entries it dropped stay below that.
     """
     if bs.d_A != 2:
         raise NotQubit(f"d_A = {bs.d_A}; decomposition requires a qubit on A")
@@ -332,8 +335,10 @@ def qubit_qudit_decompose(
         trans, zero_tol = _transpositions(cert), cert.zero_tol
     blocks, gaps = _decompose_stack(stack, bs.d_B, np.zeros(len(trans), dtype=np.intp), trans,
                                     tol, zero_tol)
-    # the cutoff is 1e-9 times max(1, largest entry modulus), at least 1e-9
-    if gaps[0] > 1e-9 and gaps[0] > 1e-9 * float(measures._moduli(stack).mod.max()):
+    # the certificate dropped entries up to its cutoff times the largest
+    # entry modulus: refuse a gap above that (at least 1e-9) times max(1, top)
+    top = float(measures._moduli(stack).mod.max())
+    if gaps[0] > max(1e-9, zero_tol) * max(1.0, top):
         raise NotCanonicalPairing(f"reassembly gap {gaps[0]:.3e}; state is not block-structured")
     diag = blocks.diag[0]
     return QubitQuditDecomposition(d_B=bs.d_B, p0=float(diag.sum()), diag_probs=diag,

@@ -297,7 +297,7 @@ def built(monkeypatch):
 
 class TestLazyBlocks:
     """A decomposition keeps its block stack: decomposing, the closed forms,
-    ``_matrix`` and ``detect --decompose`` make no block a state; reading
+    ``reassemble`` and ``detect --decompose`` make no block a state; reading
     ``blocks`` makes each one once."""
 
     B = 12
@@ -312,9 +312,11 @@ class TestLazyBlocks:
         decompositions.clear()
         for dec in (pl.qubit_qudit_decompose(bs, cert=cert), pl.qubit_qudit_decompose(bs)):
             pl.pairing_measures(dec)
-            dec._matrix()
         assert built == {"state": 0, "block": 0}
         assert decompositions == [(self.B, 2, 2)] * 2
+        dec.reassemble()
+        assert built == {"state": 1, "block": 0}  # the sum alone
+        assert decompositions == [(self.B, 2, 2)] * 3
 
     def test_reading_blocks_builds_each_once(self, bs, built, decompositions):
         dec = pl.qubit_qudit_decompose(bs)
@@ -329,11 +331,15 @@ class TestLazyBlocks:
         assert decompositions == []
         assert pl.pairing_measures(dec) == pm
 
-    def test_reassemble_builds_the_state_alone(self, bs, built):
+    def test_reassemble_builds_the_state_alone(self, bs, built, decompositions):
         dec = pl.qubit_qudit_decompose(bs)
         built.update(state=0, block=0)
-        dec.reassemble()
+        decompositions.clear()
+        rho = dec.reassemble().rho
         assert built == {"state": 1, "block": 0}
+        # one eigvalsh of the weighted blocks, and no dense matrix
+        assert decompositions == [(self.B, 2, 2)]
+        assert "mat" not in vars(rho) and "mat" not in vars(rho._stack())
 
     def test_detect_decompose_builds_no_block_state(self, bs, built, tmp_path, capsys):
         path = tmp_path / "qq.json"

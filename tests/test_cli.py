@@ -182,6 +182,30 @@ class TestTolerances:
         assert [b["weight"] for b in blocks] == pytest.approx([0.25, 0.75])
 
 
+#: a Bell pair on |00>, |11> with 2e-8 of weight on |01> and on |10>,
+#: and a 1e-8 coherence between them: a pairing state at --tol 1e-6
+NOISY_BELL = [[0, 0, 0.49999998, 0], [0, 3, 0.49999998, 0], [1, 1, 2e-08, 0],
+              [1, 2, 1e-08, 0], [2, 1, 1e-08, 0], [2, 2, 2e-08, 0],
+              [3, 0, 0.49999998, 0], [3, 3, 0.49999998, 0]]
+
+
+class TestLooseCutoff:
+    def test_decompose_accepts_what_detect_certifies(self, tmp_path, capsys):
+        # at --tol 1e-6 the noise is dropped, and so the reassembly gap, 2e-8,
+        # lies below the cutoff the certificate was detected at
+        path = tmp_path / "noisy_bell.json"
+        path.write_text(json.dumps({"dims": [2, 2], "entries": NOISY_BELL}))
+        for argv in (["detect"], ["witness"], ["detect", "--decompose"]):
+            assert cli.main([*argv, "--tol", "1e-6", str(path)]) == 0, argv
+        capsys.readouterr()
+        assert cli.main(["detect", "--tol", "1e-6", "--decompose", "--json", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["pairing_number"], doc["p0"]) == (1, 0.0)
+        assert [b["b_columns"] for b in doc["blocks"]] == [[0, 1]]
+        # at the default cutoff the noise is present: no pairing state
+        assert cli.main(["detect", "--decompose", str(path)]) == 4
+
+
 class TestConstructCommand:
     def test_mc(self, tmp_path, capsys):
         out = tmp_path / "mc.json"

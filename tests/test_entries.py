@@ -171,7 +171,8 @@ def test_detection_of_an_entry_list_agrees_with_the_dense_state(rng, monkeypatch
 
 class TestOneRoute:
     """The constructions and the state files validate what they build by
-    ``linalg._checked``, through ``DensityMatrix._of_entries``."""
+    ``linalg._checked``, through ``DensityMatrix._of_entries`` or, for a
+    direct sum, ``DensityMatrix._of_blocks``."""
 
     QQ = (0.2, [0.5, 0, 0, 0, 0.5, 0, 0, 0], [(0.8, np.array([[0.6, 0.3], [0.3, 0.4]]), (1, 2))])
 
@@ -184,9 +185,13 @@ class TestOneRoute:
             return real(stack, tols, spectra)
 
         monkeypatch.setattr(pl.linalg, "_checked", spy)
-        pl.make_qubit_qudit_pairing(*self.QQ)
-        # the coefficient stack, then the state: its spectrum taken by _checked
-        assert seen == [((1, 2, 2), False), ((1, 8, 8), False)]
+        qq = pl.make_qubit_qudit_pairing(*self.QQ)
+        # the coefficient stack, then the state, handed its blocks' spectrum
+        assert seen == [((1, 2, 2), False), ((1, 8, 8), True)]
+        dec = pl.qubit_qudit_decompose(qq)
+        seen.clear()
+        dec.reassemble()
+        assert seen == [((1, 8, 8), True)]
         seen.clear()
         chain = pl.appendix_a_chain(rho, 1)
         # each direct sum handing over the spectrum of its distinct blocks
@@ -338,3 +343,18 @@ class TestQubitQuditPairing:
         pl.make_qubit_qudit_pairing(0.0, np.zeros(24), blocks)
         # the coefficients' stack, then the weighted blocks' stack
         assert decompositions == [(6, 2, 2), (6, 2, 2)]
+
+    def test_lays_out_its_blocks_without_a_component_scan(self, decompositions, monkeypatch):
+        # the sum is built block by block, so no label propagation over the
+        # 24 rows finds the blocks again
+        def scanned(*args):
+            raise AssertionError("the sum's components were scanned")
+
+        monkeypatch.setattr(pl.linalg, "_component_spectrum", scanned)
+        c = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+        diag = np.zeros(24)
+        diag[[10, 23]] = 0.5  # |0 10> and |1 11>
+        blocks = [(0.1, c, (2 * i, 2 * i + 1)) for i in range(5)]
+        decompositions.clear()
+        pl.make_qubit_qudit_pairing(0.5, diag, blocks)
+        assert decompositions == [(5, 2, 2), (5, 2, 2)]

@@ -761,7 +761,7 @@ class TestKeptPattern:
         qq = pl.make_qubit_qudit_pairing(0.5, QQ_DIAG, [(0.25, COEFFS, (0, 1)), (0.25, COEFFS, (2, 3))])
         for block in pl.qubit_qudit_decompose(qq).blocks:
             rho = block.coeffs
-            assert "_kept" not in vars(rho)  # scanned on first use, not before
+            assert "_kept" in vars(rho)  # scanned when the block is built
             assert rho._stack() is rho._stack()
             self.assert_kept(rho)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +158,63 @@ def test_dephasing_kills_all_coherence(rng):
     deph = pl.DensityMatrix(np.diag(np.diag(rho.mat).real))
     assert pl.c_l1(deph) == 0
     assert pl.c_rel_entropy(deph) == pytest.approx(0, abs=1e-9)
+
+
+def _exact_pt_spectrum(entries: dict, d: int, d_b: int) -> list:
+    """The spectrum of rho^T_A, in Fractions, of a d x d state whose
+    nonzero entries ``entries`` ({(row, col): Fraction}) are real and
+    whose partial transpose is monomial: each fixed row its diagonal
+    entry, each transposition (i, j) of rho^T_A the pair -|x|, |x|, and
+    each empty row 0."""
+    pt = {}
+    for (r, c), x in entries.items():
+        (j, k), (jp, kp) = divmod(r, d_b), divmod(c, d_b)
+        pt[jp * d_b + k, j * d_b + kp] = x
+    col = {}
+    for r, c in pt:
+        assert r not in col, "rho^T_A is not monomial"
+        col[r] = c
+    spectrum = []
+    for r, c in col.items():
+        if r == c:
+            spectrum.append(pt[r, r])
+        elif r < c:
+            assert pt[r, c] == pt[c, r]
+            spectrum += [-abs(pt[r, c]), abs(pt[r, c])]
+    return spectrum + [Fraction(0)] * (d - len(col))
+
+
+def _exact_pairing_states():
+    """Two pairing states with dyadic real entries, and their entries in
+    Fractions, built from the same numbers by hand."""
+    h = Fraction(1, 2)
+    b1 = [[h, h / 2], [h / 2, h]]
+    b2 = [[Fraction(3, 4), Fraction(-3, 8)], [Fraction(-3, 8), Fraction(1, 4)]]
+    diag = np.zeros(12)
+    diag[2] = diag[8] = 0.5
+    qq = pl.make_qubit_qudit_pairing(0.25, diag, [(0.5, np.array(b1, dtype=float), (0, 1)),
+                                                 (0.25, np.array(b2, dtype=float), (3, 5))])
+    qq_entries = {(2, 2): Fraction(1, 8), (8, 8): Fraction(1, 8)}
+    for w, b, rows in ((h, b1, (0, 7)), (h / 2, b2, (3, 11))):
+        qq_entries.update({(rows[a], rows[c]): w * b[a][c] for a in range(2) for c in range(2)})
+    coeffs = [[h, h / 4, -h / 2], [h / 4, h / 2, h / 8], [-h / 2, h / 8, h / 2]]
+    mc = pl.make_mc_state(pl.MCSpec(np.array(coeffs, dtype=float), (0, 1, 2), (0, 1, 2)), 3, 3)
+    mc_entries = {(4 * r, 4 * s): coeffs[r][s] for r in range(3) for s in range(3)}
+    return [(qq, qq_entries), (mc, mc_entries)]
+
+
+@pytest.mark.parametrize("bs, entries", _exact_pairing_states(), ids=["2x6 qubit-qudit", "3x3 mc"])
+def test_dyadic_pairing_states_take_the_exact_path(bs, entries):
+    # every float step on a monomial rho^T_A with dyadic entries is exact,
+    # so N, N0, C_l1 and the spectrum equal their Fraction values
+    assert sum(x for (r, c), x in entries.items() if r == c) == 1
+    assert {rc: Fraction(x) for rc, x in np.ndenumerate(bs.mat.real) if x} == entries
+    want = sorted(_exact_pt_spectrum(entries, bs.dim, bs.d_B))
+    got = pl.measures._pt_spectrum(bs.rho._stack(), (bs.d_A, bs.d_B))[0]
+    assert [Fraction(x) for x in got.tolist()] == want
+    exact_n = sum(abs(x) for x in want) - 1
+    exact_c_l1 = sum(abs(x) for (r, c), x in entries.items() if r != c)
+    assert exact_n == exact_c_l1
+    assert pl.negativity(bs)[0] == exact_n
+    assert pl.c_l1(bs.rho) == exact_c_l1
+    assert pl.n0_count(bs) == sum(x < 0 for x in want)

@@ -312,7 +312,7 @@ class TestQubitQuditDecompose:
             for blk in dec.blocks:
                 idx = [blk.b_columns[0], d_b + blk.b_columns[1]]
                 m[np.ix_(idx, idx)] += blk.weight * blk.coeffs.mat
-            assert dec._matrix().tobytes() == m.tobytes()
+            assert dec.reassemble().mat.tobytes() == m.tobytes()
 
     def test_a_certificate_block_on_zero_entries_is_refused(self):
         bell = np.ones((2, 2), dtype=complex) / 2
@@ -360,6 +360,27 @@ class TestQubitQuditDecompose:
         assert kept.diag_probs.tolist() == diag.tolist()
         assert dropped.diag_probs.tolist() == [1.0 - 1e-12, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("cutoff, noise", [(1e-8, 4e-9), (1e-6, 2e-8)])
+    def test_a_loose_cutoff_decomposes_what_it_certifies(self, cutoff, noise):
+        # a Bell pair on |00>, |11> with `noise` of weight on |01> and |10>
+        # and half of it as their coherence: detection at `cutoff` drops
+        # them, so the reassembly gap, `noise`, lies below that cutoff
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.ix_([0, 3], [0, 3])] = 0.5 - noise
+        m[np.ix_([1, 2], [1, 2])] = [[noise, noise / 2], [noise / 2, noise]]
+        bs = pl.BipartiteState(pl.DensityMatrix(m), 2, 2)
+        cert = pl.detect_canonical_pairing(bs, cutoff)
+        assert cert.pairing_number == 1
+        dec = pl.qubit_qudit_decompose(bs, cert=cert)
+        assert dec.p0 == 0.0 and [b.b_columns for b in dec.blocks] == [(0, 1)]
+        # the same structure held to the default cutoff, or to 0, is refused
+        # as before: the gap exceeds 1e-9
+        for zero_tol in (pairing.ZERO_TOL, 0.0):
+            strict = pl.PairingCertificate(cert.transpositions, cert.fixed_points,
+                                           cert.pairing_number, zero_tol)
+            with pytest.raises(NotCanonicalPairing, match="reassembly gap"):
+                pl.qubit_qudit_decompose(bs, cert=strict)
+
 
 class TestDecompositionParity:
     """The public decomposition's blocks are the states the constructor
@@ -395,7 +416,7 @@ class TestDecompositionParity:
         bs = pl.random_canonical_pairing(2, d_b, n_pairs, pl.RngState(seed), diag_weight)
         dec = pl.qubit_qudit_decompose(bs)
         pm = pl.pairing_measures(dec)  # read off the stack, before any block is built
-        m = dec._matrix()
+        m = dec.reassemble().mat
         # the one-state block stack rebuilt from the public blocks
         blocks = dec.blocks
         ref = pairing._Blocks(
