@@ -221,7 +221,7 @@ def _checked(stack: _Stack, tols, spectra: np.ndarray | None = None) -> np.ndarr
     nothing to it, and the trace off the diagonals.  A stack with no zero
     takes M^dag once, for the defect and for the Hermitian part its
     spectra are taken of; the dense route records on the stack whether
-    each matrix is its own Hermitian part (``_dense_spectra``).
+    every matrix is its own Hermitian part (``_dense_spectra``).
     No spectrum is taken when the first matrix fails before its spectrum
     is needed, so a single state that is not Hermitian or not of unit
     trace is rejected without a decomposition."""
@@ -297,19 +297,18 @@ class _Stack:
 
     The stack routines of ``measures`` and ``pairing`` take one, so they
     read the nonzero entries without a scan of their own: a stack is
-    scanned once (``of``), a part of it is read off its pattern
-    (``take``) and a state's is the one validation kept
-    (``DensityMatrix._stack``).
+    scanned once (``of``) and a state's is the one validation kept
+    (``DensityMatrix._stack``).  They work on the whole stack, as each
+    matrix gets the same result alone or in any stack.
 
-    ``own_part`` is a ``(T,)`` boolean array once validation formed the
-    Hermitian part (M + M^dag) / 2 of the dense stack
-    (``_dense_spectra``): whether each matrix equals it bit for bit, so
-    that its partial transpose does too and is decomposed as it is.  It
-    is None on a stack no validation formed it for; ``take`` keeps it."""
+    ``own_part`` is True once validation formed the Hermitian part
+    (M + M^dag) / 2 of the dense stack and found every matrix equal to it
+    bit for bit (``_dense_spectra``), so that each partial transpose is
+    too and is decomposed as it is; it is False on any other stack."""
 
     def __init__(self, mat: np.ndarray | None, flat: np.ndarray | None,
                  listed: tuple[np.ndarray, np.ndarray] | None = None, shape=None):
-        self.flat, self.listed, self.own_part = flat, listed, None
+        self.flat, self.listed, self.own_part = flat, listed, False
         if mat is None:
             self.shape = tuple(shape)
         else:
@@ -373,27 +372,6 @@ class _Stack:
             return self.mat[owner[:, None, None], idx[:, :, None], idx[:, None, :]]
         n = self.shape[-1]
         return self.gather((owner[:, None, None] * n + idx[:, :, None]) * n + idx[:, None, :])
-
-    def take(self, keep: np.ndarray) -> _Stack:
-        """The matrices ``keep`` (ascending indices) and their pattern."""
-        size = self.shape[-1] ** 2
-        slot = np.full(len(self), -1)
-        slot[keep] = np.arange(len(keep))
-
-        def moved(flat):  # the indices of the kept matrices, renumbered
-            owner, at = np.divmod(flat, size)
-            new = slot[owner]
-            sel = new >= 0
-            return sel, new[sel] * size + at[sel]
-
-        if self.listed is not None:
-            sel, at = moved(self.listed[0])
-            part = _Stack.of_entries((len(keep), *self.shape[1:]), at, self.listed[1][sel])
-        else:
-            part = _Stack(self.mat[keep], None if self.flat is None else moved(self.flat)[1])
-        if self.own_part is not None:
-            part.own_part = self.own_part[keep]
-        return part
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(flat indices, values) of every entry that is not +0.0, in
@@ -462,9 +440,9 @@ def _spectra(stack: _Stack, flat: np.ndarray | None,
     The dense route of the matrices themselves records
     ``stack.own_part`` (``_dense_spectra``).  The partial transpose moves
     each entry together with the one its conjugate is added to, so it is
-    its own Hermitian part wherever the matrix is: the dense route takes
-    eigvalsh of those as they are, the same bits, and forms the Hermitian
-    part of the rest alone."""
+    its own Hermitian part wherever the matrix is: when every matrix is,
+    the dense route takes eigvalsh of the partial transposes as they are,
+    the same bits, and otherwise forms the Hermitian part of them all."""
     n, nodes = stack.shape[-1], math.prod(stack.shape[:-1])
     if flat is not None:
         # entry (t, r, c) joins the nodes t * n + r and t * n + c
@@ -487,24 +465,19 @@ def _spectra(stack: _Stack, flat: np.ndarray | None,
                 return _component_spectrum(stack, label, size, dims)
     if dims is None:
         return _dense_spectra(stack)
-    pt, own = partial_transpose(stack.mat, dims), stack.own_part
-    if own is None or not own.any():
-        return _hermitian_spectrum(pt)
-    if not own.all():  # pt may be a view of m: write a copy
-        pt = pt.copy()
-        pt[~own] = _hermitian_part(pt[~own])
-    return np.linalg.eigvalsh(pt)
+    pt = partial_transpose(stack.mat, dims)
+    return np.linalg.eigvalsh(pt) if stack.own_part else _hermitian_spectrum(pt)
 
 
 def _dense_spectra(stack: _Stack, dag: np.ndarray | None = None) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of each matrix of the
     dense ``stack``, by one eigvalsh, given ``dag`` = M^dag when the caller
-    holds it; records in ``stack.own_part`` which matrices equal their
-    Hermitian part bit for bit (a value test would miss a -0.0 that the
-    sum or the halving turns into +0.0)."""
+    holds it; records in ``stack.own_part`` whether every matrix equals
+    its Hermitian part bit for bit (a value test would miss a -0.0 that
+    the sum or the halving turns into +0.0)."""
     part = _hermitian_part(stack.mat, dag)
     bits = [np.ascontiguousarray(x).view(np.uint64) for x in (part, stack.mat)]
-    stack.own_part = np.equal(*bits).all(axis=(-2, -1))
+    stack.own_part = np.array_equal(*bits)
     return np.linalg.eigvalsh(part)
 
 

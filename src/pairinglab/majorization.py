@@ -99,11 +99,6 @@ def trace_vs_l1(x, zero_tol: float = 1e-10) -> TraceVsL1:
     """Compare ||X||_1 against ||X||_l1 and flag the monomial equality
     case (fields are arrays over a stack)."""
     x = linalg.as_complex_stack(x)
-    return _trace_vs_l1(x, linalg.singular_values(x), zero_tol)
-
-
-def _trace_vs_l1(x: np.ndarray, s: np.ndarray, zero_tol: float = 1e-10) -> TraceVsL1:
-    """``trace_vs_l1`` of the stack ``x`` given its singular values ``s``."""
-    tn = linalg._scalar(np.sum(s, axis=-1))
+    tn = linalg.trace_norm(x)
     l1 = linalg.entrywise_l1_norm(x)
     return TraceVsL1(tn, l1, is_monomial(x, zero_tol), l1 - tn)

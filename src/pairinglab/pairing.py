@@ -165,10 +165,9 @@ def _certify_stack(stack: linalg._Stack, dims: tuple[int, int], zero_tol: float)
     remainder = linalg._segment_reduce(np.add, np.where(present, 0.0, ent.mod), ent.counts)
     unsure = np.flatnonzero(ok & (np.abs(excess) + 2.0 * remainder > slack))
     if unsure.size:  # N - C_l1 - excess = ||rho^T_A||_1 - ||rho^T_A||_l1
-        sub = stack.take(unsure)
-        n, _ = measures._negativity_of(measures._pt_spectrum(sub, dims))
-        c_l1 = measures._c_l1_of(measures._moduli(sub))
-        ok[unsure] = np.abs(n - c_l1 - excess[unsure]) <= slack[unsure]
+        n, _ = measures._negativity_of(measures._pt_spectrum(stack, dims))
+        c_l1 = measures._c_l1_of(ent)
+        ok[unsure] = (np.abs(n - c_l1 - excess) <= slack)[unsure]
 
     # the certified matrices' fixed points and transpositions (r, c), r < c,
     # off the sorted entries

@@ -6,10 +6,12 @@ algorithm name and the stream version are recorded so reports stay
 reproducible, and streams can be split for concurrent trials without
 coordination.
 
-Stream version 2: each draw family has a stacked routine that makes one
-fixed set of RNG calls for a whole stack of T trials, whatever T is, and
-each public generator is its one-trial case.  A seed gives other states
-than under version 1, which drew trial by trial.
+Stream version 2: the Ginibre, bipartite and pairing draws each have a
+stacked routine that makes one fixed set of RNG calls for a whole stack
+of T trials, whatever T is, and the public generator of each is that
+routine's one-trial case; ``haar_random_pure`` and
+``random_monomial_unitary`` have no stacked routine.  A seed gives
+other states than under version 1, which drew trial by trial.
 """
 
 from __future__ import annotations

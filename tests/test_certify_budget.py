@@ -103,7 +103,7 @@ class TestHermitianPartRoute:
         ginibre = pl.random_bipartite_state(3, 4, rng)
         for bs, formed in ((ginibre, 0), (revalidated(ginibre, signed_zero), 1),
                            (revalidated(ginibre, defect), 1)):
-            assert bs.rho._stack().own_part.tolist() == [formed == 0]
+            assert bs.rho._stack().own_part is (formed == 0)
             hermitian_parts.clear()
             decompositions.clear()
             pl.measure_report(bs)
@@ -115,22 +115,23 @@ class TestHermitianPartRoute:
         g = np.random.Generator(np.random.Philox(1))
         noisy = noisy_bell(6, 0.45e-8 * g.random(630), g)
         own = pl.BipartiteState(pl.DensityMatrix(own_part(noisy.mat), 1e-3), 6, 6)
-        parts, real = [], pl.linalg._Stack.take
-        monkeypatch.setattr(pl.linalg._Stack, "take",
-                            lambda self, keep: parts.append(real(self, keep)) or parts[-1])
+        taken, real = [], pl.measures._pt_spectrum
+        monkeypatch.setattr(pl.measures, "_pt_spectrum",
+                            lambda stack, dims: taken.append(stack) or real(stack, dims))
         for bs, formed in ((own, 0), (revalidated(own, signed_zero), 1)):
-            parts.clear()
+            taken.clear()
             hermitian_parts.clear()
             decompositions.clear()
             assert pl.detect_canonical_pairing(bs, 1e-8) is not None
-            assert [part.own_part.tolist() for part in parts] == [[formed == 0]]
+            assert taken == [bs.rho._stack()]
+            assert bs.rho._stack().own_part is (formed == 0)
             assert hermitian_parts == [(1, 36, 36)] * formed
             assert decompositions == [(1, 36, 36)]
 
     def test_a_stack_no_validation_scanned_forms_the_part(self, hermitian_parts, rng):
         mat = pl.random_bipartite_state(3, 4, rng).mat
         stack = pl.linalg._Stack.of(mat[None])
-        assert stack.own_part is None
+        assert stack.own_part is False
         hermitian_parts.clear()
         want = pl.measures._pt_spectrum(stack, (3, 4))
         assert hermitian_parts == [(1, 12, 12)]
@@ -446,11 +447,11 @@ class TestRemainderBound:
         # excess 8e-9 of sum |rho_ii| over 1 exceeds the slack 4e-9, so the
         # spectrum decides, and N - C_l1 is that excess
         bs = pl.BipartiteState(pl.DensityMatrix(bell_state.mat * (1 + 8e-9), 1e-8), 2, 2)
-        taken, real = [], pl.linalg._Stack.take
-        monkeypatch.setattr(pl.linalg._Stack, "take",
-                            lambda self, keep: taken.append(keep.tolist()) or real(self, keep))
+        taken, real = [], pl.measures._pt_spectrum
+        monkeypatch.setattr(pl.measures, "_pt_spectrum",
+                            lambda stack, dims: taken.append(stack) or real(stack, dims))
         assert pl.detect_canonical_pairing(bs) == pl.detect_canonical_pairing(bell_state)
-        assert taken == [[0]]
+        assert taken == [bs.rho._stack()]
 
     def test_a_trace_excess_does_not_hide_a_true_gap(self):
         # negative control: C_l1 - N of the noisy Bell pair is 1.5x the

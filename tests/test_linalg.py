@@ -596,10 +596,7 @@ class TestOwnPartParity:
         if entries:  # the same matrices as an entry list
             stack = pl.linalg._Stack.of_entries(mats.shape, *stack.entries())
         spectra = pl.linalg._checked(stack, PARITY_TOL)
-        assert stack.own_part.tolist() == [kind == "own part" for kind in kinds]
-        keep = np.flatnonzero(g.random(len(kinds)) < 0.5)
-        part = stack.take(keep)
-        assert part.own_part.tolist() == stack.own_part[keep].tolist()
+        assert stack.own_part is all(kind == "own part" for kind in kinds)
         for t, m in enumerate(mats):
             want = np.linalg.eigvalsh(hermitian_part(m))
             assert spectra[t].view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -607,10 +604,9 @@ class TestOwnPartParity:
             dims = (d_a, n // d_a)
             want = [np.linalg.eigvalsh(hermitian_part(pl.partial_transpose(m, dims)))
                     for m in mats]
-            for sub, at in ((stack, range(len(mats))), (part, keep)):
-                got = pl.measures._pt_spectrum(sub, dims)
-                for lam, t in zip(got, at):
-                    assert lam.view(np.uint64).tolist() == want[t].view(np.uint64).tolist()
+            got = pl.measures._pt_spectrum(stack, dims)
+            for lam, want_lam in zip(got, want):
+                assert lam.view(np.uint64).tolist() == want_lam.view(np.uint64).tolist()
 
 
 class TestFromBlocks:
@@ -764,23 +760,6 @@ class TestKeptPattern:
             assert "_kept" in vars(rho)  # scanned when the block is built
             assert rho._stack() is rho._stack()
             self.assert_kept(rho)
-
-    def test_a_part_of_a_stack_reads_its_pattern_off_the_stack(self, rng):
-        mats = np.array([pl.random_canonical_pairing(2, 6, 2, rng).mat,
-                         pl.random_bipartite_state(2, 6, rng).mat,
-                         pl.random_canonical_pairing(2, 6, 1, rng).mat])
-        flat = np.flatnonzero(mats)
-        listed = pl.linalg._Stack.of_entries(mats.shape, flat, mats.reshape(-1)[flat])
-        for stack in (pl.linalg._Stack.of(mats), listed):
-            for keep in ([], [0], [1], [0, 2], [1, 2], [0, 1, 2]):
-                part = stack.take(np.array(keep, dtype=np.intp))
-                assert (part.listed is None) == (stack.listed is None)
-                assert np.array_equal(part.mat, mats[keep])
-                # an entry list that fills its stack has no pattern (flat None)
-                pattern = np.arange(mats[keep].size) if part.flat is None else part.flat
-                assert np.array_equal(pattern, np.flatnonzero(mats[keep]))
-        dense = pl.linalg._Stack.of(mats[[1, 1]])
-        assert dense.flat is None and dense.take(np.array([1])).flat is None
 
     def test_a_stale_pattern_changes_the_answers(self, rng):
         # negative control: a kept pattern is trusted, so one that misses

@@ -185,6 +185,27 @@ def test_batched_suite_matches_per_trial_reference(suite, dims):
             assert_same_report(rep, reference_run(suite, trials, seed, dims))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims", [(3, 3), (2, 6), (2, 2)])
+@pytest.mark.parametrize("suite", ["pairing-roundtrip", "witness", "lowerbound"])
+def test_a_refused_trial_is_masked_out_of_the_stack(suite, dims, monkeypatch):
+    # trial 3 is a full-rank Ginibre state, which detection refuses: the
+    # suites compute on the whole stack and check only the certified trials
+    real = randgen._pairing_stack
+
+    def with_ginibre(d_a, d_b, n_pairs, rng, diag_weight=None):
+        mats = real(d_a, d_b, n_pairs, rng, diag_weight)
+        mats[3] = random_density(3, d_a * d_b).mat
+        return mats
+
+    monkeypatch.setattr(randgen, "_pairing_stack", with_ginibre)
+    for seed in range(3):
+        (rep,) = verify.run_suite(suite, 20, seed, dims)
+        assert_same_report(rep, reference_run(suite, 20, seed, dims))
+        assert [(v.trial, v.quantity) for v in rep.violations] == [
+            (3, "detector certifies generated state")]
+
+
 def reference_draws(suite, trials, seed, dims):
     """The matrices the stacked generators give for the states a suite
     validates first (for additivity: the rhos, then the sigmas)."""
